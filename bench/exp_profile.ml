@@ -21,14 +21,14 @@ let run () =
   let compiled = compile (Core.Kernels.vecadd ~n) in
   let run_once ~attach =
     let m = Core.Toolchain.machine ~config:Xmtsim.Config.fpga64 compiled in
-    if attach then ignore (Xmtsim.Machine.attach_profile m : Xmtsim.Profile.t);
+    let p = if attach then Some (Xmtsim.Profile.attach m) else None in
     let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
-    (m, r, secs)
+    (m, r, p, secs)
   in
   (* interleaved best-of-5 wall times, so neither figure is dominated by
      a cold first run or a transient host hiccup *)
   let keep_best best run = match best with
-    | Some (_, _, bs) when bs <= (fun (_, _, s) -> s) run -> best
+    | Some (_, _, _, bs) when bs <= (fun (_, _, _, s) -> s) run -> best
     | _ -> Some run
   in
   let best_off = ref None and best_on = ref None in
@@ -36,8 +36,8 @@ let run () =
     best_off := keep_best !best_off (run_once ~attach:false);
     best_on := keep_best !best_on (run_once ~attach:true)
   done;
-  let m_off, r_off, secs_off = Option.get !best_off in
-  let m_on, r_on, secs_on = Option.get !best_on in
+  let m_off, r_off, _, secs_off = Option.get !best_off in
+  let m_on, r_on, p_on, secs_on = Option.get !best_on in
   let cycles_off = Xmtsim.Machine.cycles m_off in
   let cycles_on = Xmtsim.Machine.cycles m_on in
   let events_off = Xmtsim.Machine.events_processed m_off in
@@ -45,7 +45,7 @@ let run () =
   let overhead =
     if secs_off > 0.0 then 100.0 *. ((secs_on /. secs_off) -. 1.0) else 0.0
   in
-  let rp = Option.get (Xmtsim.Machine.profile_report m_on) in
+  let rp = Xmtsim.Profile.report (Option.get p_on) in
   let exact =
     Array.for_all
       (fun row ->

@@ -19,7 +19,7 @@ let run () =
   let compiled = compile (Core.Kernels.publication ~n) in
   let run_once ~attach =
     let m = Core.Toolchain.machine ~config:Xmtsim.Config.fpga64 compiled in
-    let rd = if attach then Some (Xmtsim.Machine.attach_racecheck m) else None in
+    let rd = if attach then Some (Xmtsim.Racedetect.attach m) else None in
     let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
     (m, r, rd, secs)
   in

@@ -30,7 +30,7 @@ let run () =
     let sink_path = Filename.temp_file "xmt_stream_bench" ".ndjson" in
     let stream = Obs.Stream.create (Obs.Stream.sink_of_path sink_path) in
     let m = Core.Toolchain.machine ~config compiled in
-    Xmtsim.Machine.attach_stream ~heartbeat_cycles m stream;
+    ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles m stream : unit -> unit);
     let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
     Obs.Stream.close stream;
     (try Sys.remove sink_path with Sys_error _ -> ());

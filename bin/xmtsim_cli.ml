@@ -488,17 +488,14 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
   | `Cycle -> begin
     let m = Xmtsim.Machine.create ~config image in
     if no_clock_gating then Xmtsim.Machine.set_gating m false;
-    let racedet =
-      if racecheck then Some (Xmtsim.Machine.attach_racecheck m) else None
-    in
-    if profile_requested then
-      ignore (Xmtsim.Machine.attach_profile m : Xmtsim.Profile.t);
+    let racedet = if racecheck then Some (Xmtsim.Racedetect.attach m) else None in
+    let profile = if profile_requested then Some (Xmtsim.Profile.attach m) else None in
     let stream =
       match stream_sink with
       | None -> None
       | Some sink ->
         let s = Obs.Stream.create (Obs.Stream.sink_of_path sink) in
-        Xmtsim.Machine.attach_stream ~heartbeat_cycles m s;
+        ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles m s : unit -> unit);
         Some s
     in
     (match checkpoint_in with
@@ -510,16 +507,12 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         m print_string;
     if trace_packages then
       Xmtsim.Trace.attach_packages ~limit:trace_limit m print_string;
-    if hot then
-      Xmtsim.Machine.add_filter_plugin m (Xmtsim.Plugin.hot_locations ~top:10 ());
-    let tracer =
-      match trace_json with
-      | None -> None
-      | Some _ ->
-        let tr = Obs.Tracer.create () in
-        Xmtsim.Machine.attach_tracer m tr;
-        Some tr
-    in
+    let hot_filter = if hot then Some (Xmtsim.Plugin.hot_locations ~top:10 ()) else None in
+    Option.iter
+      (fun f -> ignore (Xmtsim.Machine.attach m f.Xmtsim.Plugin.probe : unit -> unit))
+      hot_filter;
+    let tracer = Option.map (fun _ -> Obs.Tracer.create ()) trace_json in
+    let spans = Option.map (Xmtsim.Trace.attach_spans m) tracer in
     let series =
       match timeseries_json with
       | None -> None
@@ -527,16 +520,16 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     in
     let gov =
       if governor then
-        Some (Xmtsim.Governor.attach ?series ~interval:governor_interval m)
+        Some (Xmtsim.Governor.attach ?series ?tracer ~interval:governor_interval m)
       else None
     in
     let profiler =
       if profile_interval > 0 then
-        Some (Xmtsim.Profiler.attach ~interval:profile_interval m)
+        Some (Xmtsim.Plugin.attach_profiler ?profile ~interval:profile_interval m)
       else if tracer <> None || series <> None then
         (* the trace and timeseries get activity counter tracks even
            without an explicit profile interval *)
-        Some (Xmtsim.Profiler.attach ~interval:1000 m)
+        Some (Xmtsim.Plugin.attach_profiler ?profile ~interval:1000 m)
       else None
     in
     let power =
@@ -597,19 +590,18 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | _ -> ());
     (* the CPI stacks are reported only when asked for — the profiler may
        also be attached as the interval profiler's event source *)
-    (if profile_requested then
-       match Xmtsim.Machine.profile_report m with
-       | Some rp ->
-         if cpi_profile then begin
-           print_endline "---- CPI stacks ----";
-           print_string (Xmtsim.Profile.render rp);
-           print_string (Xmtsim.Profile.render_flame rp)
-         end;
-         (match profile_json with
-         | Some path ->
-           Obs.Json.write_path ~pretty:true path (Xmtsim.Profile.to_json rp)
-         | None -> ())
-       | None -> ());
+    (match profile with
+    | Some p ->
+      let rp = Xmtsim.Profile.report p in
+      if cpi_profile then begin
+        print_endline "---- CPI stacks ----";
+        print_string (Xmtsim.Profile.render rp);
+        print_string (Xmtsim.Profile.render_flame rp)
+      end;
+      (match profile_json with
+      | Some path -> Obs.Json.write_path ~pretty:true path (Xmtsim.Profile.to_json rp)
+      | None -> ())
+    | None -> ());
     (* -------- telemetry sinks (--export stats / --export trace) -------- *)
     let events = Xmtsim.Machine.events_processed m in
     let events_per_sec =
@@ -667,9 +659,9 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         | j, _ -> j
       in
       Obs.Json.write_path ~pretty:true path j);
-    (match (trace_json, tracer) with
-    | Some path, Some tr ->
-      Xmtsim.Machine.flush_tracer m;
+    (match (trace_json, tracer, spans) with
+    | Some path, Some tr, Some sp ->
+      Xmtsim.Trace.flush_spans sp;
       (* profile samples become a counter track *)
       (match profiler with
       | Some p ->
@@ -753,9 +745,11 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         Printf.eprintf "xmtsim: stream: %d record(s) dropped (queue full)\n"
           dropped
     | None -> ());
-    List.iter
-      (fun (name, report) -> Printf.printf "---- plugin %s ----\n%s\n" name report)
-      (Xmtsim.Machine.filter_reports m);
+    (match hot_filter with
+    | Some f ->
+      Printf.printf "---- plugin %s ----\n%s\n" f.Xmtsim.Plugin.probe.Xmtsim.Probe.name
+        (f.Xmtsim.Plugin.report ())
+    | None -> ());
     match (floorplan, power) with
     | true, Some (_, th) ->
       let temps = Xmtsim.Thermal.temperatures th in

@@ -150,11 +150,6 @@ let defs_uses = function
   | Isys (_, Aint op) -> ([], ops_uses [ op ], [], [])
   | Isys (_, Aflt r) -> ([], [], [], [ r ])
 
-(** Instructions after which control does not fall to the next one. *)
-let is_barrier = function
-  | Ijmp _ | Iret _ -> true
-  | _ -> false
-
 (** Does this instruction have side effects that DCE must preserve? *)
 let has_side_effect = function
   | Ist _ | Ifst _ | Ipref _ | Icall _ | Ispawn _ | Ijoin | Ips _ | Ipsm _

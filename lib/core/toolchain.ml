@@ -114,10 +114,10 @@ let races_report ?dynamic compiled =
 let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
     ?heartbeat_cycles ?max_cycles compiled =
   let m = Xmtsim.Machine.create ?config compiled.image in
-  let rd = if racecheck then Some (Xmtsim.Machine.attach_racecheck m) else None in
-  if profile then ignore (Xmtsim.Machine.attach_profile m : Xmtsim.Profile.t);
+  let rd = if racecheck then Some (Xmtsim.Racedetect.attach m) else None in
+  let prof = if profile then Some (Xmtsim.Profile.attach m) else None in
   (match stream with
-  | Some s -> Xmtsim.Machine.attach_stream ?heartbeat_cycles m s
+  | Some s -> ignore (Xmtsim.Heartbeat.attach ?heartbeat_cycles m s : unit -> unit)
   | None -> ());
   let r = Xmtsim.Machine.run ?max_cycles m in
   if not r.Xmtsim.Machine.halted then
@@ -134,7 +134,7 @@ let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
         (fun rd ->
           races_report ~dynamic:(Xmtsim.Racedetect.to_json rd) compiled)
         rd;
-    profile = Option.map Xmtsim.Profile.to_json (Xmtsim.Machine.profile_report m);
+    profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
     predict = None;
   }
 

@@ -69,7 +69,7 @@ type run = {
     cycle-accounting profiler and fills [run.profile] with the
     [xmt.profile.v1] CPI-stack report; the profiler is passive, so the
     run's cycles, output and stats are unchanged.  [stream] attaches a
-    live [xmt.events.v1] telemetry stream ({!Xmtsim.Machine.attach_stream}):
+    live [xmt.events.v1] telemetry stream ({!Xmtsim.Heartbeat}):
     a [run.start] record, [sim.heartbeat]s every [heartbeat_cycles]
     cluster cycles, [window.close] rollups and a [run.done] summary —
     also passive, bit-identical results including the host event

@@ -72,16 +72,6 @@ let fu_class_name = function
 let all_fu_classes =
   [ FU_ALU; FU_BR; FU_SFT; FU_MDU; FU_FPU; FU_MEM; FU_PS; FU_CTRL ]
 
-let is_mem i = fu_class_of i = FU_MEM
-
-let is_terminator = function
-  | Br _ | Brz _ | J _ | Jr _ | Halt | Join -> true
-  | Alu _ | Alui _ | Li _ | La _ | Sft _ | Sfti _ | Mdu _ | Fpu _ | Fpu1 _
-  | Fcmp _ | Cvt_i2f _ | Cvt_f2i _ | Fli _ | Lw _ | Lwro _ | Sw _ | Swnb _
-  | Flw _ | Fsw _ | Pref _ | Jal _ | Spawn _ | Ps _ | Psm _ | Chkid _ | Mfg _
-  | Mtg _ | Fence | Sys _ ->
-    false
-
 let target = function
   | Br (_, _, _, l) | Brz (_, _, l) | J l | Jal l -> Some l
   | Alu _ | Alui _ | Li _ | La _ | Sft _ | Sfti _ | Mdu _ | Fpu _ | Fpu1 _

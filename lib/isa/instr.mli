@@ -71,12 +71,6 @@ val fu_class_of : t -> fu_class
 val fu_class_name : fu_class -> string
 val all_fu_classes : fu_class list
 
-(** Is this a memory operation handled by the LS unit? *)
-val is_mem : t -> bool
-
-(** Does this instruction end a basic block? *)
-val is_terminator : t -> bool
-
 (** Branch/jump target label, if any. *)
 val target : t -> label option
 

@@ -22,9 +22,6 @@ let saved = [ 16; 17; 18; 19; 20; 21; 22; 23 ]
 let args = [ a0; a1; a2; a3 ]
 let fargs = [ 12; 13; 14; 15 ]
 
-let ftemporaries =
-  [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 16; 17; 18; 19; 20; 21; 22; 23 ]
-
 let names =
   [|
     "zero"; "at"; "v0"; "v1"; "a0"; "a1"; "a2"; "a3"; "t0"; "t1"; "t2"; "t3";

@@ -45,8 +45,6 @@ val args : t list
 (** Float registers for arguments ($f12-$f15). *)
 val fargs : f list
 
-(** Float temporaries available for allocation. *)
-val ftemporaries : f list
 
 val name : t -> string
 val fname : f -> string

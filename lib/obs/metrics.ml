@@ -152,9 +152,6 @@ let counter_value t ?labels name =
 let gauge_value t ?labels name =
   match find t ?labels name with Some { m_value = Gauge r; _ } -> Some !r | _ -> None
 
-let histogram_value t ?labels name =
-  match find t ?labels name with Some { m_value = Histogram h; _ } -> Some h | _ -> None
-
 (** All metrics, sorted by (name, labels) for stable output. *)
 let snapshot t =
   List.sort

@@ -116,7 +116,6 @@ let to_json t =
   Json.List (List.map event_to_json (List.rev t.meta @ sorted))
 
 let to_string t = Json.to_string (to_json t)
-let write_file t path = Json.write_file path (to_json t)
 
 (* -------- host-side clock -------- *)
 

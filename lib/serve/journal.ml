@@ -56,45 +56,29 @@ type recovered = {
   rc_complete : bool;
 }
 
+(* Parse one journal: [Error reason] when it cannot be resumed. *)
 let recover_file ~dir name =
   let cid = Filename.chop_suffix name ".journal" in
-  let ic = open_in (Filename.concat dir name) in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (* only the final line may be truncated by a crash, so a parse
-     failure on any earlier line is a corrupt journal and the file is
-     ignored *)
-  let parsed =
-    match !lines with
-    | [] -> None
-    | newest :: older ->
-      let body =
-        (* [older] is newest-first; prepending restores file order *)
-        List.fold_left
-          (fun acc line ->
-            match acc with
-            | None -> None
-            | Some js -> (
-              match J.of_string line with
-              | j -> Some (j :: js)
-              | exception J.Parse_error _ -> None))
-          (Some []) older
-      in
-      Option.map
-        (fun js ->
-          match J.of_string newest with
-          | j -> js @ [ j ]
-          | exception J.Parse_error _ -> js)
-        body
+  let lines =
+    In_channel.with_open_text (Filename.concat dir name) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
   in
-  match parsed with
-  | None | Some [] -> None
-  | Some (first :: rest) -> (
+  (* only the final line may be truncated by a crash, so a parse
+     failure on any earlier line is a corrupt journal *)
+  let n = List.length lines in
+  let rec parse i acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+      match J.of_string line with
+      | j -> parse (i + 1) (j :: acc) rest
+      | exception J.Parse_error _ when i = n -> Ok (List.rev acc)
+      | exception J.Parse_error e -> Error (Printf.sprintf "line %d is corrupt (%s)" i e))
+  in
+  match parse 1 [] lines with
+  | Error _ as e -> e
+  | Ok [] -> Error "empty journal"
+  | Ok (first :: rest) -> (
     match (J.member "journal" first, J.member "spec" first) with
     | Some (J.Str "open"), Some spec ->
       let records, ok, failed, complete =
@@ -110,7 +94,7 @@ let recover_file ~dir name =
             | None -> (j :: rs, ok, failed, complete))
           ([], 0, 0, false) rest
       in
-      Some
+      Ok
         {
           rc_cid = cid;
           rc_spec = spec;
@@ -119,14 +103,17 @@ let recover_file ~dir name =
           rc_failed = failed;
           rc_complete = complete;
         }
-    | _ -> None)
+    | _ -> Error "first line is not a journal open record")
 
 let recover ~dir =
   match Sys.readdir dir with
-  | exception Sys_error _ -> []
+  | exception Sys_error _ -> ([], [])
   | names ->
     Array.to_list names
     |> List.filter (fun n -> Filename.check_suffix n ".journal")
     |> List.sort compare
-    |> List.filter_map (fun n ->
-           match recover_file ~dir n with r -> r | exception _ -> None)
+    |> List.partition_map (fun n ->
+           match recover_file ~dir n with
+           | Ok r -> Left r
+           | Error why -> Right (n, why)
+           | exception Sys_error e -> Right (n, e))

@@ -55,7 +55,9 @@ type recovered = {
   rc_complete : bool;  (** close mark present *)
 }
 
-(** Scan [dir] for [*.journal] files and parse each, skipping a
-    truncated final line and ignoring files without a valid open line.
-    Sorted by cid for determinism. *)
-val recover : dir:string -> recovered list
+(** Scan [dir] for [*.journal] files and parse each, tolerating a
+    truncated final line.  Returns the recovered journals, sorted by cid
+    for determinism, and the files that could not be resumed — a corrupt
+    earlier line, no valid open line, a read error — each with its
+    reason. *)
+val recover : dir:string -> recovered list * (string * string) list

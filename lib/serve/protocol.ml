@@ -4,6 +4,7 @@ module J = Obs.Json
 
 let schema = "xmt.serve.v1"
 let version = 1
+let max_frame_bytes = 4 * 1024 * 1024
 
 type frame =
   | Submit of { cid : string option; spec : J.t }

@@ -31,6 +31,11 @@ val schema : string
 
 val version : int
 
+(** Longest request line the server reads (4 MiB, far above any real
+    campaign spec); a client that exceeds it gets a [server.error] frame
+    and is disconnected. *)
+val max_frame_bytes : int
+
 (** A parsed client request frame. *)
 type frame =
   | Submit of { cid : string option; spec : Obs.Json.t }

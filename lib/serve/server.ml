@@ -412,14 +412,36 @@ let drop_conn t conn =
      journaled); its subscription just goes quiet *)
   try Unix.close conn.k_fd with Unix.Unix_error _ -> ()
 
+(* One request line ([None] at end of input), or [Error] as soon as it
+   outgrows [Protocol.max_frame_bytes]: a client that never sends a
+   newline cannot grow the server's memory without bound. *)
+let read_frame ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match In_channel.input_char ic with
+    | None -> if Buffer.length buf = 0 then None else Some (Ok (Buffer.contents buf))
+    | Some '\n' -> Some (Ok (Buffer.contents buf))
+    | Some _ when Buffer.length buf >= Protocol.max_frame_bytes -> Some (Error ())
+    | Some c ->
+      Buffer.add_char buf c;
+      go ()
+  in
+  go ()
+
 let reader t conn () =
   let ic = Unix.in_channel_of_descr conn.k_fd in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then handle_line t conn line
-     done
-   with End_of_file | Exit | Sys_error _ -> ());
+  let buf = Buffer.create 256 in
+  let rec loop () =
+    match read_frame ic buf with
+    | None -> ()
+    | Some (Ok line) ->
+      if String.trim line <> "" then handle_line t conn line;
+      loop ()
+    | Some (Error ()) ->
+      server_error conn
+        (Printf.sprintf "request frame longer than %d bytes" Protocol.max_frame_bytes)
+  in
+  (try loop () with End_of_file | Exit | Sys_error _ -> ());
   drop_conn t conn
 
 let handle_conn t fd =
@@ -546,9 +568,15 @@ let create cfg =
     }
   in
   (* resume: every journal becomes an in-memory campaign (attachable),
-     and incomplete ones re-queue exactly their unfinished jobs *)
+     and incomplete ones re-queue exactly their unfinished jobs; one that
+     cannot be resumed is reported, never silently dropped *)
   Option.iter
     (fun dir ->
+      let recovered, skipped = Journal.recover ~dir in
+      List.iter
+        (fun (file, why) ->
+          Printf.eprintf "xmtserved: skipping journal %s: %s\n%!" file why)
+        skipped;
       List.iter
         (fun r ->
           let journal () =
@@ -567,7 +595,7 @@ let create cfg =
             end;
             t.campaigns <- t.campaigns @ [ c ];
             t.pending_total <- t.pending_total + Queue.length c.c_pending)
-        (Journal.recover ~dir))
+        recovered)
     cfg.state_dir;
   (* register each thread before the next can add readers of its own,
      so [stop] never misses one *)

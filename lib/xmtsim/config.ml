@@ -282,19 +282,8 @@ let make ?(base = fpga64) ?name ?num_clusters ?tcus_per_cluster
       max_cycles = v base.max_cycles max_cycles;
     }
 
-let with_name c name = { c with name }
-let with_seed c seed = { c with seed }
-let with_max_cycles c max_cycles = checked { c with max_cycles }
-
 let with_topology ?num_clusters ?tcus_per_cluster ?num_cache_modules c =
   make ~base:c ?num_clusters ?tcus_per_cluster ?num_cache_modules ()
-
-let with_memory ?cache_lines ?cache_assoc ?dram_latency ?dram_bandwidth c =
-  make ~base:c ?cache_lines ?cache_assoc ?dram_latency ?dram_bandwidth ()
-
-let with_periods ?cluster ?icn ?cache ?dram c =
-  make ~base:c ?cluster_period:cluster ?icn_period:icn ?cache_period:cache
-    ?dram_period:dram ()
 
 (** Apply a list of "key=value" strings; the final configuration is
     validated, so a sweep generator cannot emit a crashing machine. *)

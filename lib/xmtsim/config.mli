@@ -125,19 +125,8 @@ val make :
   unit ->
   t
 
-val with_name : t -> string -> t
-val with_seed : t -> int -> t
-val with_max_cycles : t -> int -> t
-
 val with_topology :
   ?num_clusters:int -> ?tcus_per_cluster:int -> ?num_cache_modules:int -> t -> t
-
-val with_memory :
-  ?cache_lines:int -> ?cache_assoc:int -> ?dram_latency:int ->
-  ?dram_bandwidth:int -> t -> t
-
-val with_periods :
-  ?cluster:int -> ?icn:int -> ?cache:int -> ?dram:int -> t -> t
 
 (** Apply a list of "key=value" override strings (the CLI's [--set]);
     the final configuration is validated.  Raises {!Bad_config} on

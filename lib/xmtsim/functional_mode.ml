@@ -202,7 +202,7 @@ let output t = Buffer.contents t.out
 let stats t = t.st_stats
 
 let snapshot t =
-  Machine.make_snapshot ~mem:(Mem.snapshot t.memory)
+  Machine.make_snapshot ~image:t.img ~mem:(Mem.snapshot t.memory)
     ~regs:(Array.copy t.master.F.regs)
     ~fregs:(Array.copy t.master.F.fregs)
     ~pc:t.master.F.pc

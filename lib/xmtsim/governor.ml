@@ -14,8 +14,8 @@
       periods (hysteresis keeps the governor from oscillating).
 
     Every {!Desim.Clock.set_period} call is recorded as a {!decision},
-    pushed to the timeseries, emitted as an instant event on the
-    machine's span tracer (when attached), and exported as metrics —
+    pushed to the timeseries, emitted as an instant event on the span
+    tracer it was handed (if any), and exported as metrics —
     the paper's "study the architecture while it runs" loop. *)
 
 type decision = {
@@ -31,6 +31,7 @@ type decision = {
 
 type t = {
   m : Machine.t;
+  tracer : Obs.Tracer.t option;  (* decisions become instant events here *)
   power : Power.t;
   thermal : Thermal.t;
   interval : int;
@@ -91,10 +92,10 @@ let decide g ~cycle ~temp ~icn_w =
         }
       in
       g.decisions <- d :: g.decisions;
-      match Machine.tracer g.m with
+      match g.tracer with
       | None -> ()
       | Some tr ->
-        Obs.Tracer.instant tr ~ts:cycle ~tid:(Machine.trace_tid_governor g.m)
+        Obs.Tracer.instant tr ~ts:cycle ~tid:(Trace.tid_governor (Machine.config g.m))
           ~cat:"governor"
           ~args:
             [ ("domain", Obs.Tracer.A_str name);
@@ -126,7 +127,7 @@ let decide g ~cycle ~temp ~icn_w =
 
 let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
     ?(temp_hi = 326.0) ?temp_lo ?(icn_hi = 6.0) ?icn_lo
-    ?(throttle_period = 2) ?series ~interval m =
+    ?(throttle_period = 2) ?series ?tracer ~interval m =
   if interval <= 0 then invalid_arg "Governor.attach: interval must be positive";
   let temp_lo = match temp_lo with Some v -> v | None -> temp_hi -. 2.0 in
   let icn_lo = match icn_lo with Some v -> v | None -> icn_hi /. 2.0 in
@@ -148,6 +149,7 @@ let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
   let g =
     {
       m;
+      tracer;
       power;
       thermal;
       interval;

@@ -13,8 +13,8 @@
       periods ("recover").
 
     Every period change is logged as a {!decision}, emitted as a
-    "governor" instant event on the machine's span tracer (when one is
-    attached), and exported as metrics. *)
+    "governor" instant event on the span tracer it was handed (on the
+    {!Trace.tid_governor} track), and exported as metrics. *)
 
 type t
 
@@ -41,7 +41,8 @@ type decision = {
     [icn_lo] to [icn_hi / 2].  [throttle_period] (default 2) is the
     period throttled domains are slowed to.  Pass [series] to share a
     timeseries sink with other producers; otherwise one is created with
-    [window] points per channel (default 64). *)
+    [window] points per channel (default 64).  Pass [tracer] to see the
+    decisions in a span trace. *)
 val attach :
   ?power_params:Power.params ->
   ?thermal_params:Thermal.params ->
@@ -53,6 +54,7 @@ val attach :
   ?icn_lo:float ->
   ?throttle_period:int ->
   ?series:Obs.Timeseries.t ->
+  ?tracer:Obs.Tracer.t ->
   interval:int ->
   Machine.t ->
   t

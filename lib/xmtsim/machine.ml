@@ -10,27 +10,17 @@ type dst = [ `I of int | `F of int ]
 
 (* Requests travelling cluster -> ICN -> cache module ("packages").
    Each carries the pc of the issuing instruction so every memory-touching
-   event exposes (address, tcu, pc) to plugins and the race detector. *)
+   event exposes (address, tcu, pc) to the probes. *)
 type req =
   | Rload of { cl : int; tcu : int; dst : dst; ro : bool; pc : int }
   | Rpref of { cl : int; tcu : int; pc : int }
   | Rstore of { cl : int; tcu : int; value : V.t; nb : bool; pc : int }
   | Rpsm of { cl : int; tcu : int; inc : int; dst : int; pc : int }
 
-(* Lifecycle stamps for one request package (simulated time).  Written at
-   each station, read once at reply delivery to feed the per-(cluster,
-   module) latency histograms and (when a span tracer is attached) one
-   "mem-req" span per request. *)
-type lifecycle = {
-  mutable l_born : int;  (** enqueued into the cluster outbox *)
-  mutable l_icn_wait : int;  (** merge-contention delay (from icn_next_free) *)
-  mutable l_arrive : int;  (** dequeued into the cache module's input queue *)
-  mutable l_svc : int;  (** reply handed to the return ICN *)
-  mutable l_mod : int;  (** destination cache module *)
-  mutable l_hit : bool;
-}
-
-type pkg = { addr : int; req : req; lc : lifecycle }
+(* Each package carries its lifecycle stamps, read once at reply
+   delivery to feed the per-(cluster, module) latency histograms and the
+   probes. *)
+type pkg = { addr : int; req : req; lc : Probe.lifecycle }
 
 (* Replies travelling back module -> ICN -> cluster; each carries its
    request's lifecycle so delivery can close the loop. *)
@@ -40,7 +30,7 @@ type reply =
   | Pack of { tcu : int; nb : bool; addr : int; pc : int }
   | Ppsm of { tcu : int; dst : int; old : int; addr : int; pc : int }
 
-type reply_env = { rp : reply; r_lc : lifecycle }
+type reply_env = { rp : reply; r_lc : Probe.lifecycle }
 
 type tcu_state =
   | Tidle
@@ -58,9 +48,6 @@ type tcu = {
   mutable st : tcu_state;
   mutable pending : int;
   pbuf : Prefetch_buffer.t;
-  (* observability: span start times (simulated time; -1 = no open span) *)
-  mutable mw_since : int;  (* memory/fence wait *)
-  mutable run_since : int;  (* spawn-activation .. Tdone *)
 }
 
 type cluster = {
@@ -72,18 +59,6 @@ type cluster = {
   returns : reply_env Queue.t;
   rocache : Tags.t;
   mutable rr : int;
-}
-
-(** Cycle-accurate trace events: the stations an instruction/data package
-    travels through (paper Â§III-E, detailed trace level). *)
-type package_event = {
-  pe_time : int;
-  pe_stage : string;
-  pe_kind : string;
-  pe_addr : int;
-  pe_tcu : int;
-  pe_pc : int;  (** issuing instruction; -1 for unattributable (DRAM fill) *)
-  pe_module : int;
 }
 
 type master_state = Mrun | Mstall of int | Mmemwait | Mspawnwait | Mhalted
@@ -131,10 +106,13 @@ type t = {
          module accepts one packet per cycle per subtree half; packets from
          different halves may freely invert, packets from the same source
          keep their order (memory-model rule 1). *)
-  mutable filters : Plugin.filter list;
-  mutable tracers : (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) list;
-  mutable pkg_tracers : (package_event -> unit) list;
-  mutable otracer : Obs.Tracer.t option;  (* span tracer (Chrome trace JSON) *)
+  mutable probes : Probe.t list;  (* attached, oldest first *)
+  mutable probe : Probe.t;  (* their combined fan-out *)
+  (* hook-site guards: some probe is attached / listens to the per-tick
+     events (issue, stall, wait) / listens to package stations *)
+  mutable probed : bool;
+  mutable ticked : bool;
+  mutable packaged : bool;
   mutable started : bool;
   (* clock gating *)
   mutable gating : bool;
@@ -142,25 +120,6 @@ type t = {
       (* activity plug-ins sample on cluster ticks; cluster gating would
          change their sampling times, so it is disabled when one attaches *)
   mutable dram_fills : int;  (* DRAM line fills in flight *)
-  mutable racedet : Racedetect.t option;  (* shadow-memory race detector *)
-  mutable profile : Profile.t option;  (* CPI-stack cycle accounting *)
-  mutable hb : heartbeat option;  (* live telemetry stream (attach_stream) *)
-}
-
-(* Streaming-heartbeat state: the attached stream plus the previous
-   sample of each windowed quantity (host events, wall-clock, TCU
-   busy/memwait counters), so every heartbeat reports rates over its own
-   window instead of run-to-date averages. *)
-and heartbeat = {
-  hb_stream : Obs.Stream.t;
-  hb_interval : int;  (* cluster cycles between heartbeats *)
-  mutable hb_next : int;  (* next heartbeat cycle (single compare per tick) *)
-  hb_rollup : Obs.Stream.rollup;
-  mutable hb_last_events : int;
-  mutable hb_last_us : int;
-  mutable hb_last_busy : int;
-  mutable hb_last_memwait : int;
-  mutable hb_done : bool;  (* run.done already emitted *)
 }
 
 type result = { output : string; cycles : int; halted : bool }
@@ -224,8 +183,6 @@ let create ?(config = Config.fpga64) img =
                   pbuf =
                     Prefetch_buffer.create ~size:cfg.Config.prefetch_buffer_size
                       ~policy:cfg.Config.prefetch_policy;
-                  mw_since = -1;
-                  run_since = -1;
                 });
           mdu = Array.make (max 1 cfg.Config.mdus_per_cluster) 0;
           fpu = Array.make (max 1 cfg.Config.fpus_per_cluster) 0;
@@ -286,17 +243,15 @@ let create ?(config = Config.fpga64) img =
     icn_next_free =
       Array.init cfg.Config.num_cache_modules (fun _ -> Array.make 2 0);
     cluster_instrs = Array.make cfg.Config.num_clusters 0;
-    filters = [];
-    tracers = [];
-    pkg_tracers = [];
-    otracer = None;
+    probes = [];
+    probe = Probe.nop;
+    probed = false;
+    ticked = false;
+    packaged = false;
     started = false;
     gating = true;
     has_plugin = false;
     dram_fills = 0;
-    racedet = None;
-    profile = None;
-    hb = None;
   }
 
 (* diagnostic: per-(module,side) send-side backlog in cycles *)
@@ -304,12 +259,11 @@ let icn_backlog t =
   let now = Desim.Scheduler.now t.sched in
   Array.map (fun sides -> Array.map (fun nf -> max 0 (nf - now)) sides) t.icn_next_free
 
-let module_queue_depths t = Array.map (fun m -> Queue.length m.inq) t.modules
-
 (* executed TCU instructions per cluster (for spatial activity/power) *)
 let cluster_activity t = Array.copy t.cluster_instrs
 
 let config t = t.cfg
+let image t = t.img
 let stats t = t.stats
 let output t = Buffer.contents t.out_buf
 let cycles t = Desim.Scheduler.now t.sched
@@ -318,119 +272,31 @@ let globals t = t.globals
 
 (* host-side throughput: events processed by the desim scheduler *)
 let events_processed t = Desim.Scheduler.events_processed t.sched
+let started t = t.started
+let cluster_ticks t = Desim.Clock.cycles t.clk_cluster + Desim.Clock.skipped_ticks t.clk_cluster
 
 (* ------------------------------------------------------------------ *)
-(* Tracing / plugin fan-out *)
+(* Probe hook sites.  Every site is guarded by one flag, so a run with
+   nothing attached pays one branch per site: no list walk, no closure
+   call, no allocation.  The hottest events have flags of their own, so
+   a probe that ignores them (race detector, heartbeat) skips them too. *)
 
-let notify_instr t ~tcu ~pc ins ~addr =
-  List.iter
-    (fun f -> f.Plugin.f_on_instr ~master:(tcu < 0) ~pc ins ~addr)
-    t.filters;
-  List.iter (fun f -> f ~tcu ~pc ins ~time:(Desim.Scheduler.now t.sched)) t.tracers
-
-let pkg_kind = function
-  | Rload _ -> "load"
-  | Rpref _ -> "pref"
-  | Rstore _ -> "store"
-  | Rpsm _ -> "psm"
-
-let pkg_tcu = function
-  | Rload { tcu; _ } | Rpref { tcu; _ } | Rstore { tcu; _ } | Rpsm { tcu; _ } ->
-    tcu
-
-let pkg_pc = function
-  | Rload { pc; _ } | Rpref { pc; _ } | Rstore { pc; _ } | Rpsm { pc; _ } -> pc
-
-let emit_pkg t ~stage ~kind ~addr ~tcu ~pc ~m =
-  match t.pkg_tracers with
-  | [] -> ()
-  | tracers ->
-    let ev =
-      {
-        pe_time = Desim.Scheduler.now t.sched;
-        pe_stage = stage;
-        pe_kind = kind;
-        pe_addr = addr;
-        pe_tcu = tcu;
-        pe_pc = pc;
-        pe_module = m;
-      }
+let emit_pkg t ~stage pk ~m =
+  if t.packaged then
+    let kind, tcu, pc =
+      match pk.req with
+      | Rload { tcu; pc; _ } -> ("load", tcu, pc)
+      | Rpref { tcu; pc; _ } -> ("pref", tcu, pc)
+      | Rstore { tcu; pc; _ } -> ("store", tcu, pc)
+      | Rpsm { tcu; pc; _ } -> ("psm", tcu, pc)
     in
-    List.iter (fun f -> f ev) tracers
+    t.probe.Probe.package ~stage ~kind ~addr:pk.addr ~tcu ~pc ~module_:m
 
-(* Race-detector hooks: one option check when detached (zero overhead). *)
-let rd_read t ~tcu ~pc ~addr =
-  match t.racedet with
-  | None -> ()
-  | Some rd ->
-    Racedetect.on_read rd ~tcu ~pc ~addr ~time:(Desim.Scheduler.now t.sched)
-
-let rd_write t ~tcu ~pc ~addr =
-  match t.racedet with
-  | None -> ()
-  | Some rd ->
-    Racedetect.on_write rd ~tcu ~pc ~addr ~time:(Desim.Scheduler.now t.sched)
-
-let rd_sync t ~tcu =
-  match t.racedet with
-  | None -> ()
-  | Some rd -> Racedetect.on_sync rd ~tcu
-
-let rd_release t ~tcu =
-  match t.racedet with
-  | None -> ()
-  | Some rd -> Racedetect.on_release rd ~tcu
-
-(* Profiler hooks: one option check when detached.  The profiler is a
-   passive observer — it never schedules events, wakes clocks or touches
-   machine state, so attaching it cannot perturb cycles, stats or
-   traces.  [prof_flush_mem] closes a TCU's memory-wait episode at reply
-   delivery, translating the request's lifecycle stamps into the
-   ICN / cache-hit / DRAM components (or the whole wait into the
-   prefetch-covered bucket when an in-flight prefetch completed it). *)
-let prof_flush_mem t (u : tcu) (lc : lifecycle) ~pref =
-  match t.profile with
-  | None -> ()
-  | Some p ->
-    if pref then
-      Profile.flush_memwait p ~tcu:u.tid ~icn:0 ~cache_hit:0 ~dram:0 ~pref:true
-    else begin
-      let now = Desim.Scheduler.now t.sched in
-      let hit_lat = t.cfg.Config.cache_hit_latency * Desim.Clock.period t.clk_cache in
-      let icn = (lc.l_arrive - lc.l_born) + (now - lc.l_svc) in
-      let svc = lc.l_svc - lc.l_arrive in
-      let cache_hit = if lc.l_hit then svc else min hit_lat svc in
-      let dram = svc - cache_hit in
-      Profile.flush_memwait p ~tcu:u.tid ~icn ~cache_hit ~dram ~pref:false
-    end
-
-let prof_master_stall t b =
-  match t.profile with Some p -> Profile.master_stall_kind p b | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Span tracer (Chrome trace-event JSON, §III-B/E as Perfetto tracks).
-   Track layout on the sim process: master TCU = tid 0, TCU i = tid i+1,
-   one extra "memory" track for unattributable package events. *)
-
-let trace_tid_of_tcu tcu = tcu + 1
-
-let trace_tid_memory t =
-  (t.cfg.Config.num_clusters * t.cfg.Config.tcus_per_cluster) + 1
-
-(* dedicated track for runtime-control (DVFS governor) decisions *)
-let trace_tid_governor t = trace_tid_memory t + 1
-
-let close_memwait_span t tr (u : tcu) =
-  let now = Desim.Scheduler.now t.sched in
-  Obs.Tracer.complete tr ~ts:u.mw_since ~dur:(now - u.mw_since)
-    ~tid:(trace_tid_of_tcu u.tid) ~cat:"tcu" "memwait";
-  u.mw_since <- -1
-
-let close_run_span t tr (u : tcu) =
-  let now = Desim.Scheduler.now t.sched in
-  Obs.Tracer.complete tr ~ts:u.run_since ~dur:(now - u.run_since)
-    ~tid:(trace_tid_of_tcu u.tid) ~cat:"tcu" "tcu-run";
-  u.run_since <- -1
+(* memory address an issued instruction touches, or -1 *)
+let addr_of_result = function
+  | F.Load { addr; _ } | F.Store { addr; _ } | F.Psm { addr; _ } | F.Prefetch { addr } ->
+    addr
+  | _ -> -1
 
 (* ------------------------------------------------------------------ *)
 (* ICN transport: event-per-package with per-(cluster,module) jitter that
@@ -466,13 +332,11 @@ let icn_send t ~cl pk =
   t.stats.Stats.icn_packets <- t.stats.Stats.icn_packets + 1;
   pk.lc.l_mod <- m;
   pk.lc.l_icn_wait <- arrival - uncontended;
-  emit_pkg t ~stage:"icn-inject" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-    ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m;
+  emit_pkg t ~stage:"icn-inject" pk ~m;
   Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer
     ~delay:(arrival - now) (fun () ->
       pk.lc.l_arrive <- Desim.Scheduler.now t.sched;
-      emit_pkg t ~stage:"module-arrive" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-        ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m;
+      emit_pkg t ~stage:"module-arrive" pk ~m;
       Queue.add pk t.modules.(m).inq;
       (* arrival runs at prio_transfer: the cache tick at this instant (if
          any) already popped, so a sleeping cache domain resumes one period
@@ -500,9 +364,6 @@ let maybe_join t =
     t.spawn_active <- false;
     Array.iter (fun cl -> Array.iter (fun u -> u.st <- Tidle) cl.ctcus) t.clusters;
     let _, join_idx = t.spawn_region in
-    (match t.profile with
-    | Some p -> Profile.master_join p ~pc:join_idx ~ticks:t.cfg.Config.join_overhead
-    | None -> ());
     let delay = t.cfg.Config.join_overhead * Desim.Clock.period t.clk_cluster in
     Desim.Scheduler.schedule t.sched ~delay (fun () ->
         (* master cache may hold lines the TCUs overwrote *)
@@ -511,10 +372,7 @@ let maybe_join t =
         t.master.F.pc <- join_idx + 1;
         t.master_st <- Mrun;
         Desim.Clock.wake t.clk_cluster;
-        match t.otracer with
-        | Some tr ->
-          Obs.Tracer.end_span tr ~ts:(Desim.Scheduler.now t.sched) ~tid:0 ()
-        | None -> ())
+        if t.probed then t.probe.Probe.join ~pc:join_idx)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -530,26 +388,28 @@ let service_pkg t (m : cache_module) pk =
   match pk.req with
   | Rload { cl; tcu; dst; ro; pc } ->
     let v = Mem.read t.memory pk.addr in
-    rd_read t ~tcu ~pc ~addr:pk.addr;
+    if t.probed then t.probe.Probe.read ~tcu ~pc ~addr:pk.addr;
     reply (Pload { tcu; dst; v; ro; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
   | Rpref { cl; tcu; pc } ->
     let v = Mem.read t.memory pk.addr in
-    rd_read t ~tcu ~pc ~addr:pk.addr;
+    if t.probed then t.probe.Probe.read ~tcu ~pc ~addr:pk.addr;
     reply (Ppref { tcu; v; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
   | Rstore { cl; tcu; value; nb; pc } ->
     Mem.write t.memory pk.addr value;
-    rd_write t ~tcu ~pc ~addr:pk.addr;
+    if t.probed then t.probe.Probe.write ~tcu ~pc ~addr:pk.addr;
     reply (Pack { tcu; nb; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
   | Rpsm { cl; tcu; inc; dst; pc } ->
     let old = Mem.fetch_add t.memory pk.addr inc in
     t.stats.Stats.psm_ops <- t.stats.Stats.psm_ops + 1;
     (* the psm word itself is the ordering primitive, not a plain access *)
-    rd_sync t ~tcu;
+    if t.probed then t.probe.Probe.sync ~tcu;
     reply (Ppsm { tcu; dst; old; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
 
 let dram_fill t (m : cache_module) line =
   Tags.install m.tags line;
-  emit_pkg t ~stage:"dram-fill" ~kind:"line" ~addr:line ~tcu:(-1) ~pc:(-1) ~m:m.mid;
+  if t.packaged then
+    t.probe.Probe.package ~stage:"dram-fill" ~kind:"line" ~addr:line ~tcu:(-1) ~pc:(-1)
+      ~module_:m.mid;
   match Hashtbl.find_opt m.mshr line with
   | None -> ()
   | Some entry ->
@@ -565,14 +425,12 @@ let module_tick t (m : cache_module) =
       if Tags.lookup m.tags pk.addr then begin
         t.stats.Stats.cache_hits <- t.stats.Stats.cache_hits + 1;
         pk.lc.l_hit <- true;
-        emit_pkg t ~stage:"cache-hit" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-          ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m:m.mid;
+        emit_pkg t ~stage:"cache-hit" pk ~m:m.mid;
         service_pkg t m pk
       end
       else begin
         t.stats.Stats.cache_misses <- t.stats.Stats.cache_misses + 1;
-        emit_pkg t ~stage:"cache-miss" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-          ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m:m.mid;
+        emit_pkg t ~stage:"cache-miss" pk ~m:m.mid;
         match Hashtbl.find_opt m.mshr line with
         | Some entry -> entry.waiters <- pk :: entry.waiters
         | None ->
@@ -608,68 +466,51 @@ let dram_tick t =
 (* ------------------------------------------------------------------ *)
 (* TCU execution *)
 
-let reply_info = function
-  | Pload { tcu; addr; pc; _ } -> ("load", tcu, addr, pc)
-  | Ppref { tcu; addr; pc; _ } -> ("pref", tcu, addr, pc)
-  | Pack { tcu; nb; addr; pc } ->
-    ((if nb then "store-ack" else "store"), tcu, addr, pc)
-  | Ppsm { tcu; addr; pc; _ } -> ("psm", tcu, addr, pc)
-
-(* Close the request's lifecycle: feed the per-(cluster, module) latency
-   histograms and, when a span tracer is attached, emit one "mem-req"
-   span per request on the originating TCU's track covering its whole
-   outbox -> ICN -> module -> reply round trip. *)
-let observe_lifecycle t (cl : cluster) ~kind ~tcu ~addr (lc : lifecycle) =
-  let now = Desim.Scheduler.now t.sched in
-  (match t.stats.Stats.req_lat with
+(* Close the request's lifecycle in the per-(cluster, module) latency
+   histograms. *)
+let observe_lifecycle t (cl : cluster) (lc : Probe.lifecycle) =
+  match t.stats.Stats.req_lat with
   | None -> ()
   | Some rl ->
-    let obs stage v =
-      Stats.observe_req rl stage ~cluster:cl.cid ~module_:lc.l_mod v
-    in
+    let now = Desim.Scheduler.now t.sched in
+    let obs stage v = Stats.observe_req rl stage ~cluster:cl.cid ~module_:lc.l_mod v in
     obs Stats.Licn_wait lc.l_icn_wait;
     obs (if lc.l_hit then Stats.Lservice_hit else Stats.Lservice_miss)
       (lc.l_svc - lc.l_arrive);
     obs Stats.Lreply (now - lc.l_svc);
-    obs Stats.Ltotal (now - lc.l_born));
-  match t.otracer with
-  | None -> ()
-  | Some tr ->
-    let tid = if tcu >= 0 then trace_tid_of_tcu tcu else trace_tid_memory t in
-    Obs.Tracer.complete tr ~ts:lc.l_born ~dur:(now - lc.l_born) ~tid ~cat:"mem"
-      ~args:
-        [ ("kind", Obs.Tracer.A_str kind);
-          ("addr", Obs.Tracer.A_int addr);
-          ("module", Obs.Tracer.A_int lc.l_mod);
-          ("hit", Obs.Tracer.A_int (if lc.l_hit then 1 else 0));
-          ("icn_wait", Obs.Tracer.A_int lc.l_icn_wait);
-          ("service", Obs.Tracer.A_int (lc.l_svc - lc.l_arrive));
-          ("reply", Obs.Tracer.A_int (now - lc.l_svc)) ]
-      "mem-req"
+    obs Stats.Ltotal (now - lc.l_born)
+
+(* the reply ended [u]'s memory wait *)
+let wake t (u : tcu) r_lc ~pref =
+  if t.probed then t.probe.Probe.woken ~tcu:u.tid ~pref r_lc;
+  u.st <- Trun
 
 let deliver_reply t (cl : cluster) { rp; r_lc } =
-  (let kind, tcu, addr, pc = reply_info rp in
-   emit_pkg t ~stage:"reply" ~kind ~addr ~tcu ~pc ~m:(-1);
-   observe_lifecycle t cl ~kind ~tcu ~addr r_lc);
+  if t.probed then begin
+    let kind, tcu, addr, pc =
+      match rp with
+      | Pload { tcu; addr; pc; _ } -> ("load", tcu, addr, pc)
+      | Ppref { tcu; addr; pc; _ } -> ("pref", tcu, addr, pc)
+      | Pack { tcu; nb; addr; pc } -> ((if nb then "store-ack" else "store"), tcu, addr, pc)
+      | Ppsm { tcu; addr; pc; _ } -> ("psm", tcu, addr, pc)
+    in
+    t.probe.Probe.package ~stage:"reply" ~kind ~addr ~tcu ~pc ~module_:(-1);
+    t.probe.Probe.reply ~kind ~tcu ~addr r_lc
+  end;
+  observe_lifecycle t cl r_lc;
   match rp with
   | Pload { tcu; dst; v; ro; addr; _ } ->
     let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
     if ro then Tags.install cl.rocache addr;
     F.complete_load u.ctx dst v;
-    if u.st = Tmemwait then begin
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
+    if u.st = Tmemwait then wake t u r_lc ~pref:false
   | Ppref { tcu; v; addr; _ } -> (
     let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
     match Prefetch_buffer.fill u.pbuf addr v with
     | None -> ()
     | Some dst ->
       F.complete_load u.ctx dst v;
-      if u.st = Tmemwait then begin
-        prof_flush_mem t u r_lc ~pref:true;
-        u.st <- Trun
-      end)
+      if u.st = Tmemwait then wake t u r_lc ~pref:true)
   | Pack { tcu; nb; _ } ->
     let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
     if nb then begin
@@ -677,22 +518,16 @@ let deliver_reply t (cl : cluster) { rp; r_lc } =
       t.pending_total <- t.pending_total - 1;
       if u.st = Tfence && u.pending = 0 then begin
         u.st <- Trun;
-        rd_release t ~tcu:u.tid (* fence completes: stores drained *)
+        (* fence completes: stores drained *)
+        if t.probed then t.probe.Probe.release ~tcu:u.tid
       end;
       maybe_join t
     end
-    else if u.st = Tmemwait then begin
-      (* blocking store ack *)
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
+    else if u.st = Tmemwait then (* blocking store ack *) wake t u r_lc ~pref:false
   | Ppsm { tcu; dst; old; _ } ->
     let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
     if dst <> 0 then u.ctx.F.regs.(dst) <- old;
-    if u.st = Tmemwait then begin
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
+    if u.st = Tmemwait then wake t u r_lc ~pref:false
 
 (* issue one TCU instruction; returns unit.  Assumes u.st = Trun. *)
 let tcu_issue t (cl : cluster) (u : tcu) =
@@ -745,34 +580,20 @@ let tcu_issue t (cl : cluster) (u : tcu) =
   | None ->
     (* shared unit busy: stall, retry next cycle *)
     t.stats.Stats.tcu_fuwait_cycles <- t.stats.Stats.tcu_fuwait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_stall p ~tcu:u.tid ~pc
-    | None -> ())
+    if t.ticked then t.probe.Probe.stall ~tcu:u.tid ~pc
   | Some fu_lat -> (
     let read_str a = Mem.read_string t.memory a in
     let res = F.issue t.img u.ctx ~read_str in
     Stats.count_instr t.stats ~master:false ins;
     t.cluster_instrs.(cl.cid) <- t.cluster_instrs.(cl.cid) + 1;
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    let addr_of =
-      match res with
-      | F.Load { addr; _ } | F.Store { addr; _ } | F.Psm { addr; _ }
-      | F.Prefetch { addr } ->
-        Some addr
-      | _ -> None
-    in
-    notify_instr t ~tcu:u.tid ~pc ins ~addr:addr_of;
-    (match t.profile with
-    | Some p ->
-      Profile.tcu_issue p ~tcu:u.tid ~pc
-        ~mem:(match addr_of with Some _ -> true | None -> false)
-    | None -> ());
+    if t.ticked then t.probe.Probe.issue ~tcu:u.tid ~pc ins ~addr:(addr_of_result res);
     match res with
     | F.Done -> if fu_lat > 1 then u.st <- Tfuwait (fu_lat - 1)
     | F.Load { dst; addr; ro } ->
       if ro && Tags.lookup cl.rocache addr then begin
         t.stats.Stats.rocache_hits <- t.stats.Stats.rocache_hits + 1;
-        rd_read t ~tcu:u.tid ~pc ~addr;
+        if t.probed then t.probe.Probe.read ~tcu:u.tid ~pc ~addr;
         F.complete_load u.ctx dst (Mem.read t.memory addr);
         if t.cfg.Config.rocache_hit_latency > 1 then
           u.st <- Tfuwait (t.cfg.Config.rocache_hit_latency - 1)
@@ -825,7 +646,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
       Desim.Scheduler.schedule t.sched ~delay (fun () ->
           let old = t.globals.(g) in
           t.globals.(g) <- old + inc;
-          rd_sync t ~tcu:u.tid;
+          if t.probed then t.probe.Probe.sync ~tcu:u.tid;
           if dst <> 0 then u.ctx.F.regs.(dst) <- old;
           if u.st = Tpswait then u.st <- Trun)
     | F.Chkid { id } ->
@@ -835,63 +656,39 @@ let tcu_issue t (cl : cluster) (u : tcu) =
       else begin
         u.st <- Tdone;
         t.done_count <- t.done_count + 1;
-        (match t.otracer with
-        | Some tr ->
-          if u.mw_since >= 0 then close_memwait_span t tr u;
-          if u.run_since >= 0 then close_run_span t tr u
-        | None -> ());
+        if t.probed then t.probe.Probe.tcu_done ~tcu:u.tid;
         maybe_join t
       end
     | F.Fence ->
       t.stats.Stats.fences <- t.stats.Stats.fences + 1;
       if u.pending > 0 then u.st <- Tfence
-      else rd_release t ~tcu:u.tid (* nothing pending: completes at once *)
+      else if t.probed then t.probe.Probe.release ~tcu:u.tid (* completes at once *)
     | F.Output s -> Buffer.add_string t.out_buf s
     | F.Spawn _ -> fail "TCU %d executed spawn (nested spawns are serialized)" u.tid
     | F.Join -> fail "TCU %d reached the join instruction" u.tid
     | F.Halt -> fail "TCU %d executed halt" u.tid
     | F.Mfg _ | F.Mtg _ -> fail "TCU %d executed serial-only mfg/mtg" u.tid)
 
-(* Psm replies need the destination register; carry it in the request. *)
-
 let tcu_tick t (cl : cluster) (u : tcu) =
-  (* span tracking: open a memwait span on the first waiting tick, close
-     it on the first tick in any other state *)
-  (match t.otracer with
-  | None -> ()
-  | Some tr -> (
-    match u.st with
-    | Tmemwait | Tfence ->
-      if u.mw_since < 0 then u.mw_since <- Desim.Scheduler.now t.sched
-    | _ -> if u.mw_since >= 0 then close_memwait_span t tr u));
   match u.st with
   | Tidle | Tdone -> ()
   | Trun -> tcu_issue t cl u
   | Tfuwait n ->
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Compute
-    | None -> ());
+    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fu;
     u.st <- (if n <= 1 then Trun else Tfuwait (n - 1))
   | Tmemwait ->
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    (* open-episode tick: direct field bump, this is the hottest hook *)
-    (match t.profile with
-    | Some p -> p.Profile.mw_ticks.(u.tid) <- p.Profile.mw_ticks.(u.tid) + 1
-    | None -> ())
+    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Mem
   | Tpswait ->
     t.stats.Stats.tcu_pswait_cycles <- t.stats.Stats.tcu_pswait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Fence_ps
-    | None -> ())
+    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Ps
   | Tfence ->
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Fence_ps
-    | None -> ());
+    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fence;
     if u.pending = 0 then begin
       u.st <- Trun;
-      rd_release t ~tcu:u.tid
+      if t.probed then t.probe.Probe.release ~tcu:u.tid
     end
 
 let cluster_tick t (cl : cluster) =
@@ -926,7 +723,7 @@ let master_tick t =
   match t.master_st with
   | Mhalted | Mmemwait | Mspawnwait -> ()
   | Mstall n ->
-    (match t.profile with Some p -> Profile.master_wait p | None -> ());
+    if t.ticked then t.probe.Probe.wait ~tcu:(-1) Probe.Fu;
     t.master_st <- (if n <= 1 then Mrun else Mstall (n - 1))
   | Mrun -> (
     let pc = t.master.F.pc in
@@ -935,17 +732,9 @@ let master_tick t =
     let read_str a = Mem.read_string t.memory a in
     let res = F.issue t.img t.master ~read_str in
     Stats.count_instr t.stats ~master:true ins;
-    let addr_of =
-      match res with
-      | F.Load { addr; _ } | F.Store { addr; _ } -> Some addr
-      | _ -> None
-    in
-    notify_instr t ~tcu:(-1) ~pc ins ~addr:addr_of;
-    (match t.profile with
-    | Some p ->
-      Profile.master_issue p ~pc
-        ~mem:(match addr_of with Some _ -> true | None -> false)
-    | None -> ());
+    if t.ticked then
+      t.probe.Probe.issue ~tcu:(-1) ~pc ins
+        ~addr:(match res with F.Load { addr; _ } | F.Store { addr; _ } -> addr | _ -> -1);
     match res with
     | F.Done -> (
       (* multi-cycle master ALU ops *)
@@ -956,29 +745,21 @@ let master_tick t =
           | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
           | _ -> t.cfg.Config.div_latency
         in
-        if lat > 1 then begin
-          prof_master_stall t Profile.Compute;
-          t.master_st <- Mstall (lat - 1)
-        end
+        if lat > 1 then t.master_st <- Mstall (lat - 1)
       | I.FU_FPU ->
         let lat =
           match ins with
           | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
           | _ -> t.cfg.Config.fpu_latency
         in
-        if lat > 1 then begin
-          prof_master_stall t Profile.Compute;
-          t.master_st <- Mstall (lat - 1)
-        end
+        if lat > 1 then t.master_st <- Mstall (lat - 1)
       | _ -> ())
     | F.Load { dst; addr; ro = _ } ->
       if Tags.lookup t.master_cache addr then begin
         t.stats.Stats.master_cache_hits <- t.stats.Stats.master_cache_hits + 1;
         F.complete_load t.master dst (Mem.read t.memory addr);
-        if t.cfg.Config.master_cache_hit_latency > 1 then begin
-          prof_master_stall t Profile.Cache_hit;
+        if t.cfg.Config.master_cache_hit_latency > 1 then
           t.master_st <- Mstall (t.cfg.Config.master_cache_hit_latency - 1)
-        end
       end
       else begin
         t.stats.Stats.master_cache_misses <- t.stats.Stats.master_cache_misses + 1;
@@ -992,15 +773,8 @@ let master_tick t =
         Desim.Scheduler.schedule t.sched ~delay (fun () ->
             Tags.install t.master_cache addr;
             F.complete_load t.master dst (Mem.read t.memory addr);
-            (match t.profile with
-            | Some p ->
-              (* the master was parked the whole window; charge it as
-                 DRAM wait, in cluster-grid ticks *)
-              Profile.master_mem p
-                ~ticks:
-                  ((Desim.Scheduler.now t.sched - t_miss)
-                  / max 1 (Desim.Clock.period t.clk_cluster))
-            | None -> ());
+            if t.probed then
+              t.probe.Probe.master_mem ~waited:(Desim.Scheduler.now t.sched - t_miss);
             if t.master_st = Mmemwait then t.master_st <- Mrun;
             Desim.Clock.wake t.clk_cluster)
       end
@@ -1019,9 +793,6 @@ let master_tick t =
         | None -> fail "spawn at %d has no join" spawn_idx
       in
       t.master_st <- Mspawnwait;
-      (match t.profile with
-      | Some p -> Profile.master_spawn p ~pc ~ticks:t.cfg.Config.spawn_overhead
-      | None -> ());
       let delay = t.cfg.Config.spawn_overhead * Desim.Clock.period t.clk_cluster in
       Desim.Scheduler.schedule t.sched ~delay (fun () ->
           t.spawn_region <- (spawn_idx, join_idx);
@@ -1029,18 +800,7 @@ let master_tick t =
           t.globals.(Isa.Reg.g_spawn) <- lo;
           t.done_count <- 0;
           t.spawn_active <- true;
-          (match t.racedet with
-          | Some rd -> Racedetect.on_spawn rd
-          | None -> ());
-          let now = Desim.Scheduler.now t.sched in
-          (match t.otracer with
-          | Some tr ->
-            Obs.Tracer.begin_span tr ~ts:now ~tid:0 ~cat:"spawn"
-              ~args:
-                [ ("lo", Obs.Tracer.A_int lo); ("hi", Obs.Tracer.A_int hi);
-                  ("threads", Obs.Tracer.A_int (hi - lo + 1)) ]
-              "spawn"
-          | None -> ());
+          if t.probed then t.probe.Probe.spawn ~lo ~hi;
           Array.iter
             (fun cl ->
               Array.iter
@@ -1048,7 +808,6 @@ let master_tick t =
                   F.copy_regs ~src:t.master ~dst:u.ctx;
                   u.ctx.F.pc <- spawn_idx + 1;
                   u.st <- Trun;
-                  if t.otracer <> None then u.run_since <- now;
                   Prefetch_buffer.clear u.pbuf)
                 cl.ctcus)
             t.clusters;
@@ -1136,251 +895,38 @@ let add_activity_plugin t ~name ~interval hook =
   Desim.Clock.on_tick ~phase:2 t.clk_cluster (fun cycle ->
       if cycle > 0 && cycle mod interval = 0 then hook t cycle)
 
-let add_filter_plugin t f = t.filters <- f :: t.filters
+(* Probes.  The attached list is precombined into one fan-out whenever
+   it changes; detaching mid-notification is safe, as the notification
+   in progress runs the old fan-out. *)
 
-let filter_reports t =
-  List.rev_map (fun f -> (f.Plugin.f_name, f.Plugin.f_report ())) t.filters
+let refresh_probes t =
+  t.probe <- Probe.combine t.probes;
+  t.probed <- t.probes <> [];
+  let n = Probe.nop and p = t.probe in
+  t.ticked <- p.issue != n.issue || p.stall != n.stall || p.wait != n.wait;
+  t.packaged <- p.package != n.package
 
-(* Hooks return a detach thunk so finite-length consumers (e.g. a trace
-   with a line limit) can unhook themselves instead of being filtered on
-   every subsequent instruction.  Detaching mid-notification is safe: the
-   in-progress iteration walks the old (immutable) list. *)
-let add_instr_hook t f =
-  t.tracers <- f :: t.tracers;
-  fun () -> t.tracers <- List.filter (fun g -> g != f) t.tracers
+let attach t p =
+  t.probes <- t.probes @ [ p ];
+  refresh_probes t;
+  fun () ->
+    t.probes <- List.filter (fun q -> q != p) t.probes;
+    refresh_probes t
 
-let add_package_hook t f =
-  t.pkg_tracers <- f :: t.pkg_tracers;
-  fun () -> t.pkg_tracers <- List.filter (fun g -> g != f) t.pkg_tracers
-
-let on_instr t f = ignore (add_instr_hook t f : unit -> unit)
-let on_package t f = ignore (add_package_hook t f : unit -> unit)
-
-(* ------------------------------------------------------------------ *)
-(* Race detector attachment (dynamic layer of the race checker).  The
-   detector observes accesses at service time and syncs at completion
-   time; when detached every hook is a single option check. *)
-
-let attach_racecheck t =
-  match t.racedet with
-  | Some rd -> rd
-  | None ->
-    let rd = Racedetect.create () in
-    t.racedet <- Some rd;
-    rd
-
-let detach_racecheck t = t.racedet <- None
-let racecheck t = t.racedet
-
-(* ------------------------------------------------------------------ *)
-(* Cycle-accounting profiler attachment.  Purely passive: the profiler
-   observes state transitions the machine makes anyway, so attaching it
-   never perturbs cycles, stats or traces (unlike activity plugins it
-   does not disable clock gating). *)
-
-let attach_profile t =
-  match t.profile with
-  | Some p -> p
-  | None ->
-    let base_ticks =
-      Desim.Clock.cycles t.clk_cluster + Desim.Clock.skipped_ticks t.clk_cluster
-    in
-    let p =
-      Profile.create ~n_tcus:(total_tcus t)
-        ~tcus_per_cluster:t.cfg.Config.tcus_per_cluster
-        ~n_instrs:(Array.length t.img.Isa.Program.instrs)
-        ~base_ticks
-    in
-    t.profile <- Some p;
-    p
-
-let detach_profile t = t.profile <- None
-let profile t = t.profile
-
-let profile_report t =
-  Option.map
-    (fun p ->
-      let total_ticks =
-        Desim.Clock.cycles t.clk_cluster
-        + Desim.Clock.skipped_ticks t.clk_cluster
-        - Profile.base_ticks p
-      in
-      Profile.report p ~total_ticks ~locs:t.img.Isa.Program.locs)
-    t.profile
-
-(* ------------------------------------------------------------------ *)
-(* Live telemetry stream attachment.  Like the profiler, the heartbeat
-   producer is passive: it registers one more tick handler on the
-   cluster clock — which ticks anyway whenever it is awake — and samples
-   counters the machine maintains regardless.  It never wakes a clock or
-   schedules an event (unlike activity plug-ins it leaves clock gating
-   untouched), so a streamed run is bit-identical to an unstreamed one
-   including the host-side event count. *)
-
-let attach_stream ?(heartbeat_cycles = 10_000) t s =
-  if t.started then fail "attach_stream must be called before the first run";
-  if heartbeat_cycles <= 0 then
-    fail "attach_stream: heartbeat_cycles must be positive";
-  (match t.hb with
-  | Some _ -> fail "attach_stream: a stream is already attached"
-  | None -> ());
-  Obs.Stream.emit s ~typ:"run.start" ~t:(Desim.Scheduler.now t.sched)
-    [
-      ("config", Obs.Json.Str t.cfg.Config.name);
-      ("clusters", Obs.Json.Int t.cfg.Config.num_clusters);
-      ("tcus", Obs.Json.Int (total_tcus t));
-      ("instructions", Obs.Json.Int (Array.length t.img.Isa.Program.instrs));
-      ("heartbeat_cycles", Obs.Json.Int heartbeat_cycles);
-    ];
-  t.hb <-
-    Some
-      {
-        hb_stream = s;
-        hb_interval = heartbeat_cycles;
-        hb_next = heartbeat_cycles;
-        hb_rollup = Obs.Stream.rollup ~window:16 s "sim.heartbeat";
-        hb_last_events = 0;
-        hb_last_us = Obs.Tracer.host_now_us ();
-        hb_last_busy = 0;
-        hb_last_memwait = 0;
-        hb_done = false;
-      }
-
-let detach_stream t = t.hb <- None
-let stream t = Option.map (fun h -> h.hb_stream) t.hb
-
-(* One heartbeat: grid cycle, host events/sec over the window, currently
-   gated domains, and the fraction of TCU-cycles stalled on memory in
-   the window — all from counters the run maintains anyway. *)
-let stream_heartbeat t h cycle =
-  let now = Desim.Scheduler.now t.sched in
-  let events = Desim.Scheduler.events_processed t.sched in
-  let us = Obs.Tracer.host_now_us () in
-  let d_secs = float_of_int (us - h.hb_last_us) /. 1e6 in
-  let rate =
-    if d_secs > 0.0 then float_of_int (events - h.hb_last_events) /. d_secs
-    else 0.0
-  in
-  let gated =
-    List.fold_left
-      (fun acc c -> if Desim.Clock.sleeping c then acc + 1 else acc)
-      0
-      [ t.clk_cluster; t.clk_icn; t.clk_cache; t.clk_dram ]
-  in
-  let busy = t.stats.Stats.tcu_busy_cycles in
-  let mw = t.stats.Stats.tcu_memwait_cycles in
-  let d_busy = busy - h.hb_last_busy and d_mw = mw - h.hb_last_memwait in
-  let memwait_frac =
-    if d_busy + d_mw = 0 then 0.0
-    else float_of_int d_mw /. float_of_int (d_busy + d_mw)
-  in
-  h.hb_last_events <- events;
-  h.hb_last_us <- us;
-  h.hb_last_busy <- busy;
-  h.hb_last_memwait <- mw;
-  Obs.Stream.emit h.hb_stream ~typ:"sim.heartbeat" ~t:now
-    [
-      ("cycle", Obs.Json.Int cycle);
-      ("events", Obs.Json.Int events);
-      ("events_per_sec", Obs.Json.Float rate);
-      ("gated_domains", Obs.Json.Int gated);
-      ("memwait_frac", Obs.Json.Float memwait_frac);
-    ];
-  Obs.Stream.observe h.hb_rollup ~t:now
-    [
-      ("events_per_sec", rate);
-      ("gated_domains", float_of_int gated);
-      ("memwait_frac", memwait_frac);
-    ]
-
-(* The per-run summary record (and the stream's drop count, the final
-   word on the overflow policy).  Emitted once, after the halting run. *)
-let stream_run_done t h =
-  h.hb_done <- true;
-  Obs.Stream.close_rollup h.hb_rollup;
-  Obs.Stream.emit h.hb_stream ~typ:"run.done" ~t:(Desim.Scheduler.now t.sched)
-    [
-      ("cycles", Obs.Json.Int (Desim.Scheduler.now t.sched));
-      ("instructions", Obs.Json.Int (Stats.total_instrs t.stats));
-      ("events", Obs.Json.Int (Desim.Scheduler.events_processed t.sched));
-      ("output_bytes", Obs.Json.Int (Buffer.length t.out_buf));
-      ("halted", Obs.Json.Bool t.halted);
-      ("dropped", Obs.Json.Int (Obs.Stream.dropped h.hb_stream));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Span tracer attachment *)
-
-let tracer t = t.otracer
-
-let attach_tracer t tr =
-  t.otracer <- Some tr;
-  Obs.Tracer.name_process tr ~pid:1 "xmtsim (ts = simulated time units)";
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:0 "MTCU";
-  Array.iter
-    (fun cl ->
-      Array.iter
-        (fun u ->
-          Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_of_tcu u.tid)
-            (Printf.sprintf "TCU %d" u.tid))
-        cl.ctcus)
-    t.clusters;
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_memory t) "memory";
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_governor t) "governor";
-  (* package hops as instant events on the originating TCU's track *)
-  on_package t (fun ev ->
-      let tid =
-        if ev.pe_tcu >= 0 then trace_tid_of_tcu ev.pe_tcu else trace_tid_memory t
-      in
-      Obs.Tracer.instant tr ~ts:ev.pe_time ~tid ~cat:"pkg"
-        ~args:
-          [ ("kind", Obs.Tracer.A_str ev.pe_kind);
-            ("addr", Obs.Tracer.A_int ev.pe_addr);
-            ("module", Obs.Tracer.A_int ev.pe_module) ]
-        ev.pe_stage)
-
-(** Close any spans still open at the current simulated time (waiting
-    TCUs, an active spawn region).  Call once, after the last [run],
-    before serializing the trace. *)
-let flush_tracer t =
-  match t.otracer with
-  | None -> ()
-  | Some tr ->
-    Array.iter
-      (fun cl ->
-        Array.iter
-          (fun u ->
-            if u.mw_since >= 0 then close_memwait_span t tr u;
-            if u.run_since >= 0 then close_run_span t tr u)
-          cl.ctcus)
-      t.clusters;
-    if t.spawn_active then
-      Obs.Tracer.end_span tr ~ts:(Desim.Scheduler.now t.sched) ~tid:0 ()
+let probes t = List.map (fun p -> p.Probe.name) t.probes
 
 (* ------------------------------------------------------------------ *)
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    (* streaming heartbeats ride the cluster clock's existing phase-0
-       tick handler (fired ticks only — a gated-off domain emits none),
-       so attaching them changes neither event scheduling nor gating.
-       The check is inlined into the master-tick closure rather than
-       registered as its own handler: an extra handler costs a dispatch
-       on every fired tick (measured ~4% on serial workloads), while the
-       inlined compare is noise — and unstreamed runs keep the exact
-       pre-existing closure, not even an option check. *)
-    (match t.hb with
-    | None -> Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun _ -> master_tick t)
-    | Some h ->
-      (* [>=] rather than [mod] so a boundary slept through (clock
-         gating) still yields a heartbeat on the next fired tick *)
-      Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
-          if cycle >= h.hb_next then begin
-            h.hb_next <- cycle + h.hb_interval;
-            stream_heartbeat t h cycle
-          end;
-          master_tick t));
+    (* the probes' cluster-tick event rides the master's existing phase-0
+       handler (fired ticks only — a gated-off domain fires none), so
+       probing changes neither event scheduling nor gating; a handler of
+       its own would cost a dispatch on every fired tick *)
+    Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
+        if t.probed then t.probe.Probe.cluster_tick ~cycle;
+        master_tick t);
     Desim.Clock.on_tick ~phase:1 t.clk_cluster (fun _ ->
         Array.iter (cluster_tick t) t.clusters);
     Desim.Clock.on_tick ~phase:0 t.clk_cache (fun _ ->
@@ -1413,16 +959,17 @@ let run ?max_cycles t =
   Desim.Scheduler.stop t.sched ~time:(Desim.Scheduler.now t.sched + budget) ();
   let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run t.sched in
   t.stats.Stats.cycles <- Desim.Scheduler.now t.sched;
-  (match t.hb with
-  | Some h when t.halted && not h.hb_done -> stream_run_done t h
-  | _ -> ());
+  if t.probed then t.probe.Probe.run_end ~halted:t.halted;
   { output = Buffer.contents t.out_buf; cycles = Desim.Scheduler.now t.sched;
     halted = t.halted }
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
 
+exception Bad_snapshot of string
+
 type snapshot = {
+  s_image : Digest.t;  (** {!image_digest} of the program it belongs to *)
   s_mem : Mem.t;
   s_regs : int array;
   s_fregs : float array;
@@ -1438,17 +985,21 @@ type snapshot = {
   s_cluster_instrs : int array;
 }
 
-let make_snapshot ~mem ~regs ~fregs ~pc ~globals ~output =
-  { s_mem = mem; s_regs = regs; s_fregs = fregs; s_pc = pc; s_globals = globals;
-    s_output = output; s_stats = Stats.create ();
+(* The program a snapshot belongs to: its code and data layout. *)
+let image_digest (img : Isa.Program.image) =
+  Digest.string
+    (Marshal.to_string (img.instrs, img.targets, img.data_base, img.entry)
+       [ Marshal.No_sharing ])
+
+let make_snapshot ~image ~mem ~regs ~fregs ~pc ~globals ~output =
+  { s_image = image_digest image; s_mem = mem; s_regs = regs; s_fregs = fregs;
+    s_pc = pc; s_globals = globals; s_output = output; s_stats = Stats.create ();
     s_icn_backlog = [||]; s_cluster_instrs = [||] }
 
-let quiescent t =
+let is_quiescent t =
   (not t.spawn_active)
   && (match t.master_st with Mrun | Mhalted -> true | _ -> false)
   && t.pending_total = 0
-
-let is_quiescent = quiescent
 
 (* Run in small increments until the machine reaches a quiescent point (a
    serial instruction boundary with nothing in flight) or halts. *)
@@ -1456,16 +1007,17 @@ let run_to_quiescent t =
   (* single-cycle steps: the serial windows between spawns are narrow and
      a coarser stride would overshoot them all the way to the halt *)
   let guard = ref 0 in
-  while (not (quiescent t)) && (not t.halted) && !guard < 10_000_000 do
+  while (not (is_quiescent t)) && (not t.halted) && !guard < 10_000_000 do
     incr guard;
     ignore (run ~max_cycles:1 t)
   done;
-  if not (quiescent t) then fail "machine did not reach a quiescent point"
+  if not (is_quiescent t) then fail "machine did not reach a quiescent point"
 
 let checkpoint t =
-  if not (quiescent t) then
+  if not (is_quiescent t) then
     fail "checkpoint requires a quiescent machine (serial mode, no in-flight ops)";
   {
+    s_image = image_digest t.img;
     s_mem = Mem.snapshot t.memory;
     s_regs = Array.copy t.master.F.regs;
     s_fregs = Array.copy t.master.F.fregs;
@@ -1478,7 +1030,9 @@ let checkpoint t =
   }
 
 let restore t s =
-  if not (quiescent t) then fail "restore requires a quiescent machine";
+  if not (is_quiescent t) then fail "restore requires a quiescent machine";
+  if s.s_image <> image_digest t.img then
+    raise (Bad_snapshot "snapshot was taken from a different program image");
   Mem.restore t.memory s.s_mem;
   (* snapshots must survive register-file size changes: copy what fits *)
   Array.blit s.s_regs 0 t.master.F.regs 0
@@ -1521,14 +1075,31 @@ let restore t s =
   Array.blit s.s_cluster_instrs 0 t.cluster_instrs 0
     (min (Array.length s.s_cluster_instrs) (Array.length t.cluster_instrs))
 
+(* File layout: magic, format version (int32), image digest, payload
+   digest, then the marshaled snapshot.  The payload is unmarshaled only
+   once its digest checks out, since Marshal itself is not type-safe. *)
+let snapshot_magic = "XMT-SNAP"
+let snapshot_version = 1
+let header_len = String.length snapshot_magic + 4 + 16 + 16
+
 let snapshot_to_file s path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Marshal.to_channel oc s [])
+  let payload = Marshal.to_string s [] in
+  let version = Bytes.create 4 in
+  Bytes.set_int32_be version 0 (Int32.of_int snapshot_version);
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (output_string oc)
+        [ snapshot_magic; Bytes.to_string version; s.s_image; Digest.string payload; payload ])
 
 let snapshot_of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> (Marshal.from_channel ic : snapshot))
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_snapshot (path ^ ": " ^ m))) fmt in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  if String.length data < header_len || not (String.starts_with ~prefix:snapshot_magic data)
+  then bad "not an xmtsim snapshot";
+  let version = Int32.to_int (String.get_int32_be data 8) in
+  if version <> snapshot_version then
+    bad "snapshot format version %d, expected %d" version snapshot_version;
+  let payload = String.sub data header_len (String.length data - header_len) in
+  if Digest.string payload <> String.sub data 28 16 then bad "truncated or corrupt snapshot";
+  let s : snapshot = Marshal.from_string payload 0 in
+  if s.s_image <> String.sub data 12 16 then bad "header and payload disagree on the image";
+  s

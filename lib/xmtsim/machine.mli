@@ -33,11 +33,8 @@ val output : t -> string
 val cycles : t -> int
 val mem : t -> Mem.t
 
-(** Diagnostics: per-(module, subtree-side) ICN merge backlog (cycles) and
-    per-module input queue depths. *)
+(** Diagnostics: per-(module, subtree-side) ICN merge backlog (cycles). *)
 val icn_backlog : t -> int array array
-
-val module_queue_depths : t -> int array
 
 (** Executed TCU instructions per cluster — the spatial activity behind
     the floorplan visualization and per-cluster power attribution. *)
@@ -83,128 +80,40 @@ val domain_sleeping : t -> domain -> bool
 val export_clocks : t -> Obs.Metrics.t -> unit
 
 (** [add_activity_plugin t ~name ~interval hook] — [hook t cycle] runs
-    every [interval] cluster-clock cycles during the simulation. *)
+    every [interval] cluster-clock cycles during the simulation.  Unlike
+    a passive {!Probe}, the hook may retune clocks ({!set_period}), so
+    attaching one keeps the cluster clock ungated. *)
 val add_activity_plugin : t -> name:string -> interval:int -> (t -> int -> unit) -> unit
 
-val add_filter_plugin : t -> Plugin.filter -> unit
-val filter_reports : t -> (string * string) list
+(* -------- passive probes (§III-B filter plug-ins, §III-E traces) -------- *)
 
-(** Trace hook: called for every issued instruction.
-    [tcu] is [-1] for the Master TCU. *)
-val on_instr : t -> (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) -> unit
+(** [attach t p] starts delivering the machine's events to probe [p]
+    ({!Probe}); the returned thunk detaches it, so a bounded consumer
+    (e.g. a trace with a line limit) can unhook itself mid-run.  Probes
+    fire in attach order.  With nothing attached every hook site costs
+    one branch.  Legal at any time, including between runs. *)
+val attach : t -> Probe.t -> unit -> unit
 
-(** Like {!on_instr} but returns a detach thunk; consumers with a line
-    limit unhook themselves so the hot loop stops paying for them. *)
-val add_instr_hook :
-  t -> (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) -> unit -> unit
+(** Names of the attached probes, oldest first. *)
+val probes : t -> string list
 
-(** Cycle-accurate trace level (§III-E): one event per station a package
-    passes through ("icn-inject", "module-arrive", "cache-hit"/"cache-miss",
-    "dram-fill", "reply"). *)
-type package_event = {
-  pe_time : int;
-  pe_stage : string;
-  pe_kind : string;
-  pe_addr : int;
-  pe_tcu : int;  (** -1 when not attributable (e.g. a line fill) *)
-  pe_pc : int;
-      (** pc of the issuing instruction, so every memory-touching event
-          carries (address, tcu, pc); -1 when not attributable *)
-  pe_module : int;  (** -1 for reply deliveries *)
-}
+(** Has the first {!run} started?  (Probes that emit a start-of-run
+    record must attach before it.) *)
+val started : t -> bool
 
-val on_package : t -> (package_event -> unit) -> unit
+val image : t -> Isa.Program.image
 
-(** Like {!on_package} but returns a detach thunk. *)
-val add_package_hook : t -> (package_event -> unit) -> unit -> unit
-
-(* -------- dynamic race detection -------- *)
-
-(** Attach a shadow-memory race detector ({!Racedetect}); idempotent —
-    returns the already-attached detector if there is one.  The machine
-    feeds it every shared-memory access at service time (load, prefetch,
-    store, with (address, tcu, pc)) plus acquire/release events at
-    [ps]/[psm] and fence completions.  When no detector is attached the
-    hooks cost one option check ([--racecheck] off = measured-zero
-    overhead, see [bench/exp_racecheck]). *)
-val attach_racecheck : t -> Racedetect.t
-
-val detach_racecheck : t -> unit
-
-(** The attached detector, if any. *)
-val racecheck : t -> Racedetect.t option
-
-(* -------- cycle-accounting profiler (CPI stacks) -------- *)
-
-(** Attach (or return the already-attached) cycle-accounting profiler.
-    From this point on every TCU and master cycle is attributed to one
-    CPI-stack bucket (compute, spawn/join, ICN, cache hit, DRAM,
-    prefetch-covered, fence/ps) and to the PC that caused it.  The
-    profiler is purely passive — it observes state transitions the
-    machine makes anyway — so attaching it never changes cycles, stats
-    or traces (enforced by [test_profile] and a CI determinism step). *)
-val attach_profile : t -> Profile.t
-
-val detach_profile : t -> unit
-
-(** The attached profiler, if any. *)
-val profile : t -> Profile.t option
-
-(** Fold the raw per-cycle accounting into a report: per-TCU /
-    per-cluster / aggregate CPI stacks over the ticks elapsed since
-    attachment, joined with the image's source map ([xmtcc -g]) for
-    per-line and per-function attribution.  [None] if no profiler is
-    attached. *)
-val profile_report : t -> Profile.report option
-
-(* -------- live telemetry streaming (xmt.events.v1) -------- *)
-
-(** Attach an {!Obs.Stream} and emit a [sim.heartbeat] record every
-    [heartbeat_cycles] cluster cycles (default 10000): grid cycle, host
-    events/sec over the window, currently gated domain count and the
-    window's memory-wait fraction, plus a [run.start] record now, a
-    [run.done] summary when the machine halts, and [window.close]
-    rollups every 16 heartbeats.  The producer is passive — it samples
-    counters the run maintains anyway from the cluster clock's existing
-    tick events, never waking a clock or scheduling an event — so a
-    streamed run is bit-identical to an unstreamed one, {e including}
-    the host-side event count (unlike activity plug-ins, clock gating
-    stays untouched; a gated-off machine simply emits no heartbeats
-    while it sleeps).  Must be called before the first {!run}; raises
-    {!Sim_error} afterwards or when a stream is already attached. *)
-val attach_stream : ?heartbeat_cycles:int -> t -> Obs.Stream.t -> unit
-
-val detach_stream : t -> unit
-
-(** The attached stream, if any. *)
-val stream : t -> Obs.Stream.t option
-
-(* -------- span tracing (Chrome trace-event JSON) -------- *)
-
-(** Attach a span tracer.  Simulated activity is emitted on process 1
-    (one thread per TCU, tid = TCU id + 1, the Master TCU on tid 0):
-    spawn/join phases as nested B/E spans, per-TCU memory-wait and
-    thread-run intervals as complete (X) spans, package hops as instant
-    events, and one "mem-req" span per completed memory request covering
-    its outbox -> ICN -> module -> reply round trip (with per-stage
-    durations in the span args).  Timestamps are simulated time units. *)
-val attach_tracer : t -> Obs.Tracer.t -> unit
-
-(** The attached span tracer, if any — activity plug-ins (e.g. the DVFS
-    governor) use it to make their decisions visible in the trace. *)
-val tracer : t -> Obs.Tracer.t option
-
-(** Trace thread id reserved for runtime-control (governor) events. *)
-val trace_tid_governor : t -> int
-
-(** Close spans still open (waiting TCUs, an active spawn) at the current
-    simulated time.  Call once after the final [run], before writing the
-    trace file. *)
-val flush_tracer : t -> unit
+(** Cluster-clock ticks elapsed, fired plus gated away: the grid every
+    TCU-cycle account (the profiler's CPI stacks) is measured on. *)
+val cluster_ticks : t -> int
 
 (* -------- checkpoints (§III-E) -------- *)
 
 type snapshot
+
+(** A snapshot file with a bad header, a truncated or corrupt payload,
+    or a snapshot from a different program image. *)
+exception Bad_snapshot of string
 
 (** Is the machine at a point where a checkpoint is legal (serial mode,
     nothing in flight)?  True before the first [run] and after a halt. *)
@@ -220,6 +129,7 @@ val run_to_quiescent : t -> unit
     {!Functional_mode.snapshot} to hand a functionally-fast-forwarded
     state to the cycle-accurate machine (phase sampling, §III-F). *)
 val make_snapshot :
+  image:Isa.Program.image ->
   mem:Mem.t ->
   regs:int array ->
   fregs:float array ->
@@ -234,8 +144,14 @@ val make_snapshot :
     {!Sim_error} otherwise. *)
 val checkpoint : t -> snapshot
 
-(** Restore into a machine created from the same image/config. *)
+(** Restore into a machine created from the same image (any config);
+    raises {!Bad_snapshot} when the snapshot belongs to another image. *)
 val restore : t -> snapshot -> unit
 
+(** Snapshot files carry a magic string, a format version and the image
+    digest ahead of the payload; {!snapshot_of_file} raises
+    {!Bad_snapshot} when any of them, or the payload's checksum, is
+    wrong. *)
 val snapshot_to_file : snapshot -> string -> unit
+
 val snapshot_of_file : string -> snapshot

@@ -1,32 +1,30 @@
 (** Simulation plug-ins (paper §III-B).
 
-    {e Filter plug-ins} observe every executed instruction and produce a
-    report at the end of the simulation.  The built-in {!hot_locations}
+    {e Filter plug-ins} are passive {!Probe}s that observe every executed
+    instruction; the caller prints their report at the end of the
+    simulation.  The built-in {!hot_locations}
     plug-in reproduces the paper's example: a list of the most frequently
     accessed shared-memory locations, which points the programmer at
     memory bottlenecks.
 
     {e Activity plug-ins} are registered on the machine with a sampling
-    interval; they read the activity counters during the run and may
-    retune clock domains — the hook used for dynamic power and thermal
-    management (see {!Power} and {!Thermal}). *)
+    interval ({!Machine.add_activity_plugin}); they read the activity
+    counters during the run and may retune clock domains — the hook used
+    for dynamic power and thermal management (see {!Power} and
+    {!Thermal}). *)
 
-type filter = {
-  f_name : string;
-  f_on_instr : master:bool -> pc:int -> Isa.Instr.t -> addr:int option -> unit;
-  f_report : unit -> string;
-}
+(** Attach [f.probe] with {!Machine.attach}; [f.report ()] renders what
+    it saw. *)
+type filter = { probe : Probe.t; report : unit -> string }
 
 (** Tracks the [top] most frequently accessed memory addresses. *)
 let hot_locations ~top () =
   let counts : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
-  let on_instr ~master:_ ~pc:_ _ins ~addr =
-    match addr with
-    | None -> ()
-    | Some a -> (
-      match Hashtbl.find_opt counts a with
+  let issue ~tcu:_ ~pc:_ _ins ~addr =
+    if addr >= 0 then
+      match Hashtbl.find_opt counts addr with
       | Some r -> incr r
-      | None -> Hashtbl.replace counts a (ref 1))
+      | None -> Hashtbl.replace counts addr (ref 1)
   in
   let report () =
     let all = Hashtbl.fold (fun a r acc -> (a, !r) :: acc) counts [] in
@@ -43,12 +41,12 @@ let hot_locations ~top () =
     in
     String.concat "\n" (("hot memory locations (top " ^ string_of_int top ^ "):") :: lines)
   in
-  { f_name = "hot-locations"; f_on_instr = on_instr; f_report = report }
+  { probe = { Probe.nop with name = "hot-locations"; issue }; report }
 
 (** Histogram of executed instructions per functional-unit class. *)
 let class_histogram () =
   let counts = Hashtbl.create 8 in
-  let on_instr ~master:_ ~pc:_ ins ~addr:_ =
+  let issue ~tcu:_ ~pc:_ ins ~addr:_ =
     let c = Isa.Instr.fu_class_of ins in
     match Hashtbl.find_opt counts c with
     | Some r -> incr r
@@ -66,16 +64,16 @@ let class_histogram () =
     in
     String.concat "\n" ("instruction class histogram:" :: lines)
   in
-  { f_name = "class-histogram"; f_on_instr = on_instr; f_report = report }
+  { probe = { Probe.nop with name = "class-histogram"; issue }; report }
 
 (** Execution profile over simulated time (§III-B: "An activity plug-in
     can generate execution profiles of XMTC programs over simulated time,
     showing memory and computation intensive phases").
 
-    Attach with {!attach_profiler}; each sample records the instruction
-    counts by functional-unit class and the TCU memory-wait cycles accrued
-    since the previous sample.  {!render_profile} draws a text timeline
-    where each row is one interval and the bar shows its mix. *)
+    Attach with {!attach_profiler}; each sample records the compute,
+    memory-issue and TCU memory-wait cycles accrued since the previous
+    sample.  {!render_profile} draws a text timeline where each row is
+    one interval and the bar shows its mix. *)
 
 type profile_sample = {
   ps_cycle : int;
@@ -90,6 +88,31 @@ type profiler = { mutable samples : profile_sample list (* reversed *) }
     {e single} place that restores chronological (oldest-first) order, so
     the text renderer and the JSON export cannot disagree. *)
 let samples_in_order (p : profiler) = List.rev p.samples
+
+(** [attach_profiler m ~interval] registers an activity plug-in sampling
+    the cycle-accounting profiler ([profile], or a fresh one attached to
+    [m]) every [interval] cycles.  The per-cycle accounting behind the
+    CPI stacks is the single event source; the timeline is merely a
+    windowed view over it, so the two can never disagree about where the
+    cycles went. *)
+let attach_profiler ?profile ?(interval = 1000) m =
+  let p = { samples = [] } in
+  let prof = match profile with Some prof -> prof | None -> Profile.attach m in
+  let last_c = ref 0 and last_m = ref 0 and last_w = ref 0 in
+  Machine.add_activity_plugin m ~name:"profiler" ~interval (fun _ cycle ->
+      (* compute_cycles counts one cycle per issue (plus FU stalls), so
+         subtracting the memory issues leaves the compute-attributed share *)
+      let mem = Profile.mem_ops prof in
+      let c = Profile.compute_cycles prof - mem in
+      let w = Profile.memwait_cycles prof in
+      p.samples <-
+        { ps_cycle = cycle; ps_compute = c - !last_c; ps_memory = mem - !last_m;
+          ps_memwait = w - !last_w }
+        :: p.samples;
+      last_c := c;
+      last_m := mem;
+      last_w := w);
+  p
 
 (** The execution profile as a JSON array of per-interval samples
     (oldest first), for machine consumption of the §III-B profile. *)

@@ -10,11 +10,10 @@
     ([xmtcc -g]) that yields per-source-line hot-spot tables and a
     flame-style top-down view.
 
-    The profiler is a {e passive observer}: it is driven by single
-    option-checked hooks inside the machine, never schedules events,
-    wakes clocks or touches machine state, so attaching it cannot perturb
-    cycles, stats or traces (enforced by the profile-determinism test and
-    CI step).
+    The profiler is a passive {!Probe}: it never schedules events, wakes
+    clocks or touches machine state, so attaching it cannot perturb
+    cycles, stats or traces (enforced by the passivity property and a CI
+    step).
 
     Memory-wait episodes are accounted when the reply arrives: the ticks
     a TCU spent in [Tmemwait] are split across the ICN / cache-hit / DRAM
@@ -49,6 +48,7 @@ let bucket_names =
      "fence_ps" |]
 
 type t = {
+  m : Machine.t;
   n_tcus : int;
   tcus_per_cluster : int;
   per_tcu : int array array;  (** [tcu].(bucket) cycle counts *)
@@ -62,29 +62,30 @@ type t = {
   base_ticks : int;  (** cluster-grid ticks already elapsed at attach *)
 }
 
-let create ~n_tcus ~tcus_per_cluster ~n_instrs ~base_ticks =
+let create m =
+  let cfg = Machine.config m in
+  let n_tcus = cfg.Config.num_clusters * cfg.Config.tcus_per_cluster in
   {
+    m;
     n_tcus;
-    tcus_per_cluster;
+    tcus_per_cluster = cfg.Config.tcus_per_cluster;
     per_tcu = Array.init n_tcus (fun _ -> Array.make n_buckets 0);
     master = Array.make n_buckets 0;
-    pc_cycles = Array.make (max 1 n_instrs) 0;
+    pc_cycles = Array.make (max 1 (Array.length (Machine.image m).Isa.Program.instrs)) 0;
     last_pc = Array.make (max 1 n_tcus) (-1);
     mw_ticks = Array.make (max 1 n_tcus) 0;
     master_last_pc = -1;
     master_stall = Compute;
     mem_ops = 0;
-    base_ticks;
+    base_ticks = Machine.cluster_ticks m;
   }
-
-let base_ticks p = p.base_ticks
 
 (* The counters below run once per profiled TCU-cycle, so they avoid
    redundant bounds checks: [bucket_index] is < [n_buckets] (= row
    length) by construction, and [attribute]'s explicit range test makes
    the element accesses safe. *)
 
-let attribute p ~pc n =
+let[@inline] attribute p ~pc n =
   if pc >= 0 && pc < Array.length p.pc_cycles then
     Array.unsafe_set p.pc_cycles pc (Array.unsafe_get p.pc_cycles pc + n)
 
@@ -94,12 +95,12 @@ let count p ~tcu ~pc b n =
   Array.unsafe_set row i (Array.unsafe_get row i + n);
   attribute p ~pc n
 
-(* ---- TCU-side hooks (called from the machine) ---- *)
+(* ---- TCU-side events ---- *)
 
 (* per-cycle hooks are hand-flattened (no [count] call) to keep the
    profiled hot path one call deep *)
 
-let tcu_issue p ~tcu ~pc ~mem =
+let[@inline] tcu_issue p ~tcu ~pc ~mem =
   p.last_pc.(tcu) <- pc;
   if mem then p.mem_ops <- p.mem_ops + 1;
   let row = p.per_tcu.(tcu) in
@@ -107,20 +108,18 @@ let tcu_issue p ~tcu ~pc ~mem =
   attribute p ~pc 1
 
 (* shared FU busy: the instruction at [pc] retries next cycle *)
-let tcu_stall p ~tcu ~pc =
+let[@inline] tcu_stall p ~tcu ~pc =
   let row = p.per_tcu.(tcu) in
   Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
   attribute p ~pc 1
 
 (* one stall cycle in a directly-classifiable state (FU latency, fence,
    ps wait), charged to the instruction that caused it *)
-let tcu_wait p ~tcu b =
+let[@inline] tcu_wait p ~tcu b =
   let row = p.per_tcu.(tcu) in
   let i = bucket_index b in
   Array.unsafe_set row i (Array.unsafe_get row i + 1);
   attribute p ~pc:p.last_pc.(tcu) 1
-
-let memwait_tick p ~tcu = p.mw_ticks.(tcu) <- p.mw_ticks.(tcu) + 1
 
 (* Close a memory-wait episode.  [icn]/[cache_hit]/[dram] are the
    lifecycle components of the request in simulated time; the episode's
@@ -147,7 +146,7 @@ let flush_memwait p ~tcu ~icn ~cache_hit ~dram ~pref =
     end
   end
 
-(* ---- master-TCU hooks ---- *)
+(* ---- master-TCU events ---- *)
 
 let master_count p ~pc b n =
   let i = bucket_index b in
@@ -159,15 +158,63 @@ let master_issue p ~pc ~mem =
   if mem then p.mem_ops <- p.mem_ops + 1;
   master_count p ~pc Compute 1
 
-let master_stall_kind p b = p.master_stall <- b
 let master_wait p = master_count p ~pc:p.master_last_pc p.master_stall 1
 let master_mem p ~ticks =
   if ticks > 0 then master_count p ~pc:p.master_last_pc Dram ticks
 
-let master_spawn p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
-let master_join p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
+let master_spawn_join p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
 
-(* ---- sampling accessors: the interval profiler ({!Profiler}) reads
+(* A memory-wait episode ends at the reply that woke the TCU: split the
+   request's lifecycle into its ICN / cache-hit / DRAM components (or
+   charge the whole wait as prefetch-covered when an in-flight prefetch
+   completed it). *)
+let woken p ~tcu ~pref (lc : Probe.lifecycle) =
+  if pref then flush_memwait p ~tcu ~icn:0 ~cache_hit:0 ~dram:0 ~pref:true
+  else begin
+    let now = Machine.cycles p.m in
+    let hit_lat =
+      (Machine.config p.m).Config.cache_hit_latency * Machine.period p.m Machine.Caches
+    in
+    let icn = lc.l_arrive - lc.l_born + (now - lc.l_svc) in
+    let svc = lc.l_svc - lc.l_arrive in
+    let cache_hit = if lc.l_hit then svc else min hit_lat svc in
+    flush_memwait p ~tcu ~icn ~cache_hit ~dram:(svc - cache_hit) ~pref:false
+  end
+
+let probe p =
+  let cfg = Machine.config p.m in
+  {
+    Probe.nop with
+    name = "profile";
+    issue =
+      (fun ~tcu ~pc ins ~addr ->
+        if tcu >= 0 then tcu_issue p ~tcu ~pc ~mem:(addr >= 0)
+        else begin
+          master_issue p ~pc ~mem:(addr >= 0);
+          (* the master stalls right after an issue, on a multi-cycle op
+             or on a load that hit its cache *)
+          p.master_stall <- (if addr >= 0 then Cache_hit else Compute);
+          match ins with
+          | Isa.Instr.Spawn _ -> master_spawn_join p ~pc ~ticks:cfg.Config.spawn_overhead
+          | _ -> ()
+        end);
+    stall = (fun ~tcu ~pc -> tcu_stall p ~tcu ~pc);
+    wait =
+      (fun ~tcu w ->
+        match w with
+        | Probe.Mem -> (* open-episode tick: the hottest event *)
+          p.mw_ticks.(tcu) <- p.mw_ticks.(tcu) + 1
+        | Probe.Fu -> if tcu < 0 then master_wait p else tcu_wait p ~tcu Compute
+        | Probe.Ps | Probe.Fence -> tcu_wait p ~tcu Fence_ps);
+    woken = woken p;
+    join = (fun ~pc -> master_spawn_join p ~pc ~ticks:cfg.Config.join_overhead);
+    (* the master was parked the whole window: DRAM wait, in grid ticks *)
+    master_mem =
+      (fun ~waited ->
+        master_mem p ~ticks:(waited / max 1 (Machine.period p.m Machine.Clusters)));
+  }
+
+(* ---- sampling accessors: the interval profiler ({!Plugin.attach_profiler}) reads
    these so both views share one event source ---- *)
 
 let compute_cycles p =
@@ -219,7 +266,19 @@ type report = {
 
 let sum_row buckets total = { r_buckets = buckets; r_idle = total - Array.fold_left ( + ) 0 buckets }
 
-let report p ~total_ticks ~(locs : (int * string) option array) =
+(** Attach a fresh profiler to [m]; it accounts every cycle from now on. *)
+let attach m =
+  let p = create m in
+  ignore (Machine.attach m (probe p) : unit -> unit);
+  p
+
+(** Fold the raw accounting into a report: per-TCU / per-cluster /
+    aggregate CPI stacks over the ticks elapsed since attachment, joined
+    with the image's source map ([xmtcc -g]) for per-line and
+    per-function attribution. *)
+let report p =
+  let total_ticks = Machine.cluster_ticks p.m - p.base_ticks in
+  let locs = (Machine.image p.m).Isa.Program.locs in
   (* a run cut off mid-wait leaves open episodes; close them into the ICN
      bucket (the request is somewhere in transit) so non-idle cycles
      never silently vanish *)

@@ -23,8 +23,8 @@
 
     Races are deduplicated on (address, kind, pc of each side) with an
     occurrence count, and reported deterministically sorted.  The
-    detector is detachable and every hook is guarded by an option check
-    in the machine, so a run without it pays nothing. *)
+    detector watches through a passive {!Probe}, so a run without it
+    pays nothing. *)
 
 (* growable sorted int vector (sequence numbers are appended in
    increasing order, so pushes keep it sorted) *)
@@ -213,3 +213,20 @@ let to_json t =
       ("epochs", Obs.Json.Int t.epoch);
       ("events", Obs.Json.Int t.events);
     ]
+
+(* The machine's read/write/sync/release/spawn events, as a probe. *)
+let probe m t =
+  {
+    Probe.nop with
+    name = "racecheck";
+    read = (fun ~tcu ~pc ~addr -> on_read t ~tcu ~pc ~addr ~time:(Machine.cycles m));
+    write = (fun ~tcu ~pc ~addr -> on_write t ~tcu ~pc ~addr ~time:(Machine.cycles m));
+    sync = (fun ~tcu -> on_sync t ~tcu);
+    release = (fun ~tcu -> on_release t ~tcu);
+    spawn = (fun ~lo:_ ~hi:_ -> on_spawn t);
+  }
+
+let attach m =
+  let t = create () in
+  ignore (Machine.attach m (probe m t) : unit -> unit);
+  t

@@ -7,8 +7,8 @@
     a release of the earlier TCU followed by an acquire of the later TCU
     before its access (the Fig. 7 publication discipline).
 
-    Attach with {!Machine.attach_racecheck}; a machine without a
-    detector pays no overhead.  Reports are deterministic: simulated
+    Attach with {!attach}; a machine without a detector pays no
+    overhead.  Reports are deterministic: simulated
     quantities only, sorted and deduplicated on
     (address, kind, pc, pc). *)
 
@@ -28,21 +28,14 @@ type race = {
 
 val create : unit -> t
 
-(** New spawn region: bump the epoch and clear the shadow memory. *)
-val on_spawn : t -> unit
+(** The detector as a passive probe on machine [m]: every shared-memory
+    access at service time (load, prefetch, store, with (address, tcu,
+    pc)), acquire/release at [ps]/[psm] and fence completions, and a new
+    epoch per spawn. *)
+val probe : Machine.t -> t -> Probe.t
 
-(** Memory access at service time. *)
-val on_read : t -> tcu:int -> pc:int -> addr:int -> time:int -> unit
-
-val on_write : t -> tcu:int -> pc:int -> addr:int -> time:int -> unit
-
-(** [ps]/[psm] completion: acquire + release for the issuing TCU. *)
-val on_sync : t -> tcu:int -> unit
-
-val on_acquire : t -> tcu:int -> unit
-
-(** Fence completion (pending non-blocking stores drained). *)
-val on_release : t -> tcu:int -> unit
+(** A fresh detector, attached to the machine. *)
+val attach : Machine.t -> t
 
 (** Detected races, sorted on (address, kind, pc_a, pc_b). *)
 val races : t -> race list

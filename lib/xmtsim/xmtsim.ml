@@ -6,8 +6,9 @@
     the interconnection network, hashed shared cache modules, DRAM, the
     global prefix-sum unit and the spawn-join mechanism), driven by the
     execution-driven {!Funcmodel}.  {!Functional_mode} is the fast
-    serializing mode.  {!Stats}, {!Plugin} and {!Trace} provide the
-    counters, filter/activity plug-ins and traces of §III-B/E; {!Power},
+    serializing mode.  {!Stats} holds the counters; {!Probe} is the one
+    passive observer interface, behind {!Plugin}'s filters, {!Trace},
+    {!Profile}, {!Racedetect} and {!Heartbeat} (§III-B/E); {!Power},
     {!Thermal} and {!Floorplan} the §III-F power/temperature stack;
     {!Machine.checkpoint} the §III-E checkpoints. *)
 
@@ -17,11 +18,12 @@ module Funcmodel = Funcmodel
 module Stats = Stats
 module Tags = Tags
 module Prefetch_buffer = Prefetch_buffer
+module Probe = Probe
+module Machine = Machine
 module Plugin = Plugin
 module Racedetect = Racedetect
 module Profile = Profile
-module Profiler = Profiler
-module Machine = Machine
+module Heartbeat = Heartbeat
 module Functional_mode = Functional_mode
 module Reuseprofile = Reuseprofile
 module Phase_sampling = Phase_sampling

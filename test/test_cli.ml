@@ -314,6 +314,36 @@ let connect_refused_exits_3 () =
       Tu.check_int "exit 3" 3 code;
       Tu.check_bool "mentions xmtserved" true (contains "xmtserved" err))
 
+(* Probe event order, pinned: the text traces and the CPI-stack report of
+   a fixed example must match the committed golden files byte for byte. *)
+let examples name =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name (Filename.concat "examples" name))
+
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+
+let golden_traces () =
+  let src = examples "clean_compaction.xmtc" in
+  let code, out, _ =
+    run_cmd
+      [ xmtsim; src; "-c"; "tiny"; "--trace"; "--trace-packages";
+        "--trace-limit"; "0" ]
+  in
+  Tu.check_int "trace run exits 0" 0 code;
+  Tu.check_string "text traces match golden"
+    (read_file (examples "golden/clean_compaction.trace.txt")) out;
+  let prof = Filename.temp_file "xmtcli" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove prof)
+    (fun () ->
+      let code, _, _ =
+        run_cmd [ xmtsim; src; "-c"; "tiny"; "--export"; "profile=" ^ prof ]
+      in
+      Tu.check_int "profile run exits 0" 0 code;
+      Tu.check_string "profile report matches golden"
+        (read_file (examples "golden/clean_compaction.profile.json"))
+        (read_file prof))
+
 let () =
   Alcotest.run "cli"
     [
@@ -342,6 +372,7 @@ let () =
           Tu.tc "spec exec block supplies the knobs" campaign_exec_block;
           Tu.tc "failure sets exit code" campaign_failure_sets_exit_code;
         ] );
+      ("golden", [ Tu.tc "trace + profile event order" golden_traces ]);
       ( "serve",
         [
           Tu.tc "--attach needs --connect" attach_needs_connect;

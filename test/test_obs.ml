@@ -520,10 +520,10 @@ let machine_trace_e2e () =
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:Xmtsim.Config.tiny compiled in
   let tr = T.create () in
-  Xmtsim.Machine.attach_tracer m tr;
+  let spans = Xmtsim.Trace.attach_spans m tr in
   let r = Xmtsim.Machine.run m in
   Tu.check_bool "halted" true r.Xmtsim.Machine.halted;
-  Xmtsim.Machine.flush_tracer m;
+  Xmtsim.Trace.flush_spans spans;
   let events = trace_events_of_string (T.to_string tr) in
   check_trace_invariants "machine trace" events;
   let phs = List.filter_map (fun e -> J.to_str (Option.get (J.member "ph" e))) events in
@@ -535,7 +535,7 @@ let profiler_order_and_json () =
   let memmap = Isa.Memmap.of_ints [ ("A", Array.make 32 1) ] in
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:Xmtsim.Config.tiny compiled in
-  let p = Xmtsim.Profiler.attach ~interval:50 m in
+  let p = Xmtsim.Plugin.attach_profiler ~interval:50 m in
   let _ = Xmtsim.Machine.run m in
   let samples = Xmtsim.Plugin.samples_in_order p in
   Tu.check_bool "has samples" true (List.length samples >= 2);

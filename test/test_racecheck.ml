@@ -108,7 +108,7 @@ let run_with_rc ?options ?(config = Xmtsim.Config.fpga64) ?(gating = true) src =
   let compiled = Core.Toolchain.compile ?options src in
   let m = Xmtsim.Machine.create ~config compiled.Core.Toolchain.image in
   Xmtsim.Machine.set_gating m gating;
-  let rd = Xmtsim.Machine.attach_racecheck m in
+  let rd = Xmtsim.Racedetect.attach m in
   let r = Xmtsim.Machine.run m in
   (r, rd, compiled)
 
@@ -187,11 +187,11 @@ let dynamic_detach () =
     Xmtsim.Machine.create ~config:Xmtsim.Config.tiny
       compiled.Core.Toolchain.image
   in
-  let rd = Xmtsim.Machine.attach_racecheck m in
-  check_bool "attach is idempotent" true (Xmtsim.Machine.attach_racecheck m == rd);
-  check_bool "accessor sees it" true (Xmtsim.Machine.racecheck m = Some rd);
-  Xmtsim.Machine.detach_racecheck m;
-  check_bool "detached" true (Xmtsim.Machine.racecheck m = None);
+  let rd = Xmtsim.Racedetect.create () in
+  let detach = Xmtsim.Machine.attach m (Xmtsim.Racedetect.probe m rd) in
+  check_bool "probe attached" true (Xmtsim.Machine.probes m = [ "racecheck" ]);
+  detach ();
+  check_bool "detached" true (Xmtsim.Machine.probes m = []);
   let r = Xmtsim.Machine.run m in
   check_bool "run unaffected" true r.Xmtsim.Machine.halted;
   check_int "detector saw nothing" 0 (Xmtsim.Racedetect.events rd)
@@ -204,10 +204,12 @@ let package_events_carry_pc () =
       compiled.Core.Toolchain.image
   in
   let attributed = ref 0 and total = ref 0 in
-  Xmtsim.Machine.on_package m (fun ev ->
-      incr total;
-      check_bool "pc is -1 or a real pc" true (ev.Xmtsim.Machine.pe_pc >= -1);
-      if ev.Xmtsim.Machine.pe_pc >= 0 then incr attributed);
+  let package ~stage:_ ~kind:_ ~addr:_ ~tcu:_ ~pc ~module_:_ =
+    incr total;
+    check_bool "pc is -1 or a real pc" true (pc >= -1);
+    if pc >= 0 then incr attributed
+  in
+  ignore (Xmtsim.Machine.attach m { Xmtsim.Probe.nop with package } : unit -> unit);
   ignore (Xmtsim.Machine.run m);
   check_bool "events flowed" true (!total > 0);
   check_bool "most events attribute a pc" true (!attributed > 0)

@@ -148,14 +148,66 @@ let journal_roundtrip () =
   output_string oc {|{"type":"job.start","job":1,"js|};
   close_out oc;
   match Serve.Journal.recover ~dir with
-  | [ r ] ->
+  | [ r ], [] ->
     Tu.check_string "cid" "j1" r.Serve.Journal.rc_cid;
     Tu.check_string "spec survives verbatim" (J.to_string spec)
       (J.to_string r.Serve.Journal.rc_spec);
     Tu.check_int "truncated final line dropped" 2
       (List.length r.Serve.Journal.rc_records);
     Tu.check_bool "incomplete" false r.Serve.Journal.rc_complete
-  | rs -> Alcotest.failf "recovered %d journals, expected 1" (List.length rs)
+  | rs, _ -> Alcotest.failf "recovered %d journals, expected 1" (List.length rs)
+
+(* a corrupt middle line (or no open line) is reported with its reason,
+   not silently dropped; a good journal beside it still recovers *)
+let journal_corrupt_reported () =
+  let dir = tmp_dir "serve-journal-bad" in
+  let spec = spec_json (mixed_jobs 1) in
+  let good = Serve.Journal.start ~dir ~cid:"good" ~spec in
+  Serve.Journal.close good;
+  let bad = Serve.Journal.start ~dir ~cid:"bad" ~spec in
+  Serve.Journal.close bad;
+  let oc = open_out_gen [ Open_append ] 0o644 (Serve.Journal.path ~dir ~cid:"bad") in
+  output_string oc "{\"type\":\"job.st\n{\"type\":\"job.start\",\"job\":0,\"jseq\":0}\n";
+  close_out oc;
+  Out_channel.with_open_text (Serve.Journal.path ~dir ~cid:"foreign") (fun oc ->
+      output_string oc "{\"hello\":1}\n");
+  let recovered, skipped = Serve.Journal.recover ~dir in
+  Tu.check_bool "good journal recovered" true
+    (List.map (fun r -> r.Serve.Journal.rc_cid) recovered = [ "good" ]);
+  Tu.check_bool "corrupt and foreign journals reported" true
+    (List.map fst skipped = [ "bad.journal"; "foreign.journal" ]);
+  Tu.check_bool "reason names the line" true
+    (let why = List.assoc "bad.journal" skipped in
+     String.length why > 6 && String.sub why 0 6 = "line 2")
+
+(* an over-long request line gets an error frame and loses only its own
+   connection; other clients keep being served *)
+let oversized_frame_rejected () =
+  with_server (fun cfg _srv ->
+      let other = Serve.Client.connect cfg.Serve.Server.socket_path in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX cfg.Serve.Server.socket_path);
+      let junk = Bytes.make (Serve.Protocol.max_frame_bytes + 1) 'x' in
+      let rec send off =
+        if off < Bytes.length junk then
+          send (off + Unix.write fd junk off (Bytes.length junk - off))
+      in
+      (try send 0 with Unix.Unix_error _ -> ());
+      let reply = In_channel.input_all (Unix.in_channel_of_descr fd) in
+      Unix.close fd;
+      let has needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length reply && (String.sub reply i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Tu.check_bool "error frame sent" true (has "server.error" && has "longer than");
+      Tu.check_bool "other client still served" true (Serve.Client.ping other = Ok ());
+      let cid = submit_ok other (spec_json (mixed_jobs 1)) in
+      let _, summary = collect_stream other cid in
+      Tu.check_int "campaign ran" 1 summary.Serve.Client.s_ok;
+      Serve.Client.close other)
 
 (* ---- served stream == direct run ---- *)
 
@@ -430,6 +482,8 @@ let () =
         [
           Tu.tc "request frames" protocol_frames;
           Tu.tc "journal round-trip + truncation" journal_roundtrip;
+          Tu.tc "corrupt journal reported" journal_corrupt_reported;
+          Tu.tc "oversized frame rejected" oversized_frame_rejected;
         ] );
       ( "byte-identity",
         [

@@ -476,13 +476,11 @@ let filter_plugin_hot_locations () =
   let src = Core.Kernels.reduce_psm ~n:32 in
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.add_filter_plugin m (Xmtsim.Plugin.hot_locations ~top:3 ());
+  let f = Xmtsim.Plugin.hot_locations ~top:3 () in
+  ignore (M.attach m f.Xmtsim.Plugin.probe : unit -> unit);
   ignore (M.run m);
-  match M.filter_reports m with
-  | [ (name, report) ] ->
-    Tu.check_string "name" "hot-locations" name;
-    Tu.check_bool "has content" true (String.length report > 20)
-  | _ -> Alcotest.fail "expected one report"
+  Tu.check_string "name" "hot-locations" f.Xmtsim.Plugin.probe.Xmtsim.Probe.name;
+  Tu.check_bool "has content" true (String.length (f.Xmtsim.Plugin.report ()) > 20)
 
 let activity_plugin_called () =
   let src = Core.Kernels.vecadd ~n:64 in
@@ -516,9 +514,10 @@ let package_trace_stations () =
   let img = Isa.Program.resolve (Isa.Asm.parse asm) in
   let m = M.create ~config:C.tiny img in
   let stages = ref [] in
-  M.on_package m (fun ev ->
-      if ev.M.pe_kind = "load" || ev.M.pe_stage = "dram-fill" then
-        stages := ev.M.pe_stage :: !stages);
+  let package ~stage ~kind ~addr:_ ~tcu:_ ~pc:_ ~module_:_ =
+    if kind = "load" || stage = "dram-fill" then stages := stage :: !stages
+  in
+  ignore (M.attach m { Xmtsim.Probe.nop with package } : unit -> unit);
   ignore (M.run m);
   let order = List.rev !stages in
   (* the first load is a cold miss: inject -> arrive -> miss -> fill -> reply *)
@@ -532,6 +531,76 @@ let package_trace_stations () =
     (is_subseq
        [ "icn-inject"; "module-arrive"; "cache-miss"; "dram-fill"; "reply" ]
        order)
+
+(* The passivity property of the probe interface: every probe the repo
+   ships, alone and all together, leaves output, cycles, the full stats
+   and the host event count equal to a plain run's, on several kernels,
+   both machine sizes, gated and ungated. *)
+let shipped_probes : (string * (M.t -> unit)) list =
+  let quiet _ = () in
+  [
+    ("racecheck", fun m -> ignore (Xmtsim.Racedetect.attach m : Xmtsim.Racedetect.t));
+    ("profile", fun m -> ignore (Xmtsim.Profile.attach m : Xmtsim.Profile.t));
+    ( "spans",
+      fun m -> ignore (Xmtsim.Trace.attach_spans m (Obs.Tracer.create ()) : Xmtsim.Trace.spans) );
+    ( "stream",
+      fun m ->
+        let s = Obs.Stream.create (Obs.Stream.null_sink ()) in
+        ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles:50 m s : unit -> unit) );
+    ("trace", fun m -> Xmtsim.Trace.attach m quiet);
+    ("trace-packages", fun m -> Xmtsim.Trace.attach_packages m quiet);
+    ( "hot-locations",
+      fun m ->
+        let f = Xmtsim.Plugin.hot_locations ~top:3 () in
+        ignore (M.attach m f.Xmtsim.Plugin.probe : unit -> unit) );
+    ( "class-histogram",
+      fun m ->
+        ignore (M.attach m (Xmtsim.Plugin.class_histogram ()).Xmtsim.Plugin.probe : unit -> unit) );
+  ]
+
+let probes_are_passive () =
+  let kernels =
+    [
+      ("vecadd", Core.Kernels.vecadd ~n:64, []);
+      ("reduce_psm", Core.Kernels.reduce_psm ~n:32, []);
+      ( "compaction",
+        Core.Kernels.compaction ~n:32,
+        [ ("A", Core.Workloads.sparse_array ~seed:8 ~n:32 ~density:50) ] );
+      ("publication", Core.Kernels.publication ~n:32, []);
+      ("ser_mem", Core.Kernels.ser_mem ~iters:400 ~n:256, []);
+    ]
+  in
+  let variants =
+    List.map (fun (name, a) -> (name, [ a ])) shipped_probes
+    @ [ ("all", List.map snd shipped_probes) ]
+  in
+  List.iter
+    (fun (kname, src, arrays) ->
+      let compiled = Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src in
+      List.iter
+        (fun (config, gating) ->
+          let run attaches =
+            let m = Core.Toolchain.machine ~config compiled in
+            M.set_gating m gating;
+            List.iter (fun a -> a m) attaches;
+            let r = M.run m in
+            (r.M.output, r.M.cycles, M.stats m, M.events_processed m)
+          in
+          let out, cycles, stats, events = run [] in
+          List.iter
+            (fun (pname, attaches) ->
+              let what =
+                Printf.sprintf "%s/%s/%s/%s" kname config.C.name
+                  (if gating then "gated" else "ungated") pname
+              in
+              let out', cycles', stats', events' = run attaches in
+              Tu.check_string (what ^ " output") out out';
+              Tu.check_int (what ^ " cycles") cycles cycles';
+              Tu.check_bool (what ^ " stats") true (stats = stats');
+              Tu.check_int (what ^ " host events") events events')
+            variants)
+        [ (C.tiny, true); (C.tiny, false); (C.fpga64, true); (C.fpga64, false) ])
+    kernels
 
 let checkpoint_resume_equivalence () =
   (* run A: straight through; run B: checkpoint at start, restore into a
@@ -591,6 +660,30 @@ let checkpoint_file_roundtrip () =
   let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
   M.restore m2 snap2;
   Tu.check_string "ran from file snapshot" "9" (M.run m2).M.output
+
+(* snapshot files are checked on load: a truncated file or a foreign
+   one is a typed error, and so is restoring into another program *)
+let checkpoint_file_checked () =
+  let compiled = Core.Toolchain.compile "int main() { print_int(9); return 0; }" in
+  let path = Filename.temp_file "xmtsnap" ".bin" in
+  M.snapshot_to_file (M.checkpoint (Core.Toolchain.machine ~config:C.tiny compiled)) path;
+  let whole = In_channel.with_open_bin path In_channel.input_all in
+  let rejected what contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match M.snapshot_of_file path with
+    | exception M.Bad_snapshot _ -> ()
+    | _ -> Alcotest.failf "%s snapshot accepted" what
+  in
+  rejected "truncated" (String.sub whole 0 (String.length whole - 10));
+  rejected "header-only" (String.sub whole 0 20);
+  rejected "wrong-magic" ("NOT-SNAP" ^ String.sub whole 8 (String.length whole - 8));
+  Out_channel.with_open_bin path (fun oc -> output_string oc whole);
+  let snap = M.snapshot_of_file path in
+  Sys.remove path;
+  let other = Core.Toolchain.compile "int main() { print_int(8); return 0; }" in
+  match M.restore (Core.Toolchain.machine ~config:C.tiny other) snap with
+  | exception M.Bad_snapshot _ -> ()
+  | () -> Alcotest.fail "snapshot of another image restored"
 
 let stats_json stats =
   let reg = Obs.Metrics.create () in
@@ -669,8 +762,8 @@ let governor_throttles_and_logs () =
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
   let tr = Obs.Tracer.create () in
-  M.attach_tracer m tr;
-  let g = Xmtsim.Governor.attach ~temp_hi:1.0 ~interval:40 m in
+  let spans = Xmtsim.Trace.attach_spans m tr in
+  let g = Xmtsim.Governor.attach ~tracer:tr ~temp_hi:1.0 ~interval:40 m in
   let base = M.period m M.Clusters in
   let r = M.run m in
   Tu.check_bool "halted" true r.M.halted;
@@ -702,7 +795,7 @@ let governor_throttles_and_logs () =
     Tu.check_int "json decisions" (List.length ds) (List.length l)
   | _ -> Alcotest.fail "no decisions list in governor json");
   (* trace: governor instants present on the governor thread *)
-  M.flush_tracer m;
+  Xmtsim.Trace.flush_spans spans;
   match Obs.Json.of_string (Obs.Tracer.to_string tr) with
   | Obs.Json.List events ->
     let gov_events =
@@ -718,7 +811,7 @@ let governor_throttles_and_logs () =
       (fun e ->
         Tu.check_bool "on governor tid" true
           (Obs.Json.member "tid" e
-          = Some (Obs.Json.Int (M.trace_tid_governor m))))
+          = Some (Obs.Json.Int (Xmtsim.Trace.tid_governor (M.config m)))))
       gov_events
   | _ -> Alcotest.fail "trace not a list"
 
@@ -833,7 +926,7 @@ int main(void) {
 |} in
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
-  let p = Xmtsim.Profiler.attach ~interval:500 m in
+  let p = Xmtsim.Plugin.attach_profiler ~interval:500 m in
   ignore (M.run m);
   let rendered = Xmtsim.Plugin.render_profile p in
   let has sub =
@@ -1111,7 +1204,7 @@ let restore_short_regfile_snapshot () =
   let img = compiled.Core.Toolchain.image in
   let m = M.create ~config:C.tiny img in
   let snap =
-    M.make_snapshot ~mem:(Xmtsim.Mem.load img) ~regs:(Array.make 8 0)
+    M.make_snapshot ~image:img ~mem:(Xmtsim.Mem.load img) ~regs:(Array.make 8 0)
       ~fregs:(Array.make 8 0.0) ~pc:img.Isa.Program.entry
       ~globals:(Array.make Isa.Reg.num_globals 0) ~output:""
   in
@@ -1212,10 +1305,12 @@ let () =
           Tu.tc "execution profile phases" profiler_detects_phases;
           Tu.tc "package trace stations" package_trace_stations;
         ] );
+      ("probes", [ Tu.tc "passive alone and combined" probes_are_passive ]);
       ( "checkpoint",
         [
           Tu.tc "resume equivalence" checkpoint_resume_equivalence;
           Tu.tc "file roundtrip" checkpoint_file_roundtrip;
+          Tu.tc "file checked on load" checkpoint_file_checked;
           Tu.tc "mid-run save/resume" checkpoint_mid_run;
           Tu.tc "telemetry survives restore" checkpoint_preserves_telemetry;
         ] );
