@@ -1,64 +1,116 @@
-(** xmtsim — the cycle-accurate XMT simulator driver (paper §III).
+(** xmtsim — the XMT simulator driver (paper §III).
 
-    Runs an XMT assembly program (or compiles an XMTC source on the fly)
-    in the cycle-accurate or fast functional mode, with the configuration,
-    statistics, trace, plug-in, power/thermal and checkpoint features of
-    the paper. *)
+    A front end over {!Core.Toolchain.run_image}: the flags become one
+    {!Core.Toolchain.job}, run in the cycle-accurate, fast functional or
+    predict mode exactly as a campaign job would be.  The CLI adds the
+    observers only a single run has (text and package traces, filter and
+    activity plug-ins, power/thermal, the governor, span traces,
+    checkpoints) and prints the reports.  Campaigns run in-process or
+    through an [xmtserved] daemon. *)
 
 open Cmdliner
+module T = Core.Toolchain
+module J = Obs.Json
 
 let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
 
+(* an input or invocation error: one line on stderr, exit 1 *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("xmtsim: " ^ msg);
+      exit 1)
+    fmt
+
+(* -------- which mode each export kind and flag needs -------- *)
+
+type need =
+  | Single  (** any single run *)
+  | Mode of T.mode  (** a single run in this mode *)
+  | Cycle_or_campaign  (** a cycle-accurate single run, or --campaign *)
+  | Campaign  (** --campaign only *)
+
+(* The export kinds' needs; the flags' needs are listed with their values
+   in [run_cmd].  A single run rejects an entry outside its mode: exit 2
+   for the cycle-accurate mode, exit 1 for predict mode and --campaign;
+   --campaign rejects single-run kinds with exit 1. *)
+let export_needs =
+  [
+    ("stats", Single);
+    ("races", Single);
+    ("trace", Mode T.Cycle);
+    ("timeseries", Mode T.Cycle);
+    ("profile", Cycle_or_campaign);
+    ("predict", Mode T.Predict);
+    ("reuseprofile", Mode T.Predict);
+    ("campaign", Campaign);
+    ("campaign-det", Campaign);
+  ]
+
+let need_of_kind k = Option.value ~default:Single (List.assoc_opt k export_needs)
+
+(* the flag that left the cycle-accurate mode *)
+let mode_flag mode = if mode = T.Functional then "--functional" else "--mode predict"
+
+let check_needs ~mode used =
+  List.iter
+    (fun (flag, need) ->
+      match (need, mode) with
+      | (Mode T.Cycle | Cycle_or_campaign), (T.Functional | T.Predict) ->
+        Printf.eprintf "xmtsim: %s needs the cycle-accurate mode (drop %s)\n" flag
+          (mode_flag mode);
+        exit 2
+      | Mode T.Predict, (T.Cycle | T.Functional) -> fail "%s needs --mode predict" flag
+      | Campaign, _ -> fail "%s needs --campaign" flag
+      | _ -> ())
+    used
+
+let open_stream = Option.map (fun s -> Obs.Stream.create (Obs.Stream.sink_of_path s))
+
+let close_stream s =
+  let dropped = Obs.Stream.dropped s in
+  Obs.Stream.close s;
+  if dropped > 0 then
+    Printf.eprintf "xmtsim: stream: %d record(s) dropped (queue full)\n" dropped
+
 (* -------- campaign mode (--campaign FILE.json --jobs N) -------- *)
 
-let run_campaign_cmd ~file ~jobs ~retries ~export ~stream_sink =
+let run_campaign_cmd ~file ~jobs ~retries ~export ~exports ~stream_sink =
   List.iter
-    (fun kind ->
-      if export kind <> None then begin
-        Printf.eprintf
-          "xmtsim: --export %s applies to single runs; the campaign report \
-           carries per-job stats instead\n"
-          kind;
-        exit 1
-      end)
-    [ "stats"; "trace"; "timeseries"; "races"; "predict"; "reuseprofile" ];
+    (fun (kind, _) ->
+      match need_of_kind kind with
+      | Campaign | Cycle_or_campaign -> ()
+      | Single | Mode _ ->
+        fail
+          "--export %s applies to single runs; the campaign report carries \
+           per-job stats instead"
+          kind)
+    exports;
   (* the spec file carries the request (including an optional "exec"
      block with default jobs/retries); command-line flags override it *)
   let req =
     try
       let req = Campaign.Request.load_file file in
       let req =
-        match jobs with
-        | Some n -> Campaign.Request.with_jobs req (Some n)
-        | None -> req
+        Option.fold ~none:req ~some:(fun n -> Campaign.Request.with_jobs req (Some n)) jobs
       in
-      let req =
-        match retries with
-        | Some r -> Campaign.Request.with_retries req r
-        | None -> req
-      in
+      let req = Option.fold ~none:req ~some:(Campaign.Request.with_retries req) retries in
       (* --export profile at campaign level profiles every cycle-mode job
          and writes the merged CPI stack *)
       if export "profile" = None then req
       else
         Campaign.Request.with_specs req
           (List.map
-             (fun (name, j) -> (name, { j with Core.Toolchain.profile = true }))
+             (fun (name, j) -> (name, { j with T.profile = true }))
              req.Campaign.Request.specs)
-    with
-    | Campaign.Spec_error msg | Xmtsim.Config.Bad_config msg ->
-      Printf.eprintf "xmtsim: campaign %s: %s\n" file msg;
-      exit 1
+    with Campaign.Spec_error msg | Xmtsim.Config.Bad_config msg ->
+      fail "campaign %s: %s" file msg
   in
   let total = List.length req.Campaign.Request.specs in
   let reg = Obs.Metrics.create () in
-  let stream =
-    Option.map
-      (fun sink -> Obs.Stream.create (Obs.Stream.sink_of_path sink))
-      stream_sink
-  in
+  let stream = open_stream stream_sink in
   (* one warm pool for the whole campaign; jobs sharing a compile key
      (a config sweep over one source) compile once via the shared
      artifact cache *)
@@ -68,31 +120,22 @@ let run_campaign_cmd ~file ~jobs ~retries ~export ~stream_sink =
   let results =
     Campaign.Pool.with_pool ~workers:effective_workers (fun pool ->
         Campaign.run_request ~pool
-          ~artifacts:(Core.Toolchain.Artifacts.create ())
+          ~artifacts:(T.Artifacts.create ())
           ~metrics:reg ?stream
           ~on_event:(Campaign.progress_printer ~total)
           req)
   in
-  (match stream with
-  | Some s ->
-    let dropped = Obs.Stream.dropped s in
-    Obs.Stream.close s;
-    if dropped > 0 then
-      Printf.eprintf "xmtsim: stream: %d record(s) dropped (queue full)\n"
-        dropped
-  | None -> ());
+  Option.iter close_stream stream;
   let report_path = Option.value ~default:"campaign.json" (export "campaign") in
-  Obs.Json.write_path ~pretty:true report_path
+  J.write_path ~pretty:true report_path
     (Campaign.report_to_json ~workers:effective_workers results);
   (match export "campaign-det" with
-  | Some p ->
-    Obs.Json.write_path ~pretty:true p
-      (Campaign.report_to_json ~host:false results)
+  | Some p -> J.write_path ~pretty:true p (Campaign.report_to_json ~host:false results)
   | None -> ());
   (match export "profile" with
   | Some p -> (
     match Campaign.merged_profile_json results with
-    | Some j -> Obs.Json.write_path ~pretty:true p j
+    | Some j -> J.write_path ~pretty:true p j
     | None ->
       Printf.eprintf
         "xmtsim: no job produced a profile (cycle-mode jobs only)\n")
@@ -123,25 +166,17 @@ let parse_after s =
   | None -> None
 
 let run_connect_cmd ~sock ~campaign_file ~attach_cid ~after ~stream_sink =
-  let module J = Obs.Json in
   (match (campaign_file, attach_cid) with
   | None, None ->
-    Printf.eprintf
-      "xmtsim: --connect needs --campaign FILE.json (submit) or --attach CID \
-       (rejoin)\n";
-    exit 1
-  | Some _, Some _ ->
-    Printf.eprintf "xmtsim: --campaign and --attach are mutually exclusive\n";
-    exit 1
+    fail "--connect needs --campaign FILE.json (submit) or --attach CID (rejoin)"
+  | Some _, Some _ -> fail "--campaign and --attach are mutually exclusive"
   | _ -> ());
   let after =
     Option.map
       (fun s ->
         match parse_after s with
         | Some p -> p
-        | None ->
-          Printf.eprintf "xmtsim: --after wants JOB:JSEQ (two integers)\n";
-          exit 1)
+        | None -> fail "--after wants JOB:JSEQ (two integers)")
       after
   in
   let sink = Option.map Obs.Stream.sink_of_path stream_sink in
@@ -193,30 +228,21 @@ let run_connect_cmd ~sock ~campaign_file ~attach_cid ~after ~stream_sink =
   let cid =
     try
       match campaign_file with
-      | Some file ->
+      | Some file -> (
         let spec =
-          match J.of_string (read_file file) with
-          | j -> j
-          | exception J.Parse_error msg ->
-            Printf.eprintf "xmtsim: campaign %s: %s\n" file msg;
-            exit 1
+          try J.of_string (read_file file)
+          with J.Parse_error msg -> fail "campaign %s: %s" file msg
         in
-        (match Serve.Client.submit client spec with
+        match Serve.Client.submit client spec with
         | Ok cid ->
           Printf.eprintf "campaign %s accepted by %s\n%!" cid sock;
           cid
-        | Error frame ->
-          Printf.eprintf "xmtsim: server rejected the campaign: %s\n"
-            (J.to_string frame);
-          exit 1)
+        | Error frame -> fail "server rejected the campaign: %s" (J.to_string frame))
       | None -> (
         let cid = Option.get attach_cid in
         match Serve.Client.attach client ~cid ?after () with
         | Ok () -> cid
-        | Error frame ->
-          Printf.eprintf "xmtsim: attach %s failed: %s\n" cid
-            (J.to_string frame);
-          exit 1)
+        | Error frame -> fail "attach %s failed: %s" cid (J.to_string frame))
     with Serve.Client.Disconnected -> lost None
   in
   match Serve.Client.stream_until_done client ~cid ~on_record with
@@ -227,6 +253,21 @@ let run_connect_cmd ~sock ~campaign_file ~attach_cid ~after ~stream_sink =
     Printf.eprintf "\rcampaign %s: %d jobs, %d ok, %d failed\n" cid
       s.Serve.Client.s_jobs s.Serve.Client.s_ok s.Serve.Client.s_failed;
     exit (if s.Serve.Client.s_failed > 0 then 1 else 0)
+
+(* -------- single runs -------- *)
+
+(* The observers only a single cycle run has, attached by [before_run]
+   after the job's own probes. *)
+type observers = {
+  m : Xmtsim.Machine.t;
+  cpi : Xmtsim.Profile.t option;  (** the job's profiler *)
+  hot : Xmtsim.Plugin.filter option;
+  spans : (Obs.Tracer.t * Xmtsim.Trace.spans) option;
+  series : Obs.Timeseries.t option;
+  gov : Xmtsim.Governor.t option;
+  profiler : Xmtsim.Plugin.profiler option;
+  power : (Xmtsim.Power.t * Xmtsim.Thermal.t) option;
+}
 
 let run_cmd input preset overrides functional mode_opt calibration memmap_file
     max_cycles stats trace trace_packages trace_limit hot profile_interval
@@ -242,439 +283,283 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
   (match (connect, attach_cid, after) with
   | Some sock, _, _ ->
     run_connect_cmd ~sock ~campaign_file ~attach_cid ~after ~stream_sink
-  | None, Some _, _ | None, None, Some _ ->
-    Printf.eprintf "xmtsim: --attach/--after need --connect SOCKET\n";
-    exit 1
+  | None, Some _, _ | None, None, Some _ -> fail "--attach/--after need --connect SOCKET"
   | None, None, None -> ());
   (match campaign_file with
-  | Some file -> run_campaign_cmd ~file ~jobs ~retries ~export ~stream_sink
+  | Some file -> run_campaign_cmd ~file ~jobs ~retries ~export ~exports ~stream_sink
   | None -> ());
   let input =
-    match input with
-    | Some i -> i
-    | None ->
-      Printf.eprintf "xmtsim: need an input FILE.{c,s} (or --campaign FILE.json)\n";
-      exit 1
+    match input with Some i -> i | None -> fail "need an input FILE.{c,s} (or --campaign FILE.json)"
   in
   (* --functional is the historical spelling of --mode functional; the
      two agree or the invocation is ambiguous *)
   let mode =
-    match (mode_opt, functional) with
-    | None, false -> `Cycle
-    | None, true | Some "functional", _ -> `Functional
-    | Some "cycle", false -> `Cycle
-    | Some "predict", false -> `Predict
-    | Some (("cycle" | "predict") as m), true ->
-      Printf.eprintf "xmtsim: --functional conflicts with --mode %s\n" m;
-      exit 1
-    | Some other, _ ->
-      Printf.eprintf "xmtsim: --mode must be cycle|functional|predict, got %S\n"
-        other;
-      exit 1
+    match (Option.map T.mode_of_string mode_opt, functional) with
+    | None, false -> T.Cycle
+    | None, true | Some (Ok T.Functional), _ -> T.Functional
+    | Some (Ok m), false -> m
+    | Some (Ok m), true -> fail "--functional conflicts with --mode %s" (T.mode_name m)
+    | Some (Error msg), _ -> fail "--%s" msg
   in
-  if calibration <> None && mode <> `Predict then begin
-    Printf.eprintf "xmtsim: --calibration needs --mode predict\n";
-    exit 1
-  end;
-  let predict_json = export "predict" in
-  let reuseprofile_json = export "reuseprofile" in
-  (if mode <> `Predict then
-     List.iter
-       (fun kind ->
-         if export kind <> None then begin
-           Printf.eprintf "xmtsim: --export %s needs --mode predict\n" kind;
-           exit 1
-         end)
-       [ "predict"; "reuseprofile" ]);
-  let stats_json = export "stats" in
-  let trace_json = export "trace" in
-  let timeseries_json = export "timeseries" in
-  let races_json = export "races" in
-  let racecheck = racecheck || races_json <> None in
-  let profile_json = export "profile" in
-  let profile_requested = cpi_profile || profile_json <> None in
+  check_needs ~mode
+    (List.map (fun (k, _) -> ("--export " ^ k, need_of_kind k)) exports
+    @ List.filter_map
+        (fun (flag, need, used) -> if used then Some (flag, need) else None)
+        [
+          ("--calibration", Mode T.Predict, calibration <> None);
+          ("--profile", Mode T.Cycle, cpi_profile);
+          ("--governor", Mode T.Cycle, governor);
+          ("--stream", Cycle_or_campaign, stream_sink <> None);
+          ("--trace", Mode T.Cycle, trace);
+          ("--trace-packages", Mode T.Cycle, trace_packages);
+          ("--hot", Mode T.Cycle, hot);
+          ("--profile-interval", Mode T.Cycle, profile_interval > 0);
+          ("--power-interval", Mode T.Cycle, power_interval > 0);
+          ("--floorplan", Mode T.Cycle, floorplan);
+          ("--checkpoint-in", Mode T.Cycle, checkpoint_in <> None);
+          ("--checkpoint-at", Mode T.Cycle, checkpoint_at <> None);
+          ("--checkpoint-out", Mode T.Cycle, checkpoint_out <> None);
+          ("--no-clock-gating", Mode T.Cycle, no_clock_gating);
+          ("--max-cycles", Mode T.Cycle, max_cycles <> None);
+        ]);
+  if floorplan && power_interval <= 0 then fail "--floorplan needs --power-interval";
+  if checkpoint_at <> None && checkpoint_out = None then
+    fail "--checkpoint-at needs --checkpoint-out";
   List.iter
-    (fun kind ->
-      if export kind <> None then begin
-        Printf.eprintf "xmtsim: --export %s needs --campaign\n" kind;
-        exit 1
-      end)
-    [ "campaign"; "campaign-det" ];
-  let config =
-    match List.assoc_opt preset Xmtsim.Config.presets with
-    | Some c -> (
-      try Xmtsim.Config.with_overrides c overrides
-      with Xmtsim.Config.Bad_config msg ->
-        Printf.eprintf "xmtsim: %s\n" msg;
-        exit 1)
-    | None ->
-      Printf.eprintf "xmtsim: unknown configuration preset %S (have: %s)\n" preset
-        (String.concat ", " (List.map fst Xmtsim.Config.presets));
-      exit 1
-  in
-  let memmap =
-    match memmap_file with
-    | None -> []
-    | Some p -> Isa.Memmap.parse_file p
-  in
-  (* keep the driver output alongside the image: the static race layer
-     analyzes the typed AST + final IR, which assembly inputs don't have *)
-  let driver_out, image =
-    if Filename.check_suffix input ".s" || Filename.check_suffix input ".asm"
-    then (None, Isa.Program.resolve ~extra_data:memmap (Isa.Asm.parse_file input))
-    else begin
-      match Compiler.Driver.compile_to_image ~memmap (read_file input) with
-      | exception Compiler.Driver.Compile_error msg ->
-        Printf.eprintf "xmtcc: %s\n" msg;
-        exit 1
-      | out, img -> (Some out, img)
-    end
-  in
-  let static_findings () =
-    match driver_out with
-    | Some out -> Racecheck.analyze out
-    | None -> []
-  in
-  let print_findings findings =
-    List.iter
-      (fun f -> Printf.eprintf "%s: %s\n" input (Racecheck.Diag.render f))
-      findings
-  in
-  (* cycle-level sinks have nothing to record in the serializing
-     functional and predict modes: fail fast instead of writing an
-     empty file *)
-  let reject_cycle_sinks ~drop =
-    let reject flag =
-      Printf.eprintf
-        "xmtsim: %s records simulated cycle-level activity; it needs the \
-         cycle-accurate mode (drop %s)\n"
-        flag drop;
-      exit 2
+    (fun (flag, v) -> if v <= 0 then fail "%s must be positive, got %d" flag v)
+    [ ("--heartbeat-cycles", heartbeat_cycles); ("--governor-interval", governor_interval) ];
+  let asm = Filename.check_suffix input ".s" || Filename.check_suffix input ".asm" in
+  let racecheck = racecheck || export "races" <> None in
+  if racecheck && asm && mode <> T.Cycle then begin
+    Printf.eprintf
+      "xmtsim: --racecheck on assembly input needs the cycle-accurate mode \
+       (the static layer analyzes XMTC source)\n";
+    exit 2
+  end;
+  (* every input error below, from the preset to a checkpoint file, lands
+     here: exit 1 with one line *)
+  try
+    let config =
+      match T.preset preset with
+      | Ok c -> Xmtsim.Config.with_overrides c overrides
+      | Error msg -> fail "%s" msg
     in
-    if trace_json <> None then reject "--export trace";
-    if timeseries_json <> None then reject "--export timeseries";
-    if profile_json <> None then reject "--export profile";
-    if cpi_profile then reject "--profile";
-    if governor then reject "--governor";
-    if stream_sink <> None then reject "--stream"
-  in
-  match mode with
-  | `Functional -> begin
-    reject_cycle_sinks ~drop:"--functional";
-    let host_t0 = Unix.gettimeofday () in
-    let r = Xmtsim.Functional_mode.run image in
-    let host_secs = Unix.gettimeofday () -. host_t0 in
-    print_string r.Xmtsim.Functional_mode.output;
-    if String.length r.Xmtsim.Functional_mode.output > 0 then print_newline ();
-    if stats then
-      Printf.printf "[functional] instructions: %d\n"
-        r.Xmtsim.Functional_mode.instructions;
-    (match stats_json with
-    | None -> ()
-    | Some path ->
-      (* functional mode has no cycle-level stats; emit the envelope with
-         what it does measure so downstream tooling sees a valid record *)
-      let reg = Obs.Metrics.create () in
-      Obs.Metrics.inc
-        ~by:r.Xmtsim.Functional_mode.instructions
-        (Obs.Metrics.counter reg ~help:"instructions executed"
-           ~labels:[ ("mode", "functional") ]
-           "sim.instructions");
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~help:"host wall-clock seconds" "host.wall_seconds")
-        host_secs;
-      Obs.Json.write_path ~pretty:true path (Obs.Metrics.to_json reg));
-    if racecheck then begin
-      (* the shadow-memory layer needs the cycle-accurate machine; the
-         functional mode still gets the static analysis when the input
-         was XMTC source *)
-      match driver_out with
-      | None ->
-        Printf.eprintf
-          "xmtsim: --racecheck on assembly input needs the cycle-accurate \
-           mode (the static layer analyzes XMTC source)\n";
-        exit 2
-      | Some _ ->
-        let findings = static_findings () in
-        print_findings findings;
-        Printf.eprintf
-          "racecheck: %d static finding(s); dynamic detection needs the \
-           cycle-accurate mode (drop --functional)\n"
-          (List.length findings);
-        (match races_json with
-        | Some path ->
-          Obs.Json.write_path ~pretty:true path (Racecheck.report findings)
-        | None -> ())
-    end
-  end
-  | `Predict -> begin
-    reject_cycle_sinks ~drop:"--mode predict";
-    let cal =
-      match calibration with
-      | None -> Predict.Calibrate.default
-      | Some file -> (
-        try Predict.Calibrate.load_file file
-        with Predict.Calibrate.Calib_error msg ->
-          Printf.eprintf "xmtsim: --calibration %s: %s\n" file msg;
-          exit 1)
+    let memmap = Option.fold ~none:[] ~some:Isa.Memmap.parse_file memmap_file in
+    let source = read_file input in
+    (* the compiler output feeds the static race layer, which assembly
+       inputs don't have *)
+    let cc, image =
+      if asm then (None, Isa.Program.resolve ~extra_data:memmap (Isa.Asm.parse source))
+      else
+        let c = T.compile ~memmap source in
+        (Some c.T.cc, c.T.image)
     in
-    let rp = Xmtsim.Reuseprofile.create () in
-    let host_t0 = Unix.gettimeofday () in
-    let r = Xmtsim.Functional_mode.run ~profile:rp image in
-    let host_secs = Unix.gettimeofday () -. host_t0 in
-    let snap = Xmtsim.Reuseprofile.snapshot rp in
-    let pred =
-      Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
-        ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config snap
+    let job =
+      T.job ~memmap ~config ~mode ?max_cycles ~racecheck
+        ~profile:(cpi_profile || export "profile" <> None)
+        ?calibration source
     in
-    print_string r.Xmtsim.Functional_mode.output;
-    if String.length r.Xmtsim.Functional_mode.output > 0 then print_newline ();
-    if stats then
-      Printf.printf
-        "[predict] instructions: %d, predicted cycles: %d (band %d..%d, \
-         config %s)\n"
-        r.Xmtsim.Functional_mode.instructions pred.Predict.Model.predicted_cycles
-        pred.Predict.Model.lo pred.Predict.Model.hi config.Xmtsim.Config.name;
-    (match predict_json with
-    | Some path ->
-      Obs.Json.write_path ~pretty:true path
-        (Predict.Model.to_json
-           ~calibration:(Predict.Calibrate.summary_json cal)
-           ~config_name:config.Xmtsim.Config.name pred)
-    | None -> ());
-    (match reuseprofile_json with
-    | Some path ->
-      Obs.Json.write_path ~pretty:true path (Xmtsim.Reuseprofile.to_json snap)
-    | None -> ());
-    (match stats_json with
-    | None -> ()
-    | Some path ->
-      (* like functional mode, the envelope carries what this mode
-         measures: instructions executed plus the model's prediction *)
-      let reg = Obs.Metrics.create () in
-      Obs.Metrics.inc
-        ~by:r.Xmtsim.Functional_mode.instructions
-        (Obs.Metrics.counter reg ~help:"instructions executed"
-           ~labels:[ ("mode", "predict") ]
-           "sim.instructions");
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~help:"analytically predicted cycles"
-           "predict.cycles")
-        (float_of_int pred.Predict.Model.predicted_cycles);
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~help:"host wall-clock seconds" "host.wall_seconds")
-        host_secs;
-      Obs.Json.write_path ~pretty:true path (Obs.Metrics.to_json reg));
-    if racecheck then begin
-      match driver_out with
-      | None ->
-        Printf.eprintf
-          "xmtsim: --racecheck on assembly input needs the cycle-accurate \
-           mode (the static layer analyzes XMTC source)\n";
-        exit 2
-      | Some _ ->
-        let findings = static_findings () in
-        print_findings findings;
-        Printf.eprintf
-          "racecheck: %d static finding(s); dynamic detection needs the \
-           cycle-accurate mode (drop --mode predict)\n"
-          (List.length findings);
-        (match races_json with
-        | Some path ->
-          Obs.Json.write_path ~pretty:true path (Racecheck.report findings)
-        | None -> ())
-    end
-  end
-  | `Cycle -> begin
-    let m = Xmtsim.Machine.create ~config image in
-    if no_clock_gating then Xmtsim.Machine.set_gating m false;
-    let racedet = if racecheck then Some (Xmtsim.Racedetect.attach m) else None in
-    let profile = if profile_requested then Some (Xmtsim.Profile.attach m) else None in
-    let stream =
-      match stream_sink with
-      | None -> None
-      | Some sink ->
-        let s = Obs.Stream.create (Obs.Stream.sink_of_path sink) in
-        ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles m s : unit -> unit);
-        Some s
+    let stream = open_stream stream_sink in
+    (* host time covers the simulation only *)
+    let host_t0 = ref (Unix.gettimeofday ()) in
+    let observers = ref None in
+    let before_run m cpi =
+      if no_clock_gating then Xmtsim.Machine.set_gating m false;
+      Option.iter
+        (fun p -> Xmtsim.Machine.restore m (Xmtsim.Machine.snapshot_of_file p))
+        checkpoint_in;
+      if trace then
+        Xmtsim.Trace.attach
+          ~filter:{ Xmtsim.Trace.all with Xmtsim.Trace.limit = trace_limit }
+          m print_string;
+      if trace_packages then Xmtsim.Trace.attach_packages ~limit:trace_limit m print_string;
+      let hot = if hot then Some (Xmtsim.Plugin.hot_locations ~top:10 ()) else None in
+      Option.iter
+        (fun f -> ignore (Xmtsim.Machine.attach m f.Xmtsim.Plugin.probe : unit -> unit))
+        hot;
+      let tracer = Option.map (fun _ -> Obs.Tracer.create ()) (export "trace") in
+      let spans = Option.map (fun tr -> (tr, Xmtsim.Trace.attach_spans m tr)) tracer in
+      let series =
+        Option.map (fun _ -> Obs.Timeseries.create ~window:4096 ()) (export "timeseries")
+      in
+      let gov =
+        if governor then
+          Some (Xmtsim.Governor.attach ?series ?tracer ~interval:governor_interval m)
+        else None
+      in
+      let profiler =
+        if profile_interval > 0 then
+          Some (Xmtsim.Plugin.attach_profiler ?profile:cpi ~interval:profile_interval m)
+        else if tracer <> None || series <> None then
+          (* the trace and timeseries get activity counter tracks even
+             without an explicit profile interval *)
+          Some (Xmtsim.Plugin.attach_profiler ?profile:cpi ~interval:1000 m)
+        else None
+      in
+      let power =
+        if power_interval > 0 then begin
+          let p = Xmtsim.Power.create m in
+          let th =
+            Xmtsim.Thermal.create
+              ~grid_w:(int_of_float (sqrt (float_of_int config.Xmtsim.Config.num_clusters)))
+              (Xmtsim.Power.component_names p)
+          in
+          Xmtsim.Machine.add_activity_plugin m ~name:"power" ~interval:power_interval
+            (fun _ cycle ->
+              let watts = Xmtsim.Power.sample p in
+              Xmtsim.Thermal.step th ~dt:(float_of_int power_interval /. 1e9) watts;
+              Printf.printf "[cycle %8d] power %.2f W, Tmax %.2f K\n" cycle
+                (Xmtsim.Power.total p)
+                (Xmtsim.Thermal.max_temperature th));
+          Some (p, th)
+        end
+        else None
+      in
+      observers := Some { m; cpi; hot; spans; series; gov; profiler; power };
+      host_t0 := Unix.gettimeofday ();
+      (* §III-E: save the simulation state at a point given ahead of
+         time, then keep going; the run can be resumed later from the file *)
+      Option.iter
+        (fun cycle ->
+          let path = Option.get checkpoint_out in
+          ignore (Xmtsim.Machine.run ~max_cycles:cycle m);
+          Xmtsim.Machine.run_to_quiescent m;
+          Xmtsim.Machine.snapshot_to_file (Xmtsim.Machine.checkpoint m) path;
+          Printf.printf "checkpoint at cycle %d written to %s\n" (Xmtsim.Machine.cycles m) path)
+        checkpoint_at
     in
-    (match checkpoint_in with
-    | Some p -> Xmtsim.Machine.restore m (Xmtsim.Machine.snapshot_of_file p)
-    | None -> ());
-    if trace then
-      Xmtsim.Trace.attach
-        ~filter:{ Xmtsim.Trace.all with Xmtsim.Trace.limit = trace_limit }
-        m print_string;
-    if trace_packages then
-      Xmtsim.Trace.attach_packages ~limit:trace_limit m print_string;
-    let hot_filter = if hot then Some (Xmtsim.Plugin.hot_locations ~top:10 ()) else None in
-    Option.iter
-      (fun f -> ignore (Xmtsim.Machine.attach m f.Xmtsim.Plugin.probe : unit -> unit))
-      hot_filter;
-    let tracer = Option.map (fun _ -> Obs.Tracer.create ()) trace_json in
-    let spans = Option.map (Xmtsim.Trace.attach_spans m) tracer in
-    let series =
-      match timeseries_json with
-      | None -> None
-      | Some _ -> Some (Obs.Timeseries.create ~window:4096 ())
+    let reuse = ref None in
+    let r, halted =
+      match
+        T.run_image ?stream ~heartbeat_cycles ~before_run
+          ~on_reuse:(fun s -> reuse := Some s)
+          ?cc job image
+      with
+      | r -> (r, true)
+      | exception T.Budget_exhausted r -> (r, false)
     in
-    let gov =
-      if governor then
-        Some (Xmtsim.Governor.attach ?series ?tracer ~interval:governor_interval m)
-      else None
-    in
-    let profiler =
-      if profile_interval > 0 then
-        Some (Xmtsim.Plugin.attach_profiler ?profile ~interval:profile_interval m)
-      else if tracer <> None || series <> None then
-        (* the trace and timeseries get activity counter tracks even
-           without an explicit profile interval *)
-        Some (Xmtsim.Plugin.attach_profiler ?profile ~interval:1000 m)
-      else None
-    in
-    let power =
-      if power_interval > 0 then begin
-        let p = Xmtsim.Power.create m in
-        let th =
-          Xmtsim.Thermal.create
-            ~grid_w:(int_of_float (sqrt (float_of_int config.Xmtsim.Config.num_clusters)))
-            (Xmtsim.Power.component_names p)
-        in
-        Xmtsim.Machine.add_activity_plugin m ~name:"power" ~interval:power_interval
-          (fun m cycle ->
-            let watts = Xmtsim.Power.sample p in
-            Xmtsim.Thermal.step th
-              ~dt:(float_of_int power_interval /. 1e9)
-              watts;
-            Printf.printf "[cycle %8d] power %.2f W, Tmax %.2f K\n" cycle
-              (Xmtsim.Power.total p)
-              (Xmtsim.Thermal.max_temperature th);
-            ignore m);
-        Some (p, th)
-      end
-      else None
-    in
-    let host_t0 = Unix.gettimeofday () in
-    (* §III-E: save the simulation state at a point given ahead of time,
-       then keep going; the run can be resumed later from the file *)
-    (match (checkpoint_at, checkpoint_out) with
-    | Some cycle, Some path ->
-      ignore (Xmtsim.Machine.run ~max_cycles:cycle m);
-      Xmtsim.Machine.run_to_quiescent m;
-      Xmtsim.Machine.snapshot_to_file (Xmtsim.Machine.checkpoint m) path;
-      Printf.printf "checkpoint at cycle %d written to %s\n"
-        (Xmtsim.Machine.cycles m) path
-    | Some _, None ->
-      Printf.eprintf "xmtsim: --checkpoint-at needs --checkpoint-out\n";
-      exit 1
-    | None, _ -> ());
-    let r = Xmtsim.Machine.run ?max_cycles m in
-    let host_secs = Unix.gettimeofday () -. host_t0 in
-    print_string r.Xmtsim.Machine.output;
-    if String.length r.Xmtsim.Machine.output > 0 then print_newline ();
-    if not r.Xmtsim.Machine.halted then
-      Printf.eprintf "xmtsim: cycle budget exhausted before halt\n";
-    (match (checkpoint_out, checkpoint_at) with
-    | Some p, None ->
-      Xmtsim.Machine.snapshot_to_file (Xmtsim.Machine.checkpoint m) p;
+    let host_secs = Unix.gettimeofday () -. !host_t0 in
+    let jint j k = match J.member k j with Some (J.Int n) -> n | _ -> 0 in
+    print_string r.T.output;
+    if r.T.output <> "" then print_newline ();
+    if not halted then prerr_endline "xmtsim: cycle budget exhausted before halt";
+    let o = !observers in
+    (match (o, checkpoint_out, checkpoint_at) with
+    | Some o, Some p, None ->
+      Xmtsim.Machine.snapshot_to_file (Xmtsim.Machine.checkpoint o.m) p;
       Printf.printf "checkpoint written to %s\n" p
     | _ -> ());
-    if stats then begin
-      Printf.printf "---- %s ----\n" config.Xmtsim.Config.name;
-      print_string (Xmtsim.Stats.to_string (Xmtsim.Machine.stats m))
-    end;
-    (match profiler with
-    | Some p when profile_interval > 0 ->
+    (if stats then
+       match (mode, r.T.predict) with
+       | T.Cycle, _ ->
+         Printf.printf "---- %s ----\n" config.Xmtsim.Config.name;
+         print_string (Xmtsim.Stats.to_string r.T.stats)
+       | T.Functional, _ -> Printf.printf "[functional] instructions: %d\n" r.T.instructions
+       | T.Predict, p ->
+         let p = Option.value ~default:J.Null p in
+         Printf.printf
+           "[predict] instructions: %d, predicted cycles: %d (band %d..%d, config %s)\n"
+           r.T.instructions r.T.cycles (jint p "lo") (jint p "hi")
+           config.Xmtsim.Config.name);
+    (match o with
+    | Some { profiler = Some p; _ } when profile_interval > 0 ->
       print_endline "---- execution profile ----";
       print_string (Xmtsim.Plugin.render_profile p)
     | _ -> ());
     (* the CPI stacks are reported only when asked for — the profiler may
-       also be attached as the interval profiler's event source *)
-    (match profile with
-    | Some p ->
+       also run for --export profile or the interval profiler *)
+    (match o with
+    | Some { cpi = Some p; _ } when cpi_profile ->
       let rp = Xmtsim.Profile.report p in
-      if cpi_profile then begin
-        print_endline "---- CPI stacks ----";
-        print_string (Xmtsim.Profile.render rp);
-        print_string (Xmtsim.Profile.render_flame rp)
-      end;
-      (match profile_json with
-      | Some path -> Obs.Json.write_path ~pretty:true path (Xmtsim.Profile.to_json rp)
-      | None -> ())
-    | None -> ());
-    (* -------- telemetry sinks (--export stats / --export trace) -------- *)
-    let events = Xmtsim.Machine.events_processed m in
-    let events_per_sec =
-      if host_secs > 0.0 then float_of_int events /. host_secs else 0.0
+      print_string ("---- CPI stacks ----\n" ^ Xmtsim.Profile.render rp ^ Xmtsim.Profile.render_flame rp)
+    | _ -> ());
+    let write kind j =
+      Option.iter (fun path -> Option.iter (J.write_path ~pretty:true path) (j ())) (export kind)
     in
-    (match stats_json with
-    | None -> ()
-    | Some path ->
-      let reg = Obs.Metrics.create () in
-      Xmtsim.Stats.export (Xmtsim.Machine.stats m) reg;
-      (* per-domain clock activity (ticks fired / ticks gated away) *)
-      Xmtsim.Machine.export_clocks m reg;
-      (* host-side throughput *)
-      Obs.Metrics.set (Obs.Metrics.gauge reg "host.wall_seconds") host_secs;
-      Obs.Metrics.inc ~by:events (Obs.Metrics.counter reg "host.events_processed");
-      Obs.Metrics.set (Obs.Metrics.gauge reg "host.events_per_sec") events_per_sec;
-      (* live-stream accounting, so a dropped-records overflow is visible
-         in the exported stats and not only on stderr *)
-      (match stream with
-      | Some s ->
-        Obs.Metrics.inc ~by:(Obs.Stream.emitted s)
-          (Obs.Metrics.counter reg ~help:"telemetry records emitted"
-             "host.stream.emitted");
-        Obs.Metrics.inc ~by:(Obs.Stream.dropped s)
-          (Obs.Metrics.counter reg ~help:"telemetry records dropped (queue full)"
-             "host.stream.dropped")
-      | None -> ());
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg "host.sim_cycles_per_sec")
-        (if host_secs > 0.0 then
-           float_of_int r.Xmtsim.Machine.cycles /. host_secs
-         else 0.0);
-      (* spatial distributions *)
-      let act =
-        Obs.Metrics.histogram reg
-          ~buckets:[ 0.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. ]
-          "sim.cluster.instructions"
-      in
-      Array.iter
-        (fun n -> Obs.Metrics.observe act (float_of_int n))
-        (Xmtsim.Machine.cluster_activity m);
-      (* power/thermal, when the sampling plug-in ran *)
-      (match power with
-      | Some (p, th) ->
-        Xmtsim.Power.export p reg;
-        Xmtsim.Thermal.export th reg
-      | None -> ());
-      (match gov with Some g -> Xmtsim.Governor.export g reg | None -> ());
-      let j =
-        (* the governor's decision log rides along as an extra top-level
-           section of the metrics envelope (schema allows it since v2) *)
-        match (Obs.Metrics.to_json reg, gov) with
-        | Obs.Json.Obj fields, Some g ->
-          Obs.Json.Obj (fields @ [ ("governor", Xmtsim.Governor.to_json g) ])
-        | j, _ -> j
-      in
-      Obs.Json.write_path ~pretty:true path j);
-    (match (trace_json, tracer, spans) with
-    | Some path, Some tr, Some sp ->
+    write "profile" (fun () -> r.T.profile);
+    write "predict" (fun () -> r.T.predict);
+    write "reuseprofile" (fun () -> Option.map Xmtsim.Reuseprofile.to_json !reuse);
+    (* -------- telemetry sinks (--export stats/trace/timeseries) -------- *)
+    let events_per_sec = if host_secs > 0.0 then float_of_int r.T.events /. host_secs else 0.0 in
+    let samples =
+      match o with
+      | Some { profiler = Some p; _ } -> Xmtsim.Plugin.samples_in_order p
+      | _ -> []
+    in
+    write "stats" (fun () ->
+        Some
+         (let reg = Obs.Metrics.create () in
+          match o with
+          | None ->
+            (* the serializing modes have no cycle-level stats: the
+               envelope carries what they measure *)
+            Obs.Metrics.inc ~by:r.T.instructions
+              (Obs.Metrics.counter reg ~help:"instructions executed"
+                 ~labels:[ ("mode", T.mode_name mode) ]
+                 "sim.instructions");
+            if mode = T.Predict then
+              Obs.Metrics.set
+                (Obs.Metrics.gauge reg ~help:"analytically predicted cycles" "predict.cycles")
+                (float_of_int r.T.cycles);
+            Obs.Metrics.set
+              (Obs.Metrics.gauge reg ~help:"host wall-clock seconds" "host.wall_seconds")
+              host_secs;
+            Obs.Metrics.to_json reg
+          | Some o -> (
+            Xmtsim.Stats.export r.T.stats reg;
+            (* per-domain clock activity (ticks fired / ticks gated away) *)
+            Xmtsim.Machine.export_clocks o.m reg;
+            (* host-side throughput *)
+            Obs.Metrics.set (Obs.Metrics.gauge reg "host.wall_seconds") host_secs;
+            Obs.Metrics.inc ~by:r.T.events (Obs.Metrics.counter reg "host.events_processed");
+            Obs.Metrics.set (Obs.Metrics.gauge reg "host.events_per_sec") events_per_sec;
+            (* live-stream accounting, so a dropped-records overflow is
+               visible in the exported stats and not only on stderr *)
+            Option.iter
+              (fun s ->
+                Obs.Metrics.inc ~by:(Obs.Stream.emitted s)
+                  (Obs.Metrics.counter reg ~help:"telemetry records emitted"
+                     "host.stream.emitted");
+                Obs.Metrics.inc ~by:(Obs.Stream.dropped s)
+                  (Obs.Metrics.counter reg ~help:"telemetry records dropped (queue full)"
+                     "host.stream.dropped"))
+              stream;
+            Obs.Metrics.set
+              (Obs.Metrics.gauge reg "host.sim_cycles_per_sec")
+              (if host_secs > 0.0 then float_of_int r.T.cycles /. host_secs else 0.0);
+            (* spatial distributions *)
+            let act =
+              Obs.Metrics.histogram reg
+                ~buckets:[ 0.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. ]
+                "sim.cluster.instructions"
+            in
+            Array.iter
+              (fun n -> Obs.Metrics.observe act (float_of_int n))
+              (Xmtsim.Machine.cluster_activity o.m);
+            Option.iter
+              (fun (p, th) ->
+                Xmtsim.Power.export p reg;
+                Xmtsim.Thermal.export th reg)
+              o.power;
+            Option.iter (fun g -> Xmtsim.Governor.export g reg) o.gov;
+            (* the governor's decision log rides along as an extra
+               top-level section of the metrics envelope *)
+            match (Obs.Metrics.to_json reg, o.gov) with
+            | J.Obj fields, Some g -> J.Obj (fields @ [ ("governor", Xmtsim.Governor.to_json g) ])
+            | j, _ -> j)));
+    (match (export "trace", o) with
+    | Some path, Some { spans = Some (tr, sp); _ } ->
       Xmtsim.Trace.flush_spans sp;
       (* profile samples become a counter track *)
-      (match profiler with
-      | Some p ->
-        List.iter
-          (fun s ->
-            Obs.Tracer.counter tr ~ts:s.Xmtsim.Plugin.ps_cycle "activity"
-              [
-                ("compute", float_of_int s.Xmtsim.Plugin.ps_compute);
-                ("memory", float_of_int s.Xmtsim.Plugin.ps_memory);
-                ("memwait", float_of_int s.Xmtsim.Plugin.ps_memwait);
-              ])
-          (Xmtsim.Plugin.samples_in_order p)
-      | None -> ());
+      List.iter
+        (fun s ->
+          Obs.Tracer.counter tr ~ts:s.Xmtsim.Plugin.ps_cycle "activity"
+            [
+              ("compute", float_of_int s.Xmtsim.Plugin.ps_compute);
+              ("memory", float_of_int s.Xmtsim.Plugin.ps_memory);
+              ("memwait", float_of_int s.Xmtsim.Plugin.ps_memwait);
+            ])
+        samples;
       (* host wall-clock on its own process track *)
       Obs.Tracer.name_process tr ~pid:2 "host (ts = microseconds)";
       Obs.Tracer.name_thread tr ~pid:2 ~tid:1 "xmtsim_cli";
@@ -683,83 +568,91 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         ~cat:"host"
         ~args:
           [
-            ("events_processed", Obs.Tracer.A_int events);
+            ("events_processed", Obs.Tracer.A_int r.T.events);
             ("events_per_sec", Obs.Tracer.A_float events_per_sec);
-            ("sim_cycles", Obs.Tracer.A_int r.Xmtsim.Machine.cycles);
+            ("sim_cycles", Obs.Tracer.A_int r.T.cycles);
           ]
         "simulation-run";
-      Obs.Json.write_path path (Obs.Tracer.to_json tr)
+      J.write_path path (Obs.Tracer.to_json tr)
     | _ -> ());
-    (match (timeseries_json, series) with
-    | Some path, Some s ->
+    (match (export "timeseries", o) with
+    | Some path, Some { series = Some s; _ } ->
       (* fold the execution profile into the timeseries so the window
          has the machine-activity channels alongside the governor's *)
-      (match profiler with
-      | Some p ->
-        let chans =
-          List.map
-            (fun (name, help) -> Obs.Timeseries.channel s ~help name)
-            [
-              ("sim.profile.compute", "TCU compute instructions in window");
-              ("sim.profile.memory", "memory instructions in window");
-              ("sim.profile.memwait", "TCU-cycles stalled on memory in window");
-            ]
+      let chans =
+        List.map
+          (fun (name, help) -> Obs.Timeseries.channel s ~help name)
+          [
+            ("sim.profile.compute", "TCU compute instructions in window");
+            ("sim.profile.memory", "memory instructions in window");
+            ("sim.profile.memwait", "TCU-cycles stalled on memory in window");
+          ]
+      in
+      List.iter
+        (fun smp ->
+          List.iter2
+            (fun c v -> Obs.Timeseries.push c ~t:smp.Xmtsim.Plugin.ps_cycle (float_of_int v))
+            chans
+            Xmtsim.Plugin.[ smp.ps_compute; smp.ps_memory; smp.ps_memwait ])
+        samples;
+      J.write_path ~pretty:true path (Obs.Timeseries.to_json s)
+    | _ -> ());
+    Option.iter
+      (fun races ->
+        let static =
+          match J.member "static" races with Some (J.List l) -> l | _ -> []
         in
         List.iter
-          (fun smp ->
-            let t = smp.Xmtsim.Plugin.ps_cycle in
-            List.iter2
-              (fun c v -> Obs.Timeseries.push c ~t (float_of_int v))
-              chans
-              [
-                smp.Xmtsim.Plugin.ps_compute;
-                smp.Xmtsim.Plugin.ps_memory;
-                smp.Xmtsim.Plugin.ps_memwait;
-              ])
-          (Xmtsim.Plugin.samples_in_order p)
-      | None -> ());
-      Obs.Json.write_path ~pretty:true path (Obs.Timeseries.to_json s)
-    | _ -> ());
-    (match racedet with
+          (fun f ->
+            Printf.eprintf "%s: %s\n" input
+              (Racecheck.Diag.render (Racecheck.Diag.of_json f)))
+          static;
+        (match J.member "dynamic" races with
+        | Some (J.Obj _ as d) ->
+          Printf.eprintf
+            "racecheck: %d static finding(s), %d dynamic race(s) (%d shadow \
+             event(s) over %d spawn epoch(s))\n"
+            (List.length static)
+            (match J.member "races" d with Some (J.List l) -> List.length l | _ -> 0)
+            (jint d "events") (jint d "epochs")
+        | _ ->
+          Printf.eprintf
+            "racecheck: %d static finding(s); dynamic detection needs the \
+             cycle-accurate mode (drop %s)\n"
+            (List.length static) (mode_flag mode));
+        write "races" (fun () -> Some races))
+      r.T.races;
+    Option.iter close_stream stream;
+    match o with
     | None -> ()
-    | Some rd ->
-      let findings = static_findings () in
-      print_findings findings;
-      let nraces = Xmtsim.Racedetect.race_count rd in
-      Printf.eprintf
-        "racecheck: %d static finding(s), %d dynamic race(s) (%d shadow \
-         event(s) over %d spawn epoch(s))\n"
-        (List.length findings) nraces
-        (Xmtsim.Racedetect.events rd)
-        (Xmtsim.Racedetect.epochs rd);
-      (match races_json with
-      | Some path ->
-        Obs.Json.write_path ~pretty:true path
-          (Racecheck.report ~dynamic:(Xmtsim.Racedetect.to_json rd) findings)
-      | None -> ()));
-    (match stream with
-    | Some s ->
-      let dropped = Obs.Stream.dropped s in
-      Obs.Stream.close s;
-      if dropped > 0 then
-        Printf.eprintf "xmtsim: stream: %d record(s) dropped (queue full)\n"
-          dropped
-    | None -> ());
-    (match hot_filter with
-    | Some f ->
-      Printf.printf "---- plugin %s ----\n%s\n" f.Xmtsim.Plugin.probe.Xmtsim.Probe.name
-        (f.Xmtsim.Plugin.report ())
-    | None -> ());
-    match (floorplan, power) with
-    | true, Some (_, th) ->
-      let temps = Xmtsim.Thermal.temperatures th in
-      let nclusters = config.Xmtsim.Config.num_clusters in
-      print_string
-        (Xmtsim.Floorplan.render ~title:"final temperature floorplan"
-           ~grid_w:(max 1 (int_of_float (sqrt (float_of_int nclusters))))
-           (Array.sub temps 0 nclusters))
-    | _ -> ()
-  end
+    | Some o -> (
+      Option.iter
+        (fun f ->
+          Printf.printf "---- plugin %s ----\n%s\n" f.Xmtsim.Plugin.probe.Xmtsim.Probe.name
+            (f.Xmtsim.Plugin.report ()))
+        o.hot;
+      match (floorplan, o.power) with
+      | true, Some (_, th) ->
+        let temps = Xmtsim.Thermal.temperatures th in
+        let nclusters = config.Xmtsim.Config.num_clusters in
+        print_string
+          (Xmtsim.Floorplan.render ~title:"final temperature floorplan"
+             ~grid_w:(max 1 (int_of_float (sqrt (float_of_int nclusters))))
+             (Array.sub temps 0 nclusters))
+      | _ -> ())
+  with
+  | Compiler.Driver.Compile_error msg ->
+    prerr_endline ("xmtcc: " ^ msg);
+    exit 1
+  | Isa.Asm.Parse_error { line; msg } -> fail "%s:%d: %s" input line msg
+  | Isa.Memmap.Parse_error { line; msg } ->
+    fail "%s:%d: %s" (Option.get memmap_file) line msg
+  | Isa.Program.Resolve_error msg -> fail "%s: %s" input msg
+  | Xmtsim.Machine.Bad_snapshot msg -> fail "--checkpoint-in: %s" msg
+  | Predict.Calibrate.Calib_error msg ->
+    fail "--calibration %s: %s" (Option.get calibration) msg
+  | Xmtsim.Config.Bad_config msg | Xmtsim.Machine.Sim_error msg | Sys_error msg ->
+    fail "%s" msg
 
 let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.{c,s}")
 
@@ -871,22 +764,14 @@ let cmd =
                      report.")
       $ Arg.(value & opt_all export_conv [] & info [ "export" ]
                ~docv:"KIND[=PATH]"
-               ~doc:"Write a JSON export (repeatable).  KIND is stats \
-                     (metrics: activity counters, cache hit rates, latency \
-                     histograms, host throughput), trace (Chrome \
-                     trace-event spans; cycle-accurate mode only), \
-                     timeseries (windowed telemetry; cycle-accurate mode \
-                     only), profile (the xmt.profile.v1 CPI-stack report; \
-                     cycle-accurate mode, or with --campaign the merged \
-                     campaign-level stack), predict (the xmt.predict.v1 \
-                     analytical prediction; --mode predict only), \
-                     reuseprofile (the harvested xmt.reuseprofile.v1 \
-                     profile; --mode predict only), campaign (the \
-                     xmt.campaign.v1 report; with --campaign) or \
-                     campaign-det (the report without \
-                     host-dependent fields — byte-identical across worker \
-                     counts, for determinism diffs).  PATH defaults to \
-                     KIND.json; use - for stdout.")
+               ~doc:("Write a JSON export (repeatable).  KIND is one of: "
+                    ^ String.concat "; "
+                        (List.filter_map
+                           (fun e ->
+                             Option.map (fun k -> k ^ " — " ^ e.Obs.Schema.e_doc)
+                               e.Obs.Schema.e_kind)
+                           Obs.Schema.table)
+                    ^ ".  PATH defaults to KIND.json; use - for stdout."))
       $ Arg.(value & opt (some file) None & info [ "campaign" ] ~docv:"FILE.json"
                ~doc:"Run an xmt.campaign.v1 campaign: independent \
                      compile+simulate jobs fanned out over --jobs worker \

@@ -580,28 +580,28 @@ let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
     | None -> "fpga64"
   in
   let config =
-    match List.assoc_opt preset Xmtsim.Config.presets with
-    | Some c -> c
-    | None ->
-      fail "job %S: unknown preset %S (have: %s)" name preset
-        (String.concat ", " (List.map fst Xmtsim.Config.presets))
+    match Core.Toolchain.preset preset with
+    | Ok c -> c
+    | Error msg -> fail "job %S: %s" name msg
   in
   (* campaign-level overrides apply first, then the job's own *)
   let config =
     Xmtsim.Config.with_overrides config (str_list "set" defaults @ str_list "set" j)
   in
   let mode =
-    match inherited (opt_str "mode") j defaults with
-    | Some "cycle" | None -> Core.Toolchain.Cycle
-    | Some "functional" -> Core.Toolchain.Functional
-    | Some "predict" -> Core.Toolchain.Predict
-    | Some other ->
-      fail "job %S: mode must be cycle|functional|predict, got %S" name other
+    match Option.map Core.Toolchain.mode_of_string (inherited (opt_str "mode") j defaults) with
+    | None -> Core.Toolchain.Cycle
+    | Some (Ok m) -> m
+    | Some (Error msg) -> fail "job %S: %s" name msg
   in
   let memmap =
     match inherited (opt_str "memmap") j defaults with
-    | Some p -> Isa.Memmap.parse_file (resolve p)
     | None -> []
+    | Some p -> (
+      try Isa.Memmap.parse_file (resolve p) with
+      | Isa.Memmap.Parse_error { line; msg } ->
+        fail "job %S: memmap %s:%d: %s" name p line msg
+      | Sys_error msg -> fail "job %S: memmap %s" name msg)
   in
   let options =
     options_of_json (J.member "options" defaults) (Option.value ~default:(J.Obj []) (J.member "options" j))

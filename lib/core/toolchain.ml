@@ -106,89 +106,6 @@ type run = {
       (** [xmt.predict.v1] report (predict mode only) *)
 }
 
-(* Static findings + (for cycle runs) the dynamic detector's output,
-   assembled into one xmt.races.v1 report. *)
-let races_report ?dynamic compiled =
-  Racecheck.report ?dynamic (Racecheck.analyze compiled.cc)
-
-let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
-    ?heartbeat_cycles ?max_cycles compiled =
-  let m = Xmtsim.Machine.create ?config compiled.image in
-  let rd = if racecheck then Some (Xmtsim.Racedetect.attach m) else None in
-  let prof = if profile then Some (Xmtsim.Profile.attach m) else None in
-  (match stream with
-  | Some s -> ignore (Xmtsim.Heartbeat.attach ?heartbeat_cycles m s : unit -> unit)
-  | None -> ());
-  let r = Xmtsim.Machine.run ?max_cycles m in
-  if not r.Xmtsim.Machine.halted then
-    raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt");
-  let stats = Xmtsim.Machine.stats m in
-  {
-    output = r.Xmtsim.Machine.output;
-    cycles = r.Xmtsim.Machine.cycles;
-    instructions = Xmtsim.Stats.total_instrs stats;
-    events = Xmtsim.Machine.events_processed m;
-    stats;
-    races =
-      Option.map
-        (fun rd ->
-          races_report ~dynamic:(Xmtsim.Racedetect.to_json rd) compiled)
-        rd;
-    profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
-    predict = None;
-  }
-
-let run_functional ?(racecheck = false) ?max_instructions compiled =
-  let r = Xmtsim.Functional_mode.run ?max_instructions compiled.image in
-  {
-    output = r.Xmtsim.Functional_mode.output;
-    cycles = 0;
-    instructions = r.Xmtsim.Functional_mode.instructions;
-    events = 0;
-    stats = r.Xmtsim.Functional_mode.stats;
-    (* no cycle machine to observe: static layer only *)
-    races = (if racecheck then Some (races_report compiled) else None);
-    profile = None;
-    predict = None;
-  }
-
-(* Predict mode: one functional pass harvests a reuse profile, the
-   analytical model prices it.  No cycle machine is built, so [events]
-   is 0 and the race layer (like functional mode) is static-only. *)
-let run_predict ?config ?(racecheck = false) ?calibration ?max_instructions
-    compiled =
-  let config =
-    Xmtsim.Config.checked (Option.value config ~default:Xmtsim.Config.fpga64)
-  in
-  let cal =
-    match calibration with
-    | None -> Predict.Calibrate.default
-    | Some file -> Predict.Calibrate.load_file file
-  in
-  let rp = Xmtsim.Reuseprofile.create () in
-  let r =
-    Xmtsim.Functional_mode.run ?max_instructions ~profile:rp compiled.image
-  in
-  let pred =
-    Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
-      ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config
-      (Xmtsim.Reuseprofile.snapshot rp)
-  in
-  {
-    output = r.Xmtsim.Functional_mode.output;
-    cycles = pred.Predict.Model.predicted_cycles;
-    instructions = r.Xmtsim.Functional_mode.instructions;
-    events = 0;
-    stats = r.Xmtsim.Functional_mode.stats;
-    races = (if racecheck then Some (races_report compiled) else None);
-    profile = None;
-    predict =
-      Some
-        (Predict.Model.to_json
-           ~calibration:(Predict.Calibrate.summary_json cal)
-           ~config_name:config.Xmtsim.Config.name pred);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The job-oriented surface: everything one compile+simulate needs,
    reified as data.  The campaign engine, the benches and the CLI all
@@ -200,6 +117,20 @@ let mode_name = function
   | Cycle -> "cycle"
   | Functional -> "functional"
   | Predict -> "predict"
+
+let mode_of_string = function
+  | "cycle" -> Ok Cycle
+  | "functional" -> Ok Functional
+  | "predict" -> Ok Predict
+  | other -> Error (Printf.sprintf "mode must be cycle|functional|predict, got %S" other)
+
+let preset name =
+  match List.assoc_opt name Xmtsim.Config.presets with
+  | Some c -> Ok c
+  | None ->
+    Error
+      (Printf.sprintf "unknown configuration preset %S (have: %s)" name
+         (String.concat ", " (List.map fst Xmtsim.Config.presets)))
 
 type job = {
   job_name : string;
@@ -249,27 +180,107 @@ let job_config j =
   in
   Xmtsim.Config.checked c
 
-let run_job ?artifacts ?stream ?heartbeat_cycles j =
-  let compile_job () =
-    match artifacts with
-    | None -> compile ~options:j.options ~memmap:j.memmap j.source
-    | Some a -> Artifacts.get a ~options:j.options ~memmap:j.memmap j.source
-  in
+exception Budget_exhausted of run
+
+(* Static findings (none for an assembled image: no typed AST or IR to
+   analyze) plus, for cycle runs, the dynamic detector's output,
+   assembled into one xmt.races.v1 report. *)
+let races_report ?dynamic cc =
+  Racecheck.report ?dynamic (match cc with Some cc -> Racecheck.analyze cc | None -> [])
+
+let run_image ?stream ?heartbeat_cycles ?before_run ?on_reuse ?cc j image =
+  let races ?dynamic () = if j.racecheck then Some (races_report ?dynamic cc) else None in
   match j.mode with
-  | Functional ->
-    let compiled = compile_job () in
-    run_functional ~racecheck:j.racecheck ?max_instructions:j.max_instructions
-      compiled
   | Cycle ->
-    let config = job_config j in
-    let compiled = compile_job () in
-    run_cycle ~config ~racecheck:j.racecheck ~profile:j.profile ?stream
-      ?heartbeat_cycles ?max_cycles:j.max_cycles compiled
+    let m = Xmtsim.Machine.create ~config:(job_config j) image in
+    let rd = if j.racecheck then Some (Xmtsim.Racedetect.attach m) else None in
+    let prof = if j.profile then Some (Xmtsim.Profile.attach m) else None in
+    Option.iter
+      (fun s -> ignore (Xmtsim.Heartbeat.attach ?heartbeat_cycles m s : unit -> unit))
+      stream;
+    Option.iter (fun f -> f m prof) before_run;
+    let r = Xmtsim.Machine.run ?max_cycles:j.max_cycles m in
+    let stats = Xmtsim.Machine.stats m in
+    let run =
+      {
+        output = r.Xmtsim.Machine.output;
+        cycles = r.Xmtsim.Machine.cycles;
+        instructions = Xmtsim.Stats.total_instrs stats;
+        events = Xmtsim.Machine.events_processed m;
+        stats;
+        races = races ?dynamic:(Option.map Xmtsim.Racedetect.to_json rd) ();
+        profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
+        predict = None;
+      }
+    in
+    if not r.Xmtsim.Machine.halted then raise (Budget_exhausted run);
+    run
+  | Functional ->
+    let r = Xmtsim.Functional_mode.run ?max_instructions:j.max_instructions image in
+    {
+      output = r.Xmtsim.Functional_mode.output;
+      cycles = 0;
+      instructions = r.Xmtsim.Functional_mode.instructions;
+      events = 0;
+      stats = r.Xmtsim.Functional_mode.stats;
+      races = races ();
+      profile = None;
+      predict = None;
+    }
   | Predict ->
+    (* one functional pass harvests a reuse profile, the analytical
+       model prices it; no cycle machine, so [events] is 0 *)
     let config = job_config j in
-    let compiled = compile_job () in
-    run_predict ~config ~racecheck:j.racecheck ?calibration:j.calibration
-      ?max_instructions:j.max_instructions compiled
+    let cal =
+      match j.calibration with
+      | None -> Predict.Calibrate.default
+      | Some file -> Predict.Calibrate.load_file file
+    in
+    let rp = Xmtsim.Reuseprofile.create () in
+    let r =
+      Xmtsim.Functional_mode.run ?max_instructions:j.max_instructions ~profile:rp image
+    in
+    let snap = Xmtsim.Reuseprofile.snapshot rp in
+    Option.iter (fun f -> f snap) on_reuse;
+    let pred =
+      Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
+        ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config snap
+    in
+    {
+      output = r.Xmtsim.Functional_mode.output;
+      cycles = pred.Predict.Model.predicted_cycles;
+      instructions = r.Xmtsim.Functional_mode.instructions;
+      events = 0;
+      stats = r.Xmtsim.Functional_mode.stats;
+      races = races ();
+      profile = None;
+      predict =
+        Some
+          (Predict.Model.to_json
+             ~calibration:(Predict.Calibrate.summary_json cal)
+             ~config_name:config.Xmtsim.Config.name pred);
+    }
+
+(* Library callers treat a cycle run stopped by its budget as failed *)
+let run_to_halt ?stream ?heartbeat_cycles j (c : compiled) =
+  try run_image ?stream ?heartbeat_cycles ~cc:c.cc j c.image
+  with Budget_exhausted _ ->
+    raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt")
+
+let run_job ?artifacts ?stream ?heartbeat_cycles j =
+  run_to_halt ?stream ?heartbeat_cycles j
+    (match artifacts with
+    | None -> compile ~options:j.options ~memmap:j.memmap j.source
+    | Some a -> Artifacts.get a ~options:j.options ~memmap:j.memmap j.source)
+
+let run_cycle ?config ?racecheck ?profile ?stream ?heartbeat_cycles ?max_cycles c =
+  run_to_halt ?stream ?heartbeat_cycles (job ?config ?racecheck ?profile ?max_cycles "") c
+
+let run_functional ?racecheck ?max_instructions c =
+  run_to_halt (job ~mode:Functional ?racecheck ?max_instructions "") c
+
+let run_predict ?config ?racecheck ?calibration ?max_instructions c =
+  run_to_halt (job ~mode:Predict ?config ?racecheck ?calibration ?max_instructions "") c
 
 let exec ?options ?memmap ?config ?stream ?(functional = false) src =
   run_job ?stream

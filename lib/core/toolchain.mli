@@ -63,17 +63,9 @@ type run = {
           predicted cycle count *)
 }
 
-(** Run on the cycle-accurate simulator.  [racecheck] attaches the
-    dynamic race detector and fills [run.races] with the combined
-    static+dynamic [xmt.races.v1] report.  [profile] attaches the
-    cycle-accounting profiler and fills [run.profile] with the
-    [xmt.profile.v1] CPI-stack report; the profiler is passive, so the
-    run's cycles, output and stats are unchanged.  [stream] attaches a
-    live [xmt.events.v1] telemetry stream ({!Xmtsim.Heartbeat}):
-    a [run.start] record, [sim.heartbeat]s every [heartbeat_cycles]
-    cluster cycles, [window.close] rollups and a [run.done] summary —
-    also passive, bit-identical results including the host event
-    count. *)
+(** The three modes on a compiled program: shorthands for
+    {!run_image} on a {!job} with that mode and these fields.  A cycle
+    run that exhausts [max_cycles] raises {!Xmtsim.Machine.Sim_error}. *)
 val run_cycle :
   ?config:Xmtsim.Config.t ->
   ?racecheck:bool ->
@@ -84,20 +76,8 @@ val run_cycle :
   compiled ->
   run
 
-(** Run in the fast functional (serializing) mode.  With [racecheck]
-    the report carries the static layer only (no machine to observe). *)
 val run_functional : ?racecheck:bool -> ?max_instructions:int -> compiled -> run
 
-(** Run in analytical prediction mode: one functional pass harvests a
-    reuse profile ({!Xmtsim.Reuseprofile}), the analytical model
-    ({!Predict.Model}) prices it under [config], and [run.cycles]
-    carries the predicted cycle count ([run.predict] the full
-    [xmt.predict.v1] report).  [calibration] names an
-    [xmt.calibration.v1] artifact; absent, the committed
-    {!Predict.Calibrate.default} fit applies.  Raises
-    {!Predict.Calibrate.Calib_error} on a missing or invalid artifact
-    and {!Xmtsim.Config.Bad_config} on an inconsistent config.  Like
-    functional mode, [racecheck] yields the static layer only. *)
 val run_predict :
   ?config:Xmtsim.Config.t ->
   ?racecheck:bool ->
@@ -110,13 +90,22 @@ val run_predict :
 
     A [job] reifies one compile+simulate as data: source, compiler
     options, simulator configuration, mode, memory map and an optional
-    per-job RNG seed.  The campaign engine ({!Campaign}), the benches
-    and [xmtsim_cli] all construct jobs and hand them to {!run_job};
-    {!exec} is a thin wrapper kept for existing callers. *)
+    per-job RNG seed.  The campaign engine ({!Campaign}) and the benches
+    hand jobs to {!run_job}, the [xmtsim] CLI to {!run_image}; every run
+    path, {!exec} and the [run_*] shorthands included, ends in
+    {!run_image}. *)
 
 type mode = Cycle | Functional | Predict
 
 val mode_name : mode -> string
+
+(** Parse a mode name, the inverse of {!mode_name}; [Error] names the
+    accepted ones.  The CLI's [--mode] and campaign files both use it. *)
+val mode_of_string : string -> (mode, string) result
+
+(** Look up a configuration preset by name ({!Xmtsim.Config.presets});
+    [Error] lists the known names. *)
+val preset : string -> (Xmtsim.Config.t, string) result
 
 type job = {
   job_name : string;
@@ -161,13 +150,44 @@ val job :
     inconsistent sweep point. *)
 val job_config : job -> Xmtsim.Config.t
 
-(** Compile and simulate one job.  Raises {!Compiler.Driver.Compile_error},
-    {!Xmtsim.Config.Bad_config} or {!Xmtsim.Machine.Sim_error} on failure
-    — the campaign engine captures these per job.  [artifacts] routes the
-    compile through a shared {!Artifacts} cache (compile once, simulate
-    many configs).  [stream] attaches a live telemetry stream to
-    cycle-mode runs (functional runs have no cycle clock to sample and
-    ignore it). *)
+(** Raised by {!run_image} when a cycle run stops on its [max_cycles]
+    budget before the program halts; carries the partial run. *)
+exception Budget_exhausted of run
+
+(** Simulate one job on an already-resolved image ([job.source] is not
+    read): the back end of {!run_job}, and the entry for callers that
+    resolve the program themselves (the [xmtsim] CLI assembles [.s]
+    inputs).  [cc] is the compiler output the image came from; without
+    it the static race layer is empty.
+
+    - [Cycle]: the race detector ([job.racecheck]), the profiler
+      ([job.profile]) and the live [xmt.events.v1] [stream]
+      ({!Xmtsim.Heartbeat}) attach as passive probes; then
+      [before_run m profile] gets the machine and the job's profiler
+      before it runs — the hook for more observers and checkpoint
+      restores.  Raises {!Budget_exhausted} when the budget runs out.
+    - [Functional]: the serializing mode; [cycles] and [events] are 0.
+    - [Predict]: one functional pass harvests a reuse profile (handed to
+      [on_reuse]) that {!Predict.Model} prices under the config, with
+      the [job.calibration] artifact or {!Predict.Calibrate.default};
+      [cycles] is the prediction, [run.predict] the report.
+
+    The serializing modes' race report is static-only. *)
+val run_image :
+  ?stream:Obs.Stream.t ->
+  ?heartbeat_cycles:int ->
+  ?before_run:(Xmtsim.Machine.t -> Xmtsim.Profile.t option -> unit) ->
+  ?on_reuse:(Xmtsim.Reuseprofile.snapshot -> unit) ->
+  ?cc:Compiler.Driver.output ->
+  job ->
+  Isa.Program.image ->
+  run
+
+(** Compile the job (through the shared [artifacts] cache when given)
+    and {!run_image} it.  Raises {!Compiler.Driver.Compile_error},
+    {!Xmtsim.Config.Bad_config} or {!Xmtsim.Machine.Sim_error} (an
+    exhausted cycle budget included) — the campaign engine captures
+    these per job. *)
 val run_job :
   ?artifacts:Artifacts.t -> ?stream:Obs.Stream.t -> ?heartbeat_cycles:int ->
   job -> run

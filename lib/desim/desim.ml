@@ -3,13 +3,12 @@
     This library is the substrate under {!Xmtsim}: a deterministic
     event-list scheduler ({!Scheduler} over {!Event_heap}), actor callbacks
     ({!Actor}), clock domains with DVFS/gating/macro-actor grouping
-    ({!Clock}), bounded transfer ports ({!Port}), checkpointing
-    ({!Checkpoint}) and reproducible randomness ({!Rng}). *)
+    ({!Clock}) and reproducible randomness ({!Rng}).  Components hand
+    packages to each other by scheduling closures directly; the machine
+    checkpoints its own architectural state ({!Xmtsim.Machine.checkpoint}). *)
 
 module Event_heap = Event_heap
 module Scheduler = Scheduler
 module Actor = Actor
-module Port = Port
 module Clock = Clock
-module Checkpoint = Checkpoint
 module Rng = Rng

@@ -54,4 +54,20 @@ let to_json f =
       ("message", Obs.Json.Str f.message);
     ]
 
+(** Inverse of {!to_json}, for reports read back from a run record. *)
+let of_json j =
+  let module J = Obs.Json in
+  let str k = match J.member k j with Some (J.Str s) -> s | _ -> "" in
+  {
+    severity = (if str "severity" = "error" then Error else Warning);
+    code = str "code";
+    func = str "func";
+    line = (match J.member "line" j with Some (J.Int n) -> n | _ -> -1);
+    vars =
+      (match J.member "vars" j with
+      | Some (J.List vs) -> List.filter_map (function J.Str v -> Some v | _ -> None) vs
+      | _ -> []);
+    message = str "message";
+  }
+
 let list_to_json fs = Obs.Json.List (List.map to_json (sort fs))

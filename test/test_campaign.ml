@@ -356,6 +356,39 @@ let spec_errors () =
          ("jobs", Obs.Json.List [ Obs.Json.Obj [ ("name", Obs.Json.Str "x") ] ]);
        ])
 
+(* A memmap that is missing or malformed is a spec error naming the job,
+   like every other bad spec field, not an exception from the parser. *)
+let bad_memmap_is_spec_error () =
+  let bad = Filename.temp_file "campaign" ".map" in
+  Out_channel.with_open_text bad (fun oc -> output_string oc "A 1 2\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove bad)
+    (fun () ->
+      List.iter
+        (fun path ->
+          let json =
+            Obs.Json.Obj
+              [
+                ("schema", Obs.Json.Str "xmt.campaign.v1");
+                ( "jobs",
+                  Obs.Json.List
+                    [
+                      Obs.Json.Obj
+                        [
+                          ("name", Obs.Json.Str "mapped");
+                          ("inline", Obs.Json.Str (Core.Kernels.vecadd ~n:16));
+                          ("memmap", Obs.Json.Str path);
+                        ];
+                    ] );
+              ]
+          in
+          match Campaign.jobs_of_json json with
+          | exception Campaign.Spec_error msg ->
+            Tu.check_bool ("names the job: " ^ msg) true
+              (String.starts_with ~prefix:"job \"mapped\": memmap" msg)
+          | _ -> Alcotest.failf "memmap %s: Spec_error expected" path)
+        [ bad; bad ^ ".missing" ])
+
 (* ---- the first-class request API ---- *)
 
 let request_builders () =
@@ -506,7 +539,8 @@ let () =
           Tu.tc "make builds valid machines" make_builds_valid_machines;
         ] );
       ( "spec files",
-        [ Tu.tc "parsing" spec_parsing; Tu.tc "errors" spec_errors ] );
+        [ Tu.tc "parsing" spec_parsing; Tu.tc "errors" spec_errors;
+          Tu.tc "bad memmap is a spec error" bad_memmap_is_spec_error ] );
       ( "requests",
         [
           Tu.tc "builders + run_request" request_builders;

@@ -344,6 +344,184 @@ let golden_traces () =
         (read_file (examples "golden/clean_compaction.profile.json"))
         (read_file prof))
 
+(* ---- one run path: a single run is a one-job campaign ---- *)
+
+let with_temp ext f =
+  let p = Filename.temp_file "xmtcli" ext in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists p then Sys.remove p) (fun () -> f p)
+
+let read_json p = J.of_string (read_file p)
+
+let check_json what want got =
+  Tu.check_string what (J.to_string want) (J.to_string got)
+
+(* The three single runs (cycle with race checking, profile and stats;
+   predict; functional) report exactly what the same three jobs report
+   inside one campaign. *)
+let single_run_equals_campaign () =
+  let src = examples "clean_compaction.xmtc" in
+  with_temp ".json" (fun races ->
+  with_temp ".json" (fun profile ->
+  with_temp ".json" (fun stats ->
+  with_temp ".json" (fun predict ->
+  with_temp ".json" (fun spec ->
+  with_temp ".json" (fun report ->
+      let single args =
+        let code, out, _ = run_cmd ([ xmtsim; src; "-c"; "tiny" ] @ args) in
+        Tu.check_int (String.concat " " args ^ " exits 0") 0 code;
+        out
+      in
+      let out_cycle =
+        single
+          [ "--racecheck"; "--export"; "races=" ^ races; "--export";
+            "profile=" ^ profile; "--export"; "stats=" ^ stats ]
+      in
+      let out_predict = single [ "--mode"; "predict"; "--export"; "predict=" ^ predict ] in
+      let out_functional = single [ "--functional" ] in
+      let job mode extra =
+        J.Obj ([ ("name", J.Str mode); ("source", J.Str src); ("mode", J.Str mode) ] @ extra)
+      in
+      J.write_file spec
+        (J.Obj
+           [
+             ("schema", J.Str "xmt.campaign.v1");
+             ("defaults", J.Obj [ ("preset", J.Str "tiny") ]);
+             ( "jobs",
+               J.List
+                 [
+                   job "cycle" [ ("racecheck", J.Bool true); ("profile", J.Bool true) ];
+                   job "predict" [];
+                   job "functional" [];
+                 ] );
+           ]);
+      let code, out, _ =
+        run_cmd
+          [ xmtsim; "--campaign"; spec; "--export"; "campaign=" ^ report;
+            "--export"; "campaign-det=-" ]
+      in
+      Tu.check_int "campaign exits 0" 0 code;
+      let results =
+        match J.member "results" (J.of_string out) with
+        | Some (J.List [ c; p; f ]) -> [ c; p; f ]
+        | _ -> Alcotest.fail "campaign report lacks three results"
+      in
+      let field r k =
+        match J.member k r with Some v -> v | None -> Alcotest.failf "result lacks %S" k
+      in
+      let c, p, f = match results with [ c; p; f ] -> (c, p, f) | _ -> assert false in
+      check_json "races" (field c "races") (read_json races);
+      check_json "profile" (field c "profile") (read_json profile);
+      check_json "predict" (field p "predict") (read_json predict);
+      List.iter
+        (fun (what, r, stdout) ->
+          match field r "output" with
+          | J.Str o -> Tu.check_string (what ^ " output") (o ^ "\n") stdout
+          | _ -> Alcotest.fail "output is not a string")
+        [ ("cycle", c, out_cycle); ("predict", p, out_predict); ("functional", f, out_functional) ];
+      let metric name =
+        match J.member "metrics" (read_json stats) with
+        | Some (J.List ms) -> (
+          match List.find_opt (fun m -> J.member "name" m = Some (J.Str name)) ms with
+          | Some m -> J.member "value" m
+          | None -> Alcotest.failf "stats lack %s" name)
+        | _ -> Alcotest.fail "stats lack a metrics list"
+      in
+      check_json "sim.cycles" (field c "cycles") (Option.get (metric "sim.cycles"));
+      check_json "host.events_processed" (field c "events")
+        (Option.get (metric "host.events_processed"))))))))
+
+(* xmtcc's assembly of a program simulates exactly like the program
+   compiled on the fly, in every mode. *)
+let assembly_round_trip () =
+  let src = examples "clean_compaction.xmtc" in
+  with_temp ".s" (fun asm ->
+      let code, _, _ = run_cmd [ xmtcc; src; "-o"; asm ] in
+      Tu.check_int "xmtcc exits 0" 0 code;
+      List.iter
+        (fun mode ->
+          let run input =
+            let code, out, _ =
+              run_cmd [ xmtsim; input; "--stats"; "-c"; "tiny"; "--mode"; mode ]
+            in
+            Tu.check_int (mode ^ " exits 0") 0 code;
+            out
+          in
+          Tu.check_string (mode ^ " stdout identical") (run src) (run asm))
+        [ "cycle"; "functional"; "predict" ])
+
+(* A single run that exhausts --max-cycles still reports what it ran;
+   only campaign jobs count it as a failure. *)
+let exhausted_budget_still_reports () =
+  with_src (fun src ->
+      let code, out, err = run_cmd [ xmtsim; src; "--max-cycles"; "50"; "--stats" ] in
+      Tu.check_int "exit 0" 0 code;
+      Tu.check_bool "warns" true (contains "cycle budget exhausted" err);
+      Tu.check_bool "prints the stats" true (contains "---- fpga64 ----" out))
+
+(* ---- input errors and mode rules ---- *)
+
+let write_text path text = Out_channel.with_open_text path (fun oc -> output_string oc text)
+
+(* A bad input file or value is the user's error: one "xmtsim: ..." line
+   and exit 1, never the uncaught-exception banner. *)
+let input_errors_exit_1 () =
+  with_src (fun src ->
+  with_temp ".ckpt" (fun ckpt ->
+  with_temp ".map" (fun map ->
+  with_temp ".s" (fun asm ->
+      write_text ckpt "not a snapshot";
+      write_text map "A 1 2\n";
+      write_text asm "frobnicate $1, $2\n";
+      List.iter
+        (fun args ->
+          let code, _, err = run_cmd (xmtsim :: args) in
+          let what = String.concat " " args in
+          Tu.check_int (what ^ " exits 1") 1 code;
+          Tu.check_bool (what ^ " says xmtsim: ...") true
+            (String.starts_with ~prefix:"xmtsim: " err && not (contains "internal error" err)))
+        [
+          [ src; "--checkpoint-in"; ckpt ];
+          [ src; "--memmap"; map ];
+          [ asm ];
+          [ src; "--stream"; "-"; "--heartbeat-cycles"; "0" ];
+          [ src; "--governor"; "--governor-interval"; "0" ];
+        ]))))
+
+(* Every flag that acts on the cycle-accurate machine is rejected in the
+   functional and predict modes, like the cycle-level sinks. *)
+let cycle_only_flags_rejected () =
+  with_src (fun src ->
+  with_temp ".ckpt" (fun ckpt_in ->
+      let ckpt_out = ckpt_in ^ ".out" in
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun flag_args ->
+              let args = (xmtsim :: src :: mode) @ flag_args in
+              let what = String.concat " " (mode @ flag_args) in
+              let code, _, err = run_cmd args in
+              Tu.check_int (what ^ " exits 2") 2 code;
+              Tu.check_bool (what ^ " names the flag and the mode") true
+                (contains (List.hd flag_args) err && contains "cycle-accurate" err);
+              Tu.check_bool (what ^ " writes no checkpoint") false (Sys.file_exists ckpt_out))
+            [
+              [ "--trace" ];
+              [ "--trace-packages" ];
+              [ "--hot" ];
+              [ "--profile-interval"; "100" ];
+              [ "--power-interval"; "100" ];
+              [ "--floorplan" ];
+              [ "--checkpoint-in"; ckpt_in ];
+              [ "--checkpoint-out"; ckpt_out ];
+              [ "--checkpoint-at"; "10"; "--checkpoint-out"; ckpt_out ];
+              [ "--no-clock-gating" ];
+              [ "--max-cycles"; "100" ];
+            ])
+        [ [ "--functional" ]; [ "--mode"; "predict" ] ];
+      let code, _, err = run_cmd [ xmtsim; src; "--floorplan" ] in
+      Tu.check_int "--floorplan alone exits 1" 1 code;
+      Tu.check_bool "names --power-interval" true (contains "--power-interval" err)))
+
 let () =
   Alcotest.run "cli"
     [
@@ -373,6 +551,14 @@ let () =
           Tu.tc "failure sets exit code" campaign_failure_sets_exit_code;
         ] );
       ("golden", [ Tu.tc "trace + profile event order" golden_traces ]);
+      ( "run path",
+        [
+          Tu.tc "single run equals a one-job campaign" single_run_equals_campaign;
+          Tu.tc "xmtcc .s simulates like its source" assembly_round_trip;
+          Tu.tc "exhausted budget still reports" exhausted_budget_still_reports;
+          Tu.tc "input errors exit 1" input_errors_exit_1;
+          Tu.tc "cycle-only flags need the cycle mode" cycle_only_flags_rejected;
+        ] );
       ( "serve",
         [
           Tu.tc "--attach needs --connect" attach_needs_connect;

@@ -304,59 +304,6 @@ let clock_macro_actor_grouping () =
 
 (* ------------------------------------------------------------------ *)
 
-let port_fifo () =
-  let p = D.Port.create ~name:"p" ~capacity:2 in
-  Tu.check_bool "push1" true (D.Port.push p 1);
-  Tu.check_bool "push2" true (D.Port.push p 2);
-  Tu.check_bool "full" false (D.Port.push p 3);
-  Alcotest.(check (option int)) "peek" (Some 1) (D.Port.peek p);
-  Alcotest.(check (option int)) "pop" (Some 1) (D.Port.pop p);
-  Tu.check_bool "room again" true (D.Port.can_push p);
-  Tu.check_int "pushed total" 2 (D.Port.pushed_total p)
-
-let port_unbounded () =
-  let p = D.Port.create ~name:"p" ~capacity:0 in
-  for i = 1 to 1000 do
-    D.Port.push_exn p i
-  done;
-  Tu.check_int "length" 1000 (D.Port.length p);
-  Alcotest.(check (list int)) "drain prefix" [ 1; 2; 3 ]
-    (match D.Port.drain p with a :: b :: c :: _ -> [ a; b; c ] | _ -> [])
-
-(* ------------------------------------------------------------------ *)
-
-let checkpoint_roundtrip () =
-  let r = D.Checkpoint.create () in
-  let state = ref 42 in
-  D.Checkpoint.register r ~name:"counter" ~save:(fun () -> !state)
-    ~load:(fun v -> state := v);
-  let blob = D.Checkpoint.save r in
-  state := 0;
-  D.Checkpoint.restore r blob;
-  Tu.check_int "restored" 42 !state
-
-let checkpoint_file_roundtrip () =
-  let r = D.Checkpoint.create () in
-  let state = ref [ 1; 2; 3 ] in
-  D.Checkpoint.register r ~name:"list" ~save:(fun () -> !state)
-    ~load:(fun v -> state := v);
-  let blob = D.Checkpoint.save r in
-  let path = Filename.temp_file "ckpt" ".bin" in
-  D.Checkpoint.to_file blob path;
-  state := [];
-  D.Checkpoint.restore r (D.Checkpoint.of_file path);
-  Sys.remove path;
-  Alcotest.(check (list int)) "restored" [ 1; 2; 3 ] !state
-
-let checkpoint_duplicate_name () =
-  let r = D.Checkpoint.create () in
-  D.Checkpoint.register r ~name:"x" ~save:(fun () -> 0) ~load:(fun _ -> ());
-  Alcotest.check_raises "dup"
-    (Invalid_argument "Checkpoint.register: duplicate name \"x\"") (fun () ->
-      D.Checkpoint.register r ~name:"x" ~save:(fun () -> 0) ~load:(fun _ -> ()))
-
-(* ------------------------------------------------------------------ *)
-
 let rng_deterministic () =
   let a = D.Rng.create ~seed:7 and b = D.Rng.create ~seed:7 in
   for _ = 1 to 100 do
@@ -428,14 +375,6 @@ let () =
           Tu.tc "set_period during sleep" clock_set_period_during_sleep;
           Tu.tc "skipped-tick estimate" clock_skipped_ticks_estimate;
           Tu.tc "macro-actor grouping" clock_macro_actor_grouping;
-        ] );
-      ( "port",
-        [ Tu.tc "fifo" port_fifo; Tu.tc "unbounded" port_unbounded ] );
-      ( "checkpoint",
-        [
-          Tu.tc "roundtrip" checkpoint_roundtrip;
-          Tu.tc "file roundtrip" checkpoint_file_roundtrip;
-          Tu.tc "duplicate name" checkpoint_duplicate_name;
         ] );
       ( "rng",
         [

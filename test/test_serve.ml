@@ -337,6 +337,24 @@ let bad_spec_is_server_error () =
       Tu.check_bool "connection survives" true (Serve.Client.ping client = Ok ());
       Serve.Client.close client)
 
+(* A spec naming an unreadable memmap is answered like any bad spec: a
+   server.error frame, and the connection stays usable for the next
+   submit. *)
+let bad_memmap_is_server_error () =
+  with_server (fun cfg _srv ->
+      let client = Serve.Client.connect cfg.Serve.Server.socket_path in
+      let job = J.Obj [ ("name", J.Str "m"); ("inline", J.Str (Core.Kernels.vecadd ~n:16));
+                        ("memmap", J.Str (tmp_name "missing.map")) ] in
+      (match Serve.Client.submit client (spec_json [ job ]) with
+      | Error frame ->
+        Tu.check_bool "server.error frame" true
+          (J.member "type" frame = Some (J.Str "server.error"))
+      | Ok _ -> Alcotest.fail "spec with a missing memmap must be rejected");
+      let cid = submit_ok client (spec_json (mixed_jobs 2)) in
+      let _, s = collect_stream client cid in
+      Tu.check_int "same connection still submits" 2 s.Serve.Client.s_ok;
+      Serve.Client.close client)
+
 (* ---- disconnect and re-attach ---- *)
 
 let disconnect_then_attach () =
@@ -497,6 +515,7 @@ let () =
           Tu.tc "client and server quotas" quota_rejections;
           Tu.tc "duplicate cid rejected" duplicate_cid_rejected;
           Tu.tc "bad spec is a typed error" bad_spec_is_server_error;
+          Tu.tc "bad memmap is a typed error" bad_memmap_is_server_error;
         ] );
       ( "resume",
         [
