@@ -13,6 +13,7 @@ type t = {
   mutable anchor : int; (* time of the last fired tick (start time if none) *)
   mutable skipped : int; (* accrued estimate of ticks gated away *)
   mutable counted : int; (* skipped ticks already accrued since [anchor] *)
+  mutable fire : unit -> unit; (* the tick event, built at start *)
 }
 
 let create sched ~name ~period =
@@ -30,6 +31,7 @@ let create sched ~name ~period =
     anchor = 0;
     skipped = 0;
     counted = 0;
+    fire = ignore;
   }
 
 let name t = t.name
@@ -67,25 +69,33 @@ let on_tick ?(phase = 0) t h =
   in
   t.handlers <- insert t.handlers
 
-let rec schedule_tick t ~at_least =
+let rec run_handlers c = function
+  | [] -> ()
+  | (_, h) :: rest ->
+    h c;
+    run_handlers c rest
+
+let schedule_tick t ~at_least =
   if (not t.tick_pending) && t.enabled && not t.sleeping then begin
     t.tick_pending <- true;
-    let time = at_least in
-    Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time (fun () ->
-        t.tick_pending <- false;
-        if t.enabled && not t.sleeping then begin
-          let c = t.cycles in
-          t.cycles <- c + 1;
-          t.anchor <- Scheduler.now t.sched;
-          t.counted <- 0;
-          List.iter (fun (_, h) -> h c) t.handlers;
-          schedule_tick t ~at_least:(Scheduler.now t.sched + t.period)
-        end)
+    Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time:at_least t.fire
+  end
+
+let fire t () =
+  t.tick_pending <- false;
+  if t.enabled && not t.sleeping then begin
+    let c = t.cycles in
+    t.cycles <- c + 1;
+    t.anchor <- Scheduler.now t.sched;
+    t.counted <- 0;
+    run_handlers c t.handlers;
+    schedule_tick t ~at_least:(Scheduler.now t.sched + t.period)
   end
 
 let start t =
   if not t.started then begin
     t.started <- true;
+    t.fire <- fire t;
     t.anchor <- Scheduler.now t.sched;
     schedule_tick t ~at_least:(Scheduler.now t.sched)
   end

@@ -1,71 +1,87 @@
-type 'a entry = { time : int; prio : int; seq : int; payload : 'a }
-
+(* Struct-of-arrays binary heap: adding and popping an event moves ints
+   and one payload pointer and allocates nothing (arrays grow by
+   doubling). *)
 type 'a t = {
-  mutable arr : 'a entry array;
+  mutable time : int array;
+  mutable prio : int array;
+  mutable seq : int array;
+  mutable payload : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { arr = [||]; len = 0; next_seq = 0 }
+let create () = { time = [||]; prio = [||]; seq = [||]; payload = [||]; len = 0; next_seq = 0 }
 
-let entry_lt a b =
-  a.time < b.time
-  || (a.time = b.time && (a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)))
+(* slot [i] orders strictly before the key (time, prio, seq) *)
+let[@inline] before h i time prio seq =
+  let ti = h.time.(i) and pi = h.prio.(i) in
+  ti < time || (ti = time && (pi < prio || (pi = prio && h.seq.(i) < seq)))
 
-let grow h e =
-  let cap = Array.length h.arr in
-  if h.len = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let narr = Array.make ncap e in
-    Array.blit h.arr 0 narr 0 h.len;
-    h.arr <- narr
+let[@inline] set h i time prio seq x =
+  h.time.(i) <- time;
+  h.prio.(i) <- prio;
+  h.seq.(i) <- seq;
+  h.payload.(i) <- x
+
+let[@inline] move h ~src ~dst = set h dst h.time.(src) h.prio.(src) h.seq.(src) h.payload.(src)
+
+(* double the capacity when full *)
+let grow h x =
+  if h.len = Array.length h.time then begin
+    let extend a fill = Array.append a (Array.make (max 16 h.len) fill) in
+    h.time <- extend h.time 0;
+    h.prio <- extend h.prio 0;
+    h.seq <- extend h.seq 0;
+    h.payload <- extend h.payload x
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
+(* Move the hole at [i] up past every ancestor that orders after the key;
+   return where the key belongs. *)
+let rec sift_up h i time prio seq =
+  if i = 0 then 0
+  else
     let parent = (i - 1) / 2 in
-    if entry_lt h.arr.(i) h.arr.(parent) then begin
-      let tmp = h.arr.(i) in
-      h.arr.(i) <- h.arr.(parent);
-      h.arr.(parent) <- tmp;
-      sift_up h parent
+    if before h parent time prio seq then i
+    else begin
+      move h ~src:parent ~dst:i;
+      sift_up h parent time prio seq
     end
-  end
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && entry_lt h.arr.(l) h.arr.(!smallest) then smallest := l;
-  if r < h.len && entry_lt h.arr.(r) h.arr.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(!smallest);
-    h.arr.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+(* Move the hole at [i] down past every smaller child among the first
+   [len] slots; return where the key belongs. *)
+let rec sift_down h i len time prio seq =
+  let l = (2 * i) + 1 in
+  if l >= len then i
+  else
+    let c = if l + 1 < len && before h (l + 1) h.time.(l) h.prio.(l) h.seq.(l) then l + 1 else l in
+    if before h c time prio seq then begin
+      move h ~src:c ~dst:i;
+      sift_down h c len time prio seq
+    end
+    else i
 
-let add h ~time ~prio payload =
-  let e = { time; prio; seq = h.next_seq; payload } in
-  h.next_seq <- h.next_seq + 1;
-  grow h e;
-  h.arr.(h.len) <- e;
+let add h ~time ~prio x =
+  grow h x;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = sift_up h h.len time prio seq in
   h.len <- h.len + 1;
-  sift_up h (h.len - 1)
+  set h i time prio seq x
+
+let top_time h = if h.len = 0 then raise Not_found else h.time.(0)
+let top_prio h = if h.len = 0 then raise Not_found else h.prio.(0)
 
 let pop h =
   if h.len = 0 then raise Not_found;
-  let e = h.arr.(0) in
-  h.len <- h.len - 1;
-  if h.len > 0 then begin
-    h.arr.(0) <- h.arr.(h.len);
-    sift_down h 0
+  let x = h.payload.(0) in
+  let last = h.len - 1 in
+  h.len <- last;
+  if last > 0 then begin
+    let time = h.time.(last) and prio = h.prio.(last) and seq = h.seq.(last) in
+    let y = h.payload.(last) in
+    set h (sift_down h 0 last time prio seq) time prio seq y
   end;
-  (e.time, e.prio, e.payload)
+  x
 
-let min_time h = if h.len = 0 then None else Some h.arr.(0).time
-let size h = h.len
+let min_time h = if h.len = 0 then None else Some h.time.(0)
 let is_empty h = h.len = 0
-
-let clear h =
-  h.len <- 0;
-  h.arr <- [||]

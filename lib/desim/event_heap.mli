@@ -14,13 +14,19 @@ val create : unit -> 'a t
     (lower priority fires first among events at the same time). *)
 val add : 'a t -> time:int -> prio:int -> 'a -> unit
 
-(** Remove and return the earliest event as [(time, prio, payload)].
+(** Remove the earliest event and return its payload; read its time and
+    priority first with {!top_time} and {!top_prio}.  Nothing is
+    allocated, so the scheduler's dispatch loop stays allocation-free.
     Raises [Not_found] on an empty heap. *)
-val pop : 'a t -> int * int * 'a
+val pop : 'a t -> 'a
+
+(** Time and priority of the earliest event.  Raise [Not_found] on an
+    empty heap. *)
+val top_time : 'a t -> int
+
+val top_prio : 'a t -> int
 
 (** Time of the earliest pending event, if any. *)
 val min_time : 'a t -> int option
 
-val size : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit

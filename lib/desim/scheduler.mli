@@ -55,15 +55,18 @@ type outcome =
   | Stopped  (** a stop event fired *)
   | Drained  (** the event list became empty *)
   | Budget  (** the [max_events] budget was exhausted *)
+  | Until  (** the [until] predicate held *)
 
 (** Run the main loop.  Returns why the loop exited.  On return (for any
     outcome) all currently-armed stop events are invalidated; see
-    {!stop}. *)
-val run : ?max_events:int -> t -> outcome
+    {!stop}.
+
+    [until] is evaluated whenever simulated time is about to advance,
+    i.e. after the last event of an instant (the one the run started at
+    included); the run returns [Until] at that instant as soon as it
+    holds.  State only changes at events, so this finds the first
+    instant at which the predicate holds without an event per cycle. *)
+val run : ?max_events:int -> ?until:(unit -> bool) -> t -> outcome
 
 (** Number of events processed so far (monotonic across [run] calls). *)
 val events_processed : t -> int
-
-(** Drop all pending events and reset time to 0.  Event and time counters
-    are preserved only if [keep_counters] is set. *)
-val reset : ?keep_counters:bool -> t -> unit

@@ -9,10 +9,21 @@
     memory timing (the cache module in cycle mode, the interpreter loop in
     functional mode), keeping relaxed-consistency outcomes faithful. *)
 
+(** Register state, plus the operands of the last [Load], [Store],
+    [Psm] or [Prefetch] issued: {!issue} leaves them here instead of
+    returning them, so issuing allocates nothing. *)
 type ctx = {
   regs : int array;  (** 32 integer registers; r0 hardwired to 0 *)
   fregs : float array;
   mutable pc : int;
+  mutable addr : int;  (** memory address *)
+  mutable dst : int;
+      (** [Load]: destination register code, integer register [r] as [r]
+          and float register [f] as [-1 - f]; [Psm]: integer register *)
+  mutable ro : bool;  (** [Load] through the read-only cache *)
+  mutable nb : bool;  (** non-blocking [Store] *)
+  mutable value : Isa.Value.t;  (** [Store] value *)
+  mutable inc : int;  (** [Psm] increment *)
 }
 
 val make_ctx : unit -> ctx
@@ -25,10 +36,10 @@ exception Runtime_error of { pc : int; msg : string }
 
 type issue =
   | Done  (** pure op; registers and pc updated *)
-  | Load of { dst : [ `I of int | `F of int ]; addr : int; ro : bool }
-  | Store of { addr : int; value : Isa.Value.t; nb : bool }
-  | Psm of { dst : int; addr : int; inc : int }
-  | Prefetch of { addr : int }
+  | Load  (** [ctx.addr], [ctx.dst], [ctx.ro] *)
+  | Store  (** [ctx.addr], [ctx.value], [ctx.nb] *)
+  | Psm  (** [ctx.addr], [ctx.dst], [ctx.inc] *)
+  | Prefetch  (** [ctx.addr] *)
   | Ps of { dst : int; g : int; inc : int }
   | Spawn of { lo : int; hi : int }
   | Join
@@ -43,5 +54,5 @@ type issue =
     target for taken branches).  [read_str] is needed only by [pstr]. *)
 val issue : Isa.Program.image -> ctx -> read_str:(int -> string) -> issue
 
-(** Apply a completed load's value to the destination register. *)
-val complete_load : ctx -> [ `I of int | `F of int ] -> Isa.Value.t -> unit
+(** Apply a completed load's value to its destination register code. *)
+val complete_load : ctx -> int -> Isa.Value.t -> unit

@@ -15,6 +15,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 type state = {
   img : Isa.Program.image;
   memory : Mem.t;
+  read_str : int -> string;
   globals : int array;
   st_stats : Stats.t;
   out : Buffer.t;
@@ -49,9 +50,11 @@ let compute_join_map img =
 let init ?profile img =
   let master = F.make_ctx () in
   master.F.pc <- img.Isa.Program.entry;
+  let memory = Mem.load img in
   {
     img;
-    memory = Mem.load img;
+    memory;
+    read_str = Mem.read_string memory;
     globals = Array.make Isa.Reg.num_globals 0;
     st_stats = Stats.create ();
     out = Buffer.create 256;
@@ -62,50 +65,64 @@ let init ?profile img =
     rp = profile;
   }
 
+(* reuse-profile taps: instruction classes and memory addresses are only
+   visible here, so the harvest rides the interpreter loop *)
+let rp_instr t ~master ins =
+  match t.rp with
+  | Some p -> Reuseprofile.on_instr p ~master ins
+  | None -> ()
+
+let rp_access t ~master ~ro ~nb ~kind ~addr =
+  match t.rp with
+  | Some p -> Reuseprofile.on_access p ~master ~ro ~nb ~kind ~addr
+  | None -> ()
+
+(* The effect of the Load, Store, Psm, Prefetch or Ps [ctx] issued. *)
+let load t ctx ~master =
+  let addr = ctx.F.addr in
+  rp_access t ~master ~ro:ctx.F.ro ~nb:false ~kind:`Load ~addr;
+  F.complete_load ctx ctx.F.dst (Mem.read t.memory addr)
+
+let store t ctx ~master =
+  let addr = ctx.F.addr in
+  rp_access t ~master ~ro:false ~nb:ctx.F.nb ~kind:`Store ~addr;
+  Mem.write t.memory addr ctx.F.value
+
+let psm t ctx ~master =
+  let addr = ctx.F.addr in
+  t.st_stats.Stats.psm_ops <- t.st_stats.Stats.psm_ops + 1;
+  rp_access t ~master ~ro:false ~nb:false ~kind:`Psm ~addr;
+  let old = Mem.fetch_add t.memory addr ctx.F.inc in
+  if ctx.F.dst <> 0 then ctx.F.regs.(ctx.F.dst) <- old
+
+let prefetch t ctx ~master =
+  rp_access t ~master ~ro:false ~nb:false ~kind:`Prefetch ~addr:ctx.F.addr
+
+let ps t ctx ~dst ~g ~inc =
+  if inc <> 0 && inc <> 1 then fail "ps increment must be 0 or 1 (got %d)" inc;
+  t.st_stats.Stats.ps_ops <- t.st_stats.Stats.ps_ops + 1;
+  let old = t.globals.(g) in
+  t.globals.(g) <- old + inc;
+  if dst <> 0 then ctx.F.regs.(dst) <- old
+
 (* Run one serial-boundary step: either a single master instruction, or a
    whole spawn (all virtual threads, serialized). *)
 let step ?(on_instr = fun ~pc:_ -> ()) (t : state) =
-  let read_str a = Mem.read_string t.memory a in
-  (* reuse-profile taps: instruction classes and memory addresses are
-     only visible here, so the harvest rides the interpreter loop *)
-  let rp_instr ~master ins =
-    match t.rp with
-    | Some p -> Reuseprofile.on_instr p ~master ins
-    | None -> ()
-  in
-  let rp_access ?(nb = false) ~master ~ro ~kind ~addr () =
-    match t.rp with
-    | Some p -> Reuseprofile.on_access p ~master ~ro ~nb ~kind ~addr
-    | None -> ()
-  in
+  let read_str = t.read_str in
   let ctx = t.master in
   let pc = ctx.F.pc in
   let ins = t.img.Isa.Program.instrs.(pc) in
   t.executed <- t.executed + 1;
   Stats.count_instr t.st_stats ~master:true ins;
-  rp_instr ~master:true ins;
+  rp_instr t ~master:true ins;
   on_instr ~pc;
   match F.issue t.img ctx ~read_str with
   | F.Done -> ()
-  | F.Load { dst; addr; ro } ->
-    rp_access ~master:true ~ro ~kind:`Load ~addr ();
-    F.complete_load ctx dst (Mem.read t.memory addr)
-  | F.Store { addr; value; nb } ->
-    rp_access ~nb ~master:true ~ro:false ~kind:`Store ~addr ();
-    Mem.write t.memory addr value
-  | F.Psm { dst; addr; inc } ->
-    t.st_stats.Stats.psm_ops <- t.st_stats.Stats.psm_ops + 1;
-    rp_access ~master:true ~ro:false ~kind:`Psm ~addr ();
-    let old = Mem.fetch_add t.memory addr inc in
-    if dst <> 0 then ctx.F.regs.(dst) <- old
-  | F.Prefetch { addr } ->
-    rp_access ~master:true ~ro:false ~kind:`Prefetch ~addr ()
-  | F.Ps { dst; g; inc } ->
-    if inc <> 0 && inc <> 1 then fail "ps increment must be 0 or 1 (got %d)" inc;
-    t.st_stats.Stats.ps_ops <- t.st_stats.Stats.ps_ops + 1;
-    let old = t.globals.(g) in
-    t.globals.(g) <- old + inc;
-    if dst <> 0 then ctx.F.regs.(dst) <- old
+  | F.Load -> load t ctx ~master:true
+  | F.Store -> store t ctx ~master:true
+  | F.Psm -> psm t ctx ~master:true
+  | F.Prefetch -> prefetch t ctx ~master:true
+  | F.Ps { dst; g; inc } -> ps t ctx ~dst ~g ~inc
   | F.Spawn { lo; hi } ->
     t.st_stats.Stats.spawns <- t.st_stats.Stats.spawns + 1;
     let spawn_idx = pc in
@@ -135,29 +152,15 @@ let step ?(on_instr = fun ~pc:_ -> ()) (t : state) =
       let tins = t.img.Isa.Program.instrs.(tpc) in
       t.executed <- t.executed + 1;
       Stats.count_instr t.st_stats ~master:false tins;
-      rp_instr ~master:false tins;
+      rp_instr t ~master:false tins;
       on_instr ~pc:tpc;
       match F.issue t.img thread ~read_str with
       | F.Done -> ()
-      | F.Load { dst; addr; ro } ->
-        rp_access ~master:false ~ro ~kind:`Load ~addr ();
-        F.complete_load thread dst (Mem.read t.memory addr)
-      | F.Store { addr; value; nb } ->
-        rp_access ~nb ~master:false ~ro:false ~kind:`Store ~addr ();
-        Mem.write t.memory addr value
-      | F.Psm { dst; addr; inc } ->
-        t.st_stats.Stats.psm_ops <- t.st_stats.Stats.psm_ops + 1;
-        rp_access ~master:false ~ro:false ~kind:`Psm ~addr ();
-        let old = Mem.fetch_add t.memory addr inc in
-        if dst <> 0 then thread.F.regs.(dst) <- old
-      | F.Prefetch { addr } ->
-        rp_access ~master:false ~ro:false ~kind:`Prefetch ~addr ()
-      | F.Ps { dst; g; inc } ->
-        if inc <> 0 && inc <> 1 then fail "ps increment must be 0 or 1";
-        t.st_stats.Stats.ps_ops <- t.st_stats.Stats.ps_ops + 1;
-        let old = t.globals.(g) in
-        t.globals.(g) <- old + inc;
-        if dst <> 0 then thread.F.regs.(dst) <- old
+      | F.Load -> load t thread ~master:false
+      | F.Store -> store t thread ~master:false
+      | F.Psm -> psm t thread ~master:false
+      | F.Prefetch -> prefetch t thread ~master:false
+      | F.Ps { dst; g; inc } -> ps t thread ~dst ~g ~inc
       | F.Chkid { id } ->
         if id <= bound then begin
           t.st_stats.Stats.virtual_threads <-

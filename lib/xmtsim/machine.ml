@@ -6,37 +6,50 @@ exception Sim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
-type dst = [ `I of int | `F of int ]
+type kind = Kload | Kpref | Kstore | Kpsm
 
-(* Requests travelling cluster -> ICN -> cache module ("packages").
-   Each carries the pc of the issuing instruction so every memory-touching
-   event exposes (address, tcu, pc) to the probes. *)
-type req =
-  | Rload of { cl : int; tcu : int; dst : dst; ro : bool; pc : int }
-  | Rpref of { cl : int; tcu : int; pc : int }
-  | Rstore of { cl : int; tcu : int; value : V.t; nb : bool; pc : int }
-  | Rpsm of { cl : int; tcu : int; inc : int; dst : int; pc : int }
+(* Where a package's one pending event takes it. *)
+type stage = To_module | To_fill | To_reply | To_cluster
 
-(* Each package carries its lifecycle stamps, read once at reply
-   delivery to feed the per-(cluster, module) latency histograms and the
-   probes. *)
-type pkg = { addr : int; req : req; lc : Probe.lifecycle }
+(* A memory request travelling cluster -> ICN -> cache module, and back as
+   its reply ("package").  It carries the pc of the issuing instruction so
+   every memory-touching event exposes (address, tcu, pc) to the probes,
+   and its lifecycle stamps, read once at reply delivery to feed the
+   per-(cluster, module) latency histograms and the probes.  Packages are
+   pooled: a delivered one goes back to the machine's free list, and each
+   builds the closure of its scheduled events once, so a memory round trip
+   allocates nothing.  Packages missing on the same line wait in a chain
+   through [next]. *)
+type pkg = {
+  mutable kind : kind;
+  mutable addr : int;
+  mutable cl : int;
+  mutable tcu : int;
+  mutable pc : int;
+  mutable dst : int;  (* load: register code (Funcmodel.ctx); psm: register *)
+  mutable ro : bool;  (* load through the read-only cache *)
+  mutable nb : bool;  (* non-blocking store *)
+  mutable value : V.t;  (* store: the value written; load, pref: the value read *)
+  mutable inc : int;  (* psm: the increment, then the old value *)
+  mutable stage : stage;
+  mutable next : pkg;  (* the MSHR chain; [no_pkg] ends it *)
+  lc : Probe.lifecycle;  (* l_mod is the destination cache module *)
+  mutable fire : unit -> unit;
+}
 
-(* Replies travelling back module -> ICN -> cluster; each carries its
-   request's lifecycle so delivery can close the loop. *)
-type reply =
-  | Pload of { tcu : int; dst : dst; v : V.t; ro : bool; addr : int; pc : int }
-  | Ppref of { tcu : int; v : V.t; addr : int; pc : int }
-  | Pack of { tcu : int; nb : bool; addr : int; pc : int }
-  | Ppsm of { tcu : int; dst : int; old : int; addr : int; pc : int }
+(* fills vacated queue slots and ends MSHR chains *)
+let rec no_pkg =
+  { kind = Kload; addr = 0; cl = 0; tcu = 0; pc = 0; dst = 0; ro = false; nb = false;
+    value = V.zero; inc = 0; stage = To_module; next = no_pkg; fire = ignore;
+    lc = { l_born = 0; l_icn_wait = 0; l_arrive = 0; l_svc = 0; l_mod = -1; l_hit = false } }
 
-type reply_env = { rp : reply; r_lc : Probe.lifecycle }
+let new_pkg () = { no_pkg with lc = { no_pkg.lc with l_born = 0 } }
 
 type tcu_state =
   | Tidle
   | Trun
   | Tmemwait
-  | Tfuwait of int
+  | Tfuwait  (* [wait] more cycles of FU latency *)
   | Tpswait
   | Tfence
   | Tdone
@@ -46,8 +59,12 @@ type tcu = {
   tcl : int;
   ctx : F.ctx;
   mutable st : tcu_state;
+  mutable wait : int;
   mutable pending : int;
   pbuf : Prefetch_buffer.t;
+  (* the prefix-sum in flight, and its completion event (built at start) *)
+  mutable ps_g : int; mutable ps_inc : int; mutable ps_dst : int;
+  mutable ps_done : unit -> unit;
 }
 
 type cluster = {
@@ -55,21 +72,20 @@ type cluster = {
   ctcus : tcu array;
   mdu : int array;  (* busy-until times per shared unit *)
   fpu : int array;
-  outbox : pkg Queue.t;
-  returns : reply_env Queue.t;
+  outbox : pkg Ring.t;
+  returns : pkg Ring.t;
   rocache : Tags.t;
   mutable rr : int;
 }
 
-type master_state = Mrun | Mstall of int | Mmemwait | Mspawnwait | Mhalted
-
-type mshr_entry = { mutable waiters : pkg list (* reversed *) }
+(* Mstall: [master_wait] more cycles of post-issue latency *)
+type master_state = Mrun | Mstall | Mmemwait | Mspawnwait | Mhalted
 
 type cache_module = {
   mid : int;
-  inq : pkg Queue.t;
+  inq : pkg Ring.t;
   tags : Tags.t;
-  mshr : (int, mshr_entry) Hashtbl.t;  (* line addr -> waiters *)
+  mshr : (int, pkg) Hashtbl.t;  (* line addr -> its latest waiter *)
 }
 
 type t = {
@@ -81,15 +97,18 @@ type t = {
   clk_cache : Desim.Clock.t;
   clk_dram : Desim.Clock.t;
   memory : Mem.t;
+  read_str : int -> string;  (* Funcmodel.issue's string reader, built once *)
   globals : int array;
   stats : Stats.t;
   out_buf : Buffer.t;
   clusters : cluster array;
   modules : cache_module array;
-  dram_q : (int * pkg) Queue.t;  (* (module, package) awaiting a DRAM slot *)
+  dram_q : pkg Ring.t;  (* packages awaiting a DRAM slot *)
+  free_pkgs : pkg Ring.t;
   master : F.ctx;
   master_cache : Tags.t;
   mutable master_st : master_state;
+  mutable master_wait : int;
   mutable halted : bool;
   (* spawn state *)
   mutable spawn_active : bool;
@@ -179,15 +198,17 @@ let create ?(config = Config.fpga64) img =
                   tcl = cid;
                   ctx = F.make_ctx ();
                   st = Tidle;
+                  wait = 0;
                   pending = 0;
                   pbuf =
                     Prefetch_buffer.create ~size:cfg.Config.prefetch_buffer_size
                       ~policy:cfg.Config.prefetch_policy;
+                  ps_g = 0; ps_inc = 0; ps_dst = 0; ps_done = ignore;
                 });
           mdu = Array.make (max 1 cfg.Config.mdus_per_cluster) 0;
           fpu = Array.make (max 1 cfg.Config.fpus_per_cluster) 0;
-          outbox = Queue.create ();
-          returns = Queue.create ();
+          outbox = Ring.create no_pkg;
+          returns = Ring.create no_pkg;
           rocache =
             Tags.create ~lines:cfg.Config.rocache_lines ~assoc:2
               ~line_words:cfg.Config.cache_line_words;
@@ -198,7 +219,7 @@ let create ?(config = Config.fpga64) img =
     Array.init cfg.Config.num_cache_modules (fun mid ->
         {
           mid;
-          inq = Queue.create ();
+          inq = Ring.create no_pkg;
           tags =
             Tags.create ~lines:cfg.Config.cache_lines ~assoc:cfg.Config.cache_assoc
               ~line_words:cfg.Config.cache_line_words;
@@ -207,6 +228,7 @@ let create ?(config = Config.fpga64) img =
   in
   let master = F.make_ctx () in
   master.F.pc <- img.Isa.Program.entry;
+  let memory = Mem.load img in
   let stats = Stats.create () in
   stats.Stats.req_lat <-
     Some
@@ -220,18 +242,21 @@ let create ?(config = Config.fpga64) img =
     clk_icn = clk "icn" cfg.Config.icn_period;
     clk_cache = clk "caches" cfg.Config.cache_period;
     clk_dram = clk "dram" cfg.Config.dram_period;
-    memory = Mem.load img;
+    memory;
+    read_str = Mem.read_string memory;
     globals = Array.make Isa.Reg.num_globals 0;
     stats;
     out_buf = Buffer.create 256;
     clusters;
     modules;
-    dram_q = Queue.create ();
+    dram_q = Ring.create no_pkg;
+    free_pkgs = Ring.create no_pkg;
     master;
     master_cache =
       Tags.create ~lines:cfg.Config.master_cache_lines ~assoc:2
         ~line_words:cfg.Config.cache_line_words;
     master_st = Mrun;
+    master_wait = 0;
     halted = false;
     spawn_active = false;
     spawn_bound = -1;
@@ -281,43 +306,21 @@ let cluster_ticks t = Desim.Clock.cycles t.clk_cluster + Desim.Clock.skipped_tic
    call, no allocation.  The hottest events have flags of their own, so
    a probe that ignores them (race detector, heartbeat) skips them too. *)
 
+let kind_name = function
+  | Kload -> "load"
+  | Kpref -> "pref"
+  | Kstore -> "store"
+  | Kpsm -> "psm"
+
 let emit_pkg t ~stage pk ~m =
   if t.packaged then
-    let kind, tcu, pc =
-      match pk.req with
-      | Rload { tcu; pc; _ } -> ("load", tcu, pc)
-      | Rpref { tcu; pc; _ } -> ("pref", tcu, pc)
-      | Rstore { tcu; pc; _ } -> ("store", tcu, pc)
-      | Rpsm { tcu; pc; _ } -> ("psm", tcu, pc)
-    in
-    t.probe.Probe.package ~stage ~kind ~addr:pk.addr ~tcu ~pc ~module_:m
-
-(* memory address an issued instruction touches, or -1 *)
-let addr_of_result = function
-  | F.Load { addr; _ } | F.Store { addr; _ } | F.Psm { addr; _ } | F.Prefetch { addr } ->
-    addr
-  | _ -> -1
+    t.probe.Probe.package ~stage ~kind:(kind_name pk.kind) ~addr:pk.addr ~tcu:pk.tcu
+      ~pc:pk.pc ~module_:m
 
 (* ------------------------------------------------------------------ *)
 (* ICN transport: event-per-package with per-(cluster,module) jitter that
    preserves same-source-same-destination FIFO ordering (memory model
    rule 1: static routing keeps per-pair order). *)
-
-(* Build a request package, stamping its birth (outbox-enqueue) time. *)
-let mk_pkg t addr req =
-  {
-    addr;
-    req;
-    lc =
-      {
-        l_born = Desim.Scheduler.now t.sched;
-        l_icn_wait = 0;
-        l_arrive = 0;
-        l_svc = 0;
-        l_mod = -1;
-        l_hit = false;
-      };
-  }
 
 let icn_send t ~cl pk =
   let m = hash_addr t.cfg pk.addr in
@@ -333,26 +336,19 @@ let icn_send t ~cl pk =
   pk.lc.l_mod <- m;
   pk.lc.l_icn_wait <- arrival - uncontended;
   emit_pkg t ~stage:"icn-inject" pk ~m;
+  pk.stage <- To_module;
   Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer
-    ~delay:(arrival - now) (fun () ->
-      pk.lc.l_arrive <- Desim.Scheduler.now t.sched;
-      emit_pkg t ~stage:"module-arrive" pk ~m;
-      Queue.add pk t.modules.(m).inq;
-      (* arrival runs at prio_transfer: the cache tick at this instant (if
-         any) already popped, so a sleeping cache domain resumes one period
-         later — exactly when an ungated cache would next see the package *)
-      Desim.Clock.wake t.clk_cache)
+    ~delay:(arrival - now) pk.fire
 
-let icn_reply t ~mid ~cl renv =
+let icn_reply t pk =
   let delay =
-    (t.cfg.Config.icn_latency * Desim.Clock.period t.clk_icn) + t.jitter.(cl).(mid)
+    (t.cfg.Config.icn_latency * Desim.Clock.period t.clk_icn)
+    + t.jitter.(pk.cl).(pk.lc.l_mod)
   in
   t.stats.Stats.icn_packets <- t.stats.Stats.icn_packets + 1;
-  renv.r_lc.l_svc <- Desim.Scheduler.now t.sched;
-  Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer ~delay
-    (fun () ->
-      Queue.add renv t.clusters.(cl).returns;
-      Desim.Clock.wake t.clk_cluster)
+  pk.lc.l_svc <- Desim.Scheduler.now t.sched;
+  pk.stage <- To_cluster;
+  Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer ~delay pk.fire
 
 (* ------------------------------------------------------------------ *)
 (* Join logic *)
@@ -378,64 +374,71 @@ let maybe_join t =
 (* ------------------------------------------------------------------ *)
 (* Cache modules and DRAM *)
 
-let service_pkg t (m : cache_module) pk =
-  (* perform the functional memory effect now and produce the reply *)
-  let reply rp ~extra_delay cl =
-    Desim.Scheduler.schedule t.sched ~delay:extra_delay (fun () ->
-        icn_reply t ~mid:m.mid ~cl { rp; r_lc = pk.lc })
-  in
-  let hit_lat = t.cfg.Config.cache_hit_latency * Desim.Clock.period t.clk_cache in
-  match pk.req with
-  | Rload { cl; tcu; dst; ro; pc } ->
-    let v = Mem.read t.memory pk.addr in
-    if t.probed then t.probe.Probe.read ~tcu ~pc ~addr:pk.addr;
-    reply (Pload { tcu; dst; v; ro; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rpref { cl; tcu; pc } ->
-    let v = Mem.read t.memory pk.addr in
-    if t.probed then t.probe.Probe.read ~tcu ~pc ~addr:pk.addr;
-    reply (Ppref { tcu; v; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rstore { cl; tcu; value; nb; pc } ->
-    Mem.write t.memory pk.addr value;
-    if t.probed then t.probe.Probe.write ~tcu ~pc ~addr:pk.addr;
-    reply (Pack { tcu; nb; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rpsm { cl; tcu; inc; dst; pc } ->
-    let old = Mem.fetch_add t.memory pk.addr inc in
+(* Perform the functional memory effect now and send the reply after the
+   hit latency. *)
+let service_pkg t pk =
+  let tcu = pk.tcu and pc = pk.pc and addr = pk.addr in
+  (match pk.kind with
+  | Kload | Kpref ->
+    pk.value <- Mem.read t.memory addr;
+    if t.probed then t.probe.Probe.read ~tcu ~pc ~addr
+  | Kstore ->
+    Mem.write t.memory addr pk.value;
+    if t.probed then t.probe.Probe.write ~tcu ~pc ~addr
+  | Kpsm ->
+    pk.inc <- Mem.fetch_add t.memory addr pk.inc;
     t.stats.Stats.psm_ops <- t.stats.Stats.psm_ops + 1;
     (* the psm word itself is the ordering primitive, not a plain access *)
-    if t.probed then t.probe.Probe.sync ~tcu;
-    reply (Ppsm { tcu; dst; old; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
+    if t.probed then t.probe.Probe.sync ~tcu);
+  pk.stage <- To_reply;
+  Desim.Scheduler.schedule t.sched
+    ~delay:(t.cfg.Config.cache_hit_latency * Desim.Clock.period t.clk_cache)
+    pk.fire
 
-let dram_fill t (m : cache_module) line =
+(* service an MSHR chain (latest waiter first) in arrival order *)
+let rec service_chain t pk =
+  if pk != no_pkg then begin
+    service_chain t pk.next;
+    service_pkg t pk
+  end
+
+(* The line [pk] missed on arrived from DRAM: install it and service
+   every package waiting on it, in arrival order. *)
+let dram_fill t pk =
+  let m = t.modules.(pk.lc.l_mod) in
+  let line = Tags.line_of m.tags pk.addr in
   Tags.install m.tags line;
   if t.packaged then
     t.probe.Probe.package ~stage:"dram-fill" ~kind:"line" ~addr:line ~tcu:(-1) ~pc:(-1)
       ~module_:m.mid;
-  match Hashtbl.find_opt m.mshr line with
-  | None -> ()
-  | Some entry ->
+  match Hashtbl.find m.mshr line with
+  | exception Not_found -> ()
+  | latest ->
     Hashtbl.remove m.mshr line;
-    List.iter (fun pk -> service_pkg t m pk) (List.rev entry.waiters)
+    service_chain t latest
 
 let module_tick t (m : cache_module) =
   for _ = 1 to t.cfg.Config.cache_ports do
-    match Queue.take_opt m.inq with
-    | None -> ()
-    | Some pk ->
+    if not (Ring.is_empty m.inq) then begin
+      let pk = Ring.pop m.inq in
       let line = Tags.line_of m.tags pk.addr in
       if Tags.lookup m.tags pk.addr then begin
         t.stats.Stats.cache_hits <- t.stats.Stats.cache_hits + 1;
         pk.lc.l_hit <- true;
         emit_pkg t ~stage:"cache-hit" pk ~m:m.mid;
-        service_pkg t m pk
+        service_pkg t pk
       end
       else begin
         t.stats.Stats.cache_misses <- t.stats.Stats.cache_misses + 1;
         emit_pkg t ~stage:"cache-miss" pk ~m:m.mid;
-        match Hashtbl.find_opt m.mshr line with
-        | Some entry -> entry.waiters <- pk :: entry.waiters
-        | None ->
-          Hashtbl.replace m.mshr line { waiters = [ pk ] };
-          Queue.add (m.mid, pk) t.dram_q;
+        match Hashtbl.find m.mshr line with
+        | latest ->
+          pk.next <- latest;
+          Hashtbl.replace m.mshr line pk
+        | exception Not_found ->
+          pk.next <- no_pkg;
+          Hashtbl.add m.mshr line pk;
+          Ring.push t.dram_q pk;
           (* Called from a cache tick (prio_tick), so Clock.wake's default
              tie-break cannot tell whether the ungated DRAM tick at this
              instant already popped.  Same-time tick events pop in
@@ -446,22 +449,69 @@ let module_tick t (m : cache_module) =
             ~tick_at_now:
               (Desim.Clock.period t.clk_dram <= Desim.Clock.period t.clk_cache)
       end
+    end
   done
 
 let dram_tick t =
   for _ = 1 to t.cfg.Config.dram_bandwidth do
-    match Queue.take_opt t.dram_q with
-    | None -> ()
-    | Some (mid, pk) ->
+    if not (Ring.is_empty t.dram_q) then begin
+      let pk = Ring.pop t.dram_q in
       t.stats.Stats.dram_reads <- t.stats.Stats.dram_reads + 1;
-      let m = t.modules.(mid) in
-      let line = Tags.line_of m.tags pk.addr in
-      let delay = t.cfg.Config.dram_latency * Desim.Clock.period t.clk_dram in
       t.dram_fills <- t.dram_fills + 1;
-      Desim.Scheduler.schedule t.sched ~delay (fun () ->
-          t.dram_fills <- t.dram_fills - 1;
-          dram_fill t m line)
+      pk.stage <- To_fill;
+      Desim.Scheduler.schedule t.sched
+        ~delay:(t.cfg.Config.dram_latency * Desim.Clock.period t.clk_dram)
+        pk.fire
+    end
   done
+
+(* A package's scheduled event: the hop its stage names. *)
+let pkg_event t pk =
+  match pk.stage with
+  | To_module ->
+    let m = pk.lc.l_mod in
+    pk.lc.l_arrive <- Desim.Scheduler.now t.sched;
+    emit_pkg t ~stage:"module-arrive" pk ~m;
+    Ring.push t.modules.(m).inq pk;
+    (* arrival runs at prio_transfer: the cache tick at this instant (if
+       any) already popped, so a sleeping cache domain resumes one period
+       later — exactly when an ungated cache would next see the package *)
+    Desim.Clock.wake t.clk_cache
+  | To_fill ->
+    t.dram_fills <- t.dram_fills - 1;
+    dram_fill t pk
+  | To_reply -> icn_reply t pk
+  | To_cluster ->
+    Ring.push t.clusters.(pk.cl).returns pk;
+    Desim.Clock.wake t.clk_cluster
+
+(* A package from the pool for [u]'s request of [kind], carrying the
+   operands its last issue left in [u]'s context, stamped with its birth
+   (outbox-enqueue) time and queued in the cluster outbox. *)
+let request t (cl : cluster) (u : tcu) kind ~pc =
+  let pk =
+    if Ring.is_empty t.free_pkgs then begin
+      let pk = new_pkg () in
+      pk.fire <- (fun () -> pkg_event t pk);
+      pk
+    end
+    else Ring.pop t.free_pkgs
+  in
+  let ctx = u.ctx in
+  pk.kind <- kind;
+  pk.addr <- ctx.F.addr;
+  pk.cl <- cl.cid;
+  pk.tcu <- u.tid;
+  pk.pc <- pc;
+  pk.dst <- ctx.F.dst;
+  pk.ro <- ctx.F.ro;
+  pk.nb <- ctx.F.nb;
+  pk.value <- ctx.F.value;
+  pk.inc <- ctx.F.inc;
+  (* the trip sets every other stamp before a probe reads them *)
+  pk.lc.l_born <- Desim.Scheduler.now t.sched;
+  pk.lc.l_hit <- false;
+  Ring.push cl.outbox pk
 
 (* ------------------------------------------------------------------ *)
 (* TCU execution *)
@@ -472,48 +522,47 @@ let observe_lifecycle t (cl : cluster) (lc : Probe.lifecycle) =
   match t.stats.Stats.req_lat with
   | None -> ()
   | Some rl ->
-    let now = Desim.Scheduler.now t.sched in
-    let obs stage v = Stats.observe_req rl stage ~cluster:cl.cid ~module_:lc.l_mod v in
-    obs Stats.Licn_wait lc.l_icn_wait;
-    obs (if lc.l_hit then Stats.Lservice_hit else Stats.Lservice_miss)
-      (lc.l_svc - lc.l_arrive);
-    obs Stats.Lreply (now - lc.l_svc);
-    obs Stats.Ltotal (now - lc.l_born)
+    let now = Desim.Scheduler.now t.sched and cluster = cl.cid and module_ = lc.l_mod in
+    Stats.observe_req rl Stats.Licn_wait ~cluster ~module_ lc.l_icn_wait;
+    Stats.observe_req rl
+      (if lc.l_hit then Stats.Lservice_hit else Stats.Lservice_miss)
+      ~cluster ~module_ (lc.l_svc - lc.l_arrive);
+    Stats.observe_req rl Stats.Lreply ~cluster ~module_ (now - lc.l_svc);
+    Stats.observe_req rl Stats.Ltotal ~cluster ~module_ (now - lc.l_born)
 
 (* the reply ended [u]'s memory wait *)
 let wake t (u : tcu) r_lc ~pref =
   if t.probed then t.probe.Probe.woken ~tcu:u.tid ~pref r_lc;
   u.st <- Trun
 
-let deliver_reply t (cl : cluster) { rp; r_lc } =
+(* Deliver [pk]'s reply to its TCU, then return the package to the pool. *)
+let deliver_reply t (cl : cluster) pk =
+  let lc = pk.lc in
   if t.probed then begin
-    let kind, tcu, addr, pc =
-      match rp with
-      | Pload { tcu; addr; pc; _ } -> ("load", tcu, addr, pc)
-      | Ppref { tcu; addr; pc; _ } -> ("pref", tcu, addr, pc)
-      | Pack { tcu; nb; addr; pc } -> ((if nb then "store-ack" else "store"), tcu, addr, pc)
-      | Ppsm { tcu; addr; pc; _ } -> ("psm", tcu, addr, pc)
+    let kind =
+      match pk.kind with
+      | Kstore when pk.nb -> "store-ack"
+      | k -> kind_name k
     in
-    t.probe.Probe.package ~stage:"reply" ~kind ~addr ~tcu ~pc ~module_:(-1);
-    t.probe.Probe.reply ~kind ~tcu ~addr r_lc
+    t.probe.Probe.package ~stage:"reply" ~kind ~addr:pk.addr ~tcu:pk.tcu ~pc:pk.pc
+      ~module_:(-1);
+    t.probe.Probe.reply ~kind ~tcu:pk.tcu ~addr:pk.addr lc
   end;
-  observe_lifecycle t cl r_lc;
-  match rp with
-  | Pload { tcu; dst; v; ro; addr; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if ro then Tags.install cl.rocache addr;
-    F.complete_load u.ctx dst v;
-    if u.st = Tmemwait then wake t u r_lc ~pref:false
-  | Ppref { tcu; v; addr; _ } -> (
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    match Prefetch_buffer.fill u.pbuf addr v with
+  observe_lifecycle t cl lc;
+  let u = cl.ctcus.(pk.tcu mod t.cfg.Config.tcus_per_cluster) in
+  (match pk.kind with
+  | Kload ->
+    if pk.ro then Tags.install cl.rocache pk.addr;
+    F.complete_load u.ctx pk.dst pk.value;
+    if u.st = Tmemwait then wake t u lc ~pref:false
+  | Kpref -> (
+    match Prefetch_buffer.fill u.pbuf pk.addr pk.value with
     | None -> ()
     | Some dst ->
-      F.complete_load u.ctx dst v;
-      if u.st = Tmemwait then wake t u r_lc ~pref:true)
-  | Pack { tcu; nb; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if nb then begin
+      F.complete_load u.ctx dst pk.value;
+      if u.st = Tmemwait then wake t u lc ~pref:true)
+  | Kstore ->
+    if pk.nb then begin
       u.pending <- u.pending - 1;
       t.pending_total <- t.pending_total - 1;
       if u.st = Tfence && u.pending = 0 then begin
@@ -523,11 +572,50 @@ let deliver_reply t (cl : cluster) { rp; r_lc } =
       end;
       maybe_join t
     end
-    else if u.st = Tmemwait then (* blocking store ack *) wake t u r_lc ~pref:false
-  | Ppsm { tcu; dst; old; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if dst <> 0 then u.ctx.F.regs.(dst) <- old;
-    if u.st = Tmemwait then wake t u r_lc ~pref:false
+    else if u.st = Tmemwait then (* blocking store ack *) wake t u lc ~pref:false
+  | Kpsm ->
+    if pk.dst <> 0 then u.ctx.F.regs.(pk.dst) <- pk.inc;
+    if u.st = Tmemwait then wake t u lc ~pref:false);
+  Ring.push t.free_pkgs pk
+
+(* the prefix-sum [u] issued completes *)
+let ps_done t (u : tcu) =
+  let old = t.globals.(u.ps_g) in
+  t.globals.(u.ps_g) <- old + u.ps_inc;
+  if t.probed then t.probe.Probe.sync ~tcu:u.tid;
+  if u.ps_dst <> 0 then u.ctx.F.regs.(u.ps_dst) <- old;
+  if u.st = Tpswait then u.st <- Trun
+
+(* Claim the first unit of [pool] free at [now] until [busy_until]. *)
+let rec claim pool i ~now ~busy_until =
+  if i >= Array.length pool then false
+  else if pool.(i) <= now then begin
+    pool.(i) <- busy_until;
+    true
+  end
+  else claim pool (i + 1) ~now ~busy_until
+
+let claim_fu t pool lat =
+  let now = Desim.Scheduler.now t.sched in
+  if claim pool 0 ~now ~busy_until:(now + (lat * Desim.Clock.period t.clk_cluster)) then lat
+  else -1
+
+(* Shared-FU grant for [ins]: its latency in cycles (0 when it needs no
+   shared unit), or -1 when every unit of its class is busy. *)
+let fu_grant t (cl : cluster) ins =
+  match I.fu_class_of ins with
+  | I.FU_MDU ->
+    claim_fu t cl.mdu
+      (match ins with
+      | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
+      | _ -> t.cfg.Config.div_latency)
+  | I.FU_FPU ->
+    claim_fu t cl.fpu
+      (match ins with
+      | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
+      | I.Fpu (I.Fdiv, _, _, _) -> t.cfg.Config.div_latency
+      | _ -> t.cfg.Config.fpu_latency)
+  | _ -> 0
 
 (* issue one TCU instruction; returns unit.  Assumes u.st = Trun. *)
 let tcu_issue t (cl : cluster) (u : tcu) =
@@ -540,115 +628,80 @@ let tcu_issue t (cl : cluster) (u : tcu) =
       u.tid pc spawn_idx join_idx;
   let ins = t.img.Isa.Program.instrs.(pc) in
   (* shared-FU availability check before issue *)
-  let now = Desim.Scheduler.now t.sched in
-  let try_fu pool lat =
-    let rec go i =
-      if i >= Array.length pool then None
-      else if pool.(i) <= now then begin
-        pool.(i) <- now + (lat * Desim.Clock.period t.clk_cluster);
-        Some lat
-      end
-      else go (i + 1)
-    in
-    go 0
-  in
-  let fu_needed =
-    match I.fu_class_of ins with
-    | I.FU_MDU ->
-      let lat =
-        match ins with
-        | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
-        | _ -> t.cfg.Config.div_latency
-      in
-      Some (cl.mdu, lat)
-    | I.FU_FPU ->
-      let lat =
-        match ins with
-        | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
-        | I.Fpu (I.Fdiv, _, _, _) -> t.cfg.Config.div_latency
-        | _ -> t.cfg.Config.fpu_latency
-      in
-      Some (cl.fpu, lat)
-    | _ -> None
-  in
-  let granted =
-    match fu_needed with
-    | None -> Some 0
-    | Some (pool, lat) -> try_fu pool lat
-  in
-  match granted with
-  | None ->
+  let fu_lat = fu_grant t cl ins in
+  if fu_lat < 0 then begin
     (* shared unit busy: stall, retry next cycle *)
     t.stats.Stats.tcu_fuwait_cycles <- t.stats.Stats.tcu_fuwait_cycles + 1;
     if t.ticked then t.probe.Probe.stall ~tcu:u.tid ~pc
-  | Some fu_lat -> (
-    let read_str a = Mem.read_string t.memory a in
-    let res = F.issue t.img u.ctx ~read_str in
+  end
+  else begin
+    let res = F.issue t.img u.ctx ~read_str:t.read_str in
     Stats.count_instr t.stats ~master:false ins;
     t.cluster_instrs.(cl.cid) <- t.cluster_instrs.(cl.cid) + 1;
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    if t.ticked then t.probe.Probe.issue ~tcu:u.tid ~pc ins ~addr:(addr_of_result res);
+    let addr = u.ctx.F.addr in
+    if t.ticked then
+      t.probe.Probe.issue ~tcu:u.tid ~pc ins
+        ~addr:(match res with F.Load | F.Store | F.Psm | F.Prefetch -> addr | _ -> -1);
     match res with
-    | F.Done -> if fu_lat > 1 then u.st <- Tfuwait (fu_lat - 1)
-    | F.Load { dst; addr; ro } ->
+    | F.Done ->
+      if fu_lat > 1 then begin
+        u.st <- Tfuwait;
+        u.wait <- fu_lat - 1
+      end
+    | F.Load ->
+      let ro = u.ctx.F.ro in
       if ro && Tags.lookup cl.rocache addr then begin
         t.stats.Stats.rocache_hits <- t.stats.Stats.rocache_hits + 1;
         if t.probed then t.probe.Probe.read ~tcu:u.tid ~pc ~addr;
-        F.complete_load u.ctx dst (Mem.read t.memory addr);
-        if t.cfg.Config.rocache_hit_latency > 1 then
-          u.st <- Tfuwait (t.cfg.Config.rocache_hit_latency - 1)
+        F.complete_load u.ctx u.ctx.F.dst (Mem.read t.memory addr);
+        if t.cfg.Config.rocache_hit_latency > 1 then begin
+          u.st <- Tfuwait;
+          u.wait <- t.cfg.Config.rocache_hit_latency - 1
+        end
       end
       else begin
         if ro then t.stats.Stats.rocache_misses <- t.stats.Stats.rocache_misses + 1;
         match Prefetch_buffer.lookup u.pbuf addr with
         | Prefetch_buffer.Hit v ->
           t.stats.Stats.prefetch_hits <- t.stats.Stats.prefetch_hits + 1;
-          F.complete_load u.ctx dst v
+          F.complete_load u.ctx u.ctx.F.dst v
         | Prefetch_buffer.In_flight ->
           t.stats.Stats.prefetch_late <- t.stats.Stats.prefetch_late + 1;
-          Prefetch_buffer.wait_on u.pbuf addr dst;
+          Prefetch_buffer.wait_on u.pbuf addr u.ctx.F.dst;
           u.st <- Tmemwait
         | Prefetch_buffer.Miss ->
           t.stats.Stats.prefetch_misses <- t.stats.Stats.prefetch_misses + 1;
-          Queue.add
-            (mk_pkg t addr (Rload { cl = cl.cid; tcu = u.tid; dst; ro; pc }))
-            cl.outbox;
+          request t cl u Kload ~pc;
           u.st <- Tmemwait
       end
-    | F.Store { addr; value; nb } ->
+    | F.Store ->
       (* rule 1 (same source, same destination order): the TCU's own store
          must not be shadowed by a stale prefetched value *)
       Prefetch_buffer.invalidate u.pbuf addr;
-      Queue.add
-        (mk_pkg t addr (Rstore { cl = cl.cid; tcu = u.tid; value; nb; pc }))
-        cl.outbox;
-      if nb then begin
+      request t cl u Kstore ~pc;
+      if u.ctx.F.nb then begin
         t.stats.Stats.nb_stores <- t.stats.Stats.nb_stores + 1;
         u.pending <- u.pending + 1;
         t.pending_total <- t.pending_total + 1
       end
       else u.st <- Tmemwait
-    | F.Psm { dst; addr; inc } ->
-      Queue.add
-        (mk_pkg t addr (Rpsm { cl = cl.cid; tcu = u.tid; inc; dst; pc }))
-        cl.outbox;
+    | F.Psm ->
+      request t cl u Kpsm ~pc;
       u.st <- Tmemwait
-    | F.Prefetch { addr } ->
+    | F.Prefetch ->
       t.stats.Stats.prefetch_issued <- t.stats.Stats.prefetch_issued + 1;
-      if Prefetch_buffer.start u.pbuf addr then
-        Queue.add (mk_pkg t addr (Rpref { cl = cl.cid; tcu = u.tid; pc })) cl.outbox
+      if Prefetch_buffer.start u.pbuf addr then request t cl u Kpref ~pc
     | F.Ps { dst; g; inc } ->
       if inc <> 0 && inc <> 1 then
         fail "TCU %d: ps increment must be 0 or 1 (got %d)" u.tid inc;
       t.stats.Stats.ps_ops <- t.stats.Stats.ps_ops + 1;
       u.st <- Tpswait;
+      u.ps_dst <- dst;
+      u.ps_g <- g;
+      u.ps_inc <- inc;
       let delay = t.cfg.Config.ps_latency * Desim.Clock.period t.clk_cluster in
-      Desim.Scheduler.schedule t.sched ~delay (fun () ->
-          let old = t.globals.(g) in
-          t.globals.(g) <- old + inc;
-          if t.probed then t.probe.Probe.sync ~tcu:u.tid;
-          if dst <> 0 then u.ctx.F.regs.(dst) <- old;
-          if u.st = Tpswait then u.st <- Trun)
+      Desim.Scheduler.schedule t.sched ~delay u.ps_done
     | F.Chkid { id } ->
       if id <= t.spawn_bound then begin
         t.stats.Stats.virtual_threads <- t.stats.Stats.virtual_threads + 1
@@ -667,16 +720,17 @@ let tcu_issue t (cl : cluster) (u : tcu) =
     | F.Spawn _ -> fail "TCU %d executed spawn (nested spawns are serialized)" u.tid
     | F.Join -> fail "TCU %d reached the join instruction" u.tid
     | F.Halt -> fail "TCU %d executed halt" u.tid
-    | F.Mfg _ | F.Mtg _ -> fail "TCU %d executed serial-only mfg/mtg" u.tid)
+    | F.Mfg _ | F.Mtg _ -> fail "TCU %d executed serial-only mfg/mtg" u.tid
+  end
 
 let tcu_tick t (cl : cluster) (u : tcu) =
   match u.st with
   | Tidle | Tdone -> ()
   | Trun -> tcu_issue t cl u
-  | Tfuwait n ->
+  | Tfuwait ->
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fu;
-    u.st <- (if n <= 1 then Trun else Tfuwait (n - 1))
+    if u.wait <= 1 then u.st <- Trun else u.wait <- u.wait - 1
   | Tmemwait ->
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Mem
@@ -692,74 +746,73 @@ let tcu_tick t (cl : cluster) (u : tcu) =
     end
 
 let cluster_tick t (cl : cluster) =
-  if t.spawn_active || (not (Queue.is_empty cl.returns)) || not (Queue.is_empty cl.outbox)
+  if t.spawn_active || (not (Ring.is_empty cl.returns)) || not (Ring.is_empty cl.outbox)
   then begin
     (* phase 1: accept returning packages *)
     for _ = 1 to t.cfg.Config.cluster_return_width do
-      match Queue.take_opt cl.returns with
-      | Some rp -> deliver_reply t cl rp
-      | None -> ()
+      if not (Ring.is_empty cl.returns) then deliver_reply t cl (Ring.pop cl.returns)
     done;
     (* phase 2: step TCUs, rotating priority *)
     if t.spawn_active then begin
       let n = Array.length cl.ctcus in
-      for k = 0 to n - 1 do
-        tcu_tick t cl cl.ctcus.((cl.rr + k) mod n)
+      for k = cl.rr to cl.rr + n - 1 do
+        tcu_tick t cl cl.ctcus.(if k < n then k else k - n)
       done;
-      cl.rr <- (cl.rr + 1) mod n
+      cl.rr <- (if cl.rr + 1 < n then cl.rr + 1 else 0)
     end;
     (* phase 3: inject into the ICN *)
     for _ = 1 to t.cfg.Config.cluster_inject_width do
-      match Queue.take_opt cl.outbox with
-      | Some pk -> icn_send t ~cl:cl.cid pk
-      | None -> ()
+      if not (Ring.is_empty cl.outbox) then icn_send t ~cl:cl.cid (Ring.pop cl.outbox)
     done
   end
 
 (* ------------------------------------------------------------------ *)
 (* Master TCU *)
 
+let master_stall t lat =
+  if lat > 1 then begin
+    t.master_st <- Mstall;
+    t.master_wait <- lat - 1
+  end
+
 let master_tick t =
   match t.master_st with
   | Mhalted | Mmemwait | Mspawnwait -> ()
-  | Mstall n ->
+  | Mstall ->
     if t.ticked then t.probe.Probe.wait ~tcu:(-1) Probe.Fu;
-    t.master_st <- (if n <= 1 then Mrun else Mstall (n - 1))
+    if t.master_wait <= 1 then t.master_st <- Mrun
+    else t.master_wait <- t.master_wait - 1
   | Mrun -> (
     let pc = t.master.F.pc in
     let ins = t.img.Isa.Program.instrs.(pc) in
     (* master handles mfg/mtg directly *)
-    let read_str a = Mem.read_string t.memory a in
-    let res = F.issue t.img t.master ~read_str in
+    let res = F.issue t.img t.master ~read_str:t.read_str in
     Stats.count_instr t.stats ~master:true ins;
+    let addr = t.master.F.addr in
     if t.ticked then
       t.probe.Probe.issue ~tcu:(-1) ~pc ins
-        ~addr:(match res with F.Load { addr; _ } | F.Store { addr; _ } -> addr | _ -> -1);
+        ~addr:(match res with F.Load | F.Store -> addr | _ -> -1);
     match res with
     | F.Done -> (
       (* multi-cycle master ALU ops *)
       match I.fu_class_of ins with
       | I.FU_MDU ->
-        let lat =
-          match ins with
+        master_stall t
+          (match ins with
           | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
-          | _ -> t.cfg.Config.div_latency
-        in
-        if lat > 1 then t.master_st <- Mstall (lat - 1)
+          | _ -> t.cfg.Config.div_latency)
       | I.FU_FPU ->
-        let lat =
-          match ins with
+        master_stall t
+          (match ins with
           | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
-          | _ -> t.cfg.Config.fpu_latency
-        in
-        if lat > 1 then t.master_st <- Mstall (lat - 1)
+          | _ -> t.cfg.Config.fpu_latency)
       | _ -> ())
-    | F.Load { dst; addr; ro = _ } ->
+    | F.Load ->
+      let dst = t.master.F.dst in
       if Tags.lookup t.master_cache addr then begin
         t.stats.Stats.master_cache_hits <- t.stats.Stats.master_cache_hits + 1;
         F.complete_load t.master dst (Mem.read t.memory addr);
-        if t.cfg.Config.master_cache_hit_latency > 1 then
-          t.master_st <- Mstall (t.cfg.Config.master_cache_hit_latency - 1)
+        master_stall t t.cfg.Config.master_cache_hit_latency
       end
       else begin
         t.stats.Stats.master_cache_misses <- t.stats.Stats.master_cache_misses + 1;
@@ -778,9 +831,9 @@ let master_tick t =
             if t.master_st = Mmemwait then t.master_st <- Mrun;
             Desim.Clock.wake t.clk_cluster)
       end
-    | F.Store { addr; value; nb = _ } ->
+    | F.Store ->
       (* write-through master cache; write buffer absorbs the latency *)
-      Mem.write t.memory addr value;
+      Mem.write t.memory addr t.master.F.value;
       Tags.install t.master_cache addr
     | F.Mfg { dst; g } -> if dst <> 0 then t.master.F.regs.(dst) <- t.globals.(g)
     | F.Mtg { g; src } -> t.globals.(g) <- src
@@ -820,9 +873,9 @@ let master_tick t =
       Desim.Scheduler.stop t.sched ()
     | F.Fence -> () (* master stores are write-through: nothing pending *)
     | F.Ps _ -> fail "master executed ps (parallel-only)"
-    | F.Psm _ -> fail "master executed psm (parallel-only)"
+    | F.Psm -> fail "master executed psm (parallel-only)"
     | F.Chkid _ -> fail "master executed chkid"
-    | F.Prefetch _ -> () (* master prefetch: no-op *))
+    | F.Prefetch -> () (* master prefetch: no-op *))
 
 (* ------------------------------------------------------------------ *)
 
@@ -855,18 +908,18 @@ let cluster_domain_idle t =
   (not t.spawn_active)
   && (match t.master_st with
      | Mmemwait | Mspawnwait | Mhalted -> true  (* parked on a callback *)
-     | Mrun | Mstall _ -> false (* tick-driven *))
+     | Mrun | Mstall -> false (* tick-driven *))
   && Array.for_all
-       (fun cl -> Queue.is_empty cl.outbox && Queue.is_empty cl.returns)
+       (fun cl -> Ring.is_empty cl.outbox && Ring.is_empty cl.returns)
        t.clusters
 
 let cache_domain_idle t =
-  Queue.is_empty t.dram_q
+  Ring.is_empty t.dram_q
   && Array.for_all
-       (fun m -> Queue.is_empty m.inq && Hashtbl.length m.mshr = 0)
+       (fun m -> Ring.is_empty m.inq && Hashtbl.length m.mshr = 0)
        t.modules
 
-let dram_domain_idle t = Queue.is_empty t.dram_q && t.dram_fills = 0
+let dram_domain_idle t = Ring.is_empty t.dram_q && t.dram_fills = 0
 
 (* Per-domain gating effectiveness: fired ticks, the estimate of ticks
    gated away, and the current period, as sim.clock.* metrics. *)
@@ -920,6 +973,9 @@ let probes t = List.map (fun p -> p.Probe.name) t.probes
 let start t =
   if not t.started then begin
     t.started <- true;
+    Array.iter
+      (fun cl -> Array.iter (fun u -> u.ps_done <- (fun () -> ps_done t u)) cl.ctcus)
+      t.clusters;
     (* the probes' cluster-tick event rides the master's existing phase-0
        handler (fired ticks only — a gated-off domain fires none), so
        probing changes neither event scheduling nor gating; a handler of
@@ -928,9 +984,13 @@ let start t =
         if t.probed then t.probe.Probe.cluster_tick ~cycle;
         master_tick t);
     Desim.Clock.on_tick ~phase:1 t.clk_cluster (fun _ ->
-        Array.iter (cluster_tick t) t.clusters);
+        for i = 0 to Array.length t.clusters - 1 do
+          cluster_tick t t.clusters.(i)
+        done);
     Desim.Clock.on_tick ~phase:0 t.clk_cache (fun _ ->
-        Array.iter (module_tick t) t.modules);
+        for i = 0 to Array.length t.modules - 1 do
+          module_tick t t.modules.(i)
+        done);
     Desim.Clock.on_tick ~phase:0 t.clk_dram (fun _ -> dram_tick t);
     (* gating checks run after every work phase of the tick (activity
        plug-ins register at phase 2; cluster gating is disabled outright
@@ -951,17 +1011,20 @@ let start t =
     if t.gating then Desim.Clock.sleep t.clk_icn
   end
 
-let run ?max_cycles t =
+(* [until]: stop early at the first instant boundary where it holds *)
+let run_until ?max_cycles ?until t =
   start t;
   let budget =
     match max_cycles with Some m -> m | None -> t.cfg.Config.max_cycles
   in
   Desim.Scheduler.stop t.sched ~time:(Desim.Scheduler.now t.sched + budget) ();
-  let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run t.sched in
+  let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run ?until t.sched in
   t.stats.Stats.cycles <- Desim.Scheduler.now t.sched;
   if t.probed then t.probe.Probe.run_end ~halted:t.halted;
   { output = Buffer.contents t.out_buf; cycles = Desim.Scheduler.now t.sched;
     halted = t.halted }
+
+let run ?max_cycles t = run_until ?max_cycles t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
@@ -1001,16 +1064,19 @@ let is_quiescent t =
   && (match t.master_st with Mrun | Mhalted -> true | _ -> false)
   && t.pending_total = 0
 
-(* Run in small increments until the machine reaches a quiescent point (a
-   serial instruction boundary with nothing in flight) or halts. *)
+(* Run until the machine reaches a quiescent point (a serial instruction
+   boundary with nothing in flight) or halts: the end of the first cycle,
+   counting from the next one, at which that holds, within 10M cycles.
+   The serial windows between spawns are narrow, so the check is made
+   at every instant boundary inside one run.  One plain cycle comes
+   first: a fresh machine has events of the current instant still to
+   run, and the check must not see that instant half done. *)
 let run_to_quiescent t =
-  (* single-cycle steps: the serial windows between spawns are narrow and
-     a coarser stride would overshoot them all the way to the halt *)
-  let guard = ref 0 in
-  while (not (is_quiescent t)) && (not t.halted) && !guard < 10_000_000 do
-    incr guard;
-    ignore (run ~max_cycles:1 t)
-  done;
+  let settled () = is_quiescent t || t.halted in
+  if not (settled ()) then begin
+    ignore (run ~max_cycles:1 t);
+    if not (settled ()) then ignore (run_until ~max_cycles:(10_000_000 - 1) ~until:settled t)
+  end;
   if not (is_quiescent t) then fail "machine did not reach a quiescent point"
 
 let checkpoint t =
@@ -1077,9 +1143,10 @@ let restore t s =
 
 (* File layout: magic, format version (int32), image digest, payload
    digest, then the marshaled snapshot.  The payload is unmarshaled only
-   once its digest checks out, since Marshal itself is not type-safe. *)
+   once its digest checks out, since Marshal itself is not type-safe.
+   Version 2: latency histograms are flat int arrays per stage. *)
 let snapshot_magic = "XMT-SNAP"
-let snapshot_version = 1
+let snapshot_version = 2
 let header_len = String.length snapshot_magic + 4 + 16 + 16
 
 let snapshot_to_file s path =

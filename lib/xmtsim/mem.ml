@@ -35,29 +35,33 @@ let grow t want =
     t.data <- narr
   end
 
+(* The cell of [addr], unboxed: data-region word [i] is [i], stack slot
+   [i] is [-1 - i]. *)
 let locate t addr =
   if addr land 3 <> 0 then fault "unaligned access at 0x%x" addr;
-  if addr >= stack_base && addr < stack_top then `Stack ((addr - stack_base) / 4)
+  if addr >= stack_base && addr < stack_top then -1 - ((addr - stack_base) / 4)
   else if addr >= t.data_base then begin
     let idx = (addr - t.data_base) / 4 in
     if t.data_base + (4 * idx) >= stack_base then
       fault "access beyond memory at 0x%x" addr;
-    `Data idx
+    idx
   end
   else fault "access to unmapped address 0x%x" addr
 
 let read t addr =
-  match locate t addr with
-  | `Stack i -> t.stack.(i)
-  | `Data i -> if i < t.data_len then t.data.(i) else Isa.Value.zero
+  let i = locate t addr in
+  if i < 0 then t.stack.(-1 - i)
+  else if i < t.data_len then t.data.(i)
+  else Isa.Value.zero
 
 let write t addr v =
-  match locate t addr with
-  | `Stack i -> t.stack.(i) <- v
-  | `Data i ->
+  let i = locate t addr in
+  if i < 0 then t.stack.(-1 - i) <- v
+  else begin
     grow t (i + 1);
     if i >= t.data_len then t.data_len <- i + 1;
     t.data.(i) <- v
+  end
 
 let fetch_add t addr inc =
   let old = Isa.Value.to_int (read t addr) in

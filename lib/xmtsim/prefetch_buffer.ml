@@ -1,82 +1,96 @@
-type status =
-  | In_flight_st of [ `I of int | `F of int ] option
-  | Ready_st of Isa.Value.t
-
-type entry = {
-  addr : int;
-  mutable status : status;
-  mutable stamp : int;  (* FIFO: allocation order; LRU: last touch *)
-}
-
+(* Entries live in parallel arrays; the live ones are slots [0, count).
+   Addresses are unique, so slot order carries no meaning and a removal
+   moves the last entry into the freed slot. *)
 type t = {
   size : int;
   policy : Config.prefetch_policy;
-  mutable entries : entry list;
+  addrs : int array;
+  ready : bool array;  (* data arrived; otherwise in flight *)
+  values : Isa.Value.t array;  (* ready entries' data *)
+  waiters : int option array;  (* in-flight entries: the load attached *)
+  stamps : int array;  (* FIFO: allocation order; LRU: last touch *)
+  mutable count : int;
   mutable tick : int;
   mutable evictions : int;
 }
 
 type lookup = Hit of Isa.Value.t | In_flight | Miss
 
-let create ~size ~policy = { size; policy; entries = []; tick = 0; evictions = 0 }
+let create ~size ~policy =
+  let n = max 0 size in
+  { size; policy; addrs = Array.make n 0; ready = Array.make n false;
+    values = Array.make n Isa.Value.zero; waiters = Array.make n None;
+    stamps = Array.make n 0; count = 0; tick = 0; evictions = 0 }
 
-let find t addr = List.find_opt (fun e -> e.addr = addr) t.entries
+(* slot of [addr] at or after [i], or -1 *)
+let rec find t addr i =
+  if i >= t.count then -1 else if t.addrs.(i) = addr then i else find t addr (i + 1)
 
-let evict_one t =
-  match t.entries with
-  | [] -> ()
-  | _ ->
-    let victim =
-      List.fold_left
-        (fun acc e -> if e.stamp < acc.stamp then e else acc)
-        (List.hd t.entries) t.entries
-    in
-    t.evictions <- t.evictions + 1;
-    t.entries <- List.filter (fun e -> e != victim) t.entries
+let remove t i =
+  let last = t.count - 1 in
+  t.addrs.(i) <- t.addrs.(last);
+  t.ready.(i) <- t.ready.(last);
+  t.values.(i) <- t.values.(last);
+  t.waiters.(i) <- t.waiters.(last);
+  t.stamps.(i) <- t.stamps.(last);
+  t.count <- last
+
+(* slot with the smallest stamp at or after [i] (stamps are unique) *)
+let rec oldest t best i =
+  if i >= t.count then best
+  else oldest t (if t.stamps.(i) < t.stamps.(best) then i else best) (i + 1)
 
 let start t addr =
-  if t.size <= 0 then false
-  else
-    match find t addr with
-    | Some _ -> false
-    | None ->
-      if List.length t.entries >= t.size then evict_one t;
-      t.tick <- t.tick + 1;
-      t.entries <- { addr; status = In_flight_st None; stamp = t.tick } :: t.entries;
-      true
+  if t.size <= 0 || find t addr 0 >= 0 then false
+  else begin
+    if t.count >= t.size then begin
+      t.evictions <- t.evictions + 1;
+      remove t (oldest t 0 1)
+    end;
+    t.tick <- t.tick + 1;
+    let i = t.count in
+    t.addrs.(i) <- addr;
+    t.ready.(i) <- false;
+    t.waiters.(i) <- None;
+    t.stamps.(i) <- t.tick;
+    t.count <- i + 1;
+    true
+  end
 
 let fill t addr v =
-  match find t addr with
-  | None -> None (* evicted while in flight *)
-  | Some e -> (
-    match e.status with
-    | Ready_st _ -> None
-    | In_flight_st waiter ->
-      e.status <- Ready_st v;
-      waiter)
+  let i = find t addr 0 in
+  if i < 0 || t.ready.(i) then None (* evicted while in flight, or a duplicate *)
+  else begin
+    let waiter = t.waiters.(i) in
+    t.ready.(i) <- true;
+    t.values.(i) <- v;
+    t.waiters.(i) <- None;
+    waiter
+  end
 
 let lookup t addr =
-  match find t addr with
-  | None -> Miss
-  | Some e -> (
+  let i = find t addr 0 in
+  if i < 0 then Miss
+  else begin
     (match t.policy with
     | Config.Lru ->
       t.tick <- t.tick + 1;
-      e.stamp <- t.tick
+      t.stamps.(i) <- t.tick
     | Config.Fifo -> ());
-    match e.status with
-    | Ready_st v -> Hit v
-    | In_flight_st _ -> In_flight)
+    if t.ready.(i) then Hit t.values.(i) else In_flight
+  end
 
 let wait_on t addr dst =
-  match find t addr with
-  | Some ({ status = In_flight_st None; _ } as e) -> e.status <- In_flight_st (Some dst)
-  | Some { status = In_flight_st (Some _); _ } ->
+  let i = find t addr 0 in
+  if i < 0 || t.ready.(i) then invalid_arg "Prefetch_buffer.wait_on: entry is not in flight"
+  else if t.waiters.(i) <> None then
     invalid_arg "Prefetch_buffer.wait_on: entry already has a waiter"
-  | Some { status = Ready_st _; _ } | None ->
-    invalid_arg "Prefetch_buffer.wait_on: entry is not in flight"
+  else t.waiters.(i) <- Some dst
 
-let invalidate t addr = t.entries <- List.filter (fun e -> e.addr <> addr) t.entries
+let invalidate t addr =
+  let i = find t addr 0 in
+  if i >= 0 then remove t i
 
 let evictions t = t.evictions
-let clear t = t.entries <- []
+
+let clear t = t.count <- 0

@@ -5,7 +5,8 @@
     later load that finds its address [Ready] completes in one cycle,
     hiding the shared-cache round trip.  A load that finds the entry still
     in flight attaches itself and completes when the data arrives.
-    Replacement is FIFO or LRU (the policy study of [8]). *)
+    Replacement is FIFO or LRU (the policy study of [8]).  Only
+    attaching a waiter allocates. *)
 
 type t
 
@@ -21,12 +22,13 @@ val start : t -> int -> bool
 
 (** Data arrived for [addr]; returns the TCU waiter attached, if any.
     Returns [None] also when the entry was evicted while in flight. *)
-val fill : t -> int -> Isa.Value.t -> [ `I of int | `F of int ] option
+val fill : t -> int -> Isa.Value.t -> int option
 
 val lookup : t -> int -> lookup
 
-(** Attach a load waiting on an in-flight entry. *)
-val wait_on : t -> int -> [ `I of int | `F of int ] -> unit
+(** Attach a load waiting on an in-flight entry; the destination is a
+    register code as in {!Funcmodel.ctx}. *)
+val wait_on : t -> int -> int -> unit
 
 (** Drop any entry for [addr] — used when the owning TCU stores to the
     address, so a later load cannot read a stale prefetched value.  An

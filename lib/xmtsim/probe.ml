@@ -18,7 +18,9 @@
     TCU (or, on packages, an unattributable line fill). *)
 
 (** Lifecycle stamps of one memory request, in simulated time, written
-    by the machine at each station.  Probes only read them. *)
+    by the machine at each station.  Probes only read them, and only
+    during the callback: the machine reuses the record for a later
+    request. *)
 type lifecycle = {
   mutable l_born : int;  (** enqueued into the cluster outbox *)
   mutable l_icn_wait : int;  (** merge-contention delay in the ICN *)

@@ -13,14 +13,6 @@
    the deltas land here.  Integer cycle buckets keep the hot path to a
    couple of array writes per completed request. *)
 
-type lat_hist = {
-  lh_counts : int array;  (** per {!lat_bounds} bucket + overflow *)
-  mutable lh_sum : int;
-  mutable lh_count : int;
-  mutable lh_min : int;
-  mutable lh_max : int;
-}
-
 (** Upper bounds, in cycles, shared by every latency histogram. *)
 let lat_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
 
@@ -35,28 +27,30 @@ let lat_stage_name = function
   | Lreply -> "reply"
   | Ltotal -> "total"
 
+(* One histogram is [hist_words] consecutive ints: the counts per
+   {!lat_bounds} bucket plus overflow, then sum, count, min and max (min
+   and max are meaningful once count > 0). *)
+let nbuckets = Array.length lat_bounds + 1
+let o_sum = nbuckets
+let o_count = nbuckets + 1
+let o_min = nbuckets + 2
+let o_max = nbuckets + 3
+let hist_words = nbuckets + 4
+
 type req_latency = {
   rl_clusters : int;
   rl_modules : int;
-  (* one histogram per (stage, cluster, module); index cl * modules + m *)
-  rl_icn_wait : lat_hist array;
-  rl_service_hit : lat_hist array;
-  rl_service_miss : lat_hist array;
-  rl_reply : lat_hist array;
-  rl_total : lat_hist array;
+  (* per stage, one flat array of the (cluster, module) histograms; the
+     histogram of (cl, m) starts at (cl * modules + m) * hist_words *)
+  rl_icn_wait : int array;
+  rl_service_hit : int array;
+  rl_service_miss : int array;
+  rl_reply : int array;
+  rl_total : int array;
 }
 
-let make_lat_hist () =
-  {
-    lh_counts = Array.make (Array.length lat_bounds + 1) 0;
-    lh_sum = 0;
-    lh_count = 0;
-    lh_min = max_int;
-    lh_max = min_int;
-  }
-
 let make_req_latency ~clusters ~modules =
-  let mk () = Array.init (clusters * modules) (fun _ -> make_lat_hist ()) in
+  let mk () = Array.make (clusters * modules * hist_words) 0 in
   {
     rl_clusters = clusters;
     rl_modules = modules;
@@ -74,35 +68,31 @@ let lat_stage_hists rl = function
   | Lreply -> rl.rl_reply
   | Ltotal -> rl.rl_total
 
-let observe_lat (h : lat_hist) v =
-  let v = max 0 v in
-  let nb = Array.length lat_bounds in
-  let i = ref 0 in
-  while !i < nb && v > lat_bounds.(!i) do
-    incr i
-  done;
-  h.lh_counts.(!i) <- h.lh_counts.(!i) + 1;
-  h.lh_sum <- h.lh_sum + v;
-  h.lh_count <- h.lh_count + 1;
-  if v < h.lh_min then h.lh_min <- v;
-  if v > h.lh_max then h.lh_max <- v
+let rec bucket v i = if i < Array.length lat_bounds && v > lat_bounds.(i) then bucket v (i + 1) else i
 
 let observe_req rl stage ~cluster ~module_ v =
   if cluster >= 0 && cluster < rl.rl_clusters && module_ >= 0
      && module_ < rl.rl_modules
-  then observe_lat (lat_stage_hists rl stage).((cluster * rl.rl_modules) + module_) v
-
-let copy_lat_hist h =
-  { h with lh_counts = Array.copy h.lh_counts }
+  then begin
+    let h = lat_stage_hists rl stage and base = ((cluster * rl.rl_modules) + module_) * hist_words in
+    let v = max 0 v in
+    let i = base + bucket v 0 in
+    h.(i) <- h.(i) + 1;
+    h.(base + o_sum) <- h.(base + o_sum) + v;
+    let n = h.(base + o_count) in
+    h.(base + o_count) <- n + 1;
+    if n = 0 || v < h.(base + o_min) then h.(base + o_min) <- v;
+    if n = 0 || v > h.(base + o_max) then h.(base + o_max) <- v
+  end
 
 let copy_req_latency rl =
   {
     rl with
-    rl_icn_wait = Array.map copy_lat_hist rl.rl_icn_wait;
-    rl_service_hit = Array.map copy_lat_hist rl.rl_service_hit;
-    rl_service_miss = Array.map copy_lat_hist rl.rl_service_miss;
-    rl_reply = Array.map copy_lat_hist rl.rl_reply;
-    rl_total = Array.map copy_lat_hist rl.rl_total;
+    rl_icn_wait = Array.copy rl.rl_icn_wait;
+    rl_service_hit = Array.copy rl.rl_service_hit;
+    rl_service_miss = Array.copy rl.rl_service_miss;
+    rl_reply = Array.copy rl.rl_reply;
+    rl_total = Array.copy rl.rl_total;
   }
 
 type t = {
@@ -141,12 +131,16 @@ type t = {
           machine installs one sized to its configuration at creation *)
 }
 
-let fu_index c =
-  let rec go i = function
-    | [] -> invalid_arg "fu_index"
-    | x :: rest -> if x = c then i else go (i + 1) rest
-  in
-  go 0 Isa.Instr.all_fu_classes
+(* position in Isa.Instr.all_fu_classes *)
+let fu_index = function
+  | Isa.Instr.FU_ALU -> 0
+  | FU_BR -> 1
+  | FU_SFT -> 2
+  | FU_MDU -> 3
+  | FU_FPU -> 4
+  | FU_MEM -> 5
+  | FU_PS -> 6
+  | FU_CTRL -> 7
 
 let create () =
   {
@@ -226,8 +220,8 @@ let blit ~src ~dst =
   dst.req_lat <- Option.map copy_req_latency src.req_lat
 
 let count_instr t ~master ins =
-  t.instr_by_class.(fu_index (Isa.Instr.fu_class_of ins)) <-
-    t.instr_by_class.(fu_index (Isa.Instr.fu_class_of ins)) + 1;
+  let i = fu_index (Isa.Instr.fu_class_of ins) in
+  t.instr_by_class.(i) <- t.instr_by_class.(i) + 1;
   if master then t.master_instrs <- t.master_instrs + 1
   else t.tcu_instrs <- t.tcu_instrs + 1
 
@@ -290,34 +284,33 @@ and export_req_lat t reg =
   | Some rl ->
     let buckets = Array.to_list (Array.map float_of_int lat_bounds) in
     let help = "memory-request latency in cycles, by lifecycle stage" in
-    let add (src : lat_hist) labels =
+    let add (h : int array) base labels =
       let dst =
         Obs.Metrics.histogram reg ~help ~labels ~buckets "sim.mem.request_latency"
       in
-      Array.iteri
-        (fun i n ->
-          dst.Obs.Metrics.h_counts.(i) <- dst.Obs.Metrics.h_counts.(i) + n)
-        src.lh_counts;
-      dst.Obs.Metrics.h_sum <- dst.Obs.Metrics.h_sum +. float_of_int src.lh_sum;
-      dst.Obs.Metrics.h_count <- dst.Obs.Metrics.h_count + src.lh_count;
-      let mn = float_of_int src.lh_min and mx = float_of_int src.lh_max in
+      for i = 0 to nbuckets - 1 do
+        dst.Obs.Metrics.h_counts.(i) <- dst.Obs.Metrics.h_counts.(i) + h.(base + i)
+      done;
+      dst.Obs.Metrics.h_sum <- dst.Obs.Metrics.h_sum +. float_of_int h.(base + o_sum);
+      dst.Obs.Metrics.h_count <- dst.Obs.Metrics.h_count + h.(base + o_count);
+      let mn = float_of_int h.(base + o_min) and mx = float_of_int h.(base + o_max) in
       if mn < dst.Obs.Metrics.h_min then dst.Obs.Metrics.h_min <- mn;
       if mx > dst.Obs.Metrics.h_max then dst.Obs.Metrics.h_max <- mx
     in
     List.iter
       (fun stage ->
         let name = lat_stage_name stage in
-        let hists = lat_stage_hists rl stage in
-        Array.iteri
-          (fun idx h ->
-            if h.lh_count > 0 then begin
-              let cl = idx / rl.rl_modules and m = idx mod rl.rl_modules in
-              add h
-                [ ("stage", name); ("cluster", string_of_int cl);
-                  ("module", string_of_int m) ];
-              add h [ ("stage", name) ]
-            end)
-          hists)
+        let h = lat_stage_hists rl stage in
+        for idx = 0 to (rl.rl_clusters * rl.rl_modules) - 1 do
+          let base = idx * hist_words in
+          if h.(base + o_count) > 0 then begin
+            let cl = idx / rl.rl_modules and m = idx mod rl.rl_modules in
+            add h base
+              [ ("stage", name); ("cluster", string_of_int cl);
+                ("module", string_of_int m) ];
+            add h base [ ("stage", name) ]
+          end
+        done)
       all_lat_stages
 
 let to_string t =
@@ -343,11 +336,12 @@ let to_string t =
   (match t.req_lat with
   | None -> ()
   | Some rl ->
-    let sum, cnt =
-      Array.fold_left
-        (fun (s, c) h -> (s + h.lh_sum, c + h.lh_count))
-        (0, 0) rl.rl_total
-    in
+    let sum = ref 0 and cnt = ref 0 in
+    for idx = 0 to (rl.rl_clusters * rl.rl_modules) - 1 do
+      sum := !sum + rl.rl_total.((idx * hist_words) + o_sum);
+      cnt := !cnt + rl.rl_total.((idx * hist_words) + o_count)
+    done;
+    let sum = !sum and cnt = !cnt in
     if cnt > 0 then
       pf "mem round-trip:    %d requests, mean %.1f cycles\n" cnt
         (float_of_int sum /. float_of_int cnt));

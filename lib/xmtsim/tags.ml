@@ -24,22 +24,22 @@ let create ~lines ~assoc ~line_words =
 
 let line_of t addr = addr / t.line_bytes * t.line_bytes
 
+(* a hit on [line] in the ways of the set at [base], from way [w] *)
+let rec hit t base line w =
+  if w >= t.assoc then false
+  else if t.tags.(base + w) = line then begin
+    t.tick <- t.tick + 1;
+    t.stamps.(base + w) <- t.tick;
+    true
+  end
+  else hit t base line (w + 1)
+
 let lookup t addr =
   if t.sets = 0 then false
   else begin
     let line = line_of t addr in
     let set = line / t.line_bytes mod t.sets in
-    let base = set * t.assoc in
-    let rec go w =
-      if w >= t.assoc then false
-      else if t.tags.(base + w) = line then begin
-        t.tick <- t.tick + 1;
-        t.stamps.(base + w) <- t.tick;
-        true
-      end
-      else go (w + 1)
-    in
-    go 0
+    hit t (set * t.assoc) line 0
   end
 
 let install t addr =

@@ -7,7 +7,7 @@ let heap_pop_order () =
   D.Event_heap.add h ~time:5 ~prio:0 "c";
   D.Event_heap.add h ~time:1 ~prio:0 "a";
   D.Event_heap.add h ~time:3 ~prio:0 "b";
-  let pop () = let _, _, x = D.Event_heap.pop h in x in
+  let pop () = D.Event_heap.pop h in
   Tu.check_string "first" "a" (pop ());
   Tu.check_string "second" "b" (pop ());
   Tu.check_string "third" "c" (pop ())
@@ -16,7 +16,7 @@ let heap_priority_breaks_ties () =
   let h = D.Event_heap.create () in
   D.Event_heap.add h ~time:2 ~prio:5 "low-prio";
   D.Event_heap.add h ~time:2 ~prio:1 "high-prio";
-  let _, _, x = D.Event_heap.pop h in
+  let x = D.Event_heap.pop h in
   Tu.check_string "priority first" "high-prio" x
 
 let heap_fifo_within_priority () =
@@ -25,14 +25,14 @@ let heap_fifo_within_priority () =
     D.Event_heap.add h ~time:1 ~prio:0 i
   done;
   for i = 0 to 9 do
-    let _, _, x = D.Event_heap.pop h in
+    let x = D.Event_heap.pop h in
     Tu.check_int (Printf.sprintf "fifo %d" i) i x
   done
 
 let heap_empty_raises () =
   let h = D.Event_heap.create () in
   Alcotest.check_raises "empty pop" Not_found (fun () ->
-      ignore (D.Event_heap.pop h : int * int * unit))
+      ignore (D.Event_heap.pop h : unit))
 
 let heap_min_time () =
   let h = D.Event_heap.create () in
@@ -333,7 +333,8 @@ let qcheck_heap_sorted =
       let rec drain last ok =
         if D.Event_heap.is_empty h then ok
         else begin
-          let t, p, () = D.Event_heap.pop h in
+          let t = D.Event_heap.top_time h and p = D.Event_heap.top_prio h in
+          D.Event_heap.pop h;
           drain (t, p) (ok && (t, p) >= last)
         end
       in

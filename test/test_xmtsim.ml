@@ -79,9 +79,9 @@ let pbuf_lru_eviction () =
 let pbuf_waiter () =
   let b = Xmtsim.Prefetch_buffer.create ~size:2 ~policy:C.Fifo in
   ignore (Xmtsim.Prefetch_buffer.start b 8);
-  Xmtsim.Prefetch_buffer.wait_on b 8 (`I 5);
+  Xmtsim.Prefetch_buffer.wait_on b 8 5;
   match Xmtsim.Prefetch_buffer.fill b 8 (Isa.Value.int 3) with
-  | Some (`I 5) -> ()
+  | Some 5 -> ()
   | _ -> Alcotest.fail "expected waiter"
 
 let pbuf_size_zero () =
@@ -648,6 +648,37 @@ int main(void) {
   let r2 = M.run m2 in
   Tu.check_bool "resumed run halts" true r2.M.halted;
   Tu.check_string "same final output" straight.Core.Toolchain.output r2.M.output
+
+(* Quiescence is reached inside one run: a single-stepped reference lands
+   on the same cycle, and the long parallel window costs no more events
+   than a plain run over it (one stop event per stepped cycle would). *)
+let checkpoint_quiescence_one_run () =
+  let compiled = Core.Toolchain.compile (Core.Kernels.par_comp ~threads:64 ~iters:40) in
+  let machine () = Core.Toolchain.machine ~config:C.tiny compiled in
+  let start = 300 in
+  let reference = machine () in
+  ignore (M.run ~max_cycles:start reference);
+  while not (M.is_quiescent reference) do
+    ignore (M.run ~max_cycles:1 reference)
+  done;
+  let target = M.cycles reference in
+  Tu.check_bool "a long window" true (target - start > 1000);
+  let m = machine () in
+  let runs = ref 0 in
+  ignore (M.attach m { Xmtsim.Probe.nop with run_end = (fun ~halted:_ -> incr runs) }
+          : unit -> unit);
+  ignore (M.run ~max_cycles:start m);
+  let events = M.events_processed m in
+  runs := 0;
+  M.run_to_quiescent m;
+  Tu.check_int "same cycle as single steps" target (M.cycles m);
+  Tu.check_bool "at most two runs" true (!runs <= 2);
+  let plain = machine () in
+  ignore (M.run ~max_cycles:start plain);
+  let plain_events = M.events_processed plain in
+  ignore (M.run ~max_cycles:(target - start) plain);
+  Tu.check_bool "no event per cycle" true
+    (M.events_processed m - events <= M.events_processed plain - plain_events + 1)
 
 let checkpoint_file_roundtrip () =
   let compiled = Core.Toolchain.compile "int main() { print_int(9); return 0; }" in
@@ -1249,6 +1280,43 @@ let gating_rejects_late_toggle () =
     (M.Sim_error "set_gating must be called before the first run") (fun () ->
       M.set_gating m false)
 
+(* ------------------------------------------------------------------ *)
+(* Hot-path allocation: issuing an instruction, a memory round trip and
+   an event dispatch allocate nothing, so the minor words a run allocates
+   per TCU instruction stay below a small bound (boxed stored values, a
+   record per virtual thread and pool warm-up make up the rest).  The
+   figures are exact for a given compiler; an allocation per instruction
+   or per package costs several words each. *)
+
+let words_per_tcu_instr f =
+  let w0 = Gc.minor_words () in
+  let tcu_instrs = f () in
+  (Gc.minor_words () -. w0) /. float_of_int tcu_instrs
+
+let hot_path_allocation () =
+  let compute = Core.Toolchain.compile (Core.Kernels.par_comp ~threads:256 ~iters:20) in
+  let a = Core.Workloads.random_array ~seed:3 ~n:4096 ~bound:999 in
+  let memory =
+    Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", a) ])
+      (Core.Kernels.par_mem ~threads:256 ~iters:6 ~n:4096)
+  in
+  let cycle c =
+    let m = Core.Toolchain.machine ~config:C.fpga64 c in
+    fun () ->
+      ignore (M.run m);
+      (M.stats m).Xmtsim.Stats.tcu_instrs
+  in
+  let functional c () =
+    (Xmtsim.Functional_mode.run c.Core.Toolchain.image).Xmtsim.Functional_mode.stats
+      .Xmtsim.Stats.tcu_instrs
+  in
+  let below what bound words =
+    if words >= bound then Alcotest.failf "%s: %.2f words per TCU instruction" what words
+  in
+  below "compute-bound, cycle mode" 1.0 (words_per_tcu_instr (cycle compute));
+  below "memory-bound, cycle mode" 4.0 (words_per_tcu_instr (cycle memory));
+  below "compute-bound, functional mode" 1.0 (words_per_tcu_instr (functional compute))
+
 let () =
   Alcotest.run "xmtsim"
     [
@@ -1306,6 +1374,7 @@ let () =
           Tu.tc "package trace stations" package_trace_stations;
         ] );
       ("probes", [ Tu.tc "passive alone and combined" probes_are_passive ]);
+      ("hot path", [ Tu.tc "allocation per TCU instruction" hot_path_allocation ]);
       ( "checkpoint",
         [
           Tu.tc "resume equivalence" checkpoint_resume_equivalence;
@@ -1313,6 +1382,7 @@ let () =
           Tu.tc "file checked on load" checkpoint_file_checked;
           Tu.tc "mid-run save/resume" checkpoint_mid_run;
           Tu.tc "telemetry survives restore" checkpoint_preserves_telemetry;
+          Tu.tc "quiescence in one run" checkpoint_quiescence_one_run;
         ] );
       ( "governor",
         [
