@@ -23,69 +23,51 @@ let fresh_machine () =
 
 (* simulated cycles are deterministic, so these records give the CI
    regression gate a cheap benchmark pair to hold the line on *)
-let record_thermal ~name ~m ~secs ~cycles ~peak ~avg_w =
+let record (r, secs) name m s =
   let events = Xmtsim.Machine.events_processed m in
   emit_record ~name
     [
       ("config", Obs.Json.Str "chip1024");
-      ("cycles", Obs.Json.Int cycles);
+      ("cycles", Obs.Json.Int r.Xmtsim.Machine.cycles);
       ("host_wall_seconds", Obs.Json.Float secs);
       ("events_processed", Obs.Json.Int events);
       ( "events_per_sec",
         Obs.Json.Float (if secs > 0.0 then float_of_int events /. secs else 0.0) );
-      ("peak_temp_k", Obs.Json.Float peak);
-      ("avg_watts", Obs.Json.Float avg_w);
+      ("peak_temp_k", Obs.Json.Float (Xmtsim.Sampler.peak_temperature s));
+      ("avg_watts", Obs.Json.Float (Xmtsim.Sampler.mean_watts s));
     ]
 
 let run_unmanaged () =
   let m = fresh_machine () in
-  let power = Xmtsim.Power.create ~params:power_params m in
-  let thermal =
-    Xmtsim.Thermal.create ~params:Xmtsim.Thermal.demo ~grid_w:8
-      (Xmtsim.Power.component_names power)
-  in
   let samples = ref [] in
-  Xmtsim.Machine.add_activity_plugin m ~name:"mgr" ~interval (fun _ cycle ->
-      let w = Xmtsim.Power.sample power in
-      Xmtsim.Thermal.step thermal ~dt:(float_of_int interval /. 1e9) w;
-      let tmax = Xmtsim.Thermal.max_temperature thermal in
-      samples := (cycle, Xmtsim.Power.total power, tmax) :: !samples);
+  let s =
+    Xmtsim.Sampler.attach ~power_params ~thermal_params:Xmtsim.Thermal.demo
+      ~name:"mgr" ~interval m (fun s cycle ->
+        samples := (cycle, Xmtsim.Sampler.watts s, Xmtsim.Sampler.temperature s) :: !samples;
+        [])
+  in
   let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
-  let peak =
-    List.fold_left (fun acc (_, _, t) -> max acc t) neg_infinity !samples
-  in
-  let avg_w =
-    let ws = List.map (fun (_, w, _) -> w) !samples in
-    List.fold_left ( +. ) 0.0 ws /. float_of_int (max 1 (List.length ws))
-  in
-  record_thermal ~name:"thermal unmanaged" ~m ~secs ~cycles:r.Xmtsim.Machine.cycles
-    ~peak ~avg_w;
-  (r.Xmtsim.Machine.cycles, peak, avg_w, List.rev !samples)
+  record (r, secs) "thermal unmanaged" m s;
+  (r.Xmtsim.Machine.cycles, s, List.rev !samples)
 
 (* the managed run is the Governor plug-in itself: same power/thermal
-   models, decisions taken on the windowed telemetry *)
+   sampler, decisions taken on the windowed telemetry *)
 let run_governed () =
   let m = fresh_machine () in
   let g =
     Xmtsim.Governor.attach ~power_params ~thermal_params:Xmtsim.Thermal.demo
-      ~grid_w:8 ~window:8192 ~temp_hi:trip ~icn_hi:infinity ~interval m
+      ~temp_hi:trip ~icn_hi:infinity ~interval m
   in
   let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
-  let series = Xmtsim.Governor.timeseries g in
-  let peak =
-    Obs.Timeseries.max_value (Obs.Timeseries.channel series "sim.governor.temp_k")
-  in
-  let avg_w =
-    Obs.Timeseries.mean (Obs.Timeseries.channel series "sim.governor.power_watts")
-  in
-  record_thermal ~name:"thermal governed" ~m ~secs ~cycles:r.Xmtsim.Machine.cycles
-    ~peak ~avg_w;
-  (r.Xmtsim.Machine.cycles, peak, avg_w, g)
+  record (r, secs) "thermal governed" m (Xmtsim.Governor.sampler g);
+  (r.Xmtsim.Machine.cycles, Xmtsim.Governor.sampler g, g)
 
 let run () =
   section "\xc2\xa7III-F: power/temperature estimation and DVFS thermal management";
-  let c1, peak1, w1, trace = run_unmanaged () in
-  let c2, peak2, w2, g = run_governed () in
+  let c1, s1, trace = run_unmanaged () in
+  let c2, s2, g = run_governed () in
+  let peak1 = Xmtsim.Sampler.peak_temperature s1 and w1 = Xmtsim.Sampler.mean_watts s1 in
+  let peak2 = Xmtsim.Sampler.peak_temperature s2 and w2 = Xmtsim.Sampler.mean_watts s2 in
   print_endline "power/temperature profile (unmanaged run):";
   List.iteri
     (fun i (cycle, w, t) ->

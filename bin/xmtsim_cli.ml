@@ -41,7 +41,6 @@ let export_needs =
     ("stats", Single);
     ("races", Single);
     ("trace", Mode T.Cycle);
-    ("timeseries", Mode T.Cycle);
     ("profile", Cycle_or_campaign);
     ("predict", Mode T.Predict);
     ("reuseprofile", Mode T.Predict);
@@ -206,12 +205,7 @@ let run_connect_cmd ~sock ~campaign_file ~attach_cid ~after ~stream_sink =
     exit 3
   in
   let on_record r =
-    (match r with
-    | J.Obj kvs -> (
-      match (List.assoc_opt "job" kvs, List.assoc_opt "jseq" kvs) with
-      | Some (J.Int j), Some (J.Int s) -> last := Some (j, s)
-      | _ -> ())
-    | _ -> ());
+    Option.iter (fun k -> last := Some k) (Obs.Stream.job_key r);
     (match sink with
     | Some s -> s.Obs.Stream.write (J.to_string r)
     | None -> ());
@@ -263,10 +257,9 @@ type observers = {
   cpi : Xmtsim.Profile.t option;  (** the job's profiler *)
   hot : Xmtsim.Plugin.filter option;
   spans : (Obs.Tracer.t * Xmtsim.Trace.spans) option;
-  series : Obs.Timeseries.t option;
   gov : Xmtsim.Governor.t option;
   profiler : Xmtsim.Plugin.profiler option;
-  power : (Xmtsim.Power.t * Xmtsim.Thermal.t) option;
+  power : Xmtsim.Sampler.t option;
 }
 
 let run_cmd input preset overrides functional mode_opt calibration memmap_file
@@ -379,43 +372,31 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         hot;
       let tracer = Option.map (fun _ -> Obs.Tracer.create ()) (export "trace") in
       let spans = Option.map (fun tr -> (tr, Xmtsim.Trace.attach_spans m tr)) tracer in
-      let series =
-        Option.map (fun _ -> Obs.Timeseries.create ~window:4096 ()) (export "timeseries")
-      in
       let gov =
         if governor then
-          Some (Xmtsim.Governor.attach ?series ?tracer ~interval:governor_interval m)
+          Some (Xmtsim.Governor.attach ?stream ?tracer ~interval:governor_interval m)
         else None
       in
       let profiler =
         if profile_interval > 0 then
           Some (Xmtsim.Plugin.attach_profiler ?profile:cpi ~interval:profile_interval m)
-        else if tracer <> None || series <> None then
-          (* the trace and timeseries get activity counter tracks even
-             without an explicit profile interval *)
+        else if tracer <> None then
+          (* the trace gets activity counter tracks even without an
+             explicit profile interval *)
           Some (Xmtsim.Plugin.attach_profiler ?profile:cpi ~interval:1000 m)
         else None
       in
       let power =
-        if power_interval > 0 then begin
-          let p = Xmtsim.Power.create m in
-          let th =
-            Xmtsim.Thermal.create
-              ~grid_w:(int_of_float (sqrt (float_of_int config.Xmtsim.Config.num_clusters)))
-              (Xmtsim.Power.component_names p)
-          in
-          Xmtsim.Machine.add_activity_plugin m ~name:"power" ~interval:power_interval
-            (fun _ cycle ->
-              let watts = Xmtsim.Power.sample p in
-              Xmtsim.Thermal.step th ~dt:(float_of_int power_interval /. 1e9) watts;
-              Printf.printf "[cycle %8d] power %.2f W, Tmax %.2f K\n" cycle
-                (Xmtsim.Power.total p)
-                (Xmtsim.Thermal.max_temperature th));
-          Some (p, th)
-        end
+        if power_interval > 0 then
+          Some
+            (Xmtsim.Sampler.attach ?stream ~name:"power" ~interval:power_interval m
+               (fun s cycle ->
+                 Printf.printf "[cycle %8d] power %.2f W, Tmax %.2f K\n" cycle
+                   (Xmtsim.Sampler.watts s) (Xmtsim.Sampler.temperature s);
+                 []))
         else None
       in
-      observers := Some { m; cpi; hot; spans; series; gov; profiler; power };
+      observers := Some { m; cpi; hot; spans; gov; profiler; power };
       host_t0 := Unix.gettimeofday ();
       (* §III-E: save the simulation state at a point given ahead of
          time, then keep going; the run can be resumed later from the file *)
@@ -479,7 +460,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     write "profile" (fun () -> r.T.profile);
     write "predict" (fun () -> r.T.predict);
     write "reuseprofile" (fun () -> Option.map Xmtsim.Reuseprofile.to_json !reuse);
-    (* -------- telemetry sinks (--export stats/trace/timeseries) -------- *)
+    (* -------- telemetry sinks (--export stats/trace) -------- *)
     let events_per_sec = if host_secs > 0.0 then float_of_int r.T.events /. host_secs else 0.0 in
     let samples =
       match o with
@@ -536,11 +517,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
             Array.iter
               (fun n -> Obs.Metrics.observe act (float_of_int n))
               (Xmtsim.Machine.cluster_activity o.m);
-            Option.iter
-              (fun (p, th) ->
-                Xmtsim.Power.export p reg;
-                Xmtsim.Thermal.export th reg)
-              o.power;
+            Option.iter (fun s -> Xmtsim.Sampler.export s reg) o.power;
             Option.iter (fun g -> Xmtsim.Governor.export g reg) o.gov;
             (* the governor's decision log rides along as an extra
                top-level section of the metrics envelope *)
@@ -575,28 +552,6 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         "simulation-run";
       J.write_path path (Obs.Tracer.to_json tr)
     | _ -> ());
-    (match (export "timeseries", o) with
-    | Some path, Some { series = Some s; _ } ->
-      (* fold the execution profile into the timeseries so the window
-         has the machine-activity channels alongside the governor's *)
-      let chans =
-        List.map
-          (fun (name, help) -> Obs.Timeseries.channel s ~help name)
-          [
-            ("sim.profile.compute", "TCU compute instructions in window");
-            ("sim.profile.memory", "memory instructions in window");
-            ("sim.profile.memwait", "TCU-cycles stalled on memory in window");
-          ]
-      in
-      List.iter
-        (fun smp ->
-          List.iter2
-            (fun c v -> Obs.Timeseries.push c ~t:smp.Xmtsim.Plugin.ps_cycle (float_of_int v))
-            chans
-            Xmtsim.Plugin.[ smp.ps_compute; smp.ps_memory; smp.ps_memwait ])
-        samples;
-      J.write_path ~pretty:true path (Obs.Timeseries.to_json s)
-    | _ -> ());
     Option.iter
       (fun races ->
         let static =
@@ -622,6 +577,12 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
             (List.length static) (mode_flag mode));
         write "races" (fun () -> Some races))
       r.T.races;
+    (* the samplers' trailing rollup windows, before the stream closes *)
+    Option.iter
+      (fun o ->
+        Option.iter Xmtsim.Sampler.close_window o.power;
+        Option.iter (fun g -> Xmtsim.Sampler.close_window (Xmtsim.Governor.sampler g)) o.gov)
+      o;
     Option.iter close_stream stream;
     match o with
     | None -> ()
@@ -632,8 +593,8 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
             (f.Xmtsim.Plugin.report ()))
         o.hot;
       match (floorplan, o.power) with
-      | true, Some (_, th) ->
-        let temps = Xmtsim.Thermal.temperatures th in
+      | true, Some s ->
+        let temps = Xmtsim.Thermal.temperatures (Xmtsim.Sampler.thermal s) in
         let nclusters = config.Xmtsim.Config.num_clusters in
         print_string
           (Xmtsim.Floorplan.render ~title:"final temperature floorplan"
@@ -651,10 +612,15 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
   | Xmtsim.Machine.Bad_snapshot msg -> fail "--checkpoint-in: %s" msg
   | Predict.Calibrate.Calib_error msg ->
     fail "--calibration %s: %s" (Option.get calibration) msg
-  | Xmtsim.Config.Bad_config msg | Xmtsim.Machine.Sim_error msg | Sys_error msg ->
+  | Xmtsim.Funcmodel.Runtime_error { pc; msg } -> fail "runtime error at pc %d: %s" pc msg
+  | Xmtsim.Config.Bad_config msg | Xmtsim.Machine.Sim_error msg
+  | Xmtsim.Functional_mode.Exec_error msg | Sys_error msg ->
     fail "%s" msg
 
 let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.{c,s}")
+
+let removed_timeseries =
+  "windowed telemetry is on --stream SINK (window.close records)"
 
 let export_conv =
   let parse s =
@@ -669,6 +635,8 @@ let export_conv =
        cannot drift from the records the toolchain actually emits *)
     if Obs.Schema.is_export_kind kind then
       Ok (kind, Option.value ~default:(kind ^ ".json") path)
+    else if kind = "timeseries" then
+      Error (`Msg ("kind \"timeseries\" was removed; " ^ removed_timeseries))
     else
       Error
         (`Msg
@@ -718,7 +686,9 @@ let cmd =
       $ Arg.(value & opt int 0 & info [ "profile-interval" ] ~docv:"CYCLES"
                ~doc:"Sample an execution profile every N cycles (0 = off).")
       $ Arg.(value & opt int 0 & info [ "power-interval" ] ~docv:"CYCLES"
-               ~doc:"Sample power/temperature every N cycles (0 = off).")
+               ~doc:"Sample power/temperature every N cycles (0 = off); \
+                     with --stream the samples also roll up into \
+                     window.close records.")
       $ Arg.(value & flag & info [ "floorplan" ]
                ~doc:"Render the final temperature floorplan (with \
                      --power-interval).")
@@ -733,8 +703,9 @@ let cmd =
                ~doc:"Enable the telemetry-driven DVFS governor: thresholds \
                      on windowed ICN backlog and modeled temperature \
                      throttle/restore the cluster and ICN clock domains; \
-                     decisions appear in --export stats (governor section), \
-                     --export trace and --export timeseries.")
+                     decisions appear in --export stats (governor section) \
+                     and --export trace; --stream adds its windowed \
+                     temperature, power and ICN backlog.")
       $ Arg.(value & opt int 2000 & info [ "governor-interval" ] ~docv:"CYCLES"
                ~doc:"Governor sampling interval in cluster cycles.")
       $ Arg.(value & flag & info [ "no-clock-gating" ]
@@ -820,13 +791,13 @@ let cmd =
                      received; the server re-streams strictly after it."))
 
 (* the deprecated one-flag-per-sink aliases were removed in favor of
-   --export; fail fast with the replacement before cmdliner's generic
-   unknown-option error *)
+   --export (and the timeseries in favor of --stream); fail fast with the
+   replacement before cmdliner's generic unknown-option error *)
 let removed_flags =
   [
-    ("--stats-json", "stats");
-    ("--trace-json", "trace");
-    ("--timeseries-json", "timeseries");
+    ("--stats-json", "use --export stats[=PATH]");
+    ("--trace-json", "use --export trace[=PATH]");
+    ("--timeseries-json", removed_timeseries);
   ]
 
 let () =
@@ -838,10 +809,8 @@ let () =
         | None -> arg
       in
       match List.assoc_opt flag removed_flags with
-      | Some kind ->
-        Printf.eprintf
-          "xmtsim: unknown option %s (removed); use --export %s[=PATH]\n" flag
-          kind;
+      | Some hint ->
+        Printf.eprintf "xmtsim: unknown option %s (removed); %s\n" flag hint;
         exit 124
       | None -> ())
     Sys.argv;

@@ -1,26 +1,23 @@
 (** Obs — the unified telemetry layer.
 
-    Three pieces, used across the whole toolchain:
+    Used across the whole toolchain:
 
     - {!Json}: dependency-free JSON values (emit + parse).
     - {!Metrics}: a typed registry of counters/gauges/histograms with
       labels.  The simulator's activity counters ({!Xmtsim.Stats}), the
       power/thermal models and host-side throughput all export into it;
-      [xmtsim --stats-json] and the bench harness's [BENCH_*.json]
+      [xmtsim --export stats] and the bench harness's [BENCH_*.json]
       records are its serializations.
     - {!Tracer}: span-based tracing in Chrome trace-event JSON
-      ([xmtsim --trace-json]), covering simulated activity (spawn/join
+      ([xmtsim --export trace]), covering simulated activity (spawn/join
       phases, per-TCU memory-wait spans, package hops) and host-side
       activity (wall-clock per run) on separate process tracks.
-    - {!Timeseries}: fixed-window ring-buffer series with labeled
-      channels ([xmtsim --timeseries-json]) — the in-flight view that
-      activity plug-ins such as the DVFS governor consume during the run.
     - {!Bench_gate}: the regression comparator over the bench harness's
       [BENCH_*.json] records (driven by [bench/gate.exe] in CI).
     - {!Stream}: the live side of the layer — a push-based, bounded-queue
       event bus emitting [xmt.events.v1] NDJSON records (run/job
       lifecycle, simulator heartbeats, campaign progress/ETA, windowed
-      rollups) so long runs and campaigns are observable while they
+      rollups of heartbeats and power/thermal samples) so long runs and campaigns are observable while they
       execute ([xmtsim --stream]).
     - {!Schema}: the registry of versioned record schemas and of the
       [--export] kinds that produce them — the single table the CLI's
@@ -34,6 +31,5 @@ module Schema = Schema
 module Clock = Clock
 module Metrics = Metrics
 module Tracer = Tracer
-module Timeseries = Timeseries
 module Bench_gate = Bench_gate
 module Stream = Stream

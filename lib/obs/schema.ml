@@ -22,11 +22,6 @@ let table =
       e_doc = "Chrome trace-event spans (cycle-accurate mode only)";
     };
     {
-      e_kind = Some "timeseries";
-      e_schema = Some "xmt.timeseries.v1";
-      e_doc = "windowed telemetry channels (cycle-accurate mode only)";
-    };
-    {
       e_kind = Some "races";
       e_schema = Some "xmt.races.v1";
       e_doc = "race & memory-model report (static + dynamic layers)";

@@ -256,24 +256,24 @@ let host_keys =
     "backtrace";
   ]
 
+let job_key j =
+  let int k = Option.bind (Json.member k j) Json.to_int in
+  match (int "job", int "jseq") with
+  | Some job, Some jseq -> Some (job, jseq)
+  | _ -> None
+
 let canonicalize records =
-  let is_job j =
-    match Option.bind (Json.member "job" j) Json.to_int with
-    | Some _ -> true
-    | None -> false
-  in
+  let job j = Option.bind (Json.member "job" j) Json.to_int in
   let strip = function
     | Json.Obj kvs ->
       Json.Obj (List.filter (fun (k, _) -> not (List.mem k host_keys)) kvs)
     | j -> j
   in
+  (* a job record without a sequence number sorts last within its job *)
   let key j =
-    let geti k =
-      Option.value ~default:max_int (Option.bind (Json.member k j) Json.to_int)
-    in
-    (geti "job", geti "jseq")
+    match job_key j with Some k -> k | None -> (Option.get (job j), max_int)
   in
-  List.filter is_job records |> List.map strip
+  List.filter (fun j -> job j <> None) records |> List.map strip
   |> List.stable_sort (fun a b -> compare (key a) (key b))
 
 let canonicalize_lines text =

@@ -106,6 +106,11 @@ val validate : Json.t -> (unit, string) result
 (** Parse and validate one NDJSON line. *)
 val validate_line : string -> (Json.t, string) result
 
+(** A per-job record's [(job, jseq)] key — the position a served
+    campaign's client acknowledges and resumes after; [None] unless both
+    are integers. *)
+val job_key : Json.t -> (int * int) option
+
 (** Reduce a stream to its deterministic core: keep only per-job
     lifecycle records (those carrying a ["job"] index), strip
     host-dependent keys ([seq], [t], wall-clock and throughput fields)

@@ -51,12 +51,9 @@ let frame_of_json j =
       match J.member "after" j with
       | None -> Ok (Attach { cid; after = None })
       | Some a -> (
-        match
-          ( Option.bind (J.member "job" a) J.to_int,
-            Option.bind (J.member "jseq" a) J.to_int )
-        with
-        | Some job, Some jseq -> Ok (Attach { cid; after = Some (job, jseq) })
-        | _ -> Error "\"after\" must be {\"job\": N, \"jseq\": N}")))
+        match Obs.Stream.job_key a with
+        | Some _ as after -> Ok (Attach { cid; after })
+        | None -> Error "\"after\" must be {\"job\": N, \"jseq\": N}")))
   | Some (J.Str "ping") -> Ok Ping
   | Some (J.Str "bye") -> Ok Bye
   | Some (J.Str other) -> Error (Printf.sprintf "unknown frame type %S" other)

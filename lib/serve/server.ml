@@ -342,14 +342,6 @@ let handle_submit t conn ~cid ~spec =
           emit_conn conn ~typ:"campaign.accepted"
             [ ("cid", J.Str cid); ("jobs", J.Int n) ]))
 
-let record_key r =
-  match
-    ( Option.bind (J.member "job" r) J.to_int,
-      Option.bind (J.member "jseq" r) J.to_int )
-  with
-  | Some j, Some s -> Some (j, s)
-  | _ -> None
-
 let replay_record sub cid r =
   match r with
   | J.Obj kvs ->
@@ -383,7 +375,7 @@ let handle_attach t conn ~cid ~after =
             let rec go best = function
               | [] -> best
               | r :: rest ->
-                go (if record_key r = Some ack then rest else best) rest
+                go (if Obs.Stream.job_key r = Some ack then rest else best) rest
             in
             go history history
         in
@@ -494,7 +486,7 @@ let campaign_of_recovered (r : Journal.recovered) ~journal =
     let ok = ref 0 and failed = ref 0 in
     List.iter
       (fun rec_j ->
-        match record_key rec_j with
+        match Obs.Stream.job_key rec_j with
         | Some (j, 0) when j >= 0 && j < n -> Hashtbl.replace started j ()
         | Some (j, _) when j >= 0 && j < n ->
           Hashtbl.replace donej j ();

@@ -1,22 +1,4 @@
-(** Telemetry-driven DVFS governor (paper §III-B: activity plug-ins can
-    implement "DVFS-style runtime control").
-
-    An activity plug-in that closes the observe-decide-act loop: every
-    [interval] cluster cycles it samples its own {!Power} model, steps the
-    {!Thermal} model, pushes the readings into an {!Obs.Timeseries}
-    window, and compares the {e windowed} readings against thresholds:
-
-    - hotspot temperature above [temp_hi] throttles both the cluster and
-      ICN clock domains to [throttle_period] (chip-wide thermal cap);
-    - windowed mean ICN merge backlog above [icn_hi] throttles only the
-      cluster domain (slows injection into the congested network);
-    - both signals back below their low-water marks restore the base
-      periods (hysteresis keeps the governor from oscillating).
-
-    Every {!Desim.Clock.set_period} call is recorded as a {!decision},
-    pushed to the timeseries, emitted as an instant event on the span
-    tracer it was handed (if any), and exported as metrics —
-    the paper's "study the architecture while it runs" loop. *)
+(* Telemetry-driven DVFS governor (paper §III-B) — see governor.mli. *)
 
 type decision = {
   d_cycle : int;  (** simulated time of the decision *)
@@ -29,34 +11,34 @@ type decision = {
   d_asleep : bool;  (** domain was clock-gated off at decision time *)
 }
 
+(* ICN backlog samples the decisions average over *)
+let window = 64
+
+(* the period a throttled domain runs at *)
+let throttle_period = 2
+
 type t = {
   m : Machine.t;
   tracer : Obs.Tracer.t option;  (* decisions become instant events here *)
-  power : Power.t;
-  thermal : Thermal.t;
+  mutable sampler : Sampler.t option;  (** set once attached *)
   interval : int;
   temp_hi : float;
-  temp_lo : float;
   icn_hi : float;
-  icn_lo : float;
-  throttle_period : int;
   base_cluster_period : int;
   base_icn_period : int;
-  series : Obs.Timeseries.t;
-  ch_temp : Obs.Timeseries.channel;
-  ch_icn : Obs.Timeseries.channel;
-  ch_power : Obs.Timeseries.channel;
-  ch_cluster_period : Obs.Timeseries.channel;
-  ch_icn_period : Obs.Timeseries.channel;
+  icn : float Queue.t;  (** the last [window] backlog samples, oldest first *)
   mutable decisions : decision list;  (** newest first *)
-  mutable samples : int;
 }
 
-let timeseries g = g.series
-let thermal g = g.thermal
-let power g = g.power
-let samples g = g.samples
+let sampler g = Option.get g.sampler
+let samples g = Sampler.samples (sampler g)
 let decisions g = List.rev g.decisions
+
+(* summed oldest first: float addition does not reassociate, and the
+   thresholds compare against this exact value *)
+let icn_mean g =
+  if Queue.is_empty g.icn then 0.0
+  else Queue.fold ( +. ) 0.0 g.icn /. float_of_int (Queue.length g.icn)
 
 (* mean ICN merge backlog per cache module, in cycles *)
 let icn_backlog_per_module m =
@@ -69,7 +51,7 @@ let icn_backlog_per_module m =
   float_of_int total /. float_of_int (max 1 (Array.length backlog))
 
 let decide g ~cycle ~temp ~icn_w =
-  let set domain name base ~reason period =
+  let set domain name ~reason period =
     let from = Machine.period g.m domain in
     if from <> period then begin
       (* Record whether the domain is clock-gated off before applying the
@@ -78,7 +60,6 @@ let decide g ~cycle ~temp ~icn_w =
          already slept is not double-counted at the new rate. *)
       let asleep = Machine.domain_sleeping g.m domain in
       Machine.set_period g.m domain period;
-      ignore base;
       let d =
         {
           d_cycle = cycle;
@@ -108,89 +89,52 @@ let decide g ~cycle ~temp ~icn_w =
           "set_period"
     end
   in
+  let throttled base = max throttle_period base in
   if temp >= g.temp_hi then begin
     (* thermal emergency: chip-wide slowdown *)
-    set Machine.Clusters "clusters" g.base_cluster_period ~reason:"thermal-high"
-      (max g.throttle_period g.base_cluster_period);
-    set Machine.Icn "icn" g.base_icn_period ~reason:"thermal-high"
-      (max g.throttle_period g.base_icn_period)
+    set Machine.Clusters "clusters" ~reason:"thermal-high"
+      (throttled g.base_cluster_period);
+    set Machine.Icn "icn" ~reason:"thermal-high" (throttled g.base_icn_period)
   end
   else if icn_w >= g.icn_hi then
     (* congestion: slow injection, keep the network draining at speed *)
-    set Machine.Clusters "clusters" g.base_cluster_period ~reason:"icn-congestion"
-      (max g.throttle_period g.base_cluster_period)
-  else if temp <= g.temp_lo && icn_w <= g.icn_lo then begin
-    set Machine.Clusters "clusters" g.base_cluster_period ~reason:"recover"
-      g.base_cluster_period;
-    set Machine.Icn "icn" g.base_icn_period ~reason:"recover" g.base_icn_period
+    set Machine.Clusters "clusters" ~reason:"icn-congestion"
+      (throttled g.base_cluster_period)
+  else if temp <= g.temp_hi -. 2.0 && icn_w <= g.icn_hi /. 2.0 then begin
+    set Machine.Clusters "clusters" ~reason:"recover" g.base_cluster_period;
+    set Machine.Icn "icn" ~reason:"recover" g.base_icn_period
   end
 
-let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
-    ?(temp_hi = 326.0) ?temp_lo ?(icn_hi = 6.0) ?icn_lo
-    ?(throttle_period = 2) ?series ?tracer ~interval m =
+let attach ?power_params ?thermal_params ?(temp_hi = 326.0) ?(icn_hi = 6.0)
+    ?stream ?tracer ~interval m =
   if interval <= 0 then invalid_arg "Governor.attach: interval must be positive";
-  let temp_lo = match temp_lo with Some v -> v | None -> temp_hi -. 2.0 in
-  let icn_lo = match icn_lo with Some v -> v | None -> icn_hi /. 2.0 in
-  let cfg = Machine.config m in
-  let power = Power.create ?params:power_params m in
-  let grid_w =
-    match grid_w with
-    | Some w -> w
-    | None ->
-      max 1 (int_of_float (sqrt (float_of_int cfg.Config.num_clusters)))
-  in
-  let thermal =
-    Thermal.create ?params:thermal_params ~grid_w (Power.component_names power)
-  in
-  let series =
-    match series with Some s -> s | None -> Obs.Timeseries.create ~window ()
-  in
-  let ch name help = Obs.Timeseries.channel series ~help name in
   let g =
     {
       m;
       tracer;
-      power;
-      thermal;
+      sampler = None;
       interval;
       temp_hi;
-      temp_lo;
       icn_hi;
-      icn_lo;
-      throttle_period;
       base_cluster_period = Machine.period m Machine.Clusters;
       base_icn_period = Machine.period m Machine.Icn;
-      series;
-      ch_temp = ch "sim.governor.temp_k" "hotspot temperature seen by the governor";
-      ch_icn =
-        ch "sim.governor.icn_backlog"
-          "windowed mean ICN merge backlog per module (cycles)";
-      ch_power = ch "sim.governor.power_watts" "sampled chip power";
-      ch_cluster_period = ch "sim.governor.cluster_period" "cluster clock period";
-      ch_icn_period = ch "sim.governor.icn_period" "ICN clock period";
+      icn = Queue.create ();
       decisions = [];
-      samples = 0;
     }
   in
-  Machine.add_activity_plugin m ~name:"governor" ~interval (fun m cycle ->
-      let now = Machine.cycles m in
-      let watts = Power.sample g.power in
-      Thermal.step g.thermal ~dt:(float_of_int g.interval *. 1e-9) watts;
-      let temp = Thermal.max_temperature g.thermal in
-      let icn_now = icn_backlog_per_module m in
-      g.samples <- g.samples + 1;
-      Obs.Timeseries.push g.ch_temp ~t:now temp;
-      Obs.Timeseries.push g.ch_icn ~t:now icn_now;
-      Obs.Timeseries.push g.ch_power ~t:now (Power.total g.power);
-      (* decisions react to the windowed mean, not the instantaneous
-         spike — the "windowed ICN occupancy" of the in-flight layer *)
-      let icn_w = Obs.Timeseries.mean g.ch_icn in
-      decide g ~cycle:now ~temp ~icn_w;
-      Obs.Timeseries.push g.ch_cluster_period ~t:now
-        (float_of_int (Machine.period m Machine.Clusters));
-      Obs.Timeseries.push g.ch_icn_period ~t:now
-        (float_of_int (Machine.period m Machine.Icn));
-      ignore cycle);
+  let on_sample s _cycle =
+    let now = Machine.cycles m and icn_now = icn_backlog_per_module m in
+    Queue.push icn_now g.icn;
+    if Queue.length g.icn > window then ignore (Queue.pop g.icn);
+    (* decisions react to the windowed mean, not the instantaneous
+       spike — the "windowed ICN occupancy" of the in-flight layer *)
+    decide g ~cycle:now ~temp:(Sampler.temperature s) ~icn_w:(icn_mean g);
+    [ ("icn_backlog", icn_now) ]
+  in
+  g.sampler <-
+    Some
+      (Sampler.attach ?power_params ?thermal_params ?stream ~name:"governor"
+         ~interval m on_sample);
   g
 
 (* -------- exports -------- *)
@@ -209,12 +153,12 @@ let decision_to_json d =
     ]
 
 (** The decision log as JSON (oldest first) — merged into the
-    [--stats-json] export under the "governor" key. *)
+    [--export stats] record under the "governor" key. *)
 let to_json g =
   Obs.Json.Obj
     [
       ("interval", Obs.Json.Int g.interval);
-      ("samples", Obs.Json.Int g.samples);
+      ("samples", Obs.Json.Int (samples g));
       ("temp_hi", Obs.Json.Float g.temp_hi);
       ("icn_hi", Obs.Json.Float g.icn_hi);
       ("decisions", Obs.Json.List (List.map decision_to_json (decisions g)));
@@ -224,7 +168,7 @@ let to_json g =
     [sim.governor.set_period_total{domain, reason}] counters, the sample
     count, and the final clock periods. *)
 let export g reg =
-  Obs.Metrics.inc ~by:g.samples (Obs.Metrics.counter reg "sim.governor.samples");
+  Obs.Metrics.inc ~by:(samples g) (Obs.Metrics.counter reg "sim.governor.samples");
   List.iter
     (fun d ->
       Obs.Metrics.inc
@@ -232,15 +176,11 @@ let export g reg =
            ~labels:[ ("domain", d.d_domain); ("reason", d.d_reason) ]
            "sim.governor.set_period_total"))
     g.decisions;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge reg ~labels:[ ("domain", "clusters") ] "sim.governor.period")
-    (float_of_int (Machine.period g.m Machine.Clusters));
-  Obs.Metrics.set
-    (Obs.Metrics.gauge reg ~labels:[ ("domain", "icn") ] "sim.governor.period")
-    (float_of_int (Machine.period g.m Machine.Icn));
-  Obs.Metrics.set
-    (Obs.Metrics.gauge reg "sim.governor.temp_k")
-    (Thermal.max_temperature g.thermal);
-  Obs.Metrics.set
-    (Obs.Metrics.gauge reg "sim.governor.icn_backlog")
-    (Obs.Timeseries.mean g.ch_icn)
+  List.iter
+    (fun (domain, name) ->
+      Obs.Metrics.set
+        (Obs.Metrics.gauge reg ~labels:[ ("domain", name) ] "sim.governor.period")
+        (float_of_int (Machine.period g.m domain)))
+    [ (Machine.Clusters, "clusters"); (Machine.Icn, "icn") ];
+  Obs.Metrics.set (Obs.Metrics.gauge reg "sim.governor.temp_k") (Sampler.temperature (sampler g));
+  Obs.Metrics.set (Obs.Metrics.gauge reg "sim.governor.icn_backlog") (icn_mean g)

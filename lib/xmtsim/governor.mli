@@ -1,16 +1,16 @@
 (** Telemetry-driven DVFS governor (paper §III-B).
 
-    An activity plug-in closing the observe-decide-act loop: it samples
-    its own {!Power}/{!Thermal} models and the ICN merge backlog into an
-    {!Obs.Timeseries} window, and throttles/restores the cluster and ICN
-    clock domains via {!Machine.set_period} with hysteresis:
+    A {!Sampler} hook closing the observe-decide-act loop: it reads its
+    own {!Power}/{!Thermal} models and a 64-sample window of the ICN
+    merge backlog, and throttles/restores the cluster and ICN clock
+    domains via {!Machine.set_period} with hysteresis:
 
-    - hotspot temperature >= [temp_hi]: throttle clusters + ICN
-      ("thermal-high");
+    - hotspot temperature >= [temp_hi]: throttle clusters + ICN to
+      period 2 ("thermal-high");
     - windowed mean ICN backlog >= [icn_hi]: throttle clusters only
       ("icn-congestion");
-    - temperature <= [temp_lo] and backlog <= [icn_lo]: restore the base
-      periods ("recover").
+    - temperature <= [temp_hi - 2] and backlog <= [icn_hi / 2]: restore
+      the base periods ("recover").
 
     Every period change is logged as a {!decision}, emitted as a
     "governor" instant event on the span tracer it was handed (on the
@@ -33,27 +33,19 @@ type decision = {
           {!Desim.Clock.set_period}) *)
 }
 
-(** [attach ~interval m] registers the governor as an activity plug-in
-    sampling every [interval] cluster cycles.  It creates its own
-    {!Power} and {!Thermal} instances (so an independently attached
-    [--power-interval] reporter is unaffected); [grid_w] defaults to
-    [sqrt num_clusters].  [temp_lo] defaults to [temp_hi - 2];
-    [icn_lo] to [icn_hi / 2].  [throttle_period] (default 2) is the
-    period throttled domains are slowed to.  Pass [series] to share a
-    timeseries sink with other producers; otherwise one is created with
-    [window] points per channel (default 64).  Pass [tracer] to see the
-    decisions in a span trace. *)
+(** [attach ~interval m] registers the governor as a {!Sampler} named
+    ["governor"] sampling every [interval] cluster cycles.  Its power and
+    thermal models are its own, so an independently attached
+    [--power-interval] sampler is unaffected.  With [stream], the
+    sampler's [sim.governor] rollup also carries the ICN backlog
+    ([icn_backlog]).  Pass [tracer] to see the decisions in a span
+    trace. *)
 val attach :
   ?power_params:Power.params ->
   ?thermal_params:Thermal.params ->
-  ?grid_w:int ->
-  ?window:int ->
   ?temp_hi:float ->
-  ?temp_lo:float ->
   ?icn_hi:float ->
-  ?icn_lo:float ->
-  ?throttle_period:int ->
-  ?series:Obs.Timeseries.t ->
+  ?stream:Obs.Stream.t ->
   ?tracer:Obs.Tracer.t ->
   interval:int ->
   Machine.t ->
@@ -62,12 +54,12 @@ val attach :
 val decisions : t -> decision list  (** oldest first *)
 
 val samples : t -> int
-val timeseries : t -> Obs.Timeseries.t
-val thermal : t -> Thermal.t
-val power : t -> Power.t
+
+(** The governor's power/thermal sampler. *)
+val sampler : t -> Sampler.t
 
 (** The governor state as JSON — thresholds, sample count and the
-    decision log (oldest first); [--stats-json] merges it under the
+    decision log (oldest first); [--export stats] merges it under the
     top-level "governor" key. *)
 val to_json : t -> Obs.Json.t
 

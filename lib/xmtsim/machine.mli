@@ -144,8 +144,10 @@ val make_snapshot :
     {!Sim_error} otherwise. *)
 val checkpoint : t -> snapshot
 
-(** Restore into a machine created from the same image (any config);
-    raises {!Bad_snapshot} when the snapshot belongs to another image. *)
+(** Restore into a machine created from the same image, in any config:
+    a snapshot is architectural state only, so phase sampling and
+    {!Predict.Sampled} move it between configs.  Raises {!Bad_snapshot}
+    when the snapshot belongs to another image. *)
 val restore : t -> snapshot -> unit
 
 (** Snapshot files carry a magic string, a format version and the image

@@ -9,7 +9,8 @@
     serializing mode.  {!Stats} holds the counters; {!Probe} is the one
     passive observer interface, behind {!Plugin}'s filters, {!Trace},
     {!Profile}, {!Racedetect} and {!Heartbeat} (§III-B/E); {!Power},
-    {!Thermal} and {!Floorplan} the §III-F power/temperature stack;
+    {!Thermal}, {!Sampler} and {!Floorplan} the §III-F power/temperature
+    stack;
     {!Machine.checkpoint} the §III-E checkpoints. *)
 
 module Config = Config
@@ -31,4 +32,5 @@ module Trace = Trace
 module Power = Power
 module Thermal = Thermal
 module Floorplan = Floorplan
+module Sampler = Sampler
 module Governor = Governor

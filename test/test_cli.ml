@@ -62,11 +62,13 @@ let functional_trace_json_rejected () =
          in
          has "cycle-accurate" err && has "--functional" err);
       Tu.check_bool "no file written" false (Sys.file_exists "t.json");
-      (* same contract for the other cycle-level sinks *)
-      let code, _, _ =
+      (* the removed timeseries kind fails before any mode check,
+         pointing at the stream that replaced it *)
+      let code, _, err =
         run_cmd [ xmtsim; src; "--functional"; "--export"; "timeseries=t.json" ]
       in
-      Tu.check_int "timeseries rejected" 2 code;
+      Tu.check_int "timeseries rejected" 124 code;
+      Tu.check_bool "names --stream" true (contains "--stream" err);
       let code, _, _ = run_cmd [ xmtsim; src; "--functional"; "--governor" ] in
       Tu.check_int "governor rejected" 2 code)
 
@@ -92,11 +94,11 @@ let trace_and_timeseries_to_stdout () =
       Tu.check_int "trace exit 0" 0 code;
       Tu.check_bool "trace is a json array" true
         (match J.of_string out with J.List (_ :: _) -> true | _ -> false);
-      let code, out, _ = run_cmd [ xmtsim; src; "--export"; "timeseries=-" ] in
-      Tu.check_int "timeseries exit 0" 0 code;
-      let j = J.of_string out in
-      Tu.check_bool "timeseries schema" true
-        (J.member "schema" j = Some (J.Str "xmt.timeseries.v1")))
+      (* the timeseries export is gone: fail fast, naming --stream *)
+      let code, out, err = run_cmd [ xmtsim; src; "--export"; "timeseries=-" ] in
+      Tu.check_int "timeseries exits 124" 124 code;
+      Tu.check_string "nothing on stdout" "" out;
+      Tu.check_bool "names --stream" true (contains "--stream" err))
 
 let timings_json_to_stdout () =
   with_src (fun src ->
@@ -132,15 +134,14 @@ let removed_alias_errors () =
      fast (cmdliner's CLI-error code) naming the --export replacement *)
   with_src (fun src ->
       List.iter
-        (fun (args, kind) ->
+        (fun (args, replacement) ->
           let code, _, err = run_cmd ((xmtsim :: src :: args)) in
           Tu.check_int (String.concat " " args ^ " exits 124") 124 code;
-          Tu.check_bool "names the replacement" true
-            (contains ("--export " ^ kind) err))
+          Tu.check_bool "names the replacement" true (contains replacement err))
         [
-          ([ "--stats-json"; "s.json" ], "stats");
-          ([ "--trace-json=t.json" ], "trace");
-          ([ "--timeseries-json"; "-" ], "timeseries");
+          ([ "--stats-json"; "s.json" ], "--export stats");
+          ([ "--trace-json=t.json" ], "--export trace");
+          ([ "--timeseries-json"; "-" ], "--stream");
         ])
 
 
@@ -469,9 +470,14 @@ let input_errors_exit_1 () =
   with_temp ".ckpt" (fun ckpt ->
   with_temp ".map" (fun map ->
   with_temp ".s" (fun asm ->
+  with_temp ".s" (fun div0 ->
+  with_temp ".s" (fun join ->
       write_text ckpt "not a snapshot";
       write_text map "A 1 2\n";
       write_text asm "frobnicate $1, $2\n";
+      (* runtime errors: a division by zero, a join with no spawn *)
+      write_text div0 "li $t1, 7\nli $t2, 0\ndiv $t0, $t1, $t2\nhalt\n";
+      write_text join "join\nhalt\n";
       List.iter
         (fun args ->
           let code, _, err = run_cmd (xmtsim :: args) in
@@ -479,13 +485,19 @@ let input_errors_exit_1 () =
           Tu.check_int (what ^ " exits 1") 1 code;
           Tu.check_bool (what ^ " says xmtsim: ...") true
             (String.starts_with ~prefix:"xmtsim: " err && not (contains "internal error" err)))
-        [
+        ([
           [ src; "--checkpoint-in"; ckpt ];
           [ src; "--memmap"; map ];
           [ asm ];
           [ src; "--stream"; "-"; "--heartbeat-cycles"; "0" ];
           [ src; "--governor"; "--governor-interval"; "0" ];
-        ]))))
+        ]
+        @ List.concat_map
+            (fun input ->
+              List.map
+                (fun mode -> [ input; "--mode"; mode ])
+                [ "cycle"; "functional"; "predict" ])
+            [ div0; join ])))))))
 
 (* Every flag that acts on the cycle-accurate machine is rejected in the
    functional and predict modes, like the cycle-level sinks. *)

@@ -178,79 +178,6 @@ let histogram_edges () =
   Tu.check_bool "q above 1" true (M.percentile h 2.0 = 5.0)
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries ring buffers *)
-
-let timeseries_window () =
-  let ts = Obs.Timeseries.create ~window:4 () in
-  let c = Obs.Timeseries.channel ts ~help:"h" "x" in
-  for i = 1 to 10 do
-    Obs.Timeseries.push c ~t:(i * 100) (float_of_int i)
-  done;
-  Tu.check_int "length capped" 4 (Obs.Timeseries.length c);
-  Tu.check_int "pushed" 10 (Obs.Timeseries.pushed c);
-  Tu.check_int "dropped" 6 (Obs.Timeseries.dropped c);
-  Tu.check_bool "points oldest first" true
-    (Obs.Timeseries.points c = [ (700, 7.0); (800, 8.0); (900, 9.0); (1000, 10.0) ]);
-  Tu.check_bool "last" true (Obs.Timeseries.last c = Some (1000, 10.0));
-  Tu.check_bool "mean over window" true (Obs.Timeseries.mean c = 8.5);
-  Tu.check_bool "max over window" true (Obs.Timeseries.max_value c = 10.0);
-  (* re-registering the same (name, labels) returns the same channel *)
-  let c' = Obs.Timeseries.channel ts "x" in
-  Tu.check_int "same channel" 4 (Obs.Timeseries.length c');
-  let cl = Obs.Timeseries.channel ts ~labels:[ ("cl", "1") ] "x" in
-  Tu.check_int "labelled channel distinct" 0 (Obs.Timeseries.length cl)
-
-let timeseries_window_edges () =
-  let ts = Obs.Timeseries.create ~window:4 () in
-  let c = Obs.Timeseries.channel ts ~help:"h" "edge" in
-  (* exactly [window] pushes: the boundary case drops nothing *)
-  for i = 1 to 4 do
-    Obs.Timeseries.push c ~t:i (float_of_int i)
-  done;
-  Tu.check_int "full window length" 4 (Obs.Timeseries.length c);
-  Tu.check_int "no drops at boundary" 0 (Obs.Timeseries.dropped c);
-  Tu.check_bool "all points retained" true
-    (Obs.Timeseries.points c = [ (1, 1.0); (2, 2.0); (3, 3.0); (4, 4.0) ]);
-  (* one more push evicts exactly the oldest *)
-  Obs.Timeseries.push c ~t:5 5.0;
-  Tu.check_int "still window length" 4 (Obs.Timeseries.length c);
-  Tu.check_int "exactly one drop" 1 (Obs.Timeseries.dropped c);
-  Tu.check_bool "oldest evicted" true
-    (Obs.Timeseries.points c = [ (2, 2.0); (3, 3.0); (4, 4.0); (5, 5.0) ]);
-  Tu.check_bool "mean tracks the window" true (Obs.Timeseries.mean c = 3.5);
-  (* an empty channel is well-defined everywhere *)
-  let e = Obs.Timeseries.channel ts "empty" in
-  Tu.check_int "empty length" 0 (Obs.Timeseries.length e);
-  Tu.check_int "empty dropped" 0 (Obs.Timeseries.dropped e);
-  Tu.check_bool "empty points" true (Obs.Timeseries.points e = []);
-  Tu.check_bool "empty last" true (Obs.Timeseries.last e = None);
-  Tu.check_bool "empty mean" true (Obs.Timeseries.mean e = 0.0);
-  Tu.check_bool "empty max" true (Obs.Timeseries.max_value e = 0.0)
-
-let timeseries_json () =
-  let ts = Obs.Timeseries.create ~window:8 () in
-  let c = Obs.Timeseries.channel ts ~labels:[ ("cl", "0") ] ~help:"temp" "t" in
-  Obs.Timeseries.push c ~t:5 1.5;
-  Obs.Timeseries.push c ~t:9 2.5;
-  let j = J.of_string (J.to_string (Obs.Timeseries.to_json ts)) in
-  Tu.check_bool "schema" true
-    (J.member "schema" j = Some (J.Str "xmt.timeseries.v1"));
-  Tu.check_bool "window" true (J.member "window" j = Some (J.Int 8));
-  match J.member "series" j with
-  | Some (J.List [ s ]) ->
-    Tu.check_bool "name" true (J.member "name" s = Some (J.Str "t"));
-    Tu.check_bool "labels" true
-      (J.member "labels" s = Some (J.Obj [ ("cl", J.Str "0") ]));
-    Tu.check_bool "points" true
-      (J.member "points" s
-      = Some
-          (J.List
-             [
-               J.List [ J.Int 5; J.Float 1.5 ]; J.List [ J.Int 9; J.Float 2.5 ];
-             ]))
-  | _ -> Alcotest.fail "expected one series"
-
-(* ------------------------------------------------------------------ *)
 (* Bench regression gate *)
 
 let bench_record ~name ~cycles ~rate =
@@ -633,12 +560,6 @@ let () =
           Tu.tc "histogram percentiles" histogram_percentiles;
           Tu.tc "histogram edge cases" histogram_edges;
           Tu.tc "json export" registry_json;
-        ] );
-      ( "timeseries",
-        [
-          Tu.tc "ring window" timeseries_window;
-          Tu.tc "window boundary edges" timeseries_window_edges;
-          Tu.tc "json export" timeseries_json;
         ] );
       ( "bench gate",
         [

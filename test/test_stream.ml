@@ -184,7 +184,35 @@ let canonicalize_reorders () =
             match J.of_string l with
             | j -> J.member "wall_seconds" j <> None || J.member "seq" j <> None
             | exception J.Parse_error _ -> true)
-          (List.filter (fun l -> l <> "") (String.split_on_char '\n' cs))))
+          (List.filter (fun l -> l <> "") (String.split_on_char '\n' cs))));
+  (* the (job, jseq) key a served client resumes after *)
+  let key text = S.job_key (J.of_string text) in
+  Tu.check_bool "job + jseq" true (key {|{"job":3,"jseq":7}|} = Some (3, 7));
+  Tu.check_bool "no jseq" true (key {|{"job":3}|} = None);
+  Tu.check_bool "non-integer jseq" true (key {|{"job":3,"jseq":"x"}|} = None);
+  Tu.check_bool "not an object" true (key "[1,2]" = None);
+  (* a job record without jseq sorts after that job's sequenced records,
+     and such records keep their stream order *)
+  let canon =
+    S.canonicalize_lines
+      (String.concat "\n"
+         [
+           {|{"type":"job.note","seq":0,"t":0,"job":0,"n":1}|};
+           {|{"type":"job.done","seq":1,"t":1,"job":1,"jseq":1}|};
+           {|{"type":"job.note","seq":2,"t":2,"job":0,"n":2}|};
+           {|{"type":"job.start","seq":3,"t":3,"job":0,"jseq":0}|};
+         ])
+  in
+  Tu.check_string "order"
+    (String.concat "\n"
+       [
+         {|{"type":"job.start","job":0,"jseq":0}|};
+         {|{"type":"job.note","job":0,"n":1}|};
+         {|{"type":"job.note","job":0,"n":2}|};
+         {|{"type":"job.done","job":1,"jseq":1}|};
+       ]
+    ^ "\n")
+    canon
 
 (* ---- the machine heartbeat producer ---- *)
 

@@ -616,7 +616,20 @@ let checkpoint_resume_equivalence () =
   M.restore m2 snap;
   let r2 = M.run m2 in
   Tu.check_string "same output" r1.M.output r2.M.output;
-  Tu.check_int "same cycles" r1.M.cycles r2.M.cycles
+  Tu.check_int "same cycles" r1.M.cycles r2.M.cycles;
+  (* across configs: a snapshot taken mid-run on tiny, at a quiescent
+     point, resumes on fpga64 to the output of an uninterrupted fpga64
+     run (phase sampling and Predict.Sampled restore this way) *)
+  let straight = M.run (Core.Toolchain.machine ~config:C.fpga64 compiled) in
+  let m3 = Core.Toolchain.machine ~config:C.tiny compiled in
+  ignore (M.run ~max_cycles:(r1.M.cycles / 2) m3);
+  M.run_to_quiescent m3;
+  Tu.check_bool "tiny run checkpointed mid-way" true (M.cycles m3 < r1.M.cycles);
+  let m4 = Core.Toolchain.machine ~config:C.fpga64 compiled in
+  M.restore m4 (M.checkpoint m3);
+  let r4 = M.run m4 in
+  Tu.check_bool "restored fpga64 run halts" true r4.M.halted;
+  Tu.check_string "same output as fpga64" straight.M.output r4.M.output
 
 let checkpoint_mid_run () =
   (* §III-E: save at a point given ahead of time, resume later *)
@@ -794,7 +807,9 @@ let governor_throttles_and_logs () =
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
   let tr = Obs.Tracer.create () in
   let spans = Xmtsim.Trace.attach_spans m tr in
-  let g = Xmtsim.Governor.attach ~tracer:tr ~temp_hi:1.0 ~interval:40 m in
+  let buf = Buffer.create 1024 in
+  let stream = Obs.Stream.create (Obs.Stream.buffer_sink buf) in
+  let g = Xmtsim.Governor.attach ~stream ~tracer:tr ~temp_hi:1.0 ~interval:40 m in
   let base = M.period m M.Clusters in
   let r = M.run m in
   Tu.check_bool "halted" true r.M.halted;
@@ -807,11 +822,35 @@ let governor_throttles_and_logs () =
   Tu.check_int "clusters stay throttled" 2 (M.period m M.Clusters);
   Tu.check_int "icn throttled too" 2 (M.period m M.Icn);
   Tu.check_bool "sampled more than once" true (Xmtsim.Governor.samples g > 1);
-  (* timeseries channels carry the same story *)
-  let series = Xmtsim.Governor.timeseries g in
-  let per = Obs.Timeseries.channel series "sim.governor.cluster_period" in
-  Tu.check_bool "period channel recorded throttle" true
-    (Obs.Timeseries.max_value per = 2.0);
+  (* the sampler's stream rollup carries the same story: every sample,
+     with temperature, power and the ICN backlog *)
+  let smp = Xmtsim.Governor.sampler g in
+  Tu.check_int "sampler samples" (Xmtsim.Governor.samples g) (Xmtsim.Sampler.samples smp);
+  Tu.check_bool "peak at least the last reading" true
+    (Xmtsim.Sampler.peak_temperature smp >= Xmtsim.Sampler.temperature smp);
+  Xmtsim.Sampler.close_window smp;
+  Obs.Stream.close stream;
+  let windows =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map Obs.Json.of_string
+    |> List.filter (fun j ->
+           Obs.Json.member "type" j = Some (Obs.Json.Str "window.close")
+           && Obs.Json.member "window" j = Some (Obs.Json.Str "sim.governor"))
+  in
+  Tu.check_int "rollup covers every sample" (Xmtsim.Governor.samples g)
+    (List.fold_left
+       (fun acc w ->
+         acc + Option.value ~default:0 (Option.bind (Obs.Json.member "count" w) Obs.Json.to_int))
+       0 windows);
+  List.iter
+    (fun w ->
+      match Obs.Json.member "metrics" w with
+      | Some (Obs.Json.Obj kvs) ->
+        Tu.check_bool "rollup keys" true
+          (List.map fst kvs = [ "icn_backlog"; "power_watts"; "temp_k" ])
+      | _ -> Alcotest.fail "window.close without metrics")
+    windows;
   (* metrics export *)
   let reg = Obs.Metrics.create () in
   Xmtsim.Governor.export g reg;
@@ -1285,8 +1324,10 @@ let gating_rejects_late_toggle () =
    an event dispatch allocate nothing, so the minor words a run allocates
    per TCU instruction stay below a small bound (boxed stored values, a
    record per virtual thread and pool warm-up make up the rest).  The
-   figures are exact for a given compiler; an allocation per instruction
-   or per package costs several words each. *)
+   figures repeat for a given compiler at default GC settings, but are
+   not exact counts: they move with the minor-heap size (OCAMLRUNPARAM=s)
+   and with the runs made earlier in the process.  An allocation per
+   instruction or per package costs several words each. *)
 
 let words_per_tcu_instr f =
   let w0 = Gc.minor_words () in
