@@ -17,7 +17,7 @@ let compile ?options ?memmap src =
    same key block on the condition variable until the artifact is
    ready, and everyone simulates against the same read-only [compiled]
    value.  That is safe because nothing downstream mutates it:
-   [Xmtsim.Mem.load] blits [image.data_words] into a fresh store per
+   [Xmtsim.Mem.load] copies [image.data_words] into a fresh store per
    machine, and the race checker's static analysis only reads [cc]. *)
 
 module Artifacts = struct

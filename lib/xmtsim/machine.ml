@@ -105,6 +105,9 @@ type t = {
   modules : cache_module array;
   dram_q : pkg Ring.t;  (* packages awaiting a DRAM slot *)
   free_pkgs : pkg Ring.t;
+  mutable queued : int;
+      (* packages in cluster outbox/returns rings: with no spawn active and
+         none queued, every cluster tick is a no-op *)
   master : F.ctx;
   master_cache : Tags.t;
   mutable master_st : master_state;
@@ -251,6 +254,7 @@ let create ?(config = Config.fpga64) img =
     modules;
     dram_q = Ring.create no_pkg;
     free_pkgs = Ring.create no_pkg;
+    queued = 0;
     master;
     master_cache =
       Tags.create ~lines:cfg.Config.master_cache_lines ~assoc:2
@@ -483,6 +487,7 @@ let pkg_event t pk =
   | To_reply -> icn_reply t pk
   | To_cluster ->
     Ring.push t.clusters.(pk.cl).returns pk;
+    t.queued <- t.queued + 1;
     Desim.Clock.wake t.clk_cluster
 
 (* A package from the pool for [u]'s request of [kind], carrying the
@@ -511,7 +516,8 @@ let request t (cl : cluster) (u : tcu) kind ~pc =
   (* the trip sets every other stamp before a probe reads them *)
   pk.lc.l_born <- Desim.Scheduler.now t.sched;
   pk.lc.l_hit <- false;
-  Ring.push cl.outbox pk
+  Ring.push cl.outbox pk;
+  t.queued <- t.queued + 1
 
 (* ------------------------------------------------------------------ *)
 (* TCU execution *)
@@ -750,7 +756,10 @@ let cluster_tick t (cl : cluster) =
   then begin
     (* phase 1: accept returning packages *)
     for _ = 1 to t.cfg.Config.cluster_return_width do
-      if not (Ring.is_empty cl.returns) then deliver_reply t cl (Ring.pop cl.returns)
+      if not (Ring.is_empty cl.returns) then begin
+        t.queued <- t.queued - 1;
+        deliver_reply t cl (Ring.pop cl.returns)
+      end
     done;
     (* phase 2: step TCUs, rotating priority *)
     if t.spawn_active then begin
@@ -762,7 +771,10 @@ let cluster_tick t (cl : cluster) =
     end;
     (* phase 3: inject into the ICN *)
     for _ = 1 to t.cfg.Config.cluster_inject_width do
-      if not (Ring.is_empty cl.outbox) then icn_send t ~cl:cl.cid (Ring.pop cl.outbox)
+      if not (Ring.is_empty cl.outbox) then begin
+        t.queued <- t.queued - 1;
+        icn_send t ~cl:cl.cid (Ring.pop cl.outbox)
+      end
     done
   end
 
@@ -909,9 +921,7 @@ let cluster_domain_idle t =
   && (match t.master_st with
      | Mmemwait | Mspawnwait | Mhalted -> true  (* parked on a callback *)
      | Mrun | Mstall -> false (* tick-driven *))
-  && Array.for_all
-       (fun cl -> Ring.is_empty cl.outbox && Ring.is_empty cl.returns)
-       t.clusters
+  && t.queued = 0
 
 let cache_domain_idle t =
   Ring.is_empty t.dram_q
@@ -983,10 +993,12 @@ let start t =
     Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
         if t.probed then t.probe.Probe.cluster_tick ~cycle;
         master_tick t);
+    (* serial cycles skip the sweep: every cluster tick would be a no-op *)
     Desim.Clock.on_tick ~phase:1 t.clk_cluster (fun _ ->
-        for i = 0 to Array.length t.clusters - 1 do
-          cluster_tick t t.clusters.(i)
-        done);
+        if t.spawn_active || t.queued > 0 then
+          for i = 0 to Array.length t.clusters - 1 do
+            cluster_tick t t.clusters.(i)
+          done);
     Desim.Clock.on_tick ~phase:0 t.clk_cache (fun _ ->
         for i = 0 to Array.length t.modules - 1 do
           module_tick t t.modules.(i)
@@ -1144,9 +1156,9 @@ let restore t s =
 (* File layout: magic, format version (int32), image digest, payload
    digest, then the marshaled snapshot.  The payload is unmarshaled only
    once its digest checks out, since Marshal itself is not type-safe.
-   Version 2: latency histograms are flat int arrays per stage. *)
+   Version 3: the memory holds only the data and stack words in use. *)
 let snapshot_magic = "XMT-SNAP"
-let snapshot_version = 2
+let snapshot_version = 3
 let header_len = String.length snapshot_magic + 4 + 16 + 16
 
 let snapshot_to_file s path =

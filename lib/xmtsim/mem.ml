@@ -8,38 +8,33 @@ type t = {
   data_base : int;
   mutable data : Isa.Value.t array;  (* indexed by (addr - data_base)/4 *)
   mutable data_len : int;  (* words in use (highest touched) *)
-  stack : Isa.Value.t array;  (* indexed by (addr - stack_base)/4 *)
+  mutable stack : Isa.Value.t array;
+      (* slot [i] holds [stack_top - 4 * (i + 1)]; grows on the first write
+         past its end, and slots past it read as zero *)
 }
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
 let load (img : Isa.Program.image) =
-  let n = Array.length img.Isa.Program.data_words in
-  let data = Array.make (max 64 (2 * n)) Isa.Value.zero in
-  Array.blit img.Isa.Program.data_words 0 data 0 n;
   {
     data_base = img.Isa.Program.data_base;
-    data;
-    data_len = n;
-    stack = Array.make (stack_bytes / 4) Isa.Value.zero;
+    data = Array.copy img.Isa.Program.data_words;
+    data_len = Array.length img.Isa.Program.data_words;
+    stack = Array.make 64 Isa.Value.zero;
   }
 
-let grow t want =
-  let cap = Array.length t.data in
-  if want > cap then begin
-    let ncap = max want (2 * cap) in
-    if t.data_base + (4 * ncap) > stack_base then
-      fault "data/heap region collides with the stack (%d words)" ncap;
-    let narr = Array.make ncap Isa.Value.zero in
-    Array.blit t.data 0 narr 0 t.data_len;
-    t.data <- narr
-  end
+(* [arr]'s first [used] cells in a fresh array of at least [want] cells:
+   twice as long, but at most [limit] *)
+let grow arr ~want ~used ~limit =
+  let narr = Array.make (min limit (max want (2 * Array.length arr))) Isa.Value.zero in
+  Array.blit arr 0 narr 0 used;
+  narr
 
 (* The cell of [addr], unboxed: data-region word [i] is [i], stack slot
    [i] is [-1 - i]. *)
 let locate t addr =
   if addr land 3 <> 0 then fault "unaligned access at 0x%x" addr;
-  if addr >= stack_base && addr < stack_top then -1 - ((addr - stack_base) / 4)
+  if addr >= stack_base && addr < stack_top then (addr - stack_top) / 4
   else if addr >= t.data_base then begin
     let idx = (addr - t.data_base) / 4 in
     if t.data_base + (4 * idx) >= stack_base then
@@ -50,15 +45,26 @@ let locate t addr =
 
 let read t addr =
   let i = locate t addr in
-  if i < 0 then t.stack.(-1 - i)
+  if i < 0 then begin
+    let j = -1 - i in
+    if j < Array.length t.stack then t.stack.(j) else Isa.Value.zero
+  end
   else if i < t.data_len then t.data.(i)
   else Isa.Value.zero
 
 let write t addr v =
   let i = locate t addr in
-  if i < 0 then t.stack.(-1 - i) <- v
+  if i < 0 then begin
+    let j = -1 - i in
+    if j >= Array.length t.stack then
+      t.stack <-
+        grow t.stack ~want:(j + 1) ~used:(Array.length t.stack) ~limit:(stack_bytes / 4);
+    t.stack.(j) <- v
+  end
   else begin
-    grow t (i + 1);
+    (* [locate] keeps [i] inside the region below the stack *)
+    if i >= Array.length t.data then
+      t.data <- grow t.data ~want:(i + 1) ~used:t.data_len ~limit:((stack_base - t.data_base) / 4);
     if i >= t.data_len then t.data_len <- i + 1;
     t.data.(i) <- v
   end
@@ -85,7 +91,7 @@ let data_words t = t.data_len
 let snapshot t =
   {
     data_base = t.data_base;
-    data = Array.copy t.data;
+    data = Array.sub t.data 0 t.data_len;
     data_len = t.data_len;
     stack = Array.copy t.stack;
   }
@@ -93,4 +99,4 @@ let snapshot t =
 let restore t snap =
   t.data <- Array.copy snap.data;
   t.data_len <- snap.data_len;
-  Array.blit snap.stack 0 t.stack 0 (Array.length t.stack)
+  t.stack <- Array.copy snap.stack

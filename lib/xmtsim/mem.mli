@@ -3,7 +3,10 @@
 
     Two regions: the data/heap region growing up from the image's data
     base, and the Master TCU's stack region just below {!stack_top}.
-    Cells are auto-zeroed; accesses outside both regions raise. *)
+    Cells are auto-zeroed; accesses outside both regions raise.  Both
+    regions are allocated on first use: the data region at the image's
+    size, the stack from a few words, each growing on the first write
+    past its end. *)
 
 type t
 
@@ -27,7 +30,7 @@ val read_string : t -> int -> string
 (** Words currently allocated in the data region (for bounds reporting). *)
 val data_words : t -> int
 
-(** Deep snapshot for checkpointing. *)
+(** Deep snapshot for checkpointing: a copy of the words in use. *)
 val snapshot : t -> t
 
 val restore : t -> t -> unit

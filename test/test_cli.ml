@@ -6,8 +6,9 @@
 module J = Obs.Json
 
 (* resolve the binaries relative to this test executable so the tests
-   work both under `dune runtest` (cwd = _build/default/test) and
-   `dune exec` (cwd = project root) *)
+   work both under `dune runtest` (cwd = _build/default/test) and, once
+   `dune build` has built them, `dune exec` (cwd = project root);
+   examples resolve through {!Tu.example} *)
 let bin name =
   Filename.concat (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name (Filename.concat "bin" name))
@@ -317,14 +318,10 @@ let connect_refused_exits_3 () =
 
 (* Probe event order, pinned: the text traces and the CPI-stack report of
    a fixed example must match the committed golden files byte for byte. *)
-let examples name =
-  Filename.concat (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name (Filename.concat "examples" name))
-
 let read_file p = In_channel.with_open_bin p In_channel.input_all
 
 let golden_traces () =
-  let src = examples "clean_compaction.xmtc" in
+  let src = Tu.example "clean_compaction.xmtc" in
   let code, out, _ =
     run_cmd
       [ xmtsim; src; "-c"; "tiny"; "--trace"; "--trace-packages";
@@ -332,7 +329,7 @@ let golden_traces () =
   in
   Tu.check_int "trace run exits 0" 0 code;
   Tu.check_string "text traces match golden"
-    (read_file (examples "golden/clean_compaction.trace.txt")) out;
+    (read_file (Tu.example "golden/clean_compaction.trace.txt")) out;
   let prof = Filename.temp_file "xmtcli" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove prof)
@@ -342,7 +339,7 @@ let golden_traces () =
       in
       Tu.check_int "profile run exits 0" 0 code;
       Tu.check_string "profile report matches golden"
-        (read_file (examples "golden/clean_compaction.profile.json"))
+        (read_file (Tu.example "golden/clean_compaction.profile.json"))
         (read_file prof))
 
 (* ---- one run path: a single run is a one-job campaign ---- *)
@@ -360,7 +357,7 @@ let check_json what want got =
    predict; functional) report exactly what the same three jobs report
    inside one campaign. *)
 let single_run_equals_campaign () =
-  let src = examples "clean_compaction.xmtc" in
+  let src = Tu.example "clean_compaction.xmtc" in
   with_temp ".json" (fun races ->
   with_temp ".json" (fun profile ->
   with_temp ".json" (fun stats ->
@@ -434,7 +431,7 @@ let single_run_equals_campaign () =
 (* xmtcc's assembly of a program simulates exactly like the program
    compiled on the fly, in every mode. *)
 let assembly_round_trip () =
-  let src = examples "clean_compaction.xmtc" in
+  let src = Tu.example "clean_compaction.xmtc" in
   with_temp ".s" (fun asm ->
       let code, _, _ = run_cmd [ xmtcc; src; "-o"; asm ] in
       Tu.check_int "xmtcc exits 0" 0 code;

@@ -7,15 +7,7 @@ let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
 
-(* resolve fixtures relative to this test executable so the tests work
-   both under `dune runtest` (cwd = _build/default/test) and `dune exec`
-   (cwd = project root) *)
-let fixture name =
-  read_file
-    (Filename.concat
-       (Filename.dirname Sys.executable_name)
-       (Filename.concat Filename.parent_dir_name
-          (Filename.concat "examples" name)))
+let fixture name = read_file (example name)
 
 let analyze ?options src =
   let compiled = Core.Toolchain.compile ?options src in

@@ -108,7 +108,15 @@ let mem_stack_region () =
   let m = Xmtsim.Mem.load img in
   let sp = Xmtsim.Mem.stack_top - 4 in
   Xmtsim.Mem.write m sp (Isa.Value.int 99);
-  Tu.check_int "stack rw" 99 (Isa.Value.to_int (Xmtsim.Mem.read m sp))
+  Tu.check_int "stack rw" 99 (Isa.Value.to_int (Xmtsim.Mem.read m sp));
+  (* the stack grows on demand: untouched slots read zero at any depth *)
+  let get a = Isa.Value.to_int (Xmtsim.Mem.read m a) in
+  let low = Xmtsim.Mem.stack_top - Xmtsim.Mem.stack_bytes in
+  Tu.check_int "deepest slot untouched" 0 (get low);
+  Xmtsim.Mem.write m low (Isa.Value.int 5);
+  Tu.check_int "deepest slot" 5 (get low);
+  Tu.check_int "top slot kept" 99 (get sp);
+  Tu.check_int "slot between untouched" 0 (get (sp - 4096))
 
 let mem_faults () =
   let img = Isa.Program.resolve (Isa.Asm.parse "main: halt") in
@@ -705,6 +713,32 @@ let checkpoint_file_roundtrip () =
   M.restore m2 snap2;
   Tu.check_string "ran from file snapshot" "9" (M.run m2).M.output
 
+(* A checkpoint taken while a recursive serial function is deep in the
+   master stack survives the file round trip: the restored run unwinds
+   the saved frames to the straight run's output. *)
+let checkpoint_deep_stack () =
+  let compiled =
+    Core.Toolchain.compile
+      {|
+int sum_to(int n) { if (n == 0) return 0; return n + sum_to(n - 1); }
+int main(void) { print_int(sum_to(1500)); return 0; }
+|}
+  in
+  let straight = Core.Toolchain.run_cycle ~config:C.tiny compiled in
+  Tu.check_string "straight output" "1125750" straight.Core.Toolchain.output;
+  let m = Core.Toolchain.machine ~config:C.tiny compiled in
+  ignore (M.run ~max_cycles:(straight.Core.Toolchain.cycles / 2) m);
+  M.run_to_quiescent m;
+  let path = Filename.temp_file "xmtsnap" ".bin" in
+  M.snapshot_to_file (M.checkpoint m) path;
+  let snap = M.snapshot_of_file path in
+  Sys.remove path;
+  let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
+  M.restore m2 snap;
+  let r = M.run m2 in
+  Tu.check_bool "restored run halts" true r.M.halted;
+  Tu.check_string "restored output" "1125750" r.M.output
+
 (* snapshot files are checked on load: a truncated file or a foreign
    one is a typed error, and so is restoring into another program *)
 let checkpoint_file_checked () =
@@ -721,6 +755,14 @@ let checkpoint_file_checked () =
   rejected "truncated" (String.sub whole 0 (String.length whole - 10));
   rejected "header-only" (String.sub whole 0 20);
   rejected "wrong-magic" ("NOT-SNAP" ^ String.sub whole 8 (String.length whole - 8));
+  (* a file of another format version names both versions *)
+  let old = Bytes.of_string whole in
+  Bytes.set_int32_be old 8 2l;
+  Out_channel.with_open_bin path (fun oc -> output_bytes oc old);
+  (match M.snapshot_of_file path with
+  | exception M.Bad_snapshot msg ->
+    Tu.check_string "names both versions" (path ^ ": snapshot format version 2, expected 3") msg
+  | _ -> Alcotest.fail "version-2 snapshot accepted");
   Out_channel.with_open_bin path (fun oc -> output_string oc whole);
   let snap = M.snapshot_of_file path in
   Sys.remove path;
@@ -1319,6 +1361,91 @@ let gating_rejects_late_toggle () =
     (M.Sim_error "set_gating must be called before the first run") (fun () ->
       M.set_gating m false)
 
+(* The cluster sweep is skipped on cycles with no spawn active and no
+   package queued at any cluster.  The skip must be exact: output,
+   cycles, the whole Stats.t and the host event count are pinned to the
+   values the machine gave before the skip existed, on 64 clusters and
+   on one, gated and ungated.  The prefetch kernel's threads prefetch
+   lines they never load, so the replies reach the cluster return
+   queues after the join, with no spawn active (all 64 of them on
+   chip1024, 11 on tiny). *)
+
+let prefetch_after_join_asm =
+  {|
+main:
+  li $t0, 0
+  li $t1, 63
+  spawn $t0, $t1
+Ld:
+  li $t2, 1
+  ps $t2, $g8
+  chkid $t2
+  la $t3, A
+  sll $t4, $t2, 6
+  add $t3, $t3, $t4
+  pref 0($t3)
+  j Ld
+  join
+  li $t5, 400
+Lspin:
+  addi $t5, $t5, -1
+  bnez $t5, Lspin
+  pint $t5
+  halt
+  .data
+A: .space 4096
+|}
+
+let stats_digest (s : Xmtsim.Stats.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string s [ Marshal.No_sharing ]))
+
+let serial_skip_exact () =
+  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+  let image ?(arrays = []) src =
+    (Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src).Core.Toolchain.image
+  in
+  let kernels =
+    [
+      ("ser_comp", image (Core.Kernels.ser_comp ~iters:300));
+      ("ser_mem", image ~arrays:[ ("A", a) ] (Core.Kernels.ser_mem ~iters:60 ~n:2048));
+      ( "par_mem",
+        image ~arrays:[ ("A", a) ] (Core.Kernels.par_mem ~threads:128 ~iters:4 ~n:2048) );
+      ("prefetch", Isa.Program.resolve (Isa.Asm.parse prefetch_after_join_asm));
+    ]
+  in
+  (* kernel, config, gated, output, cycles, Stats.t digest, host events *)
+  let expected =
+    [
+      ("ser_comp", "chip1024", true, "9536", 4814, "82648b0b28211e90d0b8f85787ea278f", 4819);
+      ("ser_comp", "chip1024", false, "9536", 4814, "82648b0b28211e90d0b8f85787ea278f", 19261);
+      ("ser_comp", "tiny", true, "9536", 4814, "5a5962e3d486673d889799ac71a5baae", 4819);
+      ("ser_comp", "tiny", false, "9536", 4814, "5a5962e3d486673d889799ac71a5baae", 19261);
+      ("ser_mem", "chip1024", true, "", 7155, "673c4a6c3f6cd5f7629c440a9fc2ca11", 1220);
+      ("ser_mem", "chip1024", false, "", 7155, "673c4a6c3f6cd5f7629c440a9fc2ca11", 28685);
+      ("ser_mem", "tiny", true, "", 2355, "a15bc0a5822197753bf7fd390601303c", 1220);
+      ("ser_mem", "tiny", false, "", 2355, "a15bc0a5822197753bf7fd390601303c", 9485);
+      ("par_mem", "chip1024", true, "", 647, "d3df974ea22a4b2f7a073bd596cc8e8d", 6263);
+      ("par_mem", "chip1024", false, "", 647, "d3df974ea22a4b2f7a073bd596cc8e8d", 7438);
+      ("par_mem", "tiny", true, "", 4121, "1c4254df782e1b0d5775d7df7e0766c8", 13761);
+      ("par_mem", "tiny", false, "", 4121, "1c4254df782e1b0d5775d7df7e0766c8", 20314);
+      ("prefetch", "chip1024", true, "0", 854, "85e8b0b76d91314469aa7fa9438db10e", 2417);
+      ("prefetch", "chip1024", false, "0", 854, "85e8b0b76d91314469aa7fa9438db10e", 4767);
+      ("prefetch", "tiny", true, "0", 991, "8b883b24730efb1ea0698aaaa1e80b37", 1695);
+      ("prefetch", "tiny", false, "0", 991, "8b883b24730efb1ea0698aaaa1e80b37", 4295);
+    ]
+  in
+  List.iter
+    (fun (kname, cname, gating, out, cycles, digest, events) ->
+      let m = M.create ~config:(List.assoc cname C.presets) (List.assoc kname kernels) in
+      M.set_gating m gating;
+      let r = M.run m in
+      let what = Printf.sprintf "%s/%s/%s" kname cname (if gating then "gated" else "ungated") in
+      Tu.check_string (what ^ " output") out r.M.output;
+      Tu.check_int (what ^ " cycles") cycles r.M.cycles;
+      Tu.check_string (what ^ " stats") digest (stats_digest (M.stats m));
+      Tu.check_int (what ^ " host events") events (M.events_processed m))
+    expected
+
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation: issuing an instruction, a memory round trip and
    an event dispatch allocate nothing, so the minor words a run allocates
@@ -1421,6 +1548,7 @@ let () =
           Tu.tc "resume equivalence" checkpoint_resume_equivalence;
           Tu.tc "file roundtrip" checkpoint_file_roundtrip;
           Tu.tc "file checked on load" checkpoint_file_checked;
+          Tu.tc "deep stack file roundtrip" checkpoint_deep_stack;
           Tu.tc "mid-run save/resume" checkpoint_mid_run;
           Tu.tc "telemetry survives restore" checkpoint_preserves_telemetry;
           Tu.tc "quiescence in one run" checkpoint_quiescence_one_run;
@@ -1437,6 +1565,7 @@ let () =
           Tu.tc "short-regfile snapshot restores" restore_short_regfile_snapshot;
           Tu.tc "halt/restore/rerun not truncated" halt_restore_rerun;
           Tu.tc "set_gating after start rejected" gating_rejects_late_toggle;
+          Tu.tc "serial cluster-sweep skip is exact" serial_skip_exact;
         ] );
       ( "timing verification",
         [

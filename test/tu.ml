@@ -32,3 +32,14 @@ let run_asm_functional ?memmap asm =
   let prog = Isa.Asm.parse asm in
   let img = Isa.Program.resolve ?extra_data:memmap prog in
   Xmtsim.Functional_mode.run img
+
+(** Path of [examples/name], for `dune runtest` (cwd = _build/default/test,
+    where dune copies the examples the tests depend on) and for
+    `dune exec` (cwd = project root), which copies none: the source tree
+    is then three levels above the test executable. *)
+let example name =
+  let dir = Filename.dirname Sys.executable_name and up = Filename.parent_dir_name in
+  let under levels =
+    List.fold_left Filename.concat dir (List.init levels (fun _ -> up) @ [ "examples"; name ])
+  in
+  if Sys.file_exists (under 1) then under 1 else under 3
