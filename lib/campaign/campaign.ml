@@ -66,68 +66,72 @@ let stats_json (s : Xmtsim.Stats.t) =
       ("virtual_threads", J.Int s.Xmtsim.Stats.virtual_threads);
     ]
 
+(* The deterministic fields of a job's outcome, shared by the [job.done]
+   record and the report's per-job result. *)
+let outcome_fields = function
+  | Ok run ->
+    [
+      ("status", J.Str "ok");
+      ("cycles", J.Int run.Core.Toolchain.cycles);
+      ("instructions", J.Int run.Core.Toolchain.instructions);
+      ("events", J.Int run.Core.Toolchain.events);
+      ("output", J.Str run.Core.Toolchain.output);
+      ("stats", stats_json run.Core.Toolchain.stats);
+    ]
+  | Error f -> [ ("status", J.Str "failed"); ("error", J.Str f.f_exn) ]
+
 (* The stream-facing per-job records.  Every one carries the job's
    submission index and a per-job monotonic sequence number [jseq]
    (0 = start, 1 = done), so a parallel run's interleaved stream sorts
    into the same canonical order as a serial run's
    ({!Obs.Stream.canonicalize}).  Host-dependent fields (wall-clock) are
    the ones canonicalization strips. *)
-let job_start_fields ~index ~name =
-  [ ("job", J.Int index); ("jseq", J.Int 0); ("name", J.Str name) ]
-
-let job_done_fields ~index ~name ~(job : Core.Toolchain.job) ~attempts
-    ~wall_seconds outcome =
+let job_done_fields r =
   [
-    ("job", J.Int index);
+    ("job", J.Int r.r_index);
     ("jseq", J.Int 1);
-    ("name", J.Str name);
-    ("config", J.Str job.Core.Toolchain.config.Xmtsim.Config.name);
-    ("mode", J.Str (Core.Toolchain.mode_name job.Core.Toolchain.mode));
-    ("attempts", J.Int attempts);
+    ("name", J.Str r.r_name);
+    ("config", J.Str r.r_job.Core.Toolchain.config.Xmtsim.Config.name);
+    ("mode", J.Str (Core.Toolchain.mode_name r.r_job.Core.Toolchain.mode));
+    ("attempts", J.Int r.r_attempts);
   ]
-  @ (match outcome with
-    | Ok run ->
-      [
-        ("status", J.Str "ok");
-        ("cycles", J.Int run.Core.Toolchain.cycles);
-        ("instructions", J.Int run.Core.Toolchain.instructions);
-        ("events", J.Int run.Core.Toolchain.events);
-        ("output", J.Str run.Core.Toolchain.output);
-        ("stats", stats_json run.Core.Toolchain.stats);
-      ]
-    | Error f -> [ ("status", J.Str "failed"); ("error", J.Str f.f_exn) ])
-  @ [ ("wall_seconds", J.Float wall_seconds) ]
+  @ outcome_fields r.r_outcome
+  @ [ ("wall_seconds", J.Float r.r_wall_seconds) ]
+
+let progress_fields ~completed ~total ~ok ~failed =
+  [ ("completed", J.Int completed); ("total", J.Int total); ("ok", J.Int ok); ("failed", J.Int failed) ]
+
+let done_fields ~total ~ok ~failed =
+  [ ("jobs", J.Int total); ("ok", J.Int ok); ("failed", J.Int failed) ]
 
 (* per-worker progress counters: each worker mutates only its own
    record, so the no-telemetry hot path takes no lock at all — the
    counters are summed under the lock at progress boundaries and once
    at the end *)
-type wstats = {
-  mutable w_started : int;
-  mutable w_ok : int;
-  mutable w_failed : int;
-}
+type wstats = { mutable w_ok : int; mutable w_failed : int }
 
-(* Bounded retry: keep the last failure if every attempt raises.  The
-   raw backtrace is captured first — formatting the exception (which may
-   run arbitrary printers) can itself raise or record a new backtrace
-   and clobber the one we want.  Top-level because the server executes
-   socket-served jobs through exactly this step. *)
-let attempt_job ?artifacts ~retries job =
-  let rec go k =
-    match Core.Toolchain.run_job ?artifacts job with
-    | r -> (k, Ok r)
+(* The one per-job step (see mli).  Bounded retry keeps the last
+   failure if every attempt raises.  The raw backtrace is captured first
+   — formatting the exception (which may run arbitrary printers) can
+   itself raise or record a new backtrace and clobber the one we want. *)
+let job_step ~artifacts ~retries ~on_start ~on_done ~index ~name job =
+  on_start "job.start" [ ("job", J.Int index); ("jseq", J.Int 0); ("name", J.Str name) ];
+  let t0 = Obs.Clock.now () in
+  let rec attempt k =
+    match Core.Toolchain.run_job ~artifacts job with
+    | run -> (k, Ok run)
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      let f =
-        {
-          f_exn = Printexc.to_string e;
-          f_backtrace = Printexc.raw_backtrace_to_string bt;
-        }
-      in
-      if k <= retries then go (k + 1) else (k, Error f)
+      let f = { f_exn = Printexc.to_string e; f_backtrace = Printexc.raw_backtrace_to_string bt } in
+      if k <= retries then attempt (k + 1) else (k, Error f)
   in
-  go 1
+  let r_attempts, r_outcome = attempt 1 in
+  let r =
+    { r_index = index; r_name = name; r_job = job; r_attempts;
+      r_wall_seconds = Obs.Clock.elapsed_since t0; r_outcome }
+  in
+  on_done r "job.done" (job_done_fields r);
+  r
 
 let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
   let { specs; jobs; retries; progress_interval } = req in
@@ -159,7 +163,7 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
      telemetry consumer is attached *)
   let started = ref 0 and completed = ref 0 in
   let ok = ref 0 and failed = ref 0 in
-  let ws = Array.init workers (fun _ -> { w_started = 0; w_ok = 0; w_failed = 0 }) in
+  let ws = Array.init workers (fun _ -> { w_ok = 0; w_failed = 0 }) in
   let semit typ fields =
     match stream with
     | Some s -> Obs.Stream.emit s ~typ fields
@@ -178,17 +182,14 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
       if rate > 0.0 then float_of_int (n - !completed) /. rate else 0.0
     in
     semit "campaign.progress"
-      [
-        ("completed", J.Int !completed);
-        ("total", J.Int n);
-        ("ok", J.Int !ok);
-        ("failed", J.Int !failed);
-        ("running", J.Int (!started - !completed));
-        ("workers", J.Int workers);
-        ("elapsed_seconds", J.Float elapsed);
-        ("jobs_per_sec", J.Float rate);
-        ("eta_seconds", J.Float eta);
-      ]
+      (progress_fields ~completed:!completed ~total:n ~ok:!ok ~failed:!failed
+      @ [
+          ("running", J.Int (!started - !completed));
+          ("workers", J.Int workers);
+          ("elapsed_seconds", J.Float elapsed);
+          ("jobs_per_sec", J.Float rate);
+          ("eta_seconds", J.Float eta);
+        ])
   in
   let maybe_stream_progress () =
     (* the final completion always reports, so a follower sees
@@ -237,47 +238,33 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
   in
   let execute ~worker i =
     let name, job = specs.(i) in
-    ws.(worker).w_started <- ws.(worker).w_started + 1;
-    if serialized then
-      notify m_started
-        (Job_started { index = i; name })
-        ~also:(fun () ->
-          incr started;
-          semit "job.start" (job_start_fields ~index:i ~name));
-    let tj = Obs.Clock.now () in
-    let attempts, outcome = attempt_job ~artifacts ~retries job in
-    let wall_seconds = Obs.Clock.elapsed_since tj in
-    results.(i) <-
-      Some
-        {
-          r_index = i;
-          r_name = name;
-          r_job = job;
-          r_attempts = attempts;
-          r_wall_seconds = wall_seconds;
-          r_outcome = outcome;
-        };
-    (match outcome with
-    | Ok _ -> ws.(worker).w_ok <- ws.(worker).w_ok + 1
-    | Error _ -> ws.(worker).w_failed <- ws.(worker).w_failed + 1);
-    if serialized then begin
-      let stream_done result_kind =
-        incr completed;
-        (match result_kind with `Ok -> incr ok | `Failed -> incr failed);
-        semit "job.done"
-          (job_done_fields ~index:i ~name ~job ~attempts ~wall_seconds outcome);
-        maybe_stream_progress ()
-      in
-      match outcome with
-      | Ok _ ->
-        notify m_finished
-          (Job_finished { index = i; name; wall_seconds })
-          ~also:(fun () -> stream_done `Ok)
-      | Error f ->
-        notify m_failed
-          (Job_failed { index = i; name; attempts; error = f.f_exn })
-          ~also:(fun () -> stream_done `Failed)
-    end
+    let w = ws.(worker) in
+    let on_start typ fields =
+      if serialized then
+        notify m_started
+          (Job_started { index = i; name })
+          ~also:(fun () ->
+            incr started;
+            semit typ fields)
+    in
+    let on_done r typ fields =
+      let is_ok = Result.is_ok r.r_outcome in
+      if is_ok then w.w_ok <- w.w_ok + 1 else w.w_failed <- w.w_failed + 1;
+      if serialized then
+        let counter, ev =
+          match r.r_outcome with
+          | Ok _ ->
+            (m_finished, Job_finished { index = i; name; wall_seconds = r.r_wall_seconds })
+          | Error f ->
+            (m_failed, Job_failed { index = i; name; attempts = r.r_attempts; error = f.f_exn })
+        in
+        notify counter ev ~also:(fun () ->
+            incr completed;
+            incr (if is_ok then ok else failed);
+            semit typ fields;
+            maybe_stream_progress ())
+    in
+    results.(i) <- Some (job_step ~artifacts ~retries ~on_start ~on_done ~index:i ~name job)
   in
   semit "campaign.start" [ ("jobs", J.Int n); ("workers", J.Int workers) ];
   Printexc.record_backtrace true;
@@ -293,13 +280,8 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
   let n_ok = sum (fun w -> w.w_ok) and n_failed = sum (fun w -> w.w_failed) in
   Option.iter (fun g -> Obs.Metrics.set g wall) m_wall;
   semit "campaign.done"
-    [
-      ("jobs", J.Int n);
-      ("ok", J.Int n_ok);
-      ("failed", J.Int n_failed);
-      ("workers", J.Int workers);
-      ("wall_seconds", J.Float wall);
-    ];
+    (done_fields ~total:n ~ok:n_ok ~failed:n_failed
+    @ [ ("workers", J.Int workers); ("wall_seconds", J.Float wall) ]);
   Array.map
     (function Some r -> r | None -> assert false (* every slot was filled *))
     results
@@ -330,17 +312,11 @@ let result_json ~host r =
     ]
   in
   let outcome =
+    outcome_fields r.r_outcome
+    @
     match r.r_outcome with
     | Ok run ->
-      [
-        ("status", J.Str "ok");
-        ("cycles", J.Int run.Core.Toolchain.cycles);
-        ("instructions", J.Int run.Core.Toolchain.instructions);
-        ("events", J.Int run.Core.Toolchain.events);
-        ("output", J.Str run.Core.Toolchain.output);
-        ("stats", stats_json run.Core.Toolchain.stats);
-      ]
-      @ (match run.Core.Toolchain.races with
+      (match run.Core.Toolchain.races with
         | Some j -> [ ("races", j) ]
         | None -> [])
       @ (match run.Core.Toolchain.profile with
@@ -349,11 +325,7 @@ let result_json ~host r =
       @ (match run.Core.Toolchain.predict with
         | Some j -> [ ("predict", j) ]
         | None -> [])
-    | Error f ->
-      ("status", J.Str "failed")
-      :: ("error", J.Str f.f_exn)
-      ::
-      (if host then [ ("backtrace", J.Str f.f_backtrace) ] else [])
+    | Error f -> if host then [ ("backtrace", J.Str f.f_backtrace) ] else []
   in
   let host_fields =
     if host then [ ("wall_seconds", J.Float r.r_wall_seconds) ] else []
@@ -561,8 +533,34 @@ let options_of_json defaults j =
     outline = bv "outline" d.Compiler.Driver.outline;
   }
 
-let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
-  let resolve p = if Filename.is_relative p then Filename.concat dir p else p in
+(* The job fields that name files: a spec file's relative ones resolve
+   against its directory, in every job and in "defaults". *)
+let path_fields = [ "source"; "memmap"; "calibration" ]
+
+let resolve_paths ~dir j =
+  let resolve = function
+    | J.Obj kvs ->
+      J.Obj
+        (List.map
+           (function
+             | k, J.Str p when List.mem k path_fields && Filename.is_relative p ->
+               (k, J.Str (Filename.concat dir p))
+             | kv -> kv)
+           kvs)
+    | o -> o
+  in
+  match j with
+  | J.Obj kvs ->
+    J.Obj
+      (List.map
+         (function
+           | "defaults", d -> ("defaults", resolve d)
+           | "jobs", J.List js -> ("jobs", J.List (List.map resolve js))
+           | kv -> kv)
+         kvs)
+  | j -> j
+
+let job_of_json ~defaults ~index j =
   let name =
     match opt_str "name" j with
     | Some n -> n
@@ -571,7 +569,7 @@ let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
   let source =
     match (opt_str "inline" j, inherited (opt_str "source") j defaults) with
     | Some text, _ -> text
-    | None, Some path -> read_file (resolve path)
+    | None, Some path -> read_file path
     | None, None -> fail "job %S: needs \"source\" (path) or \"inline\" (text)" name
   in
   let preset =
@@ -598,7 +596,7 @@ let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
     match inherited (opt_str "memmap") j defaults with
     | None -> []
     | Some p -> (
-      try Isa.Memmap.parse_file (resolve p) with
+      try Isa.Memmap.parse_file p with
       | Isa.Memmap.Parse_error { line; msg } ->
         fail "job %S: memmap %s:%d: %s" name p line msg
       | Sys_error msg -> fail "job %S: memmap %s" name msg)
@@ -613,8 +611,7 @@ let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
       ?max_instructions:(inherited (opt_int "max_instructions") j defaults)
       ?racecheck:(inherited (opt_bool "racecheck") j defaults)
       ?profile:(inherited (opt_bool "profile") j defaults)
-      ?calibration:
-        (Option.map resolve (inherited (opt_str "calibration") j defaults))
+      ?calibration:(inherited (opt_str "calibration") j defaults)
       source
   in
   (* validate the sweep point now, not mid-campaign *)
@@ -624,7 +621,7 @@ let job_of_json ?(dir = Filename.current_dir_name) ~defaults ~index j =
   | Core.Toolchain.Functional -> ());
   (name, job)
 
-let jobs_of_json ?dir j =
+let jobs_of_json j =
   (match J.member "schema" j with
   | Some (J.Str "xmt.campaign.v1") | None -> ()
   | Some (J.Str other) -> fail "unsupported campaign schema %S" other
@@ -632,15 +629,9 @@ let jobs_of_json ?dir j =
   let defaults = Option.value ~default:(J.Obj []) (J.member "defaults" j) in
   match J.member "jobs" j with
   | Some (J.List (_ :: _ as jobs)) ->
-    List.mapi (fun index jj -> job_of_json ?dir ~defaults ~index jj) jobs
+    List.mapi (fun index jj -> job_of_json ~defaults ~index jj) jobs
   | Some (J.List []) -> fail "campaign has no jobs"
   | _ -> fail "missing \"jobs\" list"
-
-let load_file path =
-  let text = read_file path in
-  match Obs.Json.of_string text with
-  | j -> jobs_of_json ~dir:(Filename.dirname path) j
-  | exception Obs.Json.Parse_error msg -> fail "%s: %s" path msg
 
 (* ------------------------------------------------------------------ *)
 (* Requests *)
@@ -679,8 +670,8 @@ module Request = struct
   let with_progress_interval t progress_interval =
     checked { t with progress_interval }
 
-  let of_json ?dir j =
-    let specs = jobs_of_json ?dir j in
+  let of_json j =
+    let specs = jobs_of_json j in
     match J.member "exec" j with
     | None -> make specs
     | Some (J.Obj _ as e) ->
@@ -697,18 +688,15 @@ module Request = struct
     | Some _ -> fail "\"exec\" must be an object"
 
   let load_file path =
-    let text = read_file path in
-    match Obs.Json.of_string text with
-    | j -> of_json ~dir:(Filename.dirname path) j
+    match Obs.Json.of_string (read_file path) with
     | exception Obs.Json.Parse_error msg -> fail "%s: %s" path msg
+    | j ->
+      let abs = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
+      let spec = resolve_paths ~dir:(Filename.dirname abs) j in
+      (spec, of_json spec)
 end
 
 let run ?pool ?jobs ?retries ?artifacts ?progress_interval ?on_event ?metrics
     ?stream specs =
   run_request ?pool ?artifacts ?on_event ?metrics ?stream
     (Request.make ?jobs ?retries ?progress_interval specs)
-
-module Wire = struct
-  let job_start_fields = job_start_fields
-  let job_done_fields = job_done_fields
-end

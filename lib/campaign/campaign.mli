@@ -108,13 +108,15 @@ module Request : sig
       ["defaults"]) via {!jobs_of_json} plus an optional top-level
       ["exec"] object [{"jobs": N, "retries": N, "progress_interval":
       S}] carrying the execution knobs — the one spelling shared by
-      campaign files and the [xmtserved] wire protocol.  Source paths
-      resolve relative to [dir].  Raises {!Spec_error} /
-      {!Xmtsim.Config.Bad_config} like {!jobs_of_json}. *)
-  val of_json : ?dir:string -> Obs.Json.t -> t
+      campaign files and the [xmtserved] wire protocol.  Raises
+      {!Spec_error} / {!Xmtsim.Config.Bad_config} like {!jobs_of_json}. *)
+  val of_json : Obs.Json.t -> t
 
-  (** Load a campaign file; source paths resolve relative to the file. *)
-  val load_file : string -> t
+  (** Load a campaign file: the document with every relative path made
+      absolute against the file's directory (what a served campaign
+      submits, so the daemon's working directory never matters), and
+      the request parsed from it. *)
+  val load_file : string -> Obs.Json.t * t
 end
 
 (** Execute a {!Request.t} — the engine proper; {!run} is a thin
@@ -180,44 +182,36 @@ val run :
 val ok_count : job_result array -> int
 val failed_count : job_result array -> int
 
-(** Run one job with the engine's retry-and-capture discipline: up to
-    [1 + retries] attempts through the shared [artifacts] cache,
-    returning the attempt count and either the run or the last captured
-    failure (exception text + raw backtrace).  This is the exact per-job
-    step {!run_request} executes on a worker; [xmtserved] calls it
-    directly so socket-served jobs fail and retry precisely like
-    campaign jobs. *)
-val attempt_job :
-  ?artifacts:Core.Toolchain.Artifacts.t ->
+(** The one per-job step, shared by {!run_request}'s workers and the
+    [xmtserved] scheduler: [on_start typ fields] with the [job.start]
+    record, then up to [1 + retries] attempts through the shared
+    [artifacts] cache (a raising attempt is captured — exception text
+    and raw backtrace — and retried), then [on_done result typ fields]
+    with the [job.done] record (config/mode/attempts, the outcome's
+    fields as in the report, and the host [wall_seconds] that
+    canonicalization strips).  Each record carries [job] (the index)
+    and [jseq] (0 for start, 1 for done), the key
+    {!Obs.Stream.canonicalize} sorts on.  The callbacks are where a
+    caller serializes, counts and emits. *)
+val job_step :
+  artifacts:Core.Toolchain.Artifacts.t ->
   retries:int ->
+  on_start:(string -> (string * Obs.Json.t) list -> unit) ->
+  on_done:(job_result -> string -> (string * Obs.Json.t) list -> unit) ->
+  index:int ->
+  name:string ->
   Core.Toolchain.job ->
-  int * (Core.Toolchain.run, failure) result
+  job_result
 
-(** The wire shape of the per-job stream records.  [job.start] and
-    [job.done] records rendered from these field lists are what
-    {!Obs.Stream.canonicalize} keys on; the server ({!module:Serve} via
-    [xmtserved]) builds its frames from the same functions, which is
-    what makes a socket-served campaign's canonical stream
-    byte-identical to a direct {!run} of the same request. *)
-module Wire : sig
-  (** Fields of the [job.start] record: [job] (submission index),
-      [jseq = 0], [name]. *)
-  val job_start_fields :
-    index:int -> name:string -> (string * Obs.Json.t) list
+(** The deterministic fields of a [campaign.progress] record; the
+    in-process engine appends its host-only keys (occupancy,
+    throughput, ETA). *)
+val progress_fields :
+  completed:int -> total:int -> ok:int -> failed:int -> (string * Obs.Json.t) list
 
-  (** Fields of the [job.done] record: [job], [jseq = 1], [name],
-      config/mode/attempts, then status (ok: cycles, instructions,
-      events, output, stats; failed: error text) and the host
-      [wall_seconds] (stripped by canonicalization). *)
-  val job_done_fields :
-    index:int ->
-    name:string ->
-    job:Core.Toolchain.job ->
-    attempts:int ->
-    wall_seconds:float ->
-    (Core.Toolchain.run, failure) result ->
-    (string * Obs.Json.t) list
-end
+(** The deterministic fields of a [campaign.done] record ([jobs], [ok],
+    [failed]). *)
+val done_fields : total:int -> ok:int -> failed:int -> (string * Obs.Json.t) list
 
 (** The [xmt.campaign.v1] report: per-job stats plus an aggregate.
     [host] (default true) includes host-dependent fields — per-job and
@@ -252,11 +246,9 @@ val progress_printer : total:int -> event -> unit
 
 exception Spec_error of string
 
-(** Parse a campaign spec; source paths resolve relative to [dir]
-    (default the process working directory).  Raises {!Spec_error} on
-    malformed input and {!Xmtsim.Config.Bad_config} on an invalid
-    configuration. *)
-val jobs_of_json : ?dir:string -> Obs.Json.t -> (string * Core.Toolchain.job) list
-
-(** Load a campaign file; source paths resolve relative to the file. *)
-val load_file : string -> (string * Core.Toolchain.job) list
+(** Parse a campaign spec; relative ["source"], ["memmap"] and
+    ["calibration"] paths are opened from the process working directory
+    ({!Request.load_file} first makes a file's absolute).  Raises
+    {!Spec_error} on malformed input and {!Xmtsim.Config.Bad_config} on
+    an invalid configuration. *)
+val jobs_of_json : Obs.Json.t -> (string * Core.Toolchain.job) list

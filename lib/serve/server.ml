@@ -117,62 +117,54 @@ let record c ~typ fields =
   emit_sub c ~typ fields
 
 let progress_fields c =
-  [
-    ("completed", J.Int c.c_completed);
-    ("total", J.Int (Array.length c.c_specs));
-    ("ok", J.Int c.c_ok);
-    ("failed", J.Int c.c_failed);
-  ]
+  Campaign.progress_fields ~completed:c.c_completed
+    ~total:(Array.length c.c_specs) ~ok:c.c_ok ~failed:c.c_failed
 
 let done_fields c =
-  [
-    ("jobs", J.Int (Array.length c.c_specs));
-    ("ok", J.Int c.c_ok);
-    ("failed", J.Int c.c_failed);
-  ]
+  Campaign.done_fields ~total:(Array.length c.c_specs) ~ok:c.c_ok ~failed:c.c_failed
 
 (* ------------------------------------------------------------------ *)
 (* Job execution *)
 
+(* Campaign's own per-job step; the callbacks add journal-then-send
+   under [c_elock] and the admission counters under [t.lock] *)
 let exec_one t c i =
   let name, job = c.c_specs.(i) in
-  Mutex.protect c.c_elock (fun () ->
-      if Hashtbl.mem c.c_skip_start i then Hashtbl.remove c.c_skip_start i
-      else record c ~typ:"job.start" (Campaign.Wire.job_start_fields ~index:i ~name));
-  let t0 = Obs.Clock.now () in
-  let attempts, outcome =
-    Campaign.attempt_job ~artifacts:t.artifacts ~retries:c.c_retries job
+  let on_start typ fields =
+    Mutex.protect c.c_elock (fun () ->
+        if Hashtbl.mem c.c_skip_start i then Hashtbl.remove c.c_skip_start i
+        else record c ~typ fields)
   in
-  let wall_seconds = Obs.Clock.elapsed_since t0 in
-  Mutex.protect c.c_elock (fun () ->
-      record c ~typ:"job.done"
-        (Campaign.Wire.job_done_fields ~index:i ~name ~job ~attempts
-           ~wall_seconds outcome);
-      let complete =
-        Mutex.protect t.lock (fun () ->
-            c.c_completed <- c.c_completed + 1;
-            (match outcome with
-            | Ok _ -> c.c_ok <- c.c_ok + 1
-            | Error _ -> c.c_failed <- c.c_failed + 1);
-            t.running_total <- t.running_total - 1;
-            (match c.c_owner with
-            | Some k -> k.k_inflight <- k.k_inflight - 1
-            | None -> ());
-            let complete = c.c_completed = Array.length c.c_specs in
-            if complete then c.c_complete <- true;
-            if t.pending_total = 0 && t.running_total = 0 then
-              Condition.broadcast t.idle;
-            complete)
-      in
-      emit_sub c ~typ:"campaign.progress" (progress_fields c);
-      if complete then begin
-        Option.iter
-          (fun jn ->
-            Journal.close_mark jn ~ok:c.c_ok ~failed:c.c_failed;
-            Journal.close jn)
-          c.c_journal;
-        emit_sub c ~typ:"campaign.done" (done_fields c)
-      end)
+  let on_done r typ fields =
+    Mutex.protect c.c_elock (fun () ->
+        record c ~typ fields;
+        let complete =
+          Mutex.protect t.lock (fun () ->
+              c.c_completed <- c.c_completed + 1;
+              if Result.is_ok r.Campaign.r_outcome then c.c_ok <- c.c_ok + 1
+              else c.c_failed <- c.c_failed + 1;
+              t.running_total <- t.running_total - 1;
+              Option.iter (fun k -> k.k_inflight <- k.k_inflight - 1) c.c_owner;
+              let complete = c.c_completed = Array.length c.c_specs in
+              if complete then c.c_complete <- true;
+              if t.pending_total = 0 && t.running_total = 0 then
+                Condition.broadcast t.idle;
+              complete)
+        in
+        emit_sub c ~typ:"campaign.progress" (progress_fields c);
+        if complete then begin
+          Option.iter
+            (fun jn ->
+              Journal.close_mark jn ~ok:c.c_ok ~failed:c.c_failed;
+              Journal.close jn)
+            c.c_journal;
+          emit_sub c ~typ:"campaign.done" (done_fields c)
+        end)
+  in
+  ignore
+    (Campaign.job_step ~artifacts:t.artifacts ~retries:c.c_retries ~on_start
+       ~on_done ~index:i ~name job
+      : Campaign.job_result)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: fair round-robin batches over the shared pool *)

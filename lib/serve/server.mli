@@ -24,8 +24,9 @@
 
     Compute runs on pool domains; IO (accept loop, per-connection
     readers, the scheduler) runs on threads.  All client-visible
-    records are built by {!Campaign.Wire}, so a served stream
-    canonicalizes byte-identical to a direct {!Campaign.run}. *)
+    job records come from {!Campaign.job_step}, the per-job step a
+    direct {!Campaign.run} executes, so a served stream canonicalizes
+    byte-identical to a direct run. *)
 
 type config = {
   socket_path : string;

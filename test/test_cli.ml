@@ -26,12 +26,14 @@ let with_src f =
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-(** Run [argv], returning (exit code, stdout, stderr). *)
-let run_cmd args =
+(** Run [argv] (from directory [cwd], if given), returning (exit code,
+    stdout, stderr). *)
+let run_cmd ?cwd args =
   let out = Filename.temp_file "xmtcli" ".out"
   and err = Filename.temp_file "xmtcli" ".err" in
   let cmd =
-    Printf.sprintf "%s > %s 2> %s"
+    Printf.sprintf "%s%s > %s 2> %s"
+      (match cwd with Some d -> "cd " ^ Filename.quote d ^ " && " | None -> "")
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
   in
@@ -316,6 +318,48 @@ let connect_refused_exits_3 () =
       Tu.check_int "exit 3" 3 code;
       Tu.check_bool "mentions xmtserved" true (contains "xmtserved" err))
 
+(* ---- one flag table: a flag given where it does not apply is rejected ---- *)
+
+(* exit 1 with one "xmtsim: ..." line naming [what] *)
+let check_rejected what (code, _, err) =
+  Tu.check_int (what ^ " exits 1") 1 code;
+  Tu.check_bool (what ^ ": one xmtsim: line naming it") true
+    (String.starts_with ~prefix:"xmtsim: " err
+    && List.length (String.split_on_char '\n' (String.trim err)) = 1
+    && contains what err)
+
+let campaign_rejects_single_run_flags () =
+  with_src (fun src ->
+  with_campaign_file (fun spec ->
+      List.iter
+        (fun (what, args) -> check_rejected what (run_cmd ([ xmtsim; "--campaign"; spec ] @ args)))
+        [
+          ("--trace", [ "--trace" ]);
+          ("--stats", [ "--stats" ]);
+          ("--governor", [ "--governor" ]);
+          ("-c", [ "-c"; "chip1024" ]);
+          ("--set", [ "--set"; "dram_latency=1" ]);
+          ("--racecheck", [ "--racecheck" ]);
+          ("--heartbeat-cycles", [ "--heartbeat-cycles"; "5" ]);
+          ("--functional", [ "--functional" ]);
+          (src, [ src ]);
+        ]))
+
+let single_run_rejects_campaign_flags () =
+  with_src (fun src ->
+      List.iter
+        (fun (what, args) -> check_rejected what (run_cmd ([ xmtsim; src ] @ args)))
+        [ ("--jobs", [ "--jobs"; "2" ]); ("--retries", [ "--retries"; "1" ]) ])
+
+(* checked before connecting: exit 1, not the lost-connection 3 *)
+let connect_rejects_in_process_flags () =
+  with_campaign_file (fun spec ->
+      List.iter
+        (fun (what, args) ->
+          check_rejected what
+            (run_cmd ([ xmtsim; "--connect"; "/nonexistent.sock"; "--campaign"; spec ] @ args)))
+        [ ("--jobs", [ "--jobs"; "2" ]); ("--export campaign", [ "--export"; "campaign=x.json" ]) ])
+
 (* Probe event order, pinned: the text traces and the CPI-stack report of
    a fixed example must match the committed golden files byte for byte. *)
 let read_file p = In_channel.with_open_bin p In_channel.input_all
@@ -531,6 +575,67 @@ let cycle_only_flags_rejected () =
       Tu.check_int "--floorplan alone exits 1" 1 code;
       Tu.check_bool "names --power-interval" true (contains "--power-interval" err)))
 
+(* ---- served campaigns: the same spec, the same stream ---- *)
+
+(* A daemon whose working directory is not the spec's runs the spec's
+   relative sources, and its stream canonicalizes like the direct run's,
+   failing job included. *)
+let served_matches_direct () =
+  let dir = Filename.temp_dir "xmtcli" "" in
+  let path p = Filename.concat dir p in
+  let abs p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      Unix.mkdir (path "specs") 0o755;
+      write_text (path "specs/k.c") quiet_src;
+      let spec name jobs =
+        J.write_file (path ("specs/" ^ name))
+          (J.Obj
+             [
+               ("schema", J.Str "xmt.campaign.v1");
+               ("defaults", J.Obj [ ("preset", J.Str "tiny"); ("source", J.Str "k.c") ]);
+               ("jobs", J.List (List.map (fun kvs -> J.Obj kvs) jobs));
+             ])
+      in
+      spec "ok.json"
+        [ [ ("name", J.Str "a") ]; [ ("name", J.Str "b"); ("seed", J.Int 3) ];
+          [ ("name", J.Str "f"); ("mode", J.Str "functional") ] ];
+      spec "fail.json"
+        [ [ ("name", J.Str "a") ]; [ ("name", J.Str "broken"); ("inline", J.Str "syntax error {") ] ];
+      let srv =
+        Serve.Server.create
+          { (Serve.Server.default_config ~socket_path:(path "x.sock")) with workers = Some 2 }
+      in
+      Fun.protect
+        ~finally:(fun () -> Serve.Server.stop srv)
+        (fun () ->
+          let run args = run_cmd ~cwd:dir (abs xmtsim :: args) in
+          let canon f = Obs.Stream.canonicalize_lines (read_file (path f)) in
+          List.iter
+            (fun (name, want) ->
+              let spec = "specs/" ^ name in
+              let code, _, _ =
+                run [ "--campaign"; spec; "--stream"; "direct.ndjson"; "--export"; "campaign=r.json" ]
+              in
+              Tu.check_int (name ^ " direct exit") want code;
+              let code, _, err = run [ "--connect"; "x.sock"; "--campaign"; spec; "--stream"; "served.ndjson" ] in
+              Tu.check_int (name ^ " served exit") want code;
+              Tu.check_bool (name ^ " served summary") true (contains "campaign c" err);
+              Tu.check_bool (name ^ " has job records") true (canon "direct.ndjson" <> "");
+              Tu.check_string (name ^ " canonical streams") (canon "direct.ndjson")
+                (canon "served.ndjson"))
+            [ ("ok.json", 0); ("fail.json", 1) ];
+          (* a bad spec is the same input error on both paths *)
+          spec "bad.json" [];
+          let direct = run [ "--campaign"; "specs/bad.json" ] in
+          let served = run [ "--connect"; "x.sock"; "--campaign"; "specs/bad.json" ] in
+          check_rejected "campaign specs/bad.json" direct;
+          Tu.check_bool "bad spec: same exit and line" true (direct = served);
+          let code, _, err = run [ "--connect"; "x.sock"; "--attach"; "c1"; "--after"; "7" ] in
+          Tu.check_int "--after 7 exits 1" 1 code;
+          Tu.check_bool "names JOB:JSEQ" true (contains "JOB:JSEQ" err)))
+
 let () =
   Alcotest.run "cli"
     [
@@ -572,5 +677,12 @@ let () =
         [
           Tu.tc "--attach needs --connect" attach_needs_connect;
           Tu.tc "connect failure exits 3" connect_refused_exits_3;
+          Tu.tc "served campaign matches the direct run" served_matches_direct;
+        ] );
+      ( "flag table",
+        [
+          Tu.tc "--campaign rejects single-run flags" campaign_rejects_single_run_flags;
+          Tu.tc "single runs reject campaign flags" single_run_rejects_campaign_flags;
+          Tu.tc "--connect rejects in-process flags" connect_rejects_in_process_flags;
         ] );
     ]
