@@ -92,8 +92,8 @@ let given o =
         ("--trace", cycle, o.trace);
         ("--trace-packages", cycle, o.trace_packages);
         ("--hot", cycle, o.hot);
-        ("--profile-interval", cycle, o.profile_interval > 0);
-        ("--power-interval", cycle, o.power_interval > 0);
+        ("--profile-interval", cycle, o.profile_interval <> 0);
+        ("--power-interval", cycle, o.power_interval <> 0);
         ("--floorplan", cycle, o.floorplan);
         ("--checkpoint-in", cycle, set o.checkpoint_in);
         ("--checkpoint-at", cycle, set o.checkpoint_at);
@@ -326,7 +326,10 @@ let run_single o mode =
     | Some i -> i
     | None -> fail "need an input FILE.{c,s} (or --campaign FILE.json)"
   in
-  if o.floorplan && o.power_interval <= 0 then fail "--floorplan needs --power-interval";
+  List.iter
+    (fun (flag, v) -> if v < 0 then fail "%s must not be negative, got %d" flag v)
+    [ ("--profile-interval", o.profile_interval); ("--power-interval", o.power_interval) ];
+  if o.floorplan && o.power_interval = 0 then fail "--floorplan needs --power-interval";
   if o.checkpoint_at <> None && o.checkpoint_out = None then
     fail "--checkpoint-at needs --checkpoint-out";
   let positive flag default v =
@@ -761,7 +764,8 @@ let opts =
         simulator: on overflow records are dropped and counted (host.stream.dropped in \
         --export stats).")
   and+ heartbeat_cycles = Arg.(value & opt (some int) None & info [ "heartbeat-cycles" ] ~docv:"N"
-      ~doc:"Cluster-cycle interval between sim.heartbeat records on --stream (default 10000).")
+      ~doc:"Cluster-clock grid cycles between sim.heartbeat records on --stream (default \
+        10000); a heartbeat due while the cluster clock is gated comes on its next tick.")
   and+ connect = Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCKET"
       ~doc:"Run the campaign through an $(b,xmtserved) daemon listening on this Unix socket \
         instead of in-process: --campaign FILE.json submits the spec and streams the live \

@@ -14,6 +14,9 @@ type t = {
   mutable skipped : int; (* accrued estimate of ticks gated away *)
   mutable counted : int; (* skipped ticks already accrued since [anchor] *)
   mutable fire : unit -> unit; (* the tick event, built at start *)
+  mutable bound : int; (* grid index a sleeping clock still ticks at, or -1 *)
+  mutable bound_at : int; (* time of the bound's pending event, or -1 *)
+  mutable bfire : unit -> unit; (* the bound's event, built at start *)
 }
 
 let create sched ~name ~period =
@@ -32,6 +35,9 @@ let create sched ~name ~period =
     skipped = 0;
     counted = 0;
     fire = ignore;
+    bound = -1;
+    bound_at = -1;
+    bfire = ignore;
   }
 
 let name t = t.name
@@ -43,31 +49,14 @@ let unaccounted_skips t =
   let now = Scheduler.now t.sched in
   max 0 ((now - t.anchor) / t.period - t.counted)
 
-let set_period t p =
-  if p <= 0 then invalid_arg "Clock.set_period: period must be positive";
-  (* A sleeping clock accrues its skipped-tick estimate for the elapsed
-     span at the old period first, so a DVFS change on a gated domain does
-     not recount that span at the new rate (no double-counting). *)
-  if t.sleeping && t.started && p <> t.period then begin
-    let k = unaccounted_skips t in
-    t.skipped <- t.skipped + k;
-    t.counted <- t.counted + k
-  end;
-  t.period <- p
+(* Grid index of the last fired tick: the ticks fired and skipped before it. *)
+let last_index t = t.cycles - 1 + t.skipped - t.counted
 
-let cycles t = t.cycles
-
-let skipped_ticks t =
-  t.skipped + (if t.sleeping && t.started then unaccounted_skips t else 0)
-
-let on_tick ?(phase = 0) t h =
-  (* Stable insertion keeping phases ascending, registration order within. *)
-  let rec insert = function
-    | [] -> [ (phase, h) ]
-    | (p, _) :: _ as rest when p > phase -> (phase, h) :: rest
-    | x :: rest -> x :: insert rest
-  in
-  t.handlers <- insert t.handlers
+(* accrue the grid points in (anchor, next) that never fired *)
+let accrue t ~next =
+  let add = max 0 (((next - t.anchor) / t.period) - 1 - t.counted) in
+  t.skipped <- t.skipped + add;
+  t.counted <- t.counted + add
 
 let rec run_handlers c = function
   | [] -> ()
@@ -92,10 +81,67 @@ let fire t () =
     schedule_tick t ~at_least:(Scheduler.now t.sched + t.period)
   end
 
+(* The bound's event: the sleeping clock's tick at its grid point, or the
+   next tick of a wake that landed on it. *)
+let bound_fire t () =
+  t.bound_at <- -1;
+  if t.bound >= 0 then begin
+    t.bound <- -1;
+    t.sleeping <- false;
+    accrue t ~next:(Scheduler.now t.sched)
+  end;
+  fire t ()
+
+(* Take the bound's event out of the list; a kept one was the pending tick. *)
+let cancel_bound t =
+  if t.bound_at >= 0 then begin
+    Scheduler.cancel t.sched t.bfire;
+    if t.bound < 0 then t.tick_pending <- false;
+    t.bound_at <- -1
+  end;
+  t.bound <- -1
+
+(* Scheduled as the clock goes to sleep, the tick at grid index [u] sorts
+   among same-instant events like an ungated tick scheduled one period
+   earlier. *)
+let arm t u =
+  cancel_bound t;
+  t.bound <- u;
+  t.bound_at <- max (Scheduler.now t.sched) (t.anchor + ((u - last_index t) * t.period));
+  Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time:t.bound_at t.bfire
+
+let set_period t p =
+  if p <= 0 then invalid_arg "Clock.set_period: period must be positive";
+  (* A sleeping clock accrues its skipped-tick estimate for the elapsed
+     span at the old period first, so a DVFS change on a gated domain does
+     not recount that span at the new rate (no double-counting). *)
+  if t.sleeping && t.started && p <> t.period then begin
+    let k = unaccounted_skips t in
+    t.skipped <- t.skipped + k;
+    t.counted <- t.counted + k
+  end;
+  t.period <- p;
+  if t.bound >= 0 then arm t t.bound
+
+let cycles t = t.cycles
+
+let skipped_ticks t =
+  t.skipped + (if t.sleeping && t.started then unaccounted_skips t else 0)
+
+let on_tick ?(phase = 0) t h =
+  (* Stable insertion keeping phases ascending, registration order within. *)
+  let rec insert = function
+    | [] -> [ (phase, h) ]
+    | (p, _) :: _ as rest when p > phase -> (phase, h) :: rest
+    | x :: rest -> x :: insert rest
+  in
+  t.handlers <- insert t.handlers
+
 let start t =
   if not t.started then begin
     t.started <- true;
     t.fire <- fire t;
+    t.bfire <- bound_fire t;
     t.anchor <- Scheduler.now t.sched;
     schedule_tick t ~at_least:(Scheduler.now t.sched)
   end
@@ -109,7 +155,11 @@ let enable t =
     if t.started then schedule_tick t ~at_least:(Scheduler.now t.sched + 1)
   end
 
-let sleep t = t.sleeping <- true
+let sleep ?until t =
+  t.sleeping <- true;
+  match until with
+  | Some u when t.started -> arm t u
+  | _ -> if t.bound >= 0 then cancel_bound t
 
 let wake ?tick_at_now t =
   if t.sleeping then begin
@@ -133,12 +183,14 @@ let wake ?tick_at_now t =
           Scheduler.current_prio t.sched <= Scheduler.prio_tick
       in
       let next = if cand = now && not tick_at_now then cand + t.period else cand in
-      (* accrue the skipped-tick estimate for the grid points in
-         (anchor, next) that never fired *)
-      let virt = (next - t.anchor) / t.period - 1 in
-      let add = max 0 (virt - t.counted) in
-      t.skipped <- t.skipped + add;
-      t.counted <- t.counted + add;
+      accrue t ~next;
+      (* a bound event at [next] sorts as the ungated tick would: keep it *)
+      if t.bound >= 0 then
+        if t.bound_at = next && not t.tick_pending then begin
+          t.bound <- -1;
+          t.tick_pending <- true
+        end
+        else cancel_bound t;
       schedule_tick t ~at_least:next
     end
   end

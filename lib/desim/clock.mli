@@ -34,7 +34,7 @@ val period : t -> int
     resume grid from the last fired tick with the period current at wake
     time.  The skipped-tick estimate for the span already slept is
     accrued at the old period first, so a DVFS change on a gated domain
-    does not double-count. *)
+    does not double-count.  A sleep bound ({!sleep}) moves with it. *)
 val set_period : t -> int -> unit
 
 (** Cycles elapsed on this clock (fired ticks only; gated-away ticks are
@@ -62,8 +62,13 @@ val enable : t -> unit
     Sleeping while a tick event is already scheduled does not leak a tick:
     the pending event fires as a no-op (handlers do not run, [cycles] does
     not advance) and, if the clock woke up in the meantime, serves as the
-    normally-scheduled next tick. *)
-val sleep : t -> unit
+    normally-scheduled next tick.
+
+    [~until:u]: the clock still ticks at grid index [u] ([cycles +
+    skipped_ticks] as it fires), scheduled now, from a tick handler, so
+    the event sorts where an ungated tick would.  An earlier {!wake}
+    withdraws it, {!set_period} moves it: one event at most per bound. *)
+val sleep : ?until:int -> t -> unit
 
 (** Resume ticking on the period grid anchored at the last fired tick
     (the smallest grid point at least one period after it and >= now).

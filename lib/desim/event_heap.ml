@@ -83,5 +83,17 @@ let pop h =
   end;
   x
 
+let remove h x =
+  let rec find i = if i >= h.len then -1 else if h.payload.(i) == x then i else find (i + 1) in
+  let i = find 0 in
+  let last = h.len - 1 in
+  if i >= 0 then h.len <- last;
+  if i >= 0 && i < last then begin
+    (* refill the hole with the last key, which may belong above or below it *)
+    let time = h.time.(last) and prio = h.prio.(last) and seq = h.seq.(last) in
+    let j = sift_up h i time prio seq in
+    set h (if j = i then sift_down h i last time prio seq else j) time prio seq h.payload.(last)
+  end
+
 let min_time h = if h.len = 0 then None else Some h.time.(0)
 let is_empty h = h.len = 0

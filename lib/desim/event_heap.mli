@@ -26,6 +26,9 @@ val top_time : 'a t -> int
 
 val top_prio : 'a t -> int
 
+(** Remove the event whose payload is physically [x], if any (linear). *)
+val remove : 'a t -> 'a -> unit
+
 (** Time of the earliest pending event, if any. *)
 val min_time : 'a t -> int option
 

@@ -34,6 +34,8 @@ let schedule t ?prio ~delay f =
   if delay < 0 then invalid_arg "Scheduler.schedule: negative delay";
   schedule_at t ?prio ~time:(t.time + delay) f
 
+let cancel t f = Event_heap.remove t.events f
+
 let stop t ?time () =
   let time = match time with Some x -> x | None -> t.time in
   if time < t.time then

@@ -37,6 +37,10 @@ val schedule : t -> ?prio:int -> delay:int -> (unit -> unit) -> unit
 (** [schedule_at t ~time ~prio f] schedules at absolute [time >= now t]. *)
 val schedule_at : t -> ?prio:int -> time:int -> (unit -> unit) -> unit
 
+(** Remove the pending event whose action is physically [f], if any, in
+    time linear in the pending events. *)
+val cancel : t -> (unit -> unit) -> unit
+
 (** Request termination: a stop event is scheduled at the given absolute
     time (default: immediately, i.e. before any later-timed event).
 

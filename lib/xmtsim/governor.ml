@@ -107,7 +107,6 @@ let decide g ~cycle ~temp ~icn_w =
 
 let attach ?power_params ?thermal_params ?(temp_hi = 326.0) ?(icn_hi = 6.0)
     ?stream ?tracer ~interval m =
-  if interval <= 0 then invalid_arg "Governor.attach: interval must be positive";
   let g =
     {
       m;

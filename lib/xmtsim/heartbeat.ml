@@ -1,16 +1,16 @@
-(** Live telemetry from a cycle-accurate run ([xmt.events.v1]), as a
-    passive {!Probe}.
+(** Live telemetry from a cycle-accurate run ([xmt.events.v1]): a
+    passive periodic hook ({!Machine.add_passive_hook}) plus a {!Probe}
+    for the end of the run.
 
     Emits a [run.start] record at attach, a [sim.heartbeat] every
-    [heartbeat_cycles] cluster cycles — grid cycle, host events/sec over
-    the window, currently gated domain count and the window's
-    memory-wait fraction — with [window.close] rollups every 16
-    heartbeats, and a [run.done] summary when the machine halts.  It
-    samples counters the run maintains anyway on the cluster clock's
-    fired ticks, never waking a clock or scheduling an event, so a
-    streamed run is bit-identical to an unstreamed one including the
-    host event count; a gated-off machine simply emits no heartbeats
-    while it sleeps. *)
+    [heartbeat_cycles] cluster-clock grid cycles — the grid cycle, host
+    events/sec over the window, currently gated domain count and the
+    window's memory-wait fraction — with [window.close] rollups every 16
+    heartbeats, and a [run.done] summary when the machine halts.  A
+    heartbeat due while the cluster clock sleeps is emitted on its next
+    fired tick, with that tick's grid cycle; the hook never wakes a clock
+    or schedules an event, so a streamed run is bit-identical to an
+    unstreamed one including the host event count. *)
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Machine.Sim_error s)) fmt
 
@@ -35,7 +35,7 @@ let attach ?(heartbeat_cycles = 10_000) m s =
   let rollup = Obs.Stream.rollup ~window:16 s "sim.heartbeat" in
   (* the previous sample of each windowed quantity, so every heartbeat
      reports rates over its own window instead of run-to-date averages *)
-  let next = ref heartbeat_cycles and last_events = ref 0 in
+  let last_events = ref 0 in
   let last_us = ref (Obs.Tracer.host_now_us ()) and last_busy = ref 0 and last_mw = ref 0 in
   let heartbeat cycle =
     let now = Machine.cycles m and events = Machine.events_processed m in
@@ -91,17 +91,8 @@ let attach ?(heartbeat_cycles = 10_000) m s =
         ("dropped", Obs.Json.Int (Obs.Stream.dropped s));
       ]
   in
-  Machine.attach m
-    {
-      Probe.nop with
-      name = "stream";
-      (* [>=] rather than [mod] so a boundary slept through (clock
-         gating) still yields a heartbeat on the next fired tick *)
-      cluster_tick =
-        (fun ~cycle ->
-          if cycle >= !next then begin
-            next := cycle + heartbeat_cycles;
-            heartbeat cycle
-          end);
-      run_end = (fun ~halted -> if halted && not !finished then run_done ());
-    }
+  let live = ref true in
+  Machine.add_passive_hook m ~interval:heartbeat_cycles (fun c -> if !live then heartbeat c);
+  let run_end ~halted = if halted && not !finished then run_done () in
+  let detach = Machine.attach m { Probe.nop with name = "stream"; run_end } in
+  fun () -> live := false; detach ()

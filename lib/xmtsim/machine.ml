@@ -88,6 +88,9 @@ type cache_module = {
   mshr : (int, pkg) Hashtbl.t;  (* line addr -> its latest waiter *)
 }
 
+(* [h_run g] on the first fired cluster tick whose grid index [g] is due *)
+type hook = { h_interval : int; h_active : bool; mutable h_due : int; h_run : int -> unit }
+
 type t = {
   cfg : Config.t;
   img : Isa.Program.image;
@@ -138,9 +141,7 @@ type t = {
   mutable started : bool;
   (* clock gating *)
   mutable gating : bool;
-  mutable has_plugin : bool;
-      (* activity plug-ins sample on cluster ticks; cluster gating would
-         change their sampling times, so it is disabled when one attaches *)
+  mutable hooks : hook list;  (* periodic hooks, oldest first *)
   mutable dram_fills : int;  (* DRAM line fills in flight *)
 }
 
@@ -279,7 +280,7 @@ let create ?(config = Config.fpga64) img =
     packaged = false;
     started = false;
     gating = true;
-    has_plugin = false;
+    hooks = [];
     dram_fills = 0;
   }
 
@@ -949,14 +950,31 @@ let export_clocks t reg =
         (float_of_int (Desim.Clock.period c)))
     [ Clusters; Icn; Caches; Dram ]
 
-let add_activity_plugin t ~name ~interval hook =
-  ignore name;
-  (* plug-ins sample on cluster ticks: keep that clock free-running so
-     sampling times match an unplugged run of the same schedule *)
-  t.has_plugin <- true;
-  Desim.Clock.wake t.clk_cluster;
-  Desim.Clock.on_tick ~phase:2 t.clk_cluster (fun cycle ->
-      if cycle > 0 && cycle mod interval = 0 then hook t cycle)
+(* Periodic hooks are due on the cluster-clock grid ([cluster_ticks], the
+   same gated or not).  Activity hooks bound the idle clock's sleep. *)
+let sleep_cluster t =
+  let until = List.fold_left (fun d h -> if h.h_active then min d h.h_due else d) max_int t.hooks in
+  if until = max_int then Desim.Clock.sleep t.clk_cluster
+  else Desim.Clock.sleep ~until t.clk_cluster
+
+let add_hook t ~active ~interval run =
+  if interval <= 0 then invalid_arg "periodic hook: interval must be positive";
+  let h_due = max interval ((cluster_ticks t + interval - 1) / interval * interval) in
+  t.hooks <- t.hooks @ [ { h_interval = interval; h_active = active; h_due; h_run = run } ];
+  if active && Desim.Clock.sleeping t.clk_cluster then sleep_cluster t
+
+let add_activity_plugin t ~name:_ ~interval hook = add_hook t ~active:true ~interval (hook t)
+let add_passive_hook t ~interval run = add_hook t ~active:false ~interval run
+
+let run_hooks t c =
+  let g = c + Desim.Clock.skipped_ticks t.clk_cluster in
+  List.iter
+    (fun h ->
+      if g >= h.h_due then begin
+        h.h_due <- ((g / h.h_interval) + 1) * h.h_interval;
+        h.h_run g
+      end)
+    t.hooks
 
 (* Probes.  The attached list is precombined into one fan-out whenever
    it changes; detaching mid-notification is safe, as the notification
@@ -986,13 +1004,7 @@ let start t =
     Array.iter
       (fun cl -> Array.iter (fun u -> u.ps_done <- (fun () -> ps_done t u)) cl.ctcus)
       t.clusters;
-    (* the probes' cluster-tick event rides the master's existing phase-0
-       handler (fired ticks only — a gated-off domain fires none), so
-       probing changes neither event scheduling nor gating; a handler of
-       its own would cost a dispatch on every fired tick *)
-    Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
-        if t.probed then t.probe.Probe.cluster_tick ~cycle;
-        master_tick t);
+    Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun _ -> master_tick t);
     (* serial cycles skip the sweep: every cluster tick would be a no-op *)
     Desim.Clock.on_tick ~phase:1 t.clk_cluster (fun _ ->
         if t.spawn_active || t.queued > 0 then
@@ -1004,12 +1016,10 @@ let start t =
           module_tick t t.modules.(i)
         done);
     Desim.Clock.on_tick ~phase:0 t.clk_dram (fun _ -> dram_tick t);
-    (* gating checks run after every work phase of the tick (activity
-       plug-ins register at phase 2; cluster gating is disabled outright
-       while one is attached, see add_activity_plugin) *)
-    Desim.Clock.on_tick ~phase:100 t.clk_cluster (fun _ ->
-        if t.gating && (not t.has_plugin) && cluster_domain_idle t then
-          Desim.Clock.sleep t.clk_cluster);
+    (* periodic hooks, then the gating checks, after every work phase *)
+    Desim.Clock.on_tick ~phase:100 t.clk_cluster (fun c ->
+        if t.hooks != [] then run_hooks t c;
+        if t.gating && cluster_domain_idle t then sleep_cluster t);
     Desim.Clock.on_tick ~phase:100 t.clk_cache (fun _ ->
         if t.gating && cache_domain_idle t then Desim.Clock.sleep t.clk_cache);
     Desim.Clock.on_tick ~phase:100 t.clk_dram (fun _ ->

@@ -79,11 +79,17 @@ val domain_sleeping : t -> domain -> bool
     the [sim.clock.period{domain}] gauge. *)
 val export_clocks : t -> Obs.Metrics.t -> unit
 
-(** [add_activity_plugin t ~name ~interval hook] — [hook t cycle] runs
-    every [interval] cluster-clock cycles during the simulation.  Unlike
-    a passive {!Probe}, the hook may retune clocks ({!set_period}), so
-    attaching one keeps the cluster clock ungated. *)
+(** [add_activity_plugin t ~name ~interval hook] — [hook t cycle] runs at
+    every [interval]-th cluster-clock grid tick [cycle] (see {!cluster_ticks}).
+    The hook may retune clocks ({!set_period}); an idle cluster clock
+    still sleeps, ticking at each sample point for at most one host event.
+    Raises [Invalid_argument] unless [interval] is positive. *)
 val add_activity_plugin : t -> name:string -> interval:int -> (t -> int -> unit) -> unit
+
+(** [add_passive_hook t ~interval run] — [run cycle] on the first fired
+    cluster tick at or after every [interval]-th grid tick ([cycle]); it
+    never wakes the clock (the stream heartbeat).  Validated as above. *)
+val add_passive_hook : t -> interval:int -> (int -> unit) -> unit
 
 (* -------- passive probes (§III-B filter plug-ins, §III-E traces) -------- *)
 

@@ -9,9 +9,9 @@
 
     {e Activity plug-ins} are registered on the machine with a sampling
     interval ({!Machine.add_activity_plugin}); they read the activity
-    counters during the run and may retune clock domains — the hook used
-    for dynamic power and thermal management (see {!Power} and
-    {!Thermal}). *)
+    counters at exact cluster-clock grid ticks and may retune clock
+    domains — the hook used for dynamic power and thermal management (see
+    {!Power} and {!Thermal}) that keeps clock gating. *)
 
 (** Attach [f.probe] with {!Machine.attach}; [f.report ()] renders what
     it saw. *)

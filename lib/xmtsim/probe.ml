@@ -6,9 +6,10 @@
     wake clocks or write machine state, so a run with any set of probes
     attached is bit-identical to a plain run — output, cycles, the full
     {!Stats.t} and even the host event count (checked for every shipped
-    probe by the passivity property in [test_xmtsim]).  Activity
-    plug-ins ({!Machine.add_activity_plugin}) are the other, active
-    extension mechanism.
+    probe by the passivity property in [test_xmtsim]).  Probes see
+    events, not time: code that runs every N cycles is a periodic hook
+    ({!Machine.add_passive_hook}, or {!Machine.add_activity_plugin} for
+    the active kind).
 
     Callbacks take unboxed arguments and values the machine already
     holds, so invoking one allocates nothing; a probe reads simulated
@@ -63,9 +64,6 @@ type t = {
   tcu_done : tcu:int -> unit;  (** the TCU ran out of virtual threads *)
   master_mem : waited:int -> unit;
       (** a master cache-miss load returned after [waited] time units *)
-  cluster_tick : cycle:int -> unit;
-      (** a fired cluster-clock tick, before the master steps; gated
-          ticks do not fire *)
   run_end : halted:bool -> unit;  (** a {!Machine.run} returned *)
 }
 
@@ -86,7 +84,6 @@ let nop =
     join = (fun ~pc:_ -> ());
     tcu_done = (fun ~tcu:_ -> ());
     master_mem = (fun ~waited:_ -> ());
-    cluster_tick = (fun ~cycle:_ -> ());
     run_end = (fun ~halted:_ -> ());
   }
 
@@ -134,10 +131,6 @@ let pair a b =
       both n.master_mem a.master_mem b.master_mem (fun ~waited ->
           a.master_mem ~waited;
           b.master_mem ~waited);
-    cluster_tick =
-      both n.cluster_tick a.cluster_tick b.cluster_tick (fun ~cycle ->
-          a.cluster_tick ~cycle;
-          b.cluster_tick ~cycle);
     run_end =
       both n.run_end a.run_end b.run_end (fun ~halted -> a.run_end ~halted; b.run_end ~halted);
   }

@@ -532,6 +532,8 @@ let input_errors_exit_1 () =
           [ asm ];
           [ src; "--stream"; "-"; "--heartbeat-cycles"; "0" ];
           [ src; "--governor"; "--governor-interval"; "0" ];
+          [ src; "--power-interval=-5" ];
+          [ src; "--profile-interval=-5" ];
         ]
         @ List.concat_map
             (fun input ->

@@ -286,6 +286,61 @@ let clock_skipped_ticks_estimate () =
   Tu.check_int "fired + skipped = ungated cycles" 21
     (D.Clock.cycles c + D.Clock.skipped_ticks c)
 
+(* A bounded sleep: period 2, the clock sleeps at t=4 (grid index 2)
+   until grid index 6, t=12.  [ev] runs in the middle of the sleep.
+   Returns the (time, grid index) of every tick, the clock and the host
+   events processed up to the stop at t=17. *)
+let bounded_sleep ev =
+  let s = D.Scheduler.create () in
+  let c = D.Clock.create s ~name:"clk" ~period:2 in
+  let ticks = ref [] in
+  D.Clock.on_tick c (fun i ->
+      ticks := (D.Scheduler.now s, i + D.Clock.skipped_ticks c) :: !ticks;
+      if D.Scheduler.now s = 4 then D.Clock.sleep ~until:6 c);
+  D.Clock.start c;
+  ev s c;
+  D.Scheduler.stop s ~time:17 ();
+  ignore (D.Scheduler.run s);
+  (List.rev !ticks, c, D.Scheduler.events_processed s)
+
+let ticks = Alcotest.(list (pair int int))
+
+let clock_bounded_sleep () =
+  let got, c, events = bounded_sleep (fun _ _ -> ()) in
+  (* the sleeping clock ticks exactly at the bound, then runs freely *)
+  Alcotest.check ticks "ticks" [ (0, 0); (2, 1); (4, 2); (12, 6); (14, 7); (16, 8) ] got;
+  Tu.check_int "skipped exact" 3 (D.Clock.skipped_ticks c);
+  Tu.check_int "one event for the bound" (6 + 1) events
+
+let clock_wake_supersedes_bound () =
+  (* an earlier wake resumes the grid; the bound's event is withdrawn, so
+     t=12 ticks once *)
+  let got, c, events =
+    bounded_sleep (fun s c -> D.Scheduler.schedule s ~delay:7 (fun () -> D.Clock.wake c))
+  in
+  Alcotest.check ticks "ticks"
+    [ (0, 0); (2, 1); (4, 2); (8, 4); (10, 5); (12, 6); (14, 7); (16, 8) ]
+    got;
+  Tu.check_int "skipped exact" 1 (D.Clock.skipped_ticks c);
+  Tu.check_int "no stale bound event" (8 + 1 + 1) events;
+  (* a wake that lands on the bound's grid point keeps its event *)
+  let got, c, events =
+    bounded_sleep (fun s c ->
+        D.Scheduler.schedule s ~prio:D.Scheduler.prio_transfer ~delay:11 (fun () ->
+            D.Clock.wake c))
+  in
+  Alcotest.check ticks "wake on the bound" [ (0, 0); (2, 1); (4, 2); (12, 6); (14, 7); (16, 8) ] got;
+  Tu.check_int "skipped exact on the bound" 3 (D.Clock.skipped_ticks c);
+  Tu.check_int "no second tick event" (6 + 1 + 1) events
+
+let clock_set_period_moves_bound () =
+  (* period 3 from t=5: grid index 6 is 4 + 4*3 = 16 *)
+  let got, c, _ =
+    bounded_sleep (fun s c -> D.Scheduler.schedule s ~delay:5 (fun () -> D.Clock.set_period c 3))
+  in
+  Alcotest.check ticks "ticks" [ (0, 0); (2, 1); (4, 2); (16, 6) ] got;
+  Tu.check_int "skipped exact" 3 (D.Clock.skipped_ticks c)
+
 let clock_macro_actor_grouping () =
   (* one clock event drives many components per cycle (§III-D): event
      count is per-cycle, not per-component *)
@@ -340,6 +395,25 @@ let qcheck_heap_sorted =
       in
       drain (min_int, min_int) true)
 
+let qcheck_heap_remove =
+  QCheck.Test.make ~count:200 ~name:"event heap remove keeps the rest sorted"
+    QCheck.(list (pair small_nat small_nat))
+    (fun entries ->
+      let h = D.Event_heap.create () in
+      let evs = List.mapi (fun i (t, p) -> (t, p, ref i)) entries in
+      List.iter (fun (t, p, x) -> D.Event_heap.add h ~time:t ~prio:p x) evs;
+      List.iter (fun (_, _, x) -> if !x mod 3 = 1 then D.Event_heap.remove h x) evs;
+      let rec drain last acc =
+        if D.Event_heap.is_empty h then Some (List.sort compare acc)
+        else begin
+          let key = (D.Event_heap.top_time h, D.Event_heap.top_prio h) in
+          let x = D.Event_heap.pop h in
+          if key < last then None else drain key (!x :: acc)
+        end
+      in
+      drain (min_int, min_int) []
+      = Some (List.filter (fun i -> i mod 3 <> 1) (List.init (List.length entries) Fun.id)))
+
 let () =
   Alcotest.run "desim"
     [
@@ -351,6 +425,7 @@ let () =
           Tu.tc "empty raises" heap_empty_raises;
           Tu.tc "min time" heap_min_time;
           QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+          QCheck_alcotest.to_alcotest qcheck_heap_remove;
         ] );
       ( "scheduler",
         [
@@ -375,6 +450,9 @@ let () =
           Tu.tc "sleep with pending tick" clock_sleep_pending_no_tick_leak;
           Tu.tc "set_period during sleep" clock_set_period_during_sleep;
           Tu.tc "skipped-tick estimate" clock_skipped_ticks_estimate;
+          Tu.tc "bounded sleep ticks at its grid point" clock_bounded_sleep;
+          Tu.tc "earlier wake supersedes the bound" clock_wake_supersedes_bound;
+          Tu.tc "set_period moves the bound" clock_set_period_moves_bound;
           Tu.tc "macro-actor grouping" clock_macro_actor_grouping;
         ] );
       ( "rng",

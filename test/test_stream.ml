@@ -248,6 +248,42 @@ let machine_stream_records () =
       Tu.check_bool (k ^ " present") true (J.member k hb <> None))
     [ "cycle"; "events"; "events_per_sec"; "gated_domains"; "memwait_frac" ]
 
+(* Heartbeats are due on the cluster-clock grid, so a gated run emits
+   as many as an ungated one: a heartbeat due while the clock sleeps comes
+   on its next fired tick, labelled with that tick's grid index. *)
+let heartbeat_on_grid () =
+  let compiled = T.compile src in
+  let beats gating =
+    let m = T.machine ~config:C.chip1024 compiled in
+    Xmtsim.Machine.set_gating m gating;
+    let seen = ref [] in
+    let write line =
+      let j = J.of_string line in
+      if typ j = "sim.heartbeat" then
+        seen :=
+          (Option.get (Option.bind (J.member "cycle" j) J.to_int), Xmtsim.Machine.cluster_ticks m)
+          :: !seen
+    in
+    let s = S.create { S.write; close = ignore } in
+    ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles:1000 m s : unit -> unit);
+    ignore (Xmtsim.Machine.run m);
+    S.close s;
+    List.rev !seen
+  in
+  let gated = beats true and ungated = beats false in
+  Tu.check_bool "several heartbeats" true (List.length ungated > 10);
+  Tu.check_int "as many heartbeats gated as ungated" (List.length ungated) (List.length gated);
+  List.iteri
+    (fun i ((cg, _), (cu, _)) ->
+      Tu.check_int "ungated: on the grid point" ((i + 1) * 1000) cu;
+      Tu.check_bool "gated: at or after the grid point, before the next" true
+        (cg >= cu && cg < cu + 1000))
+    (List.combine gated ungated);
+  (* [cluster_ticks] counts the emitting tick itself *)
+  List.iter
+    (fun (c, ticks) -> Tu.check_int "cycle is the emitting tick's grid index" (ticks - 1) c)
+    (gated @ ungated)
+
 let attach_rules () =
   let compiled = T.compile src in
   let m = T.machine ~config:C.tiny compiled in
@@ -366,6 +402,7 @@ let () =
         [
           Tu.tc "heartbeat records" machine_stream_records;
           Tu.tc "attach rules" attach_rules;
+          Tu.tc "heartbeats on the grid under gating" heartbeat_on_grid;
         ] );
       ( "campaign",
         [

@@ -499,6 +499,20 @@ let activity_plugin_called () =
   ignore (M.run m);
   Tu.check_bool "sampled" true (!samples > 0)
 
+let plugin_interval_validated () =
+  let m = Core.Toolchain.machine ~config:C.tiny (Core.Toolchain.compile (Core.Kernels.vecadd ~n:8)) in
+  List.iter
+    (fun (what, attach) ->
+      match attach () with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected Invalid_argument" what)
+    [
+      ("sampler", fun () -> ignore (Xmtsim.Sampler.attach ~name:"p" ~interval:0 m (fun _ _ -> [])));
+      ("profiler", fun () -> ignore (Xmtsim.Plugin.attach_profiler ~interval:0 m));
+      ("governor", fun () -> ignore (Xmtsim.Governor.attach ~interval:0 m));
+      ("raw", fun () -> M.add_activity_plugin m ~name:"r" ~interval:(-1) (fun _ _ -> ()));
+    ]
+
 let trace_captures_instrs () =
   let compiled = Core.Toolchain.compile "int main() { print_int(3); return 0; }" in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
@@ -1447,6 +1461,106 @@ let serial_skip_exact () =
     expected
 
 (* ------------------------------------------------------------------ *)
+(* Activity plug-ins keep clock gating: they run at their exact grid
+   ticks, and an idle cluster clock sleeps between them. *)
+
+let plugin_kernels () =
+  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+  [
+    ( "ser_mem",
+      Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", a) ])
+        (Core.Kernels.ser_mem ~iters:200 ~n:2048) );
+    ( "mix",
+      Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", Array.sub a 0 128) ]) gating_src );
+  ]
+
+(* A run with every kind of activity plug-in: a power sampler, a
+   throttling governor, the interval profiler and a raw hook retuning the
+   cluster clock.  Returns what each saw, printed with [%h] floats. *)
+let plugged_run ?(plugins = true) ~gating compiled config =
+  let m = Core.Toolchain.machine ~config compiled in
+  M.set_gating m gating;
+  let log = Buffer.create 4096 in
+  let seen =
+    if not plugins then fun () -> ""
+    else begin
+      let th = Xmtsim.Thermal.demo in
+      ignore
+        (Xmtsim.Sampler.attach ~thermal_params:th ~name:"power" ~interval:100 m (fun s c ->
+             Printf.bprintf log "power %d %h %h\n" c (Xmtsim.Sampler.temperature s)
+               (Xmtsim.Sampler.watts s);
+             [])
+          : Xmtsim.Sampler.t);
+      let g = Xmtsim.Governor.attach ~thermal_params:th ~temp_hi:318.05 ~interval:150 m in
+      let p = Xmtsim.Plugin.attach_profiler ~interval:250 m in
+      M.add_activity_plugin m ~name:"dvfs" ~interval:400 (fun m c ->
+          Printf.bprintf log "dvfs %d\n" c;
+          if c mod 1200 = 0 then M.set_period m M.Clusters 1);
+      fun () ->
+        List.iter
+          (fun d ->
+            (* the ICN clock has no handlers, so gating keeps it asleep
+               all run: [d_asleep] is the gating flag there *)
+            let asleep = if d.Xmtsim.Governor.d_domain = "icn" then gating else false in
+            Xmtsim.Governor.(
+              Printf.bprintf log "gov %d %s %d %d %s %h %h %b\n" d.d_cycle d.d_domain d.d_from
+                d.d_to d.d_reason d.d_temp_k d.d_icn_backlog (d.d_asleep = asleep)))
+          (Xmtsim.Governor.decisions g);
+        Buffer.add_string log (Obs.Json.to_string (Xmtsim.Plugin.profile_to_json p));
+        Buffer.contents log
+    end
+  in
+  let r = M.run m in
+  (r, m, seen ())
+
+let plugins_keep_gating () =
+  List.iter
+    (fun (kname, compiled) ->
+      List.iter
+        (fun config ->
+          let what = kname ^ "/" ^ config.C.name in
+          let rg, mg, g = plugged_run ~gating:true compiled config in
+          let ru, mu, u = plugged_run ~gating:false compiled config in
+          Tu.check_string (what ^ " output") ru.M.output rg.M.output;
+          Tu.check_int (what ^ " cycles") ru.M.cycles rg.M.cycles;
+          Tu.check_string (what ^ " stats") (stats_digest (M.stats mu)) (stats_digest (M.stats mg));
+          Tu.check_string (what ^ " hook cycles, power, decisions, profile") u g;
+          Tu.check_bool (what ^ " throttled") true
+            (List.mem "thermal-high" (String.split_on_char ' ' g));
+          let reg = Obs.Metrics.create () in
+          M.export_clocks mg reg;
+          Tu.check_bool (what ^ " skips cluster ticks") true
+            (Obs.Metrics.counter_value reg ~labels:[ ("domain", "clusters") ]
+               "sim.clock.skipped_ticks"
+            > Some 0);
+          (* a sample point costs the gated run at most one host event *)
+          let plain, pm, _ = plugged_run ~plugins:false ~gating:true compiled config in
+          let m = Core.Toolchain.machine ~config compiled in
+          let s = Xmtsim.Sampler.attach ~name:"power" ~interval:100 m (fun _ _ -> []) in
+          ignore (Xmtsim.Plugin.attach_profiler ~interval:200 m : Xmtsim.Plugin.profiler);
+          let r = M.run m in
+          Tu.check_int (what ^ " sampled run cycles") plain.M.cycles r.M.cycles;
+          Tu.check_bool (what ^ " sampled") true (Xmtsim.Sampler.samples s > 0);
+          Tu.check_bool
+            (Printf.sprintf "%s events %d <= %d + %d samples" what (M.events_processed m)
+               (M.events_processed pm) (Xmtsim.Sampler.samples s))
+            true
+            (M.events_processed m <= M.events_processed pm + Xmtsim.Sampler.samples s))
+        [ C.tiny; C.fpga64; C.chip1024 ])
+    (plugin_kernels ())
+
+(* One governed run pinned to the figures recorded before activity
+   plug-ins kept clock gating, when they held the cluster clock awake. *)
+let governed_run_pinned () =
+  let r, m, seen =
+    plugged_run ~gating:true (List.assoc "ser_mem" (plugin_kernels ())) C.chip1024
+  in
+  Tu.check_int "cycles" 27264 r.M.cycles;
+  Tu.check_string "stats" "b3ab9c0bb677cbe6be246c704e0c27e8" (stats_digest (M.stats m));
+  Tu.check_string "samples, decisions, profile" "84dddb6f11f81304195ae9fdb9f47cfe"
+    (Digest.to_hex (Digest.string seen))
+
+(* ------------------------------------------------------------------ *)
 (* Hot-path allocation: issuing an instruction, a memory round trip and
    an event dispatch allocate nothing, so the minor words a run allocates
    per TCU instruction stay below a small bound (boxed stored values, a
@@ -1536,6 +1650,7 @@ let () =
         [
           Tu.tc "hot locations" filter_plugin_hot_locations;
           Tu.tc "activity sampling" activity_plugin_called;
+          Tu.tc "sampling interval validated" plugin_interval_validated;
           Tu.tc "trace" trace_captures_instrs;
           Tu.tc "dvfs from plugin" dvfs_from_activity_plugin;
           Tu.tc "execution profile phases" profiler_detects_phases;
@@ -1566,6 +1681,8 @@ let () =
           Tu.tc "halt/restore/rerun not truncated" halt_restore_rerun;
           Tu.tc "set_gating after start rejected" gating_rejects_late_toggle;
           Tu.tc "serial cluster-sweep skip is exact" serial_skip_exact;
+          Tu.tc "activity plug-ins keep clock gating" plugins_keep_gating;
+          Tu.tc "governed run matches the ungated-plug-in figures" governed_run_pinned;
         ] );
       ( "timing verification",
         [
