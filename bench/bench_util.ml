@@ -40,6 +40,29 @@ let bechamel_ns_per_run ?(quota = 3.0) ~name f =
 
 let compile ?options ?memmap src = Core.Toolchain.compile ?options ?memmap src
 
+(* -------- checks -------- *)
+
+(** Exact checks that failed so far; [main.exe] exits 1 when any did. *)
+let mismatches = ref 0
+
+(** [check ok "..."] prints one check line, [[ok]] or [[MISMATCH]].  An
+    exact check (a simulated quantity, deterministic) that fails is
+    counted in {!mismatches}; a [~host] target (a host-time budget) that
+    is missed prints [[over target]] and is never fatal. *)
+let check ?(host = false) ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      let tag =
+        if ok then "[ok]"
+        else if host then "[over target]"
+        else begin
+          incr mismatches;
+          "[MISMATCH]"
+        end
+      in
+      Printf.printf "  %s %s\n%!" tag msg)
+    fmt
+
 (* -------- campaign plumbing -------- *)
 
 (** Worker-domain count for campaign-backed experiments, set by

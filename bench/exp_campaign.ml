@@ -47,8 +47,7 @@ let run () =
   Printf.printf "  serial:   %6.2f s\n  %d workers: %6.2f s  (%.2fx)\n%!"
     serial_secs workers parallel_secs speedup;
   Printf.printf "  compiles: %d shared artifacts, %d cache hits\n%!" misses hits;
-  Printf.printf "  reports byte-identical: %s\n%!"
-    (if identical then "[ok]" else "[MISMATCH]");
+  check identical "reports byte-identical";
   if not identical then failwith "campaign bench: serial/parallel reports differ";
   let total_cycles =
     Array.fold_left

@@ -42,7 +42,6 @@ let run () =
         r.Core.Toolchain.stats.Xmtsim.Stats.virtual_threads
         (float_of_int base /. float_of_int r.Core.Toolchain.cycles))
     factors;
-  Printf.printf
-    "\nshape check: some clustering factor beats factor 1: %.2fx %s\n"
+  Printf.printf "\nshape check:\n";
+  check (!best < base) "some clustering factor beats factor 1: %.2fx"
     (float_of_int base /. float_of_int !best)
-    (if !best < base then "[ok]" else "[MISMATCH]")

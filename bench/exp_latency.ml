@@ -35,8 +35,9 @@ let run () =
       variants
   in
   let get n = List.assoc n rows in
-  Printf.printf
-    "\nshape check: all-on (%s) <= neither (%s): %s\n"
+  Printf.printf "\nshape check:\n";
+  check
+    (get "all mechanisms on" <= get "neither")
+    "all-on (%s) <= neither (%s)"
     (commas (get "all mechanisms on"))
     (commas (get "neither"))
-    (if get "all mechanisms on" <= get "neither" then "[ok]" else "[MISMATCH]")

@@ -65,14 +65,7 @@ let run () =
   show "Fig. 6 (no sync)" fig6;
   show "Fig. 7 (psm + fences)" fig7;
   show "Fig. 7 (fences off)" nofence;
-  Printf.printf
-    "\nshape checks:\n\
-    \  Fig. 6 shows relaxed (0,1):            %b  %s\n\
-    \  Fig. 7 upholds ry>=1 -> rx=1:          %b  %s\n\
-    \  Fig. 7 w/o fences shows the violation: %b  %s\n"
-    (violated fig6)
-    (if violated fig6 then "[ok]" else "[MISMATCH]")
-    (not (violated fig7))
-    (if not (violated fig7) then "[ok]" else "[MISMATCH]")
-    (violated nofence)
-    (if violated nofence then "[ok]" else "[MISMATCH]")
+  Printf.printf "\nshape checks:\n";
+  check (violated fig6) "Fig. 6 shows relaxed (0,1)";
+  check (not (violated fig7)) "Fig. 7 upholds ry>=1 -> rx=1";
+  check (violated nofence) "Fig. 7 w/o fences shows the violation"

@@ -56,12 +56,10 @@ let run () =
   in
   Printf.printf
     "\nintervals %d, phases %d, cycle-simulated intervals %d\n\
-     instructions cycle-simulated: %s of %s (%.1f%%)\n\
-     estimate error: %.1f%%  %s\n"
+     instructions cycle-simulated: %s of %s (%.1f%%)\n"
     est.intervals est.phases est.samples_taken
     (commas est.sampled_instructions)
     (commas est.total_instructions)
     (100.0 *. float_of_int est.sampled_instructions
-    /. float_of_int est.total_instructions)
-    err
-    (if err < 20.0 then "[ok]" else "[MISMATCH]")
+    /. float_of_int est.total_instructions);
+  check (err < 20.0) "estimate error: %.1f%% (under 20%%)" err

@@ -46,9 +46,7 @@ let run () =
         (commas lru) (commas off)
         (if total = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int total))
     [ 0; 1; 2; 4; 8; 16 ];
-  Printf.printf
-    "\nshape checks:\n\
-    \  prefetching helps (best %s vs size-0 %s): %.2fx %s\n"
+  Printf.printf "\nshape checks:\n";
+  check (!best < !base_cycles) "prefetching helps (best %s vs size-0 %s): %.2fx"
     (commas !best) (commas !base_cycles)
     (float_of_int !base_cycles /. float_of_int !best)
-    (if !best < !base_cycles then "[ok]" else "[MISMATCH]")

@@ -58,20 +58,14 @@ let run () =
   let attr = Xmtsim.Profile.attribution_rate rp in
   Printf.printf "  profiler off: %s cycles, %.2f s host\n" (commas cycles_off)
     secs_off;
-  Printf.printf "  profiler on:  %s cycles, %.2f s host (%+.1f%% host cost, \
-                 target <10%%)\n"
-    (commas cycles_on) secs_on overhead;
-  Printf.printf "  %s profiler does not perturb the simulation\n"
-    (if
-       cycles_off = cycles_on && r_off = r_on && events_off = events_on
-       && Xmtsim.Machine.stats m_off = Xmtsim.Machine.stats m_on
-     then "[ok]"
-     else "[MISMATCH]");
-  Printf.printf "  %s per-TCU CPI stacks sum exactly to %s grid ticks\n"
-    (if exact then "[ok]" else "[MISMATCH]")
-    (commas rp.Xmtsim.Profile.rp_total);
-  Printf.printf "  %s source attribution %.1f%% of non-idle cycles (target >= 95%%)\n"
-    (if attr >= 0.95 then "[ok]" else "[MISMATCH]")
+  Printf.printf "  profiler on:  %s cycles, %.2f s host\n" (commas cycles_on) secs_on;
+  check ~host:true (overhead < 10.0) "host cost %+.1f%% (target <10%%)" overhead;
+  check
+    (cycles_off = cycles_on && r_off = r_on && events_off = events_on
+    && Xmtsim.Machine.stats m_off = Xmtsim.Machine.stats m_on)
+    "profiler does not perturb the simulation";
+  check exact "per-TCU CPI stacks sum exactly to %s grid ticks" (commas rp.Xmtsim.Profile.rp_total);
+  check (attr >= 0.95) "source attribution %.1f%% of non-idle cycles (target >= 95%%)"
     (100.0 *. attr);
   emit_record ~name:"profile"
     [

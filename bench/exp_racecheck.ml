@@ -49,10 +49,8 @@ let run () =
     (commas (Xmtsim.Racedetect.events rd))
     (Xmtsim.Racedetect.race_count rd)
     (Xmtsim.Racedetect.epochs rd);
-  Printf.printf "  %s detector does not perturb the simulation\n"
-    (if cycles_off = cycles_on && r_off = r_on then "[ok]" else "[MISMATCH]");
-  Printf.printf "  %s fenced publication is race-free\n"
-    (if Xmtsim.Racedetect.race_count rd = 0 then "[ok]" else "[MISMATCH]");
+  check (cycles_off = cycles_on && r_off = r_on) "detector does not perturb the simulation";
+  check (Xmtsim.Racedetect.race_count rd = 0) "fenced publication is race-free";
   emit_record ~name:"racecheck"
     [
       ("config", Obs.Json.Str "fpga64");

@@ -63,16 +63,11 @@ let run () =
   Printf.printf "  ungated: %s cycles, %s events (%.2f events/cycle, %.1f s)\n"
     (commas cycles_u) (commas ev_u) epc_u secs_u;
   Printf.printf "  events/cycle reduction: %.1f%%\n" reduction;
-  Printf.printf "  %s gated and ungated runs halt with identical output\n"
-    (if rg = ru && Xmtsim.Machine.output mg = Xmtsim.Machine.output mu then
-       "[ok]"
-     else "[MISMATCH]");
-  Printf.printf "  %s cycle counts are bit-identical (%s)\n"
-    (if cycles_g = cycles_u then "[ok]" else "[MISMATCH]")
-    (commas cycles_g);
-  Printf.printf "  %s cache/ICN/DRAM statistics are bit-identical\n"
-    (if stats_equal then "[ok]" else "[MISMATCH]");
-  Printf.printf "  %s events/cycle reduction exceeds 20%%\n"
-    (if reduction > 20.0 then "[ok]" else "[MISMATCH]");
+  check
+    (rg = ru && Xmtsim.Machine.output mg = Xmtsim.Machine.output mu)
+    "gated and ungated runs halt with identical output";
+  check (cycles_g = cycles_u) "cycle counts are bit-identical (%s)" (commas cycles_g);
+  check stats_equal "cache/ICN/DRAM statistics are bit-identical";
+  check (reduction > 20.0) "events/cycle reduction exceeds 20%%";
   record_serial ~name:"serial gated" ~m:mg ~secs:secs_g ~cycles:cycles_g;
   record_serial ~name:"serial ungated" ~m:mu ~secs:secs_u ~cycles:cycles_u

@@ -69,21 +69,12 @@ let run () =
     (commas ev_p) secs_p;
   Printf.printf "  streamed: %s cycles, %s events, %.2f s (%d records, %d dropped)\n"
     (commas cycles_s) (commas ev_s) secs_s records dropped;
-  Printf.printf "  host overhead: %+.1f%%\n" overhead_pct;
-  Printf.printf "  %s streamed run output and halt state identical\n"
-    (if rp = rs then "[ok]" else "[MISMATCH]");
-  Printf.printf "  %s cycle counts are bit-identical (%s)\n"
-    (if cycles_p = cycles_s then "[ok]" else "[MISMATCH]")
-    (commas cycles_p);
-  Printf.printf "  %s statistics are bit-identical\n"
-    (if stats_equal then "[ok]" else "[MISMATCH]");
-  Printf.printf
-    "  %s host event counts are identical (the producer schedules nothing)\n"
-    (if ev_p = ev_s then "[ok]" else "[MISMATCH]");
-  Printf.printf "  %s no records dropped\n"
-    (if dropped = 0 then "[ok]" else "[MISMATCH]");
-  Printf.printf "  %s host overhead under 5%%\n"
-    (if overhead_pct < 5.0 then "[ok]" else "[MISMATCH]");
+  check (rp = rs) "streamed run output and halt state identical";
+  check (cycles_p = cycles_s) "cycle counts are bit-identical (%s)" (commas cycles_p);
+  check stats_equal "statistics are bit-identical";
+  check (ev_p = ev_s) "host event counts are identical (the producer schedules nothing)";
+  check (dropped = 0) "no records dropped";
+  check ~host:true (overhead_pct < 5.0) "host overhead %+.1f%% (target <5%%)" overhead_pct;
   emit_record ~name:"stream"
     [
       ("config", Obs.Json.Str "fpga64");

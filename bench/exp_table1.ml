@@ -62,17 +62,13 @@ let run () =
   let _, pc_i, pc_c = get "parallel, computation intensive" in
   let _, sm_i, sm_c = get "serial, memory intensive" in
   let _, sc_i, sc_c = get "serial, computation intensive" in
-  Printf.printf
-    "\nshape checks (paper Table I):\n\
-    \  parallel compute instr/s  >> parallel memory instr/s : %.1fx  %s\n\
-    \  serial   compute instr/s  >> serial   memory instr/s : %.1fx  %s\n\
-    \  serial   memory  cycle/s  >> parallel memory cycle/s : %.1fx  %s\n\
-    \  serial   compute cycle/s  >> parallel compute cycle/s: %.1fx  %s\n"
-    (pc_i /. pm_i)
-    (if pc_i > pm_i then "[ok]" else "[MISMATCH]")
-    (sc_i /. sm_i)
-    (if sc_i > sm_i then "[ok]" else "[MISMATCH]")
-    (sm_c /. pm_c)
-    (if sm_c > pm_c then "[ok]" else "[MISMATCH]")
+  (* host throughputs: targets, not exact checks *)
+  Printf.printf "\nshape checks (paper Table I):\n";
+  check ~host:true (pc_i > pm_i) "parallel compute instr/s  >> parallel memory instr/s : %.1fx"
+    (pc_i /. pm_i);
+  check ~host:true (sc_i > sm_i) "serial   compute instr/s  >> serial   memory instr/s : %.1fx"
+    (sc_i /. sm_i);
+  check ~host:true (sm_c > pm_c) "serial   memory  cycle/s  >> parallel memory cycle/s : %.1fx"
+    (sm_c /. pm_c);
+  check ~host:true (sc_c > pc_c) "serial   compute cycle/s  >> parallel compute cycle/s: %.1fx"
     (sc_c /. pc_c)
-    (if sc_c > pc_c then "[ok]" else "[MISMATCH]")

@@ -88,15 +88,8 @@ let run () =
           d.Xmtsim.Governor.d_from d.Xmtsim.Governor.d_to
           d.Xmtsim.Governor.d_reason d.Xmtsim.Governor.d_temp_k)
     decisions;
-  Printf.printf
-    "\nshape checks:\n\
-    \  temperature rises above ambient during the run: %s\n\
-    \  manager lowers the peak (%.2f K vs %.2f K):      %s\n\
-    \  at an execution-time cost (+%d cycles):          %s\n\
-    \  governor logged set_period decisions:            %s\n"
-    (if peak1 > 318.5 then "[ok]" else "[MISMATCH]")
-    peak2 peak1
-    (if peak2 < peak1 then "[ok]" else "[MISMATCH]")
-    (c2 - c1)
-    (if c2 > c1 then "[ok]" else "[MISMATCH]")
-    (if decisions <> [] then "[ok]" else "[MISMATCH]")
+  Printf.printf "\nshape checks:\n";
+  check (peak1 > 318.5) "temperature rises above ambient during the run";
+  check (peak2 < peak1) "manager lowers the peak (%.2f K vs %.2f K)" peak2 peak1;
+  check (c2 > c1) "at an execution-time cost (+%d cycles)" (c2 - c1);
+  check (decisions <> []) "governor logged set_period decisions"

@@ -8,7 +8,6 @@ type decision = {
   d_reason : string;  (** "thermal-high" | "icn-congestion" | "recover" *)
   d_temp_k : float;  (** hotspot temperature at decision time *)
   d_icn_backlog : float;  (** windowed mean backlog per module, cycles *)
-  d_asleep : bool;  (** domain was clock-gated off at decision time *)
 }
 
 (* ICN backlog samples the decisions average over *)
@@ -54,11 +53,6 @@ let decide g ~cycle ~temp ~icn_w =
   let set domain name ~reason period =
     let from = Machine.period g.m domain in
     if from <> period then begin
-      (* Record whether the domain is clock-gated off before applying the
-         change: a throttled-while-asleep domain accrues its skipped-tick
-         estimate at the old period inside Clock.set_period, so the span
-         already slept is not double-counted at the new rate. *)
-      let asleep = Machine.domain_sleeping g.m domain in
       Machine.set_period g.m domain period;
       let d =
         {
@@ -69,7 +63,6 @@ let decide g ~cycle ~temp ~icn_w =
           d_reason = reason;
           d_temp_k = temp;
           d_icn_backlog = icn_w;
-          d_asleep = asleep;
         }
       in
       g.decisions <- d :: g.decisions;
@@ -84,8 +77,7 @@ let decide g ~cycle ~temp ~icn_w =
               ("to", Obs.Tracer.A_int period);
               ("reason", Obs.Tracer.A_str reason);
               ("temp_k", Obs.Tracer.A_float temp);
-              ("icn_backlog", Obs.Tracer.A_float icn_w);
-              ("asleep", Obs.Tracer.A_int (if d.d_asleep then 1 else 0)) ]
+              ("icn_backlog", Obs.Tracer.A_float icn_w) ]
           "set_period"
     end
   in
@@ -148,7 +140,6 @@ let decision_to_json d =
       ("reason", Obs.Json.Str d.d_reason);
       ("temp_k", Obs.Json.Float d.d_temp_k);
       ("icn_backlog", Obs.Json.Float d.d_icn_backlog);
-      ("asleep", Obs.Json.Bool d.d_asleep);
     ]
 
 (** The decision log as JSON (oldest first) — merged into the

@@ -26,11 +26,6 @@ type decision = {
   d_reason : string;  (** "thermal-high" | "icn-congestion" | "recover" *)
   d_temp_k : float;  (** hotspot temperature at decision time *)
   d_icn_backlog : float;  (** windowed mean backlog per module, cycles *)
-  d_asleep : bool;
-      (** the domain's clock was gated off when the decision was taken;
-          the skipped-tick estimate for the slept span is accrued at the
-          pre-decision period (no double-counting, see
-          {!Desim.Clock.set_period}) *)
 }
 
 (** [attach ~interval m] registers the governor as a {!Sampler} named

@@ -963,7 +963,7 @@ let add_hook t ~active ~interval run =
   t.hooks <- t.hooks @ [ { h_interval = interval; h_active = active; h_due; h_run = run } ];
   if active && Desim.Clock.sleeping t.clk_cluster then sleep_cluster t
 
-let add_activity_plugin t ~name:_ ~interval hook = add_hook t ~active:true ~interval (hook t)
+let add_activity_plugin t ~interval hook = add_hook t ~active:true ~interval (hook t)
 let add_passive_hook t ~interval run = add_hook t ~active:false ~interval run
 
 let run_hooks t c =

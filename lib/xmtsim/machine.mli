@@ -68,9 +68,8 @@ val set_gating : t -> bool -> unit
 
 val gating_enabled : t -> bool
 
-(** Is the domain's clock currently gated off?  The DVFS governor records
-    this on its decisions so a throttled-while-asleep domain is not
-    double-counted. *)
+(** Is the domain's clock currently gated off?  (The stream heartbeat
+    counts these; it is host state, so nothing simulated may read it.) *)
 val domain_sleeping : t -> domain -> bool
 
 (** Export per-domain clock activity into a metrics registry:
@@ -79,12 +78,12 @@ val domain_sleeping : t -> domain -> bool
     the [sim.clock.period{domain}] gauge. *)
 val export_clocks : t -> Obs.Metrics.t -> unit
 
-(** [add_activity_plugin t ~name ~interval hook] — [hook t cycle] runs at
+(** [add_activity_plugin t ~interval hook] — [hook t cycle] runs at
     every [interval]-th cluster-clock grid tick [cycle] (see {!cluster_ticks}).
     The hook may retune clocks ({!set_period}); an idle cluster clock
     still sleeps, ticking at each sample point for at most one host event.
     Raises [Invalid_argument] unless [interval] is positive. *)
-val add_activity_plugin : t -> name:string -> interval:int -> (t -> int -> unit) -> unit
+val add_activity_plugin : t -> interval:int -> (t -> int -> unit) -> unit
 
 (** [add_passive_hook t ~interval run] — [run cycle] on the first fired
     cluster tick at or after every [interval]-th grid tick ([cycle]); it

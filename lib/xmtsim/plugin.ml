@@ -43,29 +43,6 @@ let hot_locations ~top () =
   in
   { probe = { Probe.nop with name = "hot-locations"; issue }; report }
 
-(** Histogram of executed instructions per functional-unit class. *)
-let class_histogram () =
-  let counts = Hashtbl.create 8 in
-  let issue ~tcu:_ ~pc:_ ins ~addr:_ =
-    let c = Isa.Instr.fu_class_of ins in
-    match Hashtbl.find_opt counts c with
-    | Some r -> incr r
-    | None -> Hashtbl.replace counts c (ref 1)
-  in
-  let report () =
-    let lines =
-      List.filter_map
-        (fun c ->
-          match Hashtbl.find_opt counts c with
-          | Some r ->
-            Some (Printf.sprintf "  %-4s %d" (Isa.Instr.fu_class_name c) !r)
-          | None -> None)
-        Isa.Instr.all_fu_classes
-    in
-    String.concat "\n" ("instruction class histogram:" :: lines)
-  in
-  { probe = { Probe.nop with name = "class-histogram"; issue }; report }
-
 (** Execution profile over simulated time (§III-B: "An activity plug-in
     can generate execution profiles of XMTC programs over simulated time,
     showing memory and computation intensive phases").
@@ -99,7 +76,7 @@ let attach_profiler ?profile ?(interval = 1000) m =
   let p = { samples = [] } in
   let prof = match profile with Some prof -> prof | None -> Profile.attach m in
   let last_c = ref 0 and last_m = ref 0 and last_w = ref 0 in
-  Machine.add_activity_plugin m ~name:"profiler" ~interval (fun _ cycle ->
+  Machine.add_activity_plugin m ~interval (fun _ cycle ->
       (* compute_cycles counts one cycle per issue (plus FU stalls), so
          subtracting the memory issues leaves the compute-attributed share *)
       let mem = Profile.mem_ops prof in

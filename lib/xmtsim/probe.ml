@@ -6,7 +6,7 @@
     wake clocks or write machine state, so a run with any set of probes
     attached is bit-identical to a plain run — output, cycles, the full
     {!Stats.t} and even the host event count (checked for every shipped
-    probe by the passivity property in [test_xmtsim]).  Probes see
+    probe by the equivalence oracle in [test/test_oracle.ml]).  Probes see
     events, not time: code that runs every N cycles is a periodic hook
     ({!Machine.add_passive_hook}, or {!Machine.add_activity_plugin} for
     the active kind).

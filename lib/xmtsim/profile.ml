@@ -12,8 +12,8 @@
 
     The profiler is a passive {!Probe}: it never schedules events, wakes
     clocks or touches machine state, so attaching it cannot perturb
-    cycles, stats or traces (enforced by the passivity property and a CI
-    step).
+    cycles, stats or traces (checked by the equivalence oracle's probe
+    variant, [test/test_oracle.ml]).
 
     Memory-wait episodes are accounted when the reply arrives: the ticks
     a TCU spent in [Tmemwait] are split across the ICN / cache-hit / DRAM

@@ -34,7 +34,7 @@ let attach ?power_params ?thermal_params ?stream ~name ~interval m on_sample =
     }
   in
   let dt = float_of_int interval *. 1e-9 in
-  Machine.add_activity_plugin m ~name ~interval (fun m cycle ->
+  Machine.add_activity_plugin m ~interval (fun m cycle ->
       Thermal.step thermal ~dt (Power.sample power);
       let temp = temperature s and w = watts s in
       s.samples <- s.samples + 1;

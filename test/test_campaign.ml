@@ -1,39 +1,15 @@
-(** Campaign engine: parallel-vs-serial determinism, fault isolation,
+(** Campaign engine: submission order, the warm pool, fault isolation,
     retry accounting, the job-oriented Toolchain API and the validated
-    Config constructors it rides on. *)
+    Config constructors it rides on (serial = parallel is
+    test_oracle's). *)
 
 module C = Xmtsim.Config
 module T = Core.Toolchain
 
-let tiny_job ?mode ?seed n =
-  let name = Printf.sprintf "vecadd-%d" n in
-  (name, T.job ~name ?mode ?seed ~config:C.tiny (Core.Kernels.vecadd ~n))
-
-(* ---- determinism: serial and 2-domain runs are byte-identical ---- *)
-
-let det_specs () =
-  (* 9 jobs over distinct sizes/seeds/modes: enough to interleave *)
-  List.concat
-    [
-      List.map (fun n -> tiny_job n) [ 16; 24; 32; 48 ];
-      List.map (fun n -> tiny_job ~seed:(n * 7) n) [ 20; 28 ];
-      List.map (fun n -> tiny_job ~mode:T.Functional n) [ 16; 40 ];
-      [ tiny_job 64 ];
-    ]
-
 let report rs = Obs.Json.to_string (Campaign.report_to_json ~host:false rs)
 
-let parallel_matches_serial () =
-  let specs = det_specs () in
-  let serial = Campaign.run ~jobs:1 specs in
-  let parallel = Campaign.run ~jobs:2 specs in
-  Tu.check_int "all ok (serial)" (List.length specs) (Campaign.ok_count serial);
-  Tu.check_int "all ok (parallel)" (List.length specs)
-    (Campaign.ok_count parallel);
-  Tu.check_string "reports byte-identical" (report serial) (report parallel)
-
 let order_is_submission_order () =
-  let specs = det_specs () in
+  let specs = Tu.det_specs () in
   let rs = Campaign.run ~jobs:3 specs in
   List.iteri
     (fun i (name, _) ->
@@ -43,34 +19,16 @@ let order_is_submission_order () =
 
 (* ---- warm pool, work stealing, shared artifacts ---- *)
 
-(* hundreds of tiny jobs over a handful of distinct sources: lots of
-   stealing, few distinct compile keys *)
-let stress_specs n =
-  List.init n (fun i ->
-      let size = 16 + (i mod 4) * 8 in
-      let mode = if i mod 5 = 0 then T.Functional else T.Cycle in
-      let name = Printf.sprintf "s%03d" i in
-      ( name,
-        T.job ~name ~mode ~seed:i ~config:C.tiny (Core.Kernels.vecadd ~n:size)
-      ))
-
+(* the oracle's campaign variant, with far more workers than jobs (the
+   clamp) *)
 let stress_stealing_deterministic () =
-  let specs = stress_specs 120 in
-  let reference = report (Campaign.run ~jobs:1 specs) in
-  (* worker counts 1, 2, N and far more workers than jobs (the clamp) *)
-  List.iter
-    (fun w ->
-      Tu.check_string
-        (Printf.sprintf "workers=%d matches serial" w)
-        reference
-        (report (Campaign.run ~jobs:w specs)))
-    [ 2; 4; 300 ]
+  Tu.agree_campaign ~workers:[ 2; 4; 300 ] "stealing" (Tu.stress_specs 120)
 
 let pool_reused_across_runs () =
   let artifacts = Core.Toolchain.Artifacts.create () in
   Campaign.Pool.with_pool ~workers:3 (fun pool ->
-      let a = Campaign.run ~pool ~artifacts (stress_specs 40) in
-      let b = Campaign.run ~pool ~artifacts (stress_specs 40) in
+      let a = Campaign.run ~pool ~artifacts (Tu.stress_specs 40) in
+      let b = Campaign.run ~pool ~artifacts (Tu.stress_specs 40) in
       Tu.check_int "first run all ok" 40 (Campaign.ok_count a);
       Tu.check_string "re-run on the warm pool identical" (report a) (report b);
       Array.iter
@@ -82,8 +40,8 @@ let pool_reused_across_runs () =
       Tu.check_bool "artifacts reused across jobs and runs" true (hits > 0);
       Tu.check_bool "compiles bounded by distinct keys" true (compiles <= 8);
       (* a different job list through the same warm pool *)
-      let c = Campaign.run ~pool ~jobs:2 (det_specs ()) in
-      Tu.check_int "third run ok" (List.length (det_specs ()))
+      let c = Campaign.run ~pool ~jobs:2 (Tu.det_specs ()) in
+      Tu.check_int "third run ok" (List.length (Tu.det_specs ()))
         (Campaign.ok_count c))
 
 let poisoned_jobs_under_stealing () =
@@ -94,7 +52,7 @@ let poisoned_jobs_under_stealing () =
         if i mod 13 = 6 then
           (name, T.job ~name ~config:C.tiny "int main() { return broken; }")
         else spec)
-      (stress_specs 60)
+      (Tu.stress_specs 60)
   in
   let rs = Campaign.run ~jobs:4 specs in
   Tu.check_int "exactly the poisoned jobs fail" 5 (Campaign.failed_count rs);
@@ -114,7 +72,7 @@ let workers_clamped_to_jobs () =
   let buf = Buffer.create 512 in
   let s = Obs.Stream.create (Obs.Stream.buffer_sink buf) in
   let rs =
-    Campaign.run ~jobs:8 ~stream:s [ tiny_job 16; tiny_job 24 ]
+    Campaign.run ~jobs:8 ~stream:s [ Tu.vecadd_job 16; Tu.vecadd_job 24 ]
   in
   Obs.Stream.close s;
   Tu.check_int "both jobs ok" 2 (Campaign.ok_count rs);
@@ -188,7 +146,7 @@ let pool_shutdown_concurrent () =
 (* ---- fault isolation ---- *)
 
 let failures_are_isolated () =
-  let good n = tiny_job n in
+  let good n = Tu.vecadd_job n in
   let specs =
     [
       good 16;
@@ -223,7 +181,7 @@ let failed_jobs_are_retried () =
   let specs =
     [
       ("boom", T.job ~name:"boom" ~config:C.tiny "not even c");
-      tiny_job 16;
+      Tu.vecadd_job 16;
     ]
   in
   let rs = Campaign.run ~jobs:1 ~retries:2 specs in
@@ -238,7 +196,7 @@ let events_cover_every_job () =
     | Campaign.Job_failed _ -> incr failed
   in
   let specs =
-    [ tiny_job 16; ("bad", T.job ~name:"bad" ~config:C.tiny "}{"); tiny_job 24 ]
+    [ Tu.vecadd_job 16; ("bad", T.job ~name:"bad" ~config:C.tiny "}{"); Tu.vecadd_job 24 ]
   in
   let reg = Obs.Metrics.create () in
   let rs = Campaign.run ~jobs:2 ~on_event ~metrics:reg specs in
@@ -392,7 +350,7 @@ let bad_memmap_is_spec_error () =
 (* ---- the first-class request API ---- *)
 
 let request_builders () =
-  let specs = [ tiny_job 16; tiny_job 24 ] in
+  let specs = [ Tu.vecadd_job 16; Tu.vecadd_job 24 ] in
   let r = Campaign.Request.make specs in
   Tu.check_int "default retries" 0 r.Campaign.Request.retries;
   Tu.check_bool "default jobs = pool width" true
@@ -409,7 +367,7 @@ let request_builders () =
     (report (Campaign.run ~jobs:2 ~retries:3 specs))
 
 let request_validation () =
-  let specs = [ tiny_job 16 ] in
+  let specs = [ Tu.vecadd_job 16 ] in
   let rejects f =
     match f () with
     | exception Campaign.Spec_error _ -> ()
@@ -505,13 +463,11 @@ let () =
     [
       ( "determinism",
         [
-          Tu.tc "parallel report matches serial" parallel_matches_serial;
           Tu.tc "submission order preserved" order_is_submission_order;
         ] );
       ( "warm pool",
         [
-          Tu.tc "stealing deterministic (1/2/4/300 workers)"
-            stress_stealing_deterministic;
+          Tu.tc "stealing deterministic (1/2/4/300 workers)" stress_stealing_deterministic;
           Tu.tc "pool + artifacts reused across runs" pool_reused_across_runs;
           Tu.tc "poisoned jobs isolated under stealing"
             poisoned_jobs_under_stealing;

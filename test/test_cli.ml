@@ -26,6 +26,10 @@ let with_src f =
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+let with_temp ext f =
+  let p = Filename.temp_file "xmtcli" ext in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists p then Sys.remove p) (fun () -> f p)
+
 (** Run [argv] (from directory [cwd], if given), returning (exit code,
     stdout, stderr). *)
 let run_cmd ?cwd args =
@@ -72,6 +76,7 @@ let functional_trace_json_rejected () =
       in
       Tu.check_int "timeseries rejected" 124 code;
       Tu.check_bool "names --stream" true (contains "--stream" err);
+      Tu.check_bool "no timeseries file" false (Sys.file_exists "t.json");
       let code, _, _ = run_cmd [ xmtsim; src; "--functional"; "--governor" ] in
       Tu.check_int "governor rejected" 2 code)
 
@@ -145,51 +150,50 @@ let removed_alias_errors () =
           ([ "--stats-json"; "s.json" ], "--export stats");
           ([ "--trace-json=t.json" ], "--export trace");
           ([ "--timeseries-json"; "-" ], "--stream");
-        ])
+        ];
+      Tu.check_bool "no alias file written" false (Sys.file_exists "s.json"))
 
 
+(* CI's campaign: jobs that vary the seed, config overrides and the mode *)
 let with_campaign_file f =
+  let src = "int A[32]; int main(void) { spawn(0, 31) { A[$] = $ * $; } return 0; }" in
+  let job name extra = J.Obj ([ ("name", J.Str name); ("inline", J.Str src) ] @ extra) in
+  let set kv = ("set", J.List [ J.Str kv ]) in
   let path = Filename.temp_file "xmtcli" ".json" in
-  let spec =
-    J.Obj
-      [
-        ("schema", J.Str "xmt.campaign.v1");
-        ("defaults", J.Obj [ ("preset", J.Str "tiny") ]);
-        ( "jobs",
-          J.List
-            (List.map
-               (fun (name, seed) ->
-                 J.Obj
-                   [
-                     ("name", J.Str name);
-                     ("inline", J.Str quiet_src);
-                     ("seed", J.Int seed);
-                   ])
-               [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ]) );
-      ]
-  in
-  J.write_file path spec;
+  J.write_file path
+    (J.Obj
+       [
+         ("schema", J.Str "xmt.campaign.v1");
+         ("defaults", J.Obj [ ("preset", J.Str "tiny") ]);
+         ( "jobs",
+           J.List
+             [ job "c1" []; job "c2" [ ("seed", J.Int 7) ]; job "c3" [ set "dram_latency=40" ];
+               job "c4" [ ("mode", J.Str "functional") ]; job "c5" [ set "icn_latency=8" ];
+               job "c6" [ set "num_cache_modules=4" ] ] );
+       ]);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* The deterministic report is byte-identical on 1, 2 and 4 workers. *)
 let campaign_runs_and_is_deterministic () =
   with_campaign_file (fun spec ->
       let run jobs =
-        run_cmd
-          [ xmtsim; "--campaign"; spec; "--jobs"; jobs;
-            "--export"; "campaign-det=-" ]
+        let code, out, _ =
+          run_cmd [ xmtsim; "--campaign"; spec; "--jobs"; jobs; "--export"; "campaign-det=-" ]
+        in
+        Tu.check_int ("--jobs " ^ jobs ^ " exits 0") 0 code;
+        out
       in
-      let code1, out1, _ = run "1" in
-      let code2, out2, _ = run "2" in
-      Tu.check_int "serial exit 0" 0 code1;
-      Tu.check_int "parallel exit 0" 0 code2;
-      Tu.check_string "byte-identical reports" out1 out2;
-      let j = J.of_string out1 in
+      let serial = run "1" in
+      List.iter
+        (fun jobs -> Tu.check_string ("--jobs " ^ jobs ^ " byte-identical") serial (run jobs))
+        [ "2"; "4" ];
+      let j = J.of_string serial in
       Tu.check_bool "campaign schema" true
         (J.member "schema" j = Some (J.Str "xmt.campaign.v1"));
-      Tu.check_bool "four jobs" true (J.member "jobs" j = Some (J.Int 4));
-      Tu.check_bool "four results" true
+      Tu.check_bool "six jobs" true (J.member "jobs" j = Some (J.Int 6));
+      Tu.check_bool "six results" true
         (match J.member "results" j with
-        | Some (J.List l) -> List.length l = 4
+        | Some (J.List l) -> List.length l = 6
         | _ -> false))
 
 let campaign_failure_sets_exit_code () =
@@ -378,19 +382,16 @@ let golden_traces () =
   Fun.protect
     ~finally:(fun () -> Sys.remove prof)
     (fun () ->
-      let code, _, _ =
-        run_cmd [ xmtsim; src; "-c"; "tiny"; "--export"; "profile=" ^ prof ]
+      let code, out, _ =
+        run_cmd [ xmtsim; src; "-c"; "tiny"; "--profile"; "--export"; "profile=" ^ prof ]
       in
       Tu.check_int "profile run exits 0" 0 code;
+      Tu.check_bool "--profile prints the CPI stacks" true (contains "CPI stacks" out);
       Tu.check_string "profile report matches golden"
         (read_file (Tu.example "golden/clean_compaction.profile.json"))
         (read_file prof))
 
 (* ---- one run path: a single run is a one-job campaign ---- *)
-
-let with_temp ext f =
-  let p = Filename.temp_file "xmtcli" ext in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists p then Sys.remove p) (fun () -> f p)
 
 let read_json p = J.of_string (read_file p)
 
@@ -563,6 +564,7 @@ let cycle_only_flags_rejected () =
               [ "--trace" ];
               [ "--trace-packages" ];
               [ "--hot" ];
+              [ "--profile" ];
               [ "--profile-interval"; "100" ];
               [ "--power-interval"; "100" ];
               [ "--floorplan" ];

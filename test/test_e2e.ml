@@ -190,28 +190,6 @@ let reductions_agree () =
   Tu.expect_output ~memmap ~config:C.fpga64 "tree reduce" expected
     (Core.Kernels.reduce_tree ~n:128)
 
-let functional_cycle_equivalence_suite () =
-  (* every kernel prints the same thing in both modes *)
-  let g = Core.Workloads.random_graph ~chain:8 ~seed:9 ~n:40 ~edges_per_vertex:2 () in
-  let a = Core.Workloads.random_array ~seed:10 ~n:64 ~bound:100 in
-  let cases =
-    [
-      ( "compaction",
-        Core.Kernels.compaction ~n:64,
-        Isa.Memmap.of_ints [ ("A", a) ] );
-      ( "bfs",
-        Core.Kernels.bfs ~n:40 ~m:g.Core.Workloads.m ~src:0,
-        Core.Workloads.graph_memmap g );
-      ("reduce_tree", Core.Kernels.reduce_tree ~n:64, Isa.Memmap.of_ints [ ("A", a) ]);
-      ("ser_comp", Core.Kernels.ser_comp ~iters:200, []);
-    ]
-  in
-  List.iter
-    (fun (name, src, memmap) ->
-      let fo, co, _ = Tu.both ~memmap ~config:C.tiny src in
-      Alcotest.(check string) (name ^ " func=cycle") fo co)
-    cases
-
 let serialized_nested_spawn () =
   let src =
     {|
@@ -539,8 +517,6 @@ let () =
           Tu.tc "ro() read-only loads" ro_loads_agree_and_hit;
           Tu.tc "ro() serial-only" ro_rejected_in_serial_code;
         ] );
-      ( "modes",
-        [ Tu.tc "functional = cycle outputs" functional_cycle_equivalence_suite ] );
       ( "language",
         [
           Tu.tc "nested spawn serialized" serialized_nested_spawn;

@@ -1,0 +1,221 @@
+(** Every "this changes nothing" property through the oracle in {!Tu}:
+    each variant runs the input table below two ways and {!Tu.agree}s on
+    what the runs show, on the tiny, fpga64 and chip1024 presets. *)
+
+module C = Xmtsim.Config
+module T = Core.Toolchain
+
+let compile ?(arrays = []) src =
+  (T.compile ~memmap:(Isa.Memmap.of_ints arrays) src).T.image
+
+let assemble text = Isa.Program.resolve (Isa.Asm.parse text)
+
+(* ---- the input table ---- *)
+
+let examples () =
+  let dir = Filename.dirname (Tu.example "clean_vecadd.xmtc") in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".xmtc")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, compile (In_channel.with_open_text (Filename.concat dir f) In_channel.input_all)))
+
+let inputs =
+  lazy
+    (let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+     let e = Core.Workloads.random_array ~seed:10 ~n:64 ~bound:100 in
+     let sparse = Core.Workloads.sparse_array ~seed:8 ~n:32 ~density:50 in
+     let g = Core.Workloads.random_graph ~chain:8 ~seed:9 ~n:40 ~edges_per_vertex:2 () in
+     let module K = Core.Kernels in
+     examples ()
+     @ [
+         ("compact.c", compile Tu.compact_c);
+         (* Table I's four groups *)
+         ("par_mem", compile ~arrays:[ ("A", a) ] (K.par_mem ~threads:128 ~iters:4 ~n:2048));
+         ("par_comp", compile (K.par_comp ~threads:64 ~iters:10));
+         ("ser_mem", compile ~arrays:[ ("A", a) ] (K.ser_mem ~iters:60 ~n:2048));
+         ("ser_comp", compile (K.ser_comp ~iters:300));
+         (* the kernels the language and simulator suites exercise *)
+         ("compaction64", compile ~arrays:[ ("A", e) ] (K.compaction ~n:64));
+         ( "bfs",
+           (T.compile ~memmap:(Core.Workloads.graph_memmap g)
+              (K.bfs ~n:40 ~m:g.Core.Workloads.m ~src:0))
+             .T.image );
+         ("reduce_tree", compile ~arrays:[ ("A", e) ] (K.reduce_tree ~n:64));
+         ("ser_comp200", compile (K.ser_comp ~iters:200));
+         ("vecadd", compile (K.vecadd ~n:64));
+         ("reduce_psm", compile (K.reduce_psm ~n:32));
+         ("compaction32", compile ~arrays:[ ("A", sparse) ] (K.compaction ~n:32));
+         ("publication", compile (K.publication ~n:32));
+         ("ser_mem400", compile (K.ser_mem ~iters:400 ~n:256));
+         ("ser_mem200", compile ~arrays:[ ("A", a) ] (K.ser_mem ~iters:200 ~n:2048));
+         ("mix", compile ~arrays:[ ("A", Array.sub a 0 128) ] Tu.mix_src);
+         ("rounds", compile Tu.rounds_src);
+         (* assembly: eight virtual threads store squares; prefetch
+            replies reach the clusters after the join *)
+         ("squares.s", assemble Tu.squares_asm);
+         ("prefetch-after-join.s", assemble Tu.prefetch_after_join_asm);
+       ])
+
+let configs = [ C.tiny; C.fpga64; C.chip1024 ]
+
+(* One (input, config) pair.  Its plain runs, gated and ungated, are
+   every variant's reference, run once. *)
+type row = {
+  input : string;
+  config : C.t;
+  image : Isa.Program.image;
+  what : string;  (** "input/config" *)
+  plain : gated:bool -> Tu.obs;
+}
+
+let rows =
+  lazy
+    (List.concat_map
+       (fun (input, image) ->
+         List.map
+           (fun config ->
+             let gated = lazy (Tu.observe config image)
+             and ungated = lazy (Tu.observe ~gated:false config image) in
+             {
+               input;
+               config;
+               image;
+               what = input ^ "/" ^ config.C.name;
+               plain = (fun ~gated:g -> Lazy.force (if g then gated else ungated));
+             })
+           configs)
+       (Lazy.force inputs))
+
+let each f = List.iter f (Lazy.force rows)
+let gating_name gated = if gated then "gated" else "ungated"
+
+(* ---- the variants ---- *)
+
+let functional_equals_cycle () =
+  each (fun r ->
+      Tu.agree ~fields:Output ~events:Any (r.what ^ " functional") (Tu.observe_functional r.image)
+        (r.plain ~gated:true))
+
+(* The idle cluster clock really sleeps, unless the master computes
+   without a pause, as in ser_comp. *)
+let sleeps r = not (List.mem r.input [ "ser_comp"; "ser_comp200" ])
+
+let check_sleeps r what (o : Tu.obs) =
+  if sleeps r then Tu.check_bool (what ^ " cluster ticks skipped") true (o.skipped > 0)
+
+(* Gating changes nothing simulated and only saves host events. *)
+let gated_equals_ungated () =
+  each (fun r ->
+      let g = r.plain ~gated:true in
+      Tu.agree ~fields:All ~events:Fewer r.what g (r.plain ~gated:false);
+      check_sleeps r r.what g)
+
+(* Each probe, and all of them together, leaves the run exactly as a
+   plain one, host events included, gated or not; what they report does
+   not depend on gating.  All of them run together on every tiny and
+   fpga64 row, one at a time on the kernels below (chip1024's rows are
+   the gating variants'). *)
+let one_probe_rows = [ "vecadd"; "reduce_psm"; "compaction32"; "publication"; "ser_mem400" ]
+
+let probes_are_passive () =
+  let all = ("all probes", Tu.probes) in
+  let one = List.map (fun (p : Tu.observer) -> (p.name, [ p ])) Tu.probes in
+  each (fun r ->
+      List.iter
+        (fun (pname, observers) ->
+          let probed gated =
+            let o = Tu.observe ~gated ~observers r.config r.image in
+            Tu.agree ~fields:Sim ~events:Equal
+              (Printf.sprintf "%s %s %s" r.what (gating_name gated) pname)
+              o (r.plain ~gated);
+            o
+          in
+          Tu.agree ~fields:All ~events:Fewer (r.what ^ " " ^ pname ^ " gated") (probed true)
+            (probed false))
+        (if r.config == C.chip1024 then []
+         else if List.mem r.input one_probe_rows then all :: one
+         else [ all ]))
+
+(* Known divergence: on this row the cluster clock, woken from the cache
+   tick by a prefetch reply after the join, ticks after the cache and
+   DRAM clocks at every later instant, while ungated it ticks first; a
+   sample point then reads one more DRAM access than the ungated run
+   does (CHANGES.md, FOUND).  The readings must differ until that is
+   mended. *)
+let divergent_readings = [ "prefetch-after-join.s/fpga64" ]
+
+(* Activity plug-ins keep clock gating ({!Tu.plugins_keep_gating}) on
+   every row. *)
+let plugins_keep_gating () =
+  let throttled = ref 0 in
+  each (fun r ->
+      if
+        Tu.plugins_keep_gating ~diverges:(List.mem r.what divergent_readings) ~sleeps:(sleeps r)
+          r.what r.config r.image ~plain:(r.plain ~gated:true)
+      then incr throttled);
+  (* the governors' decisions were compared, not just their silence *)
+  Tu.check_bool "plug-ins throttled somewhere" true (!throttled >= 6)
+
+(* A checkpoint written to a file and restored into a fresh machine
+   carries the run's telemetry ({!Tu.observe} checks that).  Taken
+   before the first cycle it changes nothing; taken at the first
+   quiescent point past half-way it leaves the program's output: a
+   snapshot is architectural state, so the caches restart cold.  On
+   tiny and fpga64. *)
+let resume_equivalence () =
+  each (fun r ->
+      if r.config != C.chip1024 then begin
+        let straight = r.plain ~gated:true in
+        Tu.agree ~fields:Sim ~events:Equal (r.what ^ " restored at 0")
+          (Tu.observe ~resume_at:0 r.config r.image) straight;
+        Tu.agree ~fields:Output ~events:Any (r.what ^ " restored mid-run")
+          (Tu.observe ~resume_at:(straight.cycles / 2) r.config r.image) straight
+      end)
+
+(* ---- campaigns ---- *)
+
+let squares = "int A[32]; int main(void) { spawn(0, 31) { A[$] = $ * $; } return 0; }"
+
+(* The stealing and failing-job campaigns are test_campaign's "warm
+   pool" and test_stream's "campaign" cases. *)
+let campaigns () =
+  [
+    ("sizes, seeds and modes", Tu.det_specs () @ [ Tu.vecadd_job ~mode:T.Predict 24 ]);
+    (* CI's campaign inputs: seeds, config overrides, functional mode,
+       race-checked and profiled jobs *)
+    ( "seed, set and mode",
+      let job ?mode ?seed ?(set = []) ?(racecheck = false) ?(profile = false) name =
+        (name, T.job ~name ?mode ?seed ~config:(C.with_overrides C.tiny set) ~racecheck ~profile squares)
+      in
+      [
+        job "c1";
+        job ~seed:7 "c2";
+        job ~set:[ "dram_latency=40" ] "c3";
+        job ~mode:T.Functional "c4";
+        job ~set:[ "icn_latency=8" ] "c5";
+        job ~set:[ "num_cache_modules=4" ] "c6";
+        job ~racecheck:true "race";
+        job ~profile:true "prof";
+        ( "racy",
+          T.job ~name:"racy" ~racecheck:true ~profile:true ~config:C.tiny
+            (In_channel.with_open_text (Tu.example "racy_overlap.xmtc") In_channel.input_all) );
+      ] );
+  ]
+
+let parallel_matches_serial () =
+  List.iter (fun (what, specs) -> Tu.agree_campaign what specs) (campaigns ())
+
+let () =
+  Alcotest.run "oracle"
+    [
+      ("modes", [ Tu.tc "functional = cycle outputs" functional_equals_cycle ]);
+      ( "clock gating",
+        [
+          Tu.tc "gated run is bit-identical" gated_equals_ungated;
+          Tu.tc "plug-ins keep gating on every row" plugins_keep_gating;
+        ] );
+      ("probes", [ Tu.tc "passive alone and combined" probes_are_passive ]);
+      ("checkpoint", [ Tu.tc "resume equivalence" resume_equivalence ]);
+      ("determinism", [ Tu.tc "parallel report matches serial" parallel_matches_serial ]);
+    ]

@@ -262,12 +262,9 @@ let mixed_specs () =
 
 let mixed_campaign_deterministic () =
   let specs = mixed_specs () in
-  let report rs = J.to_string (Campaign.report_to_json ~host:false rs) in
+  Tu.agree_campaign "cycle and predict jobs" specs;
   let serial = Campaign.run ~jobs:1 specs in
-  let parallel = Campaign.run ~jobs:3 specs in
   Tu.check_int "all ok" (List.length specs) (Campaign.ok_count serial);
-  Tu.check_string "serial and parallel byte-identical" (report serial)
-    (report parallel);
   (* every predict job carries an xmt.predict.v1 report; cycle jobs
      carry none *)
   Array.iter

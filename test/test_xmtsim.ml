@@ -198,42 +198,11 @@ A: .word 30, 12, 0
   in
   Tu.check_string "load/store" "42" r.M.output
 
-let spawn_asm body =
-  Printf.sprintf
-    {|
-main:
-  li $t0, 0
-  li $t1, 7
-  spawn $t0, $t1
-Ldisp:
-  li $t2, 1
-  ps $t2, $g8
-  chkid $t2
-%s
-  j Ldisp
-  join
-  la $t0, A
-  li $t1, 0
-  li $t3, 0
-Lsum:
-  lw $t4, 0($t0)
-  add $t1, $t1, $t4
-  addi $t0, $t0, 4
-  addi $t3, $t3, 1
-  slti $t5, $t3, 8
-  bnez $t5, Lsum
-  pint $t1
-  halt
-  .data
-A: .space 32
-|}
-    body
-
 let asm_spawn_join () =
   (* each virtual thread writes id+1 into A[id]; master sums after join *)
   let r, m =
     Tu.run_asm
-      (spawn_asm
+      (Tu.spawn_asm
          {|
   la $t3, A
   sll $t4, $t2, 2
@@ -358,7 +327,7 @@ Outside:
 let asm_lwro_uses_rocache () =
   let r, m =
     Tu.run_asm
-      (spawn_asm
+      (Tu.spawn_asm
          {|
   la $t3, K
   lw.ro $t4, 0($t3)
@@ -374,23 +343,13 @@ let asm_lwro_uses_rocache () =
   Tu.check_bool "rocache hits" true (s.Xmtsim.Stats.rocache_hits > 0)
 
 let functional_equals_cycle () =
-  let asm =
-    spawn_asm
-      {|
-  la $t3, A
-  sll $t4, $t2, 2
-  add $t3, $t3, $t4
-  mul $t5, $t2, $t2
-  sw.nb $t5, 0($t3)
-|}
-  in
-  let f = Tu.run_asm_functional asm in
-  let r, _ = Tu.run_asm asm in
+  let f = Tu.run_asm_functional Tu.squares_asm in
+  let r, _ = Tu.run_asm Tu.squares_asm in
   Tu.check_string "same output" f.Xmtsim.Functional_mode.output r.M.output
 
 let functional_much_faster () =
   (* functional mode executes the same instructions with no cycle model *)
-  let asm = spawn_asm {|
+  let asm = Tu.spawn_asm {|
   la $t3, A
   sll $t4, $t2, 2
   add $t3, $t3, $t4
@@ -495,7 +454,7 @@ let activity_plugin_called () =
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
   let samples = ref 0 in
-  M.add_activity_plugin m ~name:"probe" ~interval:50 (fun _ _ -> incr samples);
+  M.add_activity_plugin m ~interval:50 (fun _ _ -> incr samples);
   ignore (M.run m);
   Tu.check_bool "sampled" true (!samples > 0)
 
@@ -510,7 +469,7 @@ let plugin_interval_validated () =
       ("sampler", fun () -> ignore (Xmtsim.Sampler.attach ~name:"p" ~interval:0 m (fun _ _ -> [])));
       ("profiler", fun () -> ignore (Xmtsim.Plugin.attach_profiler ~interval:0 m));
       ("governor", fun () -> ignore (Xmtsim.Governor.attach ~interval:0 m));
-      ("raw", fun () -> M.add_activity_plugin m ~name:"r" ~interval:(-1) (fun _ _ -> ()));
+      ("raw", fun () -> M.add_activity_plugin m ~interval:(-1) (fun _ _ -> ()));
     ]
 
 let trace_captures_instrs () =
@@ -528,7 +487,7 @@ let trace_captures_instrs () =
        lines)
 
 let package_trace_stations () =
-  let asm = spawn_asm {|
+  let asm = Tu.spawn_asm {|
   la $t3, A
   lw $t4, 0($t3)
   sw.nb $t4, 0($t3)
@@ -554,135 +513,89 @@ let package_trace_stations () =
        [ "icn-inject"; "module-arrive"; "cache-miss"; "dram-fill"; "reply" ]
        order)
 
-(* The passivity property of the probe interface: every probe the repo
-   ships, alone and all together, leaves output, cycles, the full stats
-   and the host event count equal to a plain run's, on several kernels,
-   both machine sizes, gated and ungated. *)
-let shipped_probes : (string * (M.t -> unit)) list =
-  let quiet _ = () in
-  [
-    ("racecheck", fun m -> ignore (Xmtsim.Racedetect.attach m : Xmtsim.Racedetect.t));
-    ("profile", fun m -> ignore (Xmtsim.Profile.attach m : Xmtsim.Profile.t));
-    ( "spans",
-      fun m -> ignore (Xmtsim.Trace.attach_spans m (Obs.Tracer.create ()) : Xmtsim.Trace.spans) );
-    ( "stream",
-      fun m ->
-        let s = Obs.Stream.create (Obs.Stream.null_sink ()) in
-        ignore (Xmtsim.Heartbeat.attach ~heartbeat_cycles:50 m s : unit -> unit) );
-    ("trace", fun m -> Xmtsim.Trace.attach m quiet);
-    ("trace-packages", fun m -> Xmtsim.Trace.attach_packages m quiet);
-    ( "hot-locations",
-      fun m ->
-        let f = Xmtsim.Plugin.hot_locations ~top:3 () in
-        ignore (M.attach m f.Xmtsim.Plugin.probe : unit -> unit) );
-    ( "class-histogram",
-      fun m ->
-        ignore (M.attach m (Xmtsim.Plugin.class_histogram ()).Xmtsim.Plugin.probe : unit -> unit) );
-  ]
-
-let probes_are_passive () =
-  let kernels =
-    [
-      ("vecadd", Core.Kernels.vecadd ~n:64, []);
-      ("reduce_psm", Core.Kernels.reduce_psm ~n:32, []);
-      ( "compaction",
-        Core.Kernels.compaction ~n:32,
-        [ ("A", Core.Workloads.sparse_array ~seed:8 ~n:32 ~density:50) ] );
-      ("publication", Core.Kernels.publication ~n:32, []);
-      ("ser_mem", Core.Kernels.ser_mem ~iters:400 ~n:256, []);
-    ]
-  in
-  let variants =
-    List.map (fun (name, a) -> (name, [ a ])) shipped_probes
-    @ [ ("all", List.map snd shipped_probes) ]
-  in
-  List.iter
-    (fun (kname, src, arrays) ->
-      let compiled = Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src in
-      List.iter
-        (fun (config, gating) ->
-          let run attaches =
-            let m = Core.Toolchain.machine ~config compiled in
-            M.set_gating m gating;
-            List.iter (fun a -> a m) attaches;
-            let r = M.run m in
-            (r.M.output, r.M.cycles, M.stats m, M.events_processed m)
-          in
-          let out, cycles, stats, events = run [] in
-          List.iter
-            (fun (pname, attaches) ->
-              let what =
-                Printf.sprintf "%s/%s/%s/%s" kname config.C.name
-                  (if gating then "gated" else "ungated") pname
-              in
-              let out', cycles', stats', events' = run attaches in
-              Tu.check_string (what ^ " output") out out';
-              Tu.check_int (what ^ " cycles") cycles cycles';
-              Tu.check_bool (what ^ " stats") true (stats = stats');
-              Tu.check_int (what ^ " host events") events events')
-            variants)
-        [ (C.tiny, true); (C.tiny, false); (C.fpga64, true); (C.fpga64, false) ])
-    kernels
-
-let checkpoint_resume_equivalence () =
-  (* run A: straight through; run B: checkpoint at start, restore into a
-     fresh machine, run: same output *)
+(* A snapshot is architectural state only: one taken mid-run on tiny,
+   at a quiescent point, resumes on fpga64 to the output of an
+   uninterrupted fpga64 run (phase sampling and Predict.Sampled restore
+   this way). *)
+let checkpoint_across_configs () =
   let src = Core.Kernels.compaction ~n:32 in
   let a = Core.Workloads.sparse_array ~seed:8 ~n:32 ~density:50 in
-  let memmap = Isa.Memmap.of_ints [ ("A", a) ] in
-  let compiled = Core.Toolchain.compile ~memmap src in
-  let m1 = Core.Toolchain.machine ~config:C.tiny compiled in
-  let snap = M.checkpoint m1 in
-  let r1 = M.run m1 in
-  let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.restore m2 snap;
-  let r2 = M.run m2 in
-  Tu.check_string "same output" r1.M.output r2.M.output;
-  Tu.check_int "same cycles" r1.M.cycles r2.M.cycles;
-  (* across configs: a snapshot taken mid-run on tiny, at a quiescent
-     point, resumes on fpga64 to the output of an uninterrupted fpga64
-     run (phase sampling and Predict.Sampled restore this way) *)
+  let compiled = Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", a) ]) src in
+  let tiny = Core.Toolchain.run_cycle ~config:C.tiny compiled in
   let straight = M.run (Core.Toolchain.machine ~config:C.fpga64 compiled) in
   let m3 = Core.Toolchain.machine ~config:C.tiny compiled in
-  ignore (M.run ~max_cycles:(r1.M.cycles / 2) m3);
+  ignore (M.run ~max_cycles:(tiny.Core.Toolchain.cycles / 2) m3);
   M.run_to_quiescent m3;
-  Tu.check_bool "tiny run checkpointed mid-way" true (M.cycles m3 < r1.M.cycles);
+  Tu.check_bool "tiny run checkpointed mid-way" true (M.cycles m3 < tiny.Core.Toolchain.cycles);
   let m4 = Core.Toolchain.machine ~config:C.fpga64 compiled in
   M.restore m4 (M.checkpoint m3);
   let r4 = M.run m4 in
   Tu.check_bool "restored fpga64 run halts" true r4.M.halted;
   Tu.check_string "same output as fpga64" straight.M.output r4.M.output
 
-let checkpoint_mid_run () =
-  (* §III-E: save at a point given ahead of time, resume later *)
-  let src = {|
-int A[128];
-int total = 0;
-int main(void) {
-  int r;
-  for (r = 0; r < 6; r++) {
-    spawn(0, 127) {
-      int v = A[$] + r;
-      psm(v, total);
-    }
-  }
-  print_int(total);
-  return 0;
-}
-|} in
-  let compiled = Core.Toolchain.compile src in
+(* Six psm rounds on tiny: the straight run, a machine run to the first
+   quiescent point past half-way, and a fresh one restored from its
+   checkpoint through a file *)
+let rounds_checkpointed () =
+  let compiled = Core.Toolchain.compile Tu.rounds_src in
   let straight = Core.Toolchain.run_cycle ~config:C.tiny compiled in
   let m1 = Core.Toolchain.machine ~config:C.tiny compiled in
   ignore (M.run ~max_cycles:(straight.Core.Toolchain.cycles / 2) m1);
   M.run_to_quiescent m1;
-  Tu.check_bool "not yet finished" false
-    (M.cycles m1 >= straight.Core.Toolchain.cycles);
-  let snap = M.checkpoint m1 in
+  let path = Filename.temp_file "xmtsnap" ".bin" in
+  M.snapshot_to_file (M.checkpoint m1) path;
+  let snap = M.snapshot_of_file path in
+  Sys.remove path;
   let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
   M.restore m2 snap;
+  (straight, m1, m2)
+
+let checkpoint_mid_run () =
+  (* §III-E: save at a point given ahead of time, resume later *)
+  let straight, m1, m2 = rounds_checkpointed () in
+  Tu.check_bool "not yet finished" false (M.cycles m1 >= straight.Core.Toolchain.cycles);
   let r2 = M.run m2 in
   Tu.check_bool "resumed run halts" true r2.M.halted;
   Tu.check_string "same final output" straight.Core.Toolchain.output r2.M.output
+
+let stats_json stats =
+  let reg = Obs.Metrics.create () in
+  Xmtsim.Stats.export stats reg;
+  Obs.Json.to_string (Obs.Metrics.to_json reg)
+
+let checkpoint_preserves_telemetry () =
+  (* a mid-run checkpoint must carry the accumulated Stats (counters and
+     latency histograms) and the ICN contention state across the file
+     round trip, so a resumed run reports the same telemetry as a
+     straight one *)
+  let straight, m1, m2 = rounds_checkpointed () in
+  (* restored telemetry is byte-identical: every Stats counter and every
+     latency histogram bucket survived the Marshal round trip *)
+  Tu.check_string "stats export equal after restore" (stats_json (M.stats m1))
+    (stats_json (M.stats m2));
+  Tu.check_bool "icn contention state equal" true
+    (M.icn_backlog m1 = M.icn_backlog m2);
+  Tu.check_bool "mem round-trips already observed" true
+    (let s = stats_json (M.stats m1) in
+     (* the mid-run stats contain populated latency histograms *)
+     let j = Obs.Json.of_string s in
+     match Obs.Json.member "metrics" j with
+     | Some (Obs.Json.List ms) ->
+       List.exists
+         (fun m ->
+           Obs.Json.member "name" m = Some (Obs.Json.Str "sim.mem.request_latency")
+           && (match Obs.Json.member "count" m with
+              | Some (Obs.Json.Int n) -> n > 0
+              | _ -> false))
+         ms
+     | _ -> false);
+  (* and the resumed run still completes with the right answer *)
+  let r2 = M.run m2 in
+  Tu.check_string "same final output" straight.Core.Toolchain.output r2.M.output;
+  (* a fresh machine finishing the back half accumulates strictly more
+     telemetry than the checkpoint had: the counters keep counting *)
+  Tu.check_bool "stats keep accumulating" true
+    (stats_json (M.stats m2) <> stats_json (M.stats m1))
 
 (* Quiescence is reached inside one run: a single-stepped reference lands
    on the same cycle, and the long parallel window costs no more events
@@ -784,70 +697,6 @@ let checkpoint_file_checked () =
   match M.restore (Core.Toolchain.machine ~config:C.tiny other) snap with
   | exception M.Bad_snapshot _ -> ()
   | () -> Alcotest.fail "snapshot of another image restored"
-
-let stats_json stats =
-  let reg = Obs.Metrics.create () in
-  Xmtsim.Stats.export stats reg;
-  Obs.Json.to_string (Obs.Metrics.to_json reg)
-
-let checkpoint_preserves_telemetry () =
-  (* a mid-run checkpoint must carry the accumulated Stats (counters and
-     latency histograms) and the ICN contention state across the file
-     round trip, so a resumed run reports the same telemetry as a
-     straight one *)
-  let src = {|
-int A[128];
-int total = 0;
-int main(void) {
-  int r;
-  for (r = 0; r < 6; r++) {
-    spawn(0, 127) {
-      int v = A[$] + r;
-      psm(v, total);
-    }
-  }
-  print_int(total);
-  return 0;
-}
-|} in
-  let compiled = Core.Toolchain.compile src in
-  let straight = Core.Toolchain.run_cycle ~config:C.tiny compiled in
-  let m1 = Core.Toolchain.machine ~config:C.tiny compiled in
-  ignore (M.run ~max_cycles:(straight.Core.Toolchain.cycles / 2) m1);
-  M.run_to_quiescent m1;
-  let path = Filename.temp_file "xmtsnap" ".bin" in
-  M.snapshot_to_file (M.checkpoint m1) path;
-  let snap = M.snapshot_of_file path in
-  Sys.remove path;
-  let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.restore m2 snap;
-  (* restored telemetry is byte-identical: every Stats counter and every
-     latency histogram bucket survived the Marshal round trip *)
-  Tu.check_string "stats export equal after restore" (stats_json (M.stats m1))
-    (stats_json (M.stats m2));
-  Tu.check_bool "icn contention state equal" true
-    (M.icn_backlog m1 = M.icn_backlog m2);
-  Tu.check_bool "mem round-trips already observed" true
-    (let s = stats_json (M.stats m1) in
-     (* the mid-run stats contain populated latency histograms *)
-     let j = Obs.Json.of_string s in
-     match Obs.Json.member "metrics" j with
-     | Some (Obs.Json.List ms) ->
-       List.exists
-         (fun m ->
-           Obs.Json.member "name" m = Some (Obs.Json.Str "sim.mem.request_latency")
-           && (match Obs.Json.member "count" m with
-              | Some (Obs.Json.Int n) -> n > 0
-              | _ -> false))
-         ms
-     | _ -> false);
-  (* and the resumed run still completes with the right answer *)
-  let r2 = M.run m2 in
-  Tu.check_string "same final output" straight.Core.Toolchain.output r2.M.output;
-  (* a fresh machine finishing the back half accumulates strictly more
-     telemetry than the checkpoint had: the counters keep counting *)
-  Tu.check_bool "stats keep accumulating" true
-    (stats_json (M.stats m2) <> stats_json (M.stats m1))
 
 (* ------------------------------------------------------------------ *)
 (* DVFS governor *)
@@ -976,7 +825,7 @@ int main(void) {
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
   let p = Xmtsim.Power.create m in
   let last = ref [||] in
-  M.add_activity_plugin m ~name:"probe" ~interval:200 (fun _ _ ->
+  M.add_activity_plugin m ~interval:200 (fun _ _ ->
       last := Xmtsim.Power.sample p);
   ignore (M.run m);
   let act = M.cluster_activity m in
@@ -994,7 +843,7 @@ let power_sampling () =
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
   let p = Xmtsim.Power.create m in
   let totals = ref [] in
-  M.add_activity_plugin m ~name:"power" ~interval:100 (fun _ _ ->
+  M.add_activity_plugin m ~interval:100 (fun _ _ ->
       ignore (Xmtsim.Power.sample p);
       totals := Xmtsim.Power.total p :: !totals);
   ignore (M.run m);
@@ -1074,7 +923,7 @@ let dvfs_from_activity_plugin () =
     (Core.Toolchain.run_cycle ~config:C.tiny compiled).Core.Toolchain.cycles
   in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.add_activity_plugin m ~name:"throttle" ~interval:200 (fun m _ ->
+  M.add_activity_plugin m ~interval:200 (fun m _ ->
       M.set_period m M.Clusters 3);
   let r = M.run m in
   Tu.check_bool
@@ -1260,53 +1109,11 @@ let timing_dvfs_scales_linearly () =
    everything simulated — output, cycle counts, stats — and only reduce
    the host-side event count. *)
 
-let gating_src =
-  {|
-int A[128];
-int total = 0;
-int main(void) {
-  int r;
-  int acc = 0;
-  for (r = 0; r < 4; r++) {
-    spawn(0, 127) {
-      int v = A[$] + r;
-      psm(v, total);
-    }
-  }
-  for (r = 0; r < 64; r++) {
-    acc = acc + A[(r * 97) % 128];
-  }
-  print_int(total + acc);
-  return 0;
-}
-|}
-
-let gating_bit_identical () =
-  let compiled = Core.Toolchain.compile gating_src in
-  let go gating =
-    let m = Core.Toolchain.machine ~config:C.tiny compiled in
-    M.set_gating m gating;
-    let r = M.run m in
-    (r, m)
-  in
-  let rg, mg = go true in
-  let ru, mu = go false in
-  Tu.check_bool "gating defaults on" true (M.gating_enabled mg);
-  Tu.check_string "same output" ru.M.output rg.M.output;
-  Tu.check_int "same cycles" ru.M.cycles rg.M.cycles;
-  let key m =
-    let s = M.stats m in
-    Xmtsim.Stats.
-      (s.cache_hits, s.cache_misses, s.icn_packets, s.dram_reads, s.psm_ops)
-  in
-  Tu.check_bool "same cache/ICN/DRAM counters" true (key mu = key mg);
-  Tu.check_bool "fewer host events when gated" true
-    (M.events_processed mg < M.events_processed mu)
-
 let gating_exports_clock_metrics () =
   (* a serial memory-bound run parks every domain during DRAM stalls *)
   let compiled = Core.Toolchain.compile (Core.Kernels.ser_mem ~iters:50 ~n:256) in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
+  Tu.check_bool "gating defaults on" true (M.gating_enabled m);
   let r = M.run m in
   Tu.check_bool "halted" true r.M.halted;
   let reg = Obs.Metrics.create () in
@@ -1384,35 +1191,6 @@ let gating_rejects_late_toggle () =
    queues after the join, with no spawn active (all 64 of them on
    chip1024, 11 on tiny). *)
 
-let prefetch_after_join_asm =
-  {|
-main:
-  li $t0, 0
-  li $t1, 63
-  spawn $t0, $t1
-Ld:
-  li $t2, 1
-  ps $t2, $g8
-  chkid $t2
-  la $t3, A
-  sll $t4, $t2, 6
-  add $t3, $t3, $t4
-  pref 0($t3)
-  j Ld
-  join
-  li $t5, 400
-Lspin:
-  addi $t5, $t5, -1
-  bnez $t5, Lspin
-  pint $t5
-  halt
-  .data
-A: .space 4096
-|}
-
-let stats_digest (s : Xmtsim.Stats.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string s [ Marshal.No_sharing ]))
-
 let serial_skip_exact () =
   let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
   let image ?(arrays = []) src =
@@ -1424,7 +1202,7 @@ let serial_skip_exact () =
       ("ser_mem", image ~arrays:[ ("A", a) ] (Core.Kernels.ser_mem ~iters:60 ~n:2048));
       ( "par_mem",
         image ~arrays:[ ("A", a) ] (Core.Kernels.par_mem ~threads:128 ~iters:4 ~n:2048) );
-      ("prefetch", Isa.Program.resolve (Isa.Asm.parse prefetch_after_join_asm));
+      ("prefetch", Isa.Program.resolve (Isa.Asm.parse Tu.prefetch_after_join_asm));
     ]
   in
   (* kernel, config, gated, output, cycles, Stats.t digest, host events *)
@@ -1456,109 +1234,45 @@ let serial_skip_exact () =
       let what = Printf.sprintf "%s/%s/%s" kname cname (if gating then "gated" else "ungated") in
       Tu.check_string (what ^ " output") out r.M.output;
       Tu.check_int (what ^ " cycles") cycles r.M.cycles;
-      Tu.check_string (what ^ " stats") digest (stats_digest (M.stats m));
+      Tu.check_string (what ^ " stats") digest (Tu.stats_digest (M.stats m));
       Tu.check_int (what ^ " host events") events (M.events_processed m))
     expected
 
-(* ------------------------------------------------------------------ *)
-(* Activity plug-ins keep clock gating: they run at their exact grid
-   ticks, and an idle cluster clock sleeps between them. *)
-
-let plugin_kernels () =
-  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
-  [
-    ( "ser_mem",
-      Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", a) ])
-        (Core.Kernels.ser_mem ~iters:200 ~n:2048) );
-    ( "mix",
-      Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", Array.sub a 0 128) ]) gating_src );
-  ]
-
-(* A run with every kind of activity plug-in: a power sampler, a
-   throttling governor, the interval profiler and a raw hook retuning the
-   cluster clock.  Returns what each saw, printed with [%h] floats. *)
-let plugged_run ?(plugins = true) ~gating compiled config =
-  let m = Core.Toolchain.machine ~config compiled in
-  M.set_gating m gating;
-  let log = Buffer.create 4096 in
-  let seen =
-    if not plugins then fun () -> ""
-    else begin
-      let th = Xmtsim.Thermal.demo in
-      ignore
-        (Xmtsim.Sampler.attach ~thermal_params:th ~name:"power" ~interval:100 m (fun s c ->
-             Printf.bprintf log "power %d %h %h\n" c (Xmtsim.Sampler.temperature s)
-               (Xmtsim.Sampler.watts s);
-             [])
-          : Xmtsim.Sampler.t);
-      let g = Xmtsim.Governor.attach ~thermal_params:th ~temp_hi:318.05 ~interval:150 m in
-      let p = Xmtsim.Plugin.attach_profiler ~interval:250 m in
-      M.add_activity_plugin m ~name:"dvfs" ~interval:400 (fun m c ->
-          Printf.bprintf log "dvfs %d\n" c;
-          if c mod 1200 = 0 then M.set_period m M.Clusters 1);
-      fun () ->
-        List.iter
-          (fun d ->
-            (* the ICN clock has no handlers, so gating keeps it asleep
-               all run: [d_asleep] is the gating flag there *)
-            let asleep = if d.Xmtsim.Governor.d_domain = "icn" then gating else false in
-            Xmtsim.Governor.(
-              Printf.bprintf log "gov %d %s %d %d %s %h %h %b\n" d.d_cycle d.d_domain d.d_from
-                d.d_to d.d_reason d.d_temp_k d.d_icn_backlog (d.d_asleep = asleep)))
-          (Xmtsim.Governor.decisions g);
-        Buffer.add_string log (Obs.Json.to_string (Xmtsim.Plugin.profile_to_json p));
-        Buffer.contents log
-    end
-  in
-  let r = M.run m in
-  (r, m, seen ())
-
+(* Activity plug-ins keep clock gating on a long serial memory kernel
+   and a spawn/psm/serial mix, where every config's governor throttles. *)
 let plugins_keep_gating () =
+  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+  let compile arrays src =
+    (Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", arrays) ]) src).Core.Toolchain.image
+  in
   List.iter
-    (fun (kname, compiled) ->
+    (fun (kname, image) ->
       List.iter
         (fun config ->
           let what = kname ^ "/" ^ config.C.name in
-          let rg, mg, g = plugged_run ~gating:true compiled config in
-          let ru, mu, u = plugged_run ~gating:false compiled config in
-          Tu.check_string (what ^ " output") ru.M.output rg.M.output;
-          Tu.check_int (what ^ " cycles") ru.M.cycles rg.M.cycles;
-          Tu.check_string (what ^ " stats") (stats_digest (M.stats mu)) (stats_digest (M.stats mg));
-          Tu.check_string (what ^ " hook cycles, power, decisions, profile") u g;
           Tu.check_bool (what ^ " throttled") true
-            (List.mem "thermal-high" (String.split_on_char ' ' g));
-          let reg = Obs.Metrics.create () in
-          M.export_clocks mg reg;
-          Tu.check_bool (what ^ " skips cluster ticks") true
-            (Obs.Metrics.counter_value reg ~labels:[ ("domain", "clusters") ]
-               "sim.clock.skipped_ticks"
-            > Some 0);
-          (* a sample point costs the gated run at most one host event *)
-          let plain, pm, _ = plugged_run ~plugins:false ~gating:true compiled config in
-          let m = Core.Toolchain.machine ~config compiled in
-          let s = Xmtsim.Sampler.attach ~name:"power" ~interval:100 m (fun _ _ -> []) in
-          ignore (Xmtsim.Plugin.attach_profiler ~interval:200 m : Xmtsim.Plugin.profiler);
-          let r = M.run m in
-          Tu.check_int (what ^ " sampled run cycles") plain.M.cycles r.M.cycles;
-          Tu.check_bool (what ^ " sampled") true (Xmtsim.Sampler.samples s > 0);
-          Tu.check_bool
-            (Printf.sprintf "%s events %d <= %d + %d samples" what (M.events_processed m)
-               (M.events_processed pm) (Xmtsim.Sampler.samples s))
-            true
-            (M.events_processed m <= M.events_processed pm + Xmtsim.Sampler.samples s))
+            (Tu.plugins_keep_gating ~sleeps:true what config image
+               ~plain:(Tu.observe config image)))
         [ C.tiny; C.fpga64; C.chip1024 ])
-    (plugin_kernels ())
+    [
+      ("ser_mem", compile a (Core.Kernels.ser_mem ~iters:200 ~n:2048));
+      ("mix", compile (Array.sub a 0 128) Tu.mix_src);
+    ]
 
-(* One governed run pinned to the figures recorded before activity
+(* One governed run (Tu.retuning's plug-ins on a 200-iteration ser_mem,
+   chip1024, gated) pinned to the figures recorded before activity
    plug-ins kept clock gating, when they held the cluster clock awake. *)
 let governed_run_pinned () =
-  let r, m, seen =
-    plugged_run ~gating:true (List.assoc "ser_mem" (plugin_kernels ())) C.chip1024
+  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+  let compiled =
+    Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints [ ("A", a) ])
+      (Core.Kernels.ser_mem ~iters:200 ~n:2048)
   in
-  Tu.check_int "cycles" 27264 r.M.cycles;
-  Tu.check_string "stats" "b3ab9c0bb677cbe6be246c704e0c27e8" (stats_digest (M.stats m));
-  Tu.check_string "samples, decisions, profile" "84dddb6f11f81304195ae9fdb9f47cfe"
-    (Digest.to_hex (Digest.string seen))
+  let o = Tu.observe ~observers:[ Tu.retuning ] C.chip1024 compiled.Core.Toolchain.image in
+  Tu.check_int "cycles" 27264 o.Tu.cycles;
+  Tu.check_string "stats" "b3ab9c0bb677cbe6be246c704e0c27e8" o.Tu.stats;
+  Tu.check_string "samples, decisions, profile" "94c060fe359e0a624b16c2e77cf2f83b"
+    (Digest.to_hex (Digest.string o.Tu.report))
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation: issuing an instruction, a memory round trip and
@@ -1656,11 +1370,10 @@ let () =
           Tu.tc "execution profile phases" profiler_detects_phases;
           Tu.tc "package trace stations" package_trace_stations;
         ] );
-      ("probes", [ Tu.tc "passive alone and combined" probes_are_passive ]);
       ("hot path", [ Tu.tc "allocation per TCU instruction" hot_path_allocation ]);
       ( "checkpoint",
         [
-          Tu.tc "resume equivalence" checkpoint_resume_equivalence;
+          Tu.tc "resumes on another config" checkpoint_across_configs;
           Tu.tc "file roundtrip" checkpoint_file_roundtrip;
           Tu.tc "file checked on load" checkpoint_file_checked;
           Tu.tc "deep stack file roundtrip" checkpoint_deep_stack;
@@ -1675,14 +1388,13 @@ let () =
         ] );
       ( "clock gating",
         [
-          Tu.tc "gated run is bit-identical" gating_bit_identical;
           Tu.tc "sim.clock.* metrics" gating_exports_clock_metrics;
           Tu.tc "short-regfile snapshot restores" restore_short_regfile_snapshot;
           Tu.tc "halt/restore/rerun not truncated" halt_restore_rerun;
           Tu.tc "set_gating after start rejected" gating_rejects_late_toggle;
           Tu.tc "serial cluster-sweep skip is exact" serial_skip_exact;
-          Tu.tc "activity plug-ins keep clock gating" plugins_keep_gating;
           Tu.tc "governed run matches the ungated-plug-in figures" governed_run_pinned;
+          Tu.tc "activity plug-ins keep clock gating" plugins_keep_gating;
         ] );
       ( "timing verification",
         [
