@@ -42,13 +42,17 @@ let compile ?options ?memmap src = Core.Toolchain.compile ?options ?memmap src
 
 (* -------- checks -------- *)
 
-(** Exact checks that failed so far; [main.exe] exits 1 when any did. *)
+(** Checks that failed so far; [main.exe] exits 1 when any did, so its
+    exit code is the bench's gate. *)
 let mismatches = ref 0
 
-(** [check ok "..."] prints one check line, [[ok]] or [[MISMATCH]].  An
-    exact check (a simulated quantity, deterministic) that fails is
-    counted in {!mismatches}; a [~host] target (a host-time budget) that
-    is missed prints [[over target]] and is never fatal. *)
+(** [check ok "..."] prints one check line, [[ok]] or [[MISMATCH]].  A
+    failed check is counted in {!mismatches}: exact checks on simulated
+    quantities (deterministic) and the contracts a bench exists to hold
+    (prediction error and speed, parallel speedup, same-run host ratios
+    against collapse).  A [~host] target (a tight host-time budget,
+    noise-sensitive) that is missed prints [[over target]] and is never
+    fatal. *)
 let check ?(host = false) ok fmt =
   Printf.ksprintf
     (fun msg ->
@@ -62,6 +66,24 @@ let check ?(host = false) ok fmt =
       in
       Printf.printf "  %s %s\n%!" tag msg)
     fmt
+
+let commas n =
+  let s = string_of_int n in
+  let b = Buffer.create 16 in
+  let len = String.length s in
+  String.iteri
+    (fun i c ->
+      Buffer.add_char b c;
+      let rem = len - i - 1 in
+      if rem > 0 && rem mod 3 = 0 && c <> '-' then Buffer.add_char b ',')
+    s;
+  Buffer.contents b
+
+(** [pinned what ~expect got]: the exact check that a deterministic
+    simulated cycle count still equals the figure recorded for it. *)
+let pinned what ~expect got =
+  check (got = expect) "%s: %s cycles (pinned %s)" what (commas got)
+    (commas expect)
 
 (* -------- campaign plumbing -------- *)
 
@@ -114,61 +136,3 @@ let run_jobs specs =
 
 let cycles_of ?(config = Xmtsim.Config.fpga64) compiled =
   (Core.Toolchain.run_cycle ~config compiled).Core.Toolchain.cycles
-
-(* -------- machine-readable benchmark records -------- *)
-
-let slug name =
-  String.map (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c
-      | _ -> '_')
-    name
-
-(** Write a [BENCH_<name>.json] record in the current directory so the
-    bench trajectory can be tracked PR-over-PR.  [fields] extend the
-    standard envelope. *)
-let emit_record ~name fields =
-  let path = Printf.sprintf "BENCH_%s.json" (slug name) in
-  Obs.Json.write_file ~pretty:true path
-    (Obs.Json.Obj (("schema", Obs.Json.Str "xmt.bench.v1")
-                   :: ("bench", Obs.Json.Str name) :: fields));
-  Printf.printf "  [wrote %s]\n%!" path
-
-(** One instrumented cycle-accurate run of [compiled]: returns the run and
-    writes its BENCH record (simulated cycles, host wall-clock, desim
-    events/sec, cache hit rates). *)
-let record_run ?(config = Xmtsim.Config.fpga64) ~name compiled =
-  let r, secs = wall (fun () -> Core.Toolchain.run_cycle ~config compiled) in
-  let s = r.Core.Toolchain.stats in
-  let rate h m = if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m) in
-  let per_sec n = if secs > 0.0 then float_of_int n /. secs else 0.0 in
-  emit_record ~name
-    [
-      ("config", Obs.Json.Str config.Xmtsim.Config.name);
-      ("cycles", Obs.Json.Int r.Core.Toolchain.cycles);
-      ("instructions", Obs.Json.Int r.Core.Toolchain.instructions);
-      ("host_wall_seconds", Obs.Json.Float secs);
-      ("events_processed", Obs.Json.Int r.Core.Toolchain.events);
-      ("events_per_sec", Obs.Json.Float (per_sec r.Core.Toolchain.events));
-      ("sim_cycles_per_sec", Obs.Json.Float (per_sec r.Core.Toolchain.cycles));
-      ("sim_instrs_per_sec", Obs.Json.Float (per_sec r.Core.Toolchain.instructions));
-      ( "cache_hit_rate",
-        Obs.Json.Float (rate s.Xmtsim.Stats.cache_hits s.Xmtsim.Stats.cache_misses) );
-      ( "rocache_hit_rate",
-        Obs.Json.Float (rate s.Xmtsim.Stats.rocache_hits s.Xmtsim.Stats.rocache_misses) );
-      ("icn_packets", Obs.Json.Int s.Xmtsim.Stats.icn_packets);
-      ("dram_reads", Obs.Json.Int s.Xmtsim.Stats.dram_reads);
-    ];
-  r
-
-let commas n =
-  let s = string_of_int n in
-  let b = Buffer.create 16 in
-  let len = String.length s in
-  String.iteri
-    (fun i c ->
-      Buffer.add_char b c;
-      let rem = len - i - 1 in
-      if rem > 0 && rem mod 3 = 0 && c <> '-' then Buffer.add_char b ',')
-    s;
-  Buffer.contents b

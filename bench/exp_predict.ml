@@ -7,8 +7,8 @@
       on the cycle-accurate machine (the ground truth) and once in
       predict mode (functional pass + reuse-profile harvest + analytical
       model).  The committed calibration ({!Predict.Calibrate.default})
-      is scored against the ground truth — that MAE is what CI gates,
-      because it is the fit jobs actually use — and the corpus is also
+      is scored against the ground truth — that MAE is what the bench
+      checks, because it is the fit jobs actually use — and the corpus is also
       refit from scratch, with the fresh artifact written to
       [CALIBRATION_predict.json] so a model change can be recalibrated
       by copying the fitted coefficients into [Calibrate.default].
@@ -20,12 +20,12 @@
       cycle-accurate simulates every (workload, config) pair; predict
       harvests each workload once (with the big-run harvest settings:
       line-granularity tracker, 1/8 spatial line sampling) and evaluates
-      all 8 design points from it.  The gate holds the sweep speedup
-      above 100x.
+      all 8 design points from it.
 
     The checkpoint-sampled mode is scored on the serial-heavy workload
-    (windows land cleanly between the serialized instructions); the gate
-    holds MAE < 10%, sampled error < 5% and sweep speedup > 100x. *)
+    (windows land cleanly between the serialized instructions).  Fatal
+    checks: MAE < 10%, sampled error < 5%, sweep speedup > 100x, and the
+    corpus's cycle-accurate cycles equal their pinned sum. *)
 
 open Bench_util
 
@@ -241,24 +241,9 @@ let run () =
   let total_cycles =
     List.fold_left (fun a (_, _, c, _, _, _) -> a + c.Core.Toolchain.cycles) 0 rows
   in
-  emit_record ~name:"predict"
-    [
-      ("config", Obs.Json.Str config.Xmtsim.Config.name);
-      ("workloads", Obs.Json.Int (List.length rows));
-      ("cycles", Obs.Json.Int total_cycles);
-      ("predict_mae_pct", Obs.Json.Float committed.Predict.Calibrate.mae_pct);
-      ("refit_mae_pct", Obs.Json.Float refit.Predict.Calibrate.mae_pct);
-      ( "residual_std_pct",
-        Obs.Json.Float committed.Predict.Calibrate.residual_std_pct );
-      ("predict_speedup", Obs.Json.Float speedup);
-      ("corpus_speedup", Obs.Json.Float corpus_speedup);
-      ("sampled_err_pct", Obs.Json.Float sampled_err);
-      ("cycle_wall_seconds", Obs.Json.Float (corpus_cyc_wall +. sweep_cyc));
-      ("predict_wall_seconds", Obs.Json.Float (corpus_pred_wall +. sweep_pred));
-      ( "errors_pct",
-        Obs.Json.Obj
-          (List.map
-             (fun (n, e) -> (n, Obs.Json.Float e))
-             committed.Predict.Calibrate.points) );
-      ("coefficients", Predict.Model.coeffs_to_json cal.Predict.Calibrate.coeffs);
-    ]
+  let mae = committed.Predict.Calibrate.mae_pct in
+  check (mae < 10.0) "committed calibration MAE %.2f%% < 10%%" mae;
+  check (sampled_err < 5.0) "sampled error %.2f%% < 5%%" sampled_err;
+  check (speedup > 100.0) "sweep speedup %.0fx > 100x" speedup;
+  pinned (Printf.sprintf "corpus (%d workloads)" (List.length rows))
+    ~expect:117_277 total_cycles

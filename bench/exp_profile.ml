@@ -7,8 +7,8 @@
     that bit-identity, the exactness contract (per-TCU buckets + idle sum
     to the run's grid ticks), near-complete source attribution on a
     compiler-built image, and a measured host-side cost of the per-cycle
-    bookkeeping (reported with a <10% target; gated only through the
-    record's cycle count — wall-clock is noise-sensitive).  The workload
+    bookkeeping (reported with a <10% target, never fatal — wall-clock
+    is noise-sensitive; the cycle count is pinned).  The workload
     mixes a memory-bound and a compute-bound spawn so every major bucket
     is exercised. *)
 
@@ -67,18 +67,4 @@ let run () =
   check exact "per-TCU CPI stacks sum exactly to %s grid ticks" (commas rp.Xmtsim.Profile.rp_total);
   check (attr >= 0.95) "source attribution %.1f%% of non-idle cycles (target >= 95%%)"
     (100.0 *. attr);
-  emit_record ~name:"profile"
-    [
-      ("config", Obs.Json.Str "fpga64");
-      ("cycles", Obs.Json.Int cycles_on);
-      ("host_wall_seconds", Obs.Json.Float secs_off);
-      ("events_processed", Obs.Json.Int events_off);
-      ( "events_per_sec",
-        Obs.Json.Float
-          (if secs_off > 0.0 then float_of_int events_off /. secs_off else 0.0)
-      );
-      ("profiler_host_overhead_pct", Obs.Json.Float overhead);
-      ("attribution_rate", Obs.Json.Float attr);
-      ( "nonidle_cycles",
-        Obs.Json.Int rp.Xmtsim.Profile.rp_attr.Xmtsim.Profile.a_nonidle );
-    ]
+  pinned "profiled run" ~expect:63_244 cycles_on

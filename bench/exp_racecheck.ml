@@ -37,7 +37,6 @@ let run () =
   let rd = Option.get rd in
   let cycles_off = Xmtsim.Machine.cycles m_off in
   let cycles_on = Xmtsim.Machine.cycles m_on in
-  let events = Xmtsim.Machine.events_processed m_off in
   let overhead =
     if secs_off > 0.0 then 100.0 *. ((secs_on /. secs_off) -. 1.0) else 0.0
   in
@@ -51,16 +50,4 @@ let run () =
     (Xmtsim.Racedetect.epochs rd);
   check (cycles_off = cycles_on && r_off = r_on) "detector does not perturb the simulation";
   check (Xmtsim.Racedetect.race_count rd = 0) "fenced publication is race-free";
-  emit_record ~name:"racecheck"
-    [
-      ("config", Obs.Json.Str "fpga64");
-      ("cycles", Obs.Json.Int cycles_on);
-      ("host_wall_seconds", Obs.Json.Float secs_off);
-      ("events_processed", Obs.Json.Int events);
-      ( "events_per_sec",
-        Obs.Json.Float
-          (if secs_off > 0.0 then float_of_int events /. secs_off else 0.0) );
-      ("shadow_events", Obs.Json.Int (Xmtsim.Racedetect.events rd));
-      ("races", Obs.Json.Int (Xmtsim.Racedetect.race_count rd));
-      ("detector_host_overhead_pct", Obs.Json.Float overhead);
-    ]
+  pinned "publication kernel" ~expect:24_849 cycles_on

@@ -21,21 +21,6 @@ let fresh_machine ~gating compiled =
   if not gating then Xmtsim.Machine.set_gating m false;
   m
 
-let record_serial ~name ~m ~secs ~cycles =
-  let events = Xmtsim.Machine.events_processed m in
-  emit_record ~name
-    [
-      ("config", Obs.Json.Str "fpga64");
-      ("cycles", Obs.Json.Int cycles);
-      ("host_wall_seconds", Obs.Json.Float secs);
-      ("events_processed", Obs.Json.Int events);
-      ( "events_per_sec",
-        Obs.Json.Float (if secs > 0.0 then float_of_int events /. secs else 0.0)
-      );
-      ( "events_per_cycle",
-        Obs.Json.Float (float_of_int events /. float_of_int (max 1 cycles)) );
-    ]
-
 let run () =
   section "serial: clock gating on a serial-heavy workload (§III-C)";
   let compiled = compile (Core.Kernels.ser_mem ~iters ~n) in
@@ -69,5 +54,5 @@ let run () =
   check (cycles_g = cycles_u) "cycle counts are bit-identical (%s)" (commas cycles_g);
   check stats_equal "cache/ICN/DRAM statistics are bit-identical";
   check (reduction > 20.0) "events/cycle reduction exceeds 20%%";
-  record_serial ~name:"serial gated" ~m:mg ~secs:secs_g ~cycles:cycles_g;
-  record_serial ~name:"serial ungated" ~m:mu ~secs:secs_u ~cycles:cycles_u
+  pinned "gated run" ~expect:474_153 cycles_g;
+  pinned "ungated run" ~expect:474_153 cycles_u

@@ -8,8 +8,10 @@
     back concurrently, so the run exercises admission, fair round-robin
     scheduling and per-connection demultiplexing, not just the pool.
     Every job's latency is measured from the client's submit to the
-    arrival of its [job.done] record; the record carries the p50/p95/p99
-    and the gate enforces [jobs_per_sec] against collapse. *)
+    arrival of its [job.done] record and reported as p50/p95/p99.  The
+    fatal check is against collapse: served throughput is at least 1/20
+    of the same jobs run in-process ({!Campaign.run_request}) on a pool
+    of the same width. *)
 
 open Bench_util
 module J = Obs.Json
@@ -33,7 +35,7 @@ let spec_json ~base n =
    submit-to-job.done latency of every job *)
 let client_thread ~sock ~idx ~jobs_per_client out =
   let c = Serve.Client.connect sock in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   match Serve.Client.submit c (spec_json ~base:(idx * jobs_per_client) jobs_per_client) with
   | Error frame ->
     failwith (Printf.sprintf "serve bench: client %d rejected: %s" idx (J.to_string frame))
@@ -43,7 +45,7 @@ let client_thread ~sock ~idx ~jobs_per_client out =
       Serve.Client.stream_until_done c ~cid ~on_record:(fun r ->
           match r with
           | J.Obj kvs when List.assoc_opt "type" kvs = Some (J.Str "job.done") ->
-            lats := (Unix.gettimeofday () -. t0) :: !lats
+            lats := Obs.Clock.elapsed_since t0 :: !lats
           | _ -> ())
     in
     Serve.Client.close c;
@@ -97,15 +99,16 @@ let run () =
   Printf.printf
     "  %6.2f s wall, %.0f jobs/s\n  enqueue-to-done: p50 %.1f ms, p95 %.1f ms, p99 %.1f ms\n%!"
     wall_secs jobs_per_sec (ms 0.50) (ms 0.95) (ms 0.99);
-  emit_record ~name:"serve"
-    [
-      ("clients", J.Int clients);
-      ("jobs", J.Int total);
-      ("workers", J.Int workers);
-      ("host_cores", J.Int host_cores);
-      ("wall_seconds", J.Float wall_secs);
-      ("jobs_per_sec", J.Float jobs_per_sec);
-      ("p50_ms", J.Float (ms 0.50));
-      ("p95_ms", J.Float (ms 0.95));
-      ("p99_ms", J.Float (ms 0.99));
-    ]
+  let req =
+    Campaign.Request.make ~jobs:workers
+      (Campaign.jobs_of_json (spec_json ~base:0 total))
+  in
+  let rs, direct_secs =
+    wall (fun () -> Campaign.run_request ~pool:(pool ~workers) ~artifacts req)
+  in
+  if Campaign.failed_count rs > 0 then failwith "serve bench: an in-process job failed";
+  let direct_jobs_per_sec = float_of_int total /. direct_secs in
+  check
+    (jobs_per_sec >= direct_jobs_per_sec /. 20.0)
+    "served throughput is at least 1/20 of in-process (%.0f vs %.0f jobs/s)"
+    jobs_per_sec direct_jobs_per_sec

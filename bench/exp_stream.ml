@@ -6,7 +6,10 @@
     sink).  The producer rides the cluster clock's existing tick events,
     so the streamed run must be bit-identical to the plain one — output,
     cycle count, statistics and even the host-side desim event count —
-    and the host wall-clock overhead must stay under 5%. *)
+    and the host wall-clock overhead should stay under 5% (a target,
+    noise-sensitive).  The fatal host check is against collapse: the
+    streamed run takes under 20x the plain one, measured in the same
+    process. *)
 
 open Bench_util
 
@@ -75,16 +78,5 @@ let run () =
   check (ev_p = ev_s) "host event counts are identical (the producer schedules nothing)";
   check (dropped = 0) "no records dropped";
   check ~host:true (overhead_pct < 5.0) "host overhead %+.1f%% (target <5%%)" overhead_pct;
-  emit_record ~name:"stream"
-    [
-      ("config", Obs.Json.Str "fpga64");
-      ("cycles", Obs.Json.Int cycles_s);
-      ("host_wall_seconds", Obs.Json.Float secs_s);
-      ("events_processed", Obs.Json.Int ev_s);
-      ( "events_per_sec",
-        Obs.Json.Float
-          (if secs_s > 0.0 then float_of_int ev_s /. secs_s else 0.0) );
-      ("records_emitted", Obs.Json.Int records);
-      ("records_dropped", Obs.Json.Int dropped);
-      ("overhead_pct", Obs.Json.Float overhead_pct);
-    ]
+  check (ratio < 20.0) "streamed run takes under 20x the plain run (%.2fx)" ratio;
+  pinned "streamed run" ~expect:1_896_579 cycles_s

@@ -71,6 +71,6 @@ let () =
   Printf.printf "\n(total bench wall time: %.1f s)\n"
     (Obs.Clock.elapsed_since t0);
   if !Bench_util.mismatches > 0 then begin
-    Printf.eprintf "%d exact check(s) failed: see [MISMATCH] above\n" !Bench_util.mismatches;
+    Printf.eprintf "%d check(s) failed: see [MISMATCH] above\n" !Bench_util.mismatches;
     exit 1
   end

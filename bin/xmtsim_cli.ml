@@ -373,7 +373,7 @@ let run_single o mode =
     in
     let stream = Option.map Obs.Stream.create (stream_sink o) in
     (* host time covers the simulation only *)
-    let host_t0 = ref (Unix.gettimeofday ()) in
+    let host_t0 = ref (Obs.Clock.now ()) in
     let observers = ref None in
     let before_run m cpi =
       if o.no_clock_gating then Xmtsim.Machine.set_gating m false;
@@ -416,7 +416,7 @@ let run_single o mode =
         else None
       in
       observers := Some { m; cpi; hot; spans; gov; profiler; power };
-      host_t0 := Unix.gettimeofday ();
+      host_t0 := Obs.Clock.now ();
       (* §III-E: save the simulation state at a point given ahead of
          time, then keep going; the run can be resumed later from the file *)
       Option.iter
@@ -438,7 +438,7 @@ let run_single o mode =
       | r -> (r, true)
       | exception T.Budget_exhausted r -> (r, false)
     in
-    let host_secs = Unix.gettimeofday () -. !host_t0 in
+    let host_secs = Obs.Clock.elapsed_since !host_t0 in
     let jint j k = match J.member k j with Some (J.Int n) -> n | _ -> 0 in
     print_string r.T.output;
     if r.T.output <> "" then print_newline ();

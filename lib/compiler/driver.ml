@@ -69,11 +69,10 @@ let prog_size p = List.length (Isa.Program.instructions p)
 let compile ?(options = default_options) src : output =
   wrap (fun () ->
       let timings = ref [] in
-      (* wall-clock + size-delta instrumentation around each pass *)
+      (* host-time (Obs.Clock) + size-delta instrumentation around each pass *)
       let timed pass ~unit_ ~before ~after f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        let r, secs = Obs.Clock.wall f in
+        let ms = secs *. 1000.0 in
         timings :=
           { pt_pass = pass; pt_ms = ms; pt_size_before = before;
             pt_size_after = after r; pt_unit = unit_ }

@@ -3,9 +3,11 @@
     [Unix.gettimeofday] is wall-clock time: NTP slews and host clock
     steps move it, so intervals measured with it can jump or even go
     negative.  Every duration the toolchain reports (per-job and
-    campaign wall time, bench timings) goes through this module instead,
-    which reads [clock_gettime(CLOCK_MONOTONIC)] via bechamel's
-    allocation-free stub.  The JSON field names stay ["wall_seconds"]
+    campaign wall time, compiler pass timings, [--stats] host
+    throughput, stream [t] and host trace timestamps, bench timings)
+    goes through this module instead, which reads
+    [clock_gettime(CLOCK_MONOTONIC)] via bechamel's allocation-free
+    stub; CI fails on any other [Unix.gettimeofday] read.  The JSON field names stay ["wall_seconds"]
     etc. — only the clock behind them changes. *)
 
 (* nanoseconds from an arbitrary (but fixed) origin; never decreases *)

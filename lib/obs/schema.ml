@@ -59,11 +59,6 @@ let table =
     };
     {
       e_kind = None;
-      e_schema = Some "xmt.bench.v1";
-      e_doc = "bench harness BENCH_*.json records";
-    };
-    {
-      e_kind = None;
       e_schema = Some "xmt.calibration.v1";
       e_doc = "persisted prediction-model calibration fit";
     };

@@ -47,7 +47,7 @@ type t = {
   capacity : int;
   queue : string Queue.t;
   lock : Mutex.t;
-  epoch : float;  (* host wall-clock at create, for the default [t] *)
+  epoch : float;  (* {!Clock.now} at create, for the default [t] *)
   mutable seq : int;
   mutable emitted : int;
   mutable dropped : int;
@@ -55,7 +55,7 @@ type t = {
   mutable closed : bool;
 }
 
-let host_ms s = int_of_float ((Unix.gettimeofday () -. s.epoch) *. 1e3)
+let host_ms s = int_of_float (Clock.elapsed_since s.epoch *. 1e3)
 
 let drain_locked s =
   if not s.paused then
@@ -95,7 +95,7 @@ let create ?(capacity = 4096) sink =
       capacity;
       queue = Queue.create ();
       lock = Mutex.create ();
-      epoch = Unix.gettimeofday ();
+      epoch = Clock.now ();
       seq = 0;
       emitted = 0;
       dropped = 0;

@@ -119,8 +119,8 @@ let to_string t = Json.to_string (to_json t)
 
 (* -------- host-side clock -------- *)
 
-let host_epoch = Unix.gettimeofday ()
+let host_epoch = Clock.now ()
 
-(** Microseconds of host wall-clock since the process started tracing —
-    the timestamp source for host-side (pid ≠ sim) tracks. *)
-let host_now_us () = int_of_float ((Unix.gettimeofday () -. host_epoch) *. 1e6)
+(** Microseconds of host time ({!Clock}) since the process started
+    tracing — the timestamp source for host-side (pid ≠ sim) tracks. *)
+let host_now_us () = int_of_float (Clock.elapsed_since host_epoch *. 1e6)

@@ -178,107 +178,45 @@ let histogram_edges () =
   Tu.check_bool "q above 1" true (M.percentile h 2.0 = 5.0)
 
 (* ------------------------------------------------------------------ *)
-(* Bench regression gate *)
+(* Clock: the one host clock behind every reported duration *)
 
-let bench_record ~name ~cycles ~rate =
-  J.Obj
-    [
-      ("schema", J.Str "xmt.bench.v1");
-      ("bench", J.Str name);
-      ("cycles", J.Int cycles);
-      ("events_per_sec", J.Float rate);
-    ]
-
-let gate_pass_and_fail () =
-  let baseline =
-    [ bench_record ~name:"a" ~cycles:10000 ~rate:1e6;
-      bench_record ~name:"b" ~cycles:20000 ~rate:2e6 ]
+let clock_monotonic () =
+  let prev = ref (Obs.Clock.now ()) in
+  for _ = 1 to 100_000 do
+    let t = Obs.Clock.now () in
+    if t < !prev then Alcotest.failf "now went back: %.9f after %.9f" t !prev;
+    prev := t
+  done;
+  let (), secs = Obs.Clock.wall (fun () -> ()) in
+  Tu.check_bool "wall >= 0" true (secs >= 0.0);
+  Tu.check_bool "elapsed_since >= 0" true
+    (Obs.Clock.elapsed_since (Obs.Clock.now ()) >= 0.0);
+  Tu.check_bool "elapsed_since a later origin is 0" true
+    (Obs.Clock.elapsed_since (Obs.Clock.now () +. 10.0) = 0.0);
+  (* default-[t] stream records (host ms since create), a few ms apart *)
+  let buf = Buffer.create 4096 in
+  let s = Obs.Stream.create (Obs.Stream.buffer_sink buf) in
+  for i = 1 to 200 do
+    if i mod 50 = 0 then Unix.sleepf 0.002;
+    Obs.Stream.emit s ~typ:"tick" [ ("i", J.Int i) ]
+  done;
+  Obs.Stream.close s;
+  let ts =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match J.member "t" (J.of_string l) with
+           | Some (J.Int t) -> t
+           | _ -> Alcotest.failf "no integer t in %s" l)
   in
-  (* identical records pass *)
-  let r = Obs.Bench_gate.compare_records ~baseline ~fresh:baseline () in
-  Tu.check_bool "self passes" true r.Obs.Bench_gate.passed;
-  Tu.check_int "four checks" 4 (List.length r.Obs.Bench_gate.checks);
-  (* a >10% cycle regression on one bench fails the gate *)
-  let fresh =
-    [ bench_record ~name:"a" ~cycles:11200 ~rate:1e6;
-      bench_record ~name:"b" ~cycles:20000 ~rate:2e6 ]
-  in
-  let r = Obs.Bench_gate.compare_records ~baseline ~fresh () in
-  Tu.check_bool "regression fails" false r.Obs.Bench_gate.passed;
-  Tu.check_int "one failed check" 1
-    (List.length
-       (List.filter (fun c -> not c.Obs.Bench_gate.ck_ok) r.Obs.Bench_gate.checks));
-  Tu.check_bool "render says FAIL" true
-    (let s = Obs.Bench_gate.render r in
-     List.exists (fun l -> l = "gate: FAIL")
-       (String.split_on_char '\n' s));
-  (* the failure is spelled out: metric, both values, delta and bound *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Tu.check_bool "regression diagnostics" true
-    (let s = Obs.Bench_gate.render r in
-     List.exists
-       (fun l ->
-         contains l "REGRESSED: "
-         && List.for_all (contains l)
-              [ "a / cycles"; "baseline 10000"; "observed 11200"; "+12.0%";
-                "allowed +2.0%" ])
-       (String.split_on_char '\n' s));
-  (* small deterministic improvements and host-rate noise pass *)
-  let fresh =
-    [ bench_record ~name:"a" ~cycles:9900 ~rate:0.7e6;
-      bench_record ~name:"b" ~cycles:20100 ~rate:2.4e6 ]
-  in
-  Tu.check_bool "noise passes" true
-    (Obs.Bench_gate.compare_records ~baseline ~fresh ()).Obs.Bench_gate.passed
-
-let gate_speedup_floor () =
-  let record ?host_cores ~speedup () =
-    J.Obj
-      ([
-         ("schema", J.Str "xmt.bench.v1");
-         ("bench", J.Str "campaign");
-         ("cycles", J.Int 1000);
-         ("speedup", J.Float speedup);
-       ]
-      @ match host_cores with Some c -> [ ("host_cores", J.Int c) ] | None -> [])
-  in
-  let baseline = [ record ~host_cores:2 ~speedup:1.5 () ] in
-  let gate fresh =
-    Obs.Bench_gate.compare_records ~baseline ~fresh:[ fresh ] ()
-  in
-  (* parallel slower than serial on a multi-core host fails the gate *)
-  let r = gate (record ~host_cores:4 ~speedup:0.56 ()) in
-  Tu.check_bool "sub-serial speedup fails" false r.Obs.Bench_gate.passed;
-  Tu.check_bool "floor check present" true
-    (List.exists
-       (fun c ->
-         c.Obs.Bench_gate.ck_metric = "speedup"
-         && (not c.Obs.Bench_gate.ck_ok)
-         && c.Obs.Bench_gate.ck_baseline = 1.0)
-       r.Obs.Bench_gate.checks);
-  (* exactly 1.0 is still "not faster": the bound is strict *)
-  Tu.check_bool "speedup = 1.0 fails" false
-    (gate (record ~host_cores:2 ~speedup:1.0 ())).Obs.Bench_gate.passed;
-  Tu.check_bool "speedup > 1 passes" true
-    (gate (record ~host_cores:2 ~speedup:1.2 ())).Obs.Bench_gate.passed;
-  (* a single-core host records its speedup but is not gated on it *)
-  Tu.check_bool "single core not gated" true
-    (gate (record ~host_cores:1 ~speedup:0.9 ())).Obs.Bench_gate.passed;
-  Tu.check_bool "no host_cores, no floor" true
-    (gate (record ~speedup:0.9 ())).Obs.Bench_gate.passed
-
-let gate_missing_and_new () =
-  let baseline = [ bench_record ~name:"a" ~cycles:100 ~rate:1.0 ] in
-  let fresh = [ bench_record ~name:"b" ~cycles:100 ~rate:1.0 ] in
-  let r = Obs.Bench_gate.compare_records ~baseline ~fresh () in
-  (* silently dropping a baselined bench fails; a new bench is only noted *)
-  Tu.check_bool "missing fails" false r.Obs.Bench_gate.passed;
-  Tu.check_bool "missing listed" true (r.Obs.Bench_gate.missing_in_fresh = [ "a" ]);
-  Tu.check_bool "new listed" true (r.Obs.Bench_gate.new_in_fresh = [ "b" ])
+  Tu.check_int "open + 200 + close" 202 (List.length ts);
+  ignore
+    (List.fold_left
+       (fun prev t ->
+         if t < prev then Alcotest.failf "stream t went back: %d after %d" t prev;
+         t)
+       0 ts);
+  Tu.check_bool "t advances" true (List.nth ts 201 >= 8)
 
 (* ------------------------------------------------------------------ *)
 (* Tracer: golden structural properties of the emitted trace *)
@@ -561,12 +499,7 @@ let () =
           Tu.tc "histogram edge cases" histogram_edges;
           Tu.tc "json export" registry_json;
         ] );
-      ( "bench gate",
-        [
-          Tu.tc "pass/fail" gate_pass_and_fail;
-          Tu.tc "speedup floor (multi-core only)" gate_speedup_floor;
-          Tu.tc "missing/new benches" gate_missing_and_new;
-        ] );
+      ("clock", [ Tu.tc "monotonic reads and stream t" clock_monotonic ]);
       ("tracer", [ Tu.tc "golden chrome-trace" tracer_golden ]);
       ( "wiring",
         [
