@@ -749,8 +749,8 @@ let opts =
         any job failed.")
   and+ jobs = Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
       ~doc:"Worker domains for --campaign (1 = serial; clamped to the job count; \
-        work-stealing, compiles shared across jobs with the same source and compiler options; \
-        results are byte-identical for any value).  Overrides the spec file's exec.jobs; \
+        each worker takes the next job as it finishes one, compiles shared across jobs with \
+        the same source and compiler options; results are byte-identical for any value).  Overrides the spec file's exec.jobs; \
         default 1.")
   and+ retries = Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
       ~doc:"Per-job retry budget for --campaign.  Overrides the spec file's exec.retries; \

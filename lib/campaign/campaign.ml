@@ -1,17 +1,17 @@
 (** Parallel simulation-campaign engine — see campaign.mli.
 
-    Execution rides the persistent work-stealing {!Pool}: per-worker
-    local deques of chunked job batches, steal-on-empty, helper domains
-    created once and reused across [run] calls.  Every result lands in
-    its submission slot — so ordering is deterministic whatever the
-    stealing order.  Compiles are deduplicated through a shared
+    Execution rides the persistent {!Pool}: helper domains created once
+    and reused across [run] calls, each participant pulling the next job
+    index from one atomic cursor.  Every result lands in its submission
+    slot — so ordering is deterministic whatever the completion order.
+    Compiles are deduplicated through a shared
     {!Core.Toolchain.Artifacts} cache (a sweep compiles once and
     simulates many configs against the same read-only program), and the
     progress lock is off the hot path: without telemetry consumers the
-    workers only touch per-worker counters, and with a stream attached
-    the [campaign.progress] rollup can be throttled to heartbeat
-    boundaries ([progress_interval]) while per-job records keep the
-    canonical (job, jseq) order. *)
+    workers touch no shared state but their own result slots, and with
+    a stream attached each completion emits one [campaign.progress]
+    rollup while per-job records keep the canonical (job, jseq)
+    order. *)
 
 module Pool = Pool
 
@@ -45,7 +45,6 @@ type request = {
   specs : (string * Core.Toolchain.job) list;
   jobs : int option;
   retries : int;
-  progress_interval : float;
 }
 
 module J = Obs.Json
@@ -104,12 +103,6 @@ let progress_fields ~completed ~total ~ok ~failed =
 let done_fields ~total ~ok ~failed =
   [ ("jobs", J.Int total); ("ok", J.Int ok); ("failed", J.Int failed) ]
 
-(* per-worker progress counters: each worker mutates only its own
-   record, so the no-telemetry hot path takes no lock at all — the
-   counters are summed under the lock at progress boundaries and once
-   at the end *)
-type wstats = { mutable w_ok : int; mutable w_failed : int }
-
 (* The one per-job step (see mli).  Bounded retry keeps the last
    failure if every attempt raises.  The raw backtrace is captured first
    — formatting the exception (which may run arbitrary printers) can
@@ -133,8 +126,15 @@ let job_step ~artifacts ~retries ~on_start ~on_done ~index ~name job =
   on_done r "job.done" (job_done_fields r);
   r
 
+let ok_count rs =
+  Array.fold_left
+    (fun acc r -> if Result.is_ok r.r_outcome then acc + 1 else acc)
+    0 rs
+
+let failed_count rs = Array.length rs - ok_count rs
+
 let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
-  let { specs; jobs; retries; progress_interval } = req in
+  let { specs; jobs; retries } = req in
   let specs = Array.of_list specs in
   let n = Array.length specs in
   let results = Array.make n None in
@@ -163,16 +163,13 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
      telemetry consumer is attached *)
   let started = ref 0 and completed = ref 0 in
   let ok = ref 0 and failed = ref 0 in
-  let ws = Array.init workers (fun _ -> { w_ok = 0; w_failed = 0 }) in
   let semit typ fields =
     match stream with
     | Some s -> Obs.Stream.emit s ~typ fields
     | None -> ()
   in
   (* completed/total, worker occupancy, and an ETA from the running
-     throughput estimate — emitted at completion boundaries, throttled
-     to [progress_interval] seconds *)
-  let last_progress = ref neg_infinity in
+     throughput estimate — emitted at every completion *)
   let stream_progress () =
     let elapsed = Obs.Clock.elapsed_since t0 in
     let rate =
@@ -190,19 +187,6 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
           ("jobs_per_sec", J.Float rate);
           ("eta_seconds", J.Float eta);
         ])
-  in
-  let maybe_stream_progress () =
-    (* the final completion always reports, so a follower sees
-       completed = total whatever the throttle *)
-    let now = Obs.Clock.now () in
-    if
-      !completed = n
-      || progress_interval <= 0.0
-      || now -. !last_progress >= progress_interval
-    then begin
-      last_progress := now;
-      stream_progress ()
-    end
   in
   (* metric handles are created up front in the calling domain — the
      registry hashtable is not safe to grow concurrently *)
@@ -236,9 +220,8 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
         also ();
         Option.iter (fun f -> f ev) on_event)
   in
-  let execute ~worker i =
+  let execute i =
     let name, job = specs.(i) in
-    let w = ws.(worker) in
     let on_start typ fields =
       if serialized then
         notify m_started
@@ -248,8 +231,6 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
             semit typ fields)
     in
     let on_done r typ fields =
-      let is_ok = Result.is_ok r.r_outcome in
-      if is_ok then w.w_ok <- w.w_ok + 1 else w.w_failed <- w.w_failed + 1;
       if serialized then
         let counter, ev =
           match r.r_outcome with
@@ -260,38 +241,35 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
         in
         notify counter ev ~also:(fun () ->
             incr completed;
-            incr (if is_ok then ok else failed);
+            incr (if Result.is_ok r.r_outcome then ok else failed);
             semit typ fields;
-            maybe_stream_progress ())
+            stream_progress ())
     in
     results.(i) <- Some (job_step ~artifacts ~retries ~on_start ~on_done ~index:i ~name job)
+  in
+  (* the one cursor: each participant claims the next unrun index *)
+  let next = Atomic.make 0 in
+  let step ~worker:_ =
+    let i = Atomic.fetch_and_add next 1 in
+    i < n && (execute i; true)
   in
   semit "campaign.start" [ ("jobs", J.Int n); ("workers", J.Int workers) ];
   Printexc.record_backtrace true;
   (match pool with
-  | Some p -> Pool.run p ~participants:workers ~jobs:n execute
-  | None when workers = 1 ->
-    for i = 0 to n - 1 do
-      execute ~worker:0 i
-    done
-  | None -> Pool.with_pool ~workers (fun p -> Pool.run p ~jobs:n execute));
+  | Some p -> Pool.run p ~participants:workers step
+  | None -> Pool.with_pool ~workers (fun p -> Pool.run p step));
   let wall = Obs.Clock.elapsed_since t0 in
-  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
-  let n_ok = sum (fun w -> w.w_ok) and n_failed = sum (fun w -> w.w_failed) in
+  let results =
+    Array.map
+      (function Some r -> r | None -> assert false (* every slot was filled *))
+      results
+  in
+  let n_ok = ok_count results in
   Option.iter (fun g -> Obs.Metrics.set g wall) m_wall;
   semit "campaign.done"
-    (done_fields ~total:n ~ok:n_ok ~failed:n_failed
+    (done_fields ~total:n ~ok:n_ok ~failed:(n - n_ok)
     @ [ ("workers", J.Int workers); ("wall_seconds", J.Float wall) ]);
-  Array.map
-    (function Some r -> r | None -> assert false (* every slot was filled *))
-    results
-
-let ok_count rs =
-  Array.fold_left
-    (fun acc r -> if Result.is_ok r.r_outcome then acc + 1 else acc)
-    0 rs
-
-let failed_count rs = Array.length rs - ok_count rs
+  results
 
 (* ------------------------------------------------------------------ *)
 (* The xmt.campaign.v1 report *)
@@ -641,7 +619,6 @@ module Request = struct
     specs : (string * Core.Toolchain.job) list;
     jobs : int option;
     retries : int;
-    progress_interval : float;
   }
 
   let validate t =
@@ -650,41 +627,23 @@ module Request = struct
     | _ ->
       if t.retries < 0 then
         Error (Printf.sprintf "retries must be >= 0, got %d" t.retries)
-      else if not (Float.is_finite t.progress_interval)
-              || t.progress_interval < 0.0 then
-        Error
-          (Printf.sprintf "progress_interval must be finite and >= 0, got %g"
-             t.progress_interval)
       else Ok t
 
   let checked t =
     match validate t with Ok t -> t | Error msg -> raise (Spec_error msg)
 
-  let make ?jobs ?(retries = 0) ?(progress_interval = 0.0) specs =
-    checked { specs; jobs; retries; progress_interval }
+  let make ?jobs ?(retries = 0) specs = checked { specs; jobs; retries }
 
   let with_specs t specs = checked { t with specs }
   let with_jobs t jobs = checked { t with jobs }
   let with_retries t retries = checked { t with retries }
-
-  let with_progress_interval t progress_interval =
-    checked { t with progress_interval }
 
   let of_json j =
     let specs = jobs_of_json j in
     match J.member "exec" j with
     | None -> make specs
     | Some (J.Obj _ as e) ->
-      let progress_interval =
-        match J.member "progress_interval" e with
-        | None -> None
-        | Some v -> (
-          match J.to_float v with
-          | Some f -> Some f
-          | None -> fail "\"exec\".\"progress_interval\" must be a number")
-      in
       make specs ?jobs:(opt_int "jobs" e) ?retries:(opt_int "retries" e)
-        ?progress_interval
     | Some _ -> fail "\"exec\" must be an object"
 
   let load_file path =
@@ -696,7 +655,6 @@ module Request = struct
       (spec, of_json spec)
 end
 
-let run ?pool ?jobs ?retries ?artifacts ?progress_interval ?on_event ?metrics
-    ?stream specs =
+let run ?pool ?jobs ?retries ?artifacts ?on_event ?metrics ?stream specs =
   run_request ?pool ?artifacts ?on_event ?metrics ?stream
-    (Request.make ?jobs ?retries ?progress_interval specs)
+    (Request.make ?jobs ?retries specs)

@@ -4,10 +4,10 @@
     compile+simulate runs sweeping configurations, benchmarks and
     compiler options.  Each {!Core.Toolchain.job} is self-contained, so
     the outer loop is embarrassingly parallel; this engine fans jobs out
-    across a persistent work-stealing pool of OCaml domains ({!Pool}) —
-    workers created once and reused across [run] calls, per-worker
-    local deques of chunked job batches, steal-on-empty — while keeping
-    every simulated result bit-identical to a serial run:
+    across a persistent pool of OCaml domains ({!Pool}) — workers
+    created once and reused across [run] calls, each pulling the next
+    job index from one shared cursor — while keeping every simulated
+    result bit-identical to a serial run:
 
     - {b determinism}: results come back in submission order whatever
       the completion order, and each job's RNG seed is part of the job,
@@ -59,11 +59,11 @@ type event =
 
     A campaign request reifies {e what to run} as one first-class value:
     the [(name, job)] specs plus the execution knobs that travel with
-    them (worker width, retry budget, progress throttle).  Every
-    front-end — the JSON campaign-spec parser, [xmtsim_cli], the bench
-    harness and the [xmtserved] wire protocol — constructs the same
-    record and hands it to {!run_request}, so a campaign means exactly
-    the same thing whether it arrives from a file, a flag or a socket.
+    them (worker width, retry budget).  Every front-end — the JSON
+    campaign-spec parser, [xmtsim_cli], the bench harness and the
+    [xmtserved] wire protocol — constructs the same record and hands it
+    to {!run_request}, so a campaign means exactly the same thing
+    whether it arrives from a file, a flag or a socket.
 
     Environment attachments (the pool to run on, the shared artifact
     cache, telemetry consumers) are deliberately {e not} part of the
@@ -77,26 +77,16 @@ module Request : sig
         (** executor width; [None] = the pool's width (or 1 without a
             pool) *)
     retries : int;  (** per-job retry budget on failure *)
-    progress_interval : float;
-        (** min seconds between [campaign.progress] stream records;
-            [0.0] = one per completion *)
   }
 
   (** Validating constructor (mirroring {!Xmtsim.Config.checked}):
-      raises {!Spec_error} when [jobs < 1], [retries < 0] or
-      [progress_interval] is negative or not finite.  Defaults: pool
-      width, no retries, progress on every completion. *)
-  val make :
-    ?jobs:int ->
-    ?retries:int ->
-    ?progress_interval:float ->
-    (string * Core.Toolchain.job) list ->
-    t
+      raises {!Spec_error} when [jobs < 1] or [retries < 0].  Defaults:
+      pool width, no retries. *)
+  val make : ?jobs:int -> ?retries:int -> (string * Core.Toolchain.job) list -> t
 
   val with_specs : t -> (string * Core.Toolchain.job) list -> t
   val with_jobs : t -> int option -> t
   val with_retries : t -> int -> t
-  val with_progress_interval : t -> float -> t
 
   (** Check an arbitrary record; [Error] names the violated constraint. *)
   val validate : t -> (t, string) result
@@ -106,9 +96,9 @@ module Request : sig
 
   (** Parse a full [xmt.campaign.v1] document: the ["jobs"] list (and
       ["defaults"]) via {!jobs_of_json} plus an optional top-level
-      ["exec"] object [{"jobs": N, "retries": N, "progress_interval":
-      S}] carrying the execution knobs — the one spelling shared by
-      campaign files and the [xmtserved] wire protocol.  Raises
+      ["exec"] object [{"jobs": N, "retries": N}] carrying the
+      execution knobs (other keys are ignored) — the one spelling shared
+      by campaign files and the [xmtserved] wire protocol.  Raises
       {!Spec_error} / {!Xmtsim.Config.Bad_config} like {!jobs_of_json}. *)
   val of_json : Obs.Json.t -> t
 
@@ -148,31 +138,28 @@ val run_request :
     print or mutate shared state without further synchronization.
     [metrics] receives [campaign.jobs.started] / [.finished] /
     [.failed] counters and the [campaign.wall_seconds] gauge.  Without
-    any of [on_event]/[metrics]/[stream], workers touch only per-worker
-    counters — the hot path takes no lock at all.
+    any of [on_event]/[metrics]/[stream], workers touch only the job
+    cursor and their own result slots — the hot path takes no lock at
+    all.
 
     [stream] multiplexes the campaign onto a live [xmt.events.v1]
     telemetry stream ({!Obs.Stream}): a [campaign.start] record, one
     [job.start] and one [job.done] (status, attempts, cycles,
-    instructions and simulated stats, or the failure text) per job,
-    [campaign.progress] records at completion boundaries
-    (completed/total, ok/failed, running worker occupancy, jobs/sec
-    throughput and the ETA it implies) and a final [campaign.done]
-    summary.  [progress_interval] throttles the progress rollups to at
-    most one per that many seconds (default [0.0] = one per
-    completion); the last completion always reports, and job records
-    are never throttled.  All emissions happen under the progress lock
-    — the stream has exactly one consumer however many domains run
-    jobs — and each job's records carry [("job", index)] plus a
-    per-job sequence number [jseq], so {!Obs.Stream.canonicalize}
-    renders serial and parallel streams of the same campaign
-    byte-identical (the determinism contract CI diffs). *)
+    instructions and simulated stats, or the failure text) per job, a
+    [campaign.progress] record per completion (completed/total,
+    ok/failed, running worker occupancy, jobs/sec throughput and the
+    ETA it implies) and a final [campaign.done] summary.  All emissions
+    happen under the progress lock — the stream has exactly one
+    consumer however many domains run jobs — and each job's records
+    carry [("job", index)] plus a per-job sequence number [jseq], so
+    {!Obs.Stream.canonicalize} renders serial and parallel streams of
+    the same campaign byte-identical (the determinism contract CI
+    diffs). *)
 val run :
   ?pool:Pool.t ->
   ?jobs:int ->
   ?retries:int ->
   ?artifacts:Core.Toolchain.Artifacts.t ->
-  ?progress_interval:float ->
   ?on_event:(event -> unit) ->
   ?metrics:Obs.Metrics.t ->
   ?stream:Obs.Stream.t ->

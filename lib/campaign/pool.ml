@@ -1,65 +1,19 @@
-(** Persistent work-stealing worker pool — see pool.mli.
+(** Persistent pull-based worker pool — see pool.mli.
 
-    The previous campaign engine paid [Domain.spawn] per [Campaign.run]
-    call and funneled every worker through one global atomic cursor.
-    This pool follows the Domainslib task-pool shape instead: helper
-    domains are created once and parked on a condition variable between
-    runs, a run hands each participant a local deque of contiguous
-    job-index chunks, owners pop from the front, and a participant whose
-    deque runs dry steals a chunk from the back of a victim's deque —
-    the classic work-stealing discipline (owners and thieves touch
-    opposite ends, so they only collide on the last chunk).
-
-    Jobs here are coarse — each is a whole compile+simulate, micro- to
-    milliseconds — so the deques use a plain per-deque mutex rather
-    than a lock-free Chase–Lev deque: the lock is taken once per chunk,
-    not once per job, and is uncontended except at the tail of a run. *)
-
-(* ------------------------------------------------------------------ *)
-(* Chunk deques *)
-
-type deque = {
-  chunks : (int * int) array;  (** contiguous job-index ranges [lo, hi) *)
-  mutable front : int;  (** owner end *)
-  mutable back : int;  (** thief end (exclusive) *)
-  dlock : Mutex.t;
-}
-
-let pop_front d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.front < d.back then begin
-      let c = d.chunks.(d.front) in
-      d.front <- d.front + 1;
-      Some c
-    end
-    else None
-  in
-  Mutex.unlock d.dlock;
-  r
-
-let steal_back d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.front < d.back then begin
-      d.back <- d.back - 1;
-      Some d.chunks.(d.back)
-    end
-    else None
-  in
-  Mutex.unlock d.dlock;
-  r
-
-(* ------------------------------------------------------------------ *)
-(* The pool *)
+    Helper domains are created once and parked on a condition variable
+    between runs.  A run posts one step function and every participant
+    calls it until it says stop, so which work a step takes — the next
+    job index of a campaign, the next queued job of a served one — is
+    the caller's cursor, not the pool's.  Jobs here are whole
+    compile+simulate runs, milliseconds each, so a cursor shared by
+    every participant is never the bottleneck. *)
 
 type work = {
-  deques : deque array;  (** one per participant *)
-  execute : worker:int -> int -> unit;  (** run one job index *)
+  step : worker:int -> bool;
   participants : int;  (** executors for this run, <= pool width *)
   mutable failure : exn option;
-      (** first uncaught exception out of [execute]; re-raised by
-          {!run} after every worker has stopped *)
+      (** first exception out of [step]; re-raised by {!run} after
+          every participant has stopped *)
 }
 
 type t = {
@@ -79,43 +33,20 @@ type t = {
 
 let width t = t.width
 
-(* Drain the local deque, then cycle over the other participants'
-   deques stealing from the back; stop only when a full scan finds
-   every deque empty (a chunk we stole may have let its owner go idle
-   and steal elsewhere, so one quiet victim proves nothing). *)
-let run_worker w id =
-  let own = w.deques.(id) in
-  let exec_chunk (lo, hi) =
-    for i = lo to hi - 1 do
-      w.execute ~worker:id i
+(* One participant's whole run: step until told to stop.  A step that
+   raises ends this participant only; the others keep stepping. *)
+let participate pool w id =
+  try
+    while w.step ~worker:id do
+      ()
     done
-  in
-  let rec drain () =
-    match pop_front own with
-    | Some c ->
-      exec_chunk c;
-      drain ()
-    | None -> steal 1 false
-  and steal k progressed =
-    if k >= w.participants then (if progressed then steal 1 false)
-    else
-      let victim = w.deques.((id + k) mod w.participants) in
-      match steal_back victim with
-      | Some c ->
-        exec_chunk c;
-        steal (k + 1) true
-      | None -> steal (k + 1) progressed
-  in
-  drain ()
-
-let record_failure pool w e =
-  Mutex.lock pool.lock;
-  if w.failure = None then w.failure <- Some e;
-  Mutex.unlock pool.lock
+  with e ->
+    Mutex.protect pool.lock (fun () ->
+        if w.failure = None then w.failure <- Some e)
 
 (* Helper-domain body: park on [wake] until a new generation (or
-   shutdown) is posted, execute the run if this helper is one of its
-   participants, report completion, park again. *)
+   shutdown) is posted, take part in the run if this helper is one of
+   its participants, report completion, park again. *)
 let helper_loop pool id () =
   Printexc.record_backtrace true;
   Mutex.lock pool.lock;
@@ -127,7 +58,7 @@ let helper_loop pool id () =
       match pool.current with
       | Some w when id < w.participants ->
         Mutex.unlock pool.lock;
-        (try run_worker w id with e -> record_failure pool w e);
+        participate pool w id;
         Mutex.lock pool.lock;
         pool.active <- pool.active - 1;
         if pool.active = 0 then Condition.broadcast pool.finished;
@@ -186,72 +117,33 @@ let shutdown pool =
     Mutex.unlock pool.lock
   end
 
-(* Round-robin the chunks over the participants' deques.  Chunks are
-   contiguous ranges so a worker that keeps its own deque runs jobs in
-   submission order (cache-friendly for shared artifacts); several
-   chunks per worker leave slack for stealing when job costs are
-   skewed. *)
-let distribute ~jobs:n ~participants =
-  let chunk = max 1 (n / (participants * 8)) in
-  let n_chunks = (n + chunk - 1) / chunk in
-  let per = Array.make participants [] in
-  for c = n_chunks - 1 downto 0 do
-    let lo = c * chunk in
-    let hi = min n (lo + chunk) in
-    let p = c mod participants in
-    per.(p) <- (lo, hi) :: per.(p)
+let run pool ?participants step =
+  let participants =
+    max 1 (min pool.width (Option.value ~default:pool.width participants))
+  in
+  let w = { step; participants; failure = None } in
+  Mutex.lock pool.lock;
+  if pool.stopping then begin
+    Mutex.unlock pool.lock;
+    invalid_arg "Pool.run: pool is shut down"
+  end;
+  (* one participant posts nothing: the caller's loop is the whole run *)
+  if participants > 1 then begin
+    pool.current <- Some w;
+    pool.generation <- pool.generation + 1;
+    pool.active <- participants - 1;
+    Condition.broadcast pool.wake
+  end;
+  Mutex.unlock pool.lock;
+  (* the submitting domain is participant 0 *)
+  participate pool w 0;
+  Mutex.lock pool.lock;
+  while pool.active > 0 do
+    Condition.wait pool.finished pool.lock
   done;
-  Array.map
-    (fun cs ->
-      let chunks = Array.of_list cs in
-      { chunks; front = 0; back = Array.length chunks; dlock = Mutex.create () })
-    per
-
-let run pool ?participants ~jobs:n execute =
-  if n < 0 then invalid_arg "Pool.run: negative job count";
-  if n > 0 then begin
-    (* never more executors than jobs: surplus helpers stay parked
-       instead of waking just to find empty deques *)
-    let participants =
-      let cap = Option.value ~default:pool.width participants in
-      max 1 (min n (min cap pool.width))
-    in
-    if participants = 1 then
-      (* serial fast path: no deques, no wakeups, no locks — byte-for-
-         byte the behavior of a plain loop in the calling domain *)
-      for i = 0 to n - 1 do
-        execute ~worker:0 i
-      done
-    else begin
-      let w =
-        {
-          deques = distribute ~jobs:n ~participants;
-          execute;
-          participants;
-          failure = None;
-        }
-      in
-      Mutex.lock pool.lock;
-      if pool.stopping then begin
-        Mutex.unlock pool.lock;
-        invalid_arg "Pool.run: pool is shut down"
-      end;
-      pool.current <- Some w;
-      pool.generation <- pool.generation + 1;
-      pool.active <- participants - 1;
-      Condition.broadcast pool.wake;
-      Mutex.unlock pool.lock;
-      (* the submitting domain is participant 0 *)
-      (try run_worker w 0 with e -> record_failure pool w e);
-      Mutex.lock pool.lock;
-      while pool.active > 0 do
-        Condition.wait pool.finished pool.lock
-      done;
-      pool.current <- None;
-      Mutex.unlock pool.lock;
-      match w.failure with None -> () | Some e -> raise e
-    end
-  end
+  pool.current <- None;
+  Mutex.unlock pool.lock;
+  Option.iter raise w.failure
 
 let with_pool ?workers f =
   let pool = create ?workers () in

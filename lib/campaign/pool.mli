@@ -1,19 +1,19 @@
-(** Persistent work-stealing worker pool.
+(** Persistent pull-based worker pool.
 
     The campaign engine's executor: helper domains are spawned once
     ({!create}) and parked between runs, so repeated {!run} calls — a
-    CLI campaign, every bench iteration, a long sweep driver — pay the
-    [Domain.spawn] cost once instead of per campaign.  Each run deals
-    the job indices out as contiguous chunks onto per-participant local
-    deques; owners pop from the front, and a participant that runs dry
-    steals chunks from the back of a victim's deque until every deque
-    is empty, so a skewed sweep (one slow config) cannot strand work
-    behind one worker.
+    CLI campaign, every bench iteration, a long sweep driver, the
+    [xmtserved] scheduler — pay the [Domain.spawn] cost once instead of
+    per campaign.  A run is one step function that every participant
+    calls until it returns [false]; the caller's step pulls its next
+    piece of work from a cursor of its own, so a slow job holds up only
+    the participant running it.
 
-    The pool schedules {e which worker runs which job index}, nothing
-    more: result placement, retries and telemetry belong to the caller
-    ({!Campaign.run}), which is what keeps submission-order determinism
-    independent of the stealing order. *)
+    The pool schedules {e which participant runs}, nothing more: what a
+    step takes, where its result goes, retries and telemetry belong to
+    the caller ({!Campaign.run_request}, [Serve.Server]), which is what
+    keeps submission-order determinism independent of the completion
+    order. *)
 
 type t
 
@@ -26,20 +26,19 @@ val create : ?workers:int -> unit -> t
 (** Total executor width (helpers + the submitting domain). *)
 val width : t -> int
 
-(** [run pool ~jobs:n execute] calls [execute ~worker i] exactly once
-    for every [i] in [0..n-1] and returns when all have finished.
-    [worker] is the executing participant's index — use it to index
-    per-worker state without locks.  [participants] caps the executors
-    used for this run (default: the pool width); it is further clamped
-    to [n], so surplus helpers stay parked rather than waking for empty
-    deques.  With one participant the jobs run inline in the calling
-    domain — no locks, no wakeups.
+(** [run pool step] makes each participant call [step ~worker] until it
+    returns [false], and returns when every participant has stopped.
+    The caller is participant 0; [participants] (default: the pool
+    width, clamped to [1..width]) caps how many take part, so with one
+    the steps run in the calling domain and no helper wakes.  [worker]
+    is the participant's index — use it to index per-participant state
+    without locks.
 
-    If [execute] raises, the first exception is re-raised here after
-    every worker has stopped; the jobs remaining in the failing
-    worker's current chunk are skipped (other chunks are stolen and
-    completed).  Raises [Invalid_argument] after {!shutdown}. *)
-val run : t -> ?participants:int -> jobs:int -> (worker:int -> int -> unit) -> unit
+    A participant whose [step] raises stops; the others go on until
+    their [step] returns [false], and then the first exception is
+    re-raised here.  One run at a time per pool.  Raises
+    [Invalid_argument] after {!shutdown}. *)
+val run : t -> ?participants:int -> (worker:int -> bool) -> unit
 
 (** Stop and join the helper domains.  Idempotent and safe to call
     concurrently from several threads or domains: exactly one caller

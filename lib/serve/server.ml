@@ -1,10 +1,10 @@
 (** The campaign server — see server.mli.
 
     Locking: two levels.  [t.lock] guards the server tables (campaign
-    list, admission counters, connection registry).  Each campaign's
-    [c_elock] serializes its journal-then-send step, so journal order
-    is send order and the replay history is exactly what a client was
-    sent.  Lock order is always [c_elock] then [t.lock], never the
+    table, the ready rotation, admission counters, connection
+    registry).  Each campaign's [c_elock] serializes its
+    journal-then-send step, so journal order is send order and the
+    replay history is exactly what a client was sent.  Lock order is always [c_elock] then [t.lock], never the
     reverse. *)
 
 module J = Obs.Json
@@ -65,14 +65,17 @@ type t = {
   lock : Mutex.t;
   work : Condition.t;  (* scheduler wakeup *)
   idle : Condition.t;  (* wait_idle *)
-  mutable campaigns : campaign list;  (* submission order *)
+  campaigns : (string, campaign) Hashtbl.t;  (* every campaign, by cid *)
+  ready : campaign Queue.t;
+      (* the round-robin rotation: exactly the campaigns with queued
+         jobs, each once *)
   mutable conns : conn list;
-  mutable rr : int;  (* round-robin start offset *)
   mutable pending_total : int;
   mutable running_total : int;
   mutable next_cid : int;
   mutable stopping : bool;
   mutable threads : Thread.t list;
+  mutable sched : unit Domain.t option;  (* participant 0 of the pool *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -167,57 +170,44 @@ let exec_one t c i =
       : Campaign.job_result)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler: fair round-robin batches over the shared pool *)
+(* Scheduler: one pool run, every participant pulling the next job *)
 
-(* Under [t.lock]: sweep the campaigns starting at the rotating offset,
-   taking one queued job per campaign per sweep, until the batch holds
-   two pool-widths of work or nothing is queued.  One-per-sweep is the
-   fairness discipline: a 4-job campaign behind a 1000-job one gets a
-   slot in every sweep. *)
-let assemble_batch t =
-  let cap = 2 * Campaign.Pool.width t.pool in
-  let arr = Array.of_list t.campaigns in
-  let ncs = Array.length arr in
-  let batch = ref [] and count = ref 0 in
-  let progressed = ref true in
-  while !count < cap && !progressed do
-    progressed := false;
-    for k = 0 to ncs - 1 do
-      if !count < cap then
-        let c = arr.((t.rr + k) mod ncs) in
-        match Queue.take_opt c.c_pending with
-        | Some i ->
-          batch := (c, i) :: !batch;
-          incr count;
-          t.pending_total <- t.pending_total - 1;
-          t.running_total <- t.running_total + 1;
-          progressed := true
-        | None -> ()
-    done
-  done;
-  if ncs > 0 then t.rr <- (t.rr + 1) mod ncs;
-  Array.of_list (List.rev !batch)
+(* Under [t.lock]: the front campaign of the rotation gives up one
+   queued job and goes to the back if it has more.  One job per campaign
+   per turn is the fairness discipline: a 4-job campaign behind a
+   1000-job one gets every other job. *)
+let take_job t =
+  let c = Queue.pop t.ready in
+  let i = Queue.pop c.c_pending in
+  if not (Queue.is_empty c.c_pending) then Queue.push c t.ready;
+  t.pending_total <- t.pending_total - 1;
+  t.running_total <- t.running_total + 1;
+  (c, i)
 
+(* The scheduler domain's one [Pool.run] lasts the server's lifetime: a
+   step waits for a queued job, runs it, and says stop only once [stop]
+   has been called, so no participant leaves while work can still
+   arrive.  Jobs in flight at [stop] finish and are journaled.  The
+   scheduler is a domain of its own, not a thread of the main one, so
+   no job holds up the accept and connection threads: a submission is
+   admitted at once, whatever is running. *)
 let scheduler t () =
-  let rec loop () =
-    let batch =
+  let step ~worker:_ =
+    let next =
       Mutex.protect t.lock (fun () ->
-          while (not t.stopping) && t.pending_total = 0 do
+          while (not t.stopping) && Queue.is_empty t.ready do
             Condition.wait t.work t.lock
           done;
-          if t.stopping then None else Some (assemble_batch t))
+          if t.stopping then None else Some (take_job t))
     in
-    match batch with
-    | None -> ()
-    | Some batch ->
-      if Array.length batch > 0 then
-        Campaign.Pool.run t.pool ~jobs:(Array.length batch)
-          (fun ~worker:_ k ->
-            let c, i = batch.(k) in
-            exec_one t c i);
-      loop ()
+    match next with
+    | None -> false
+    | Some (c, i) ->
+      exec_one t c i;
+      true
   in
-  loop ()
+  try Campaign.Pool.run t.pool step
+  with e -> Printf.eprintf "xmtserved: scheduler: %s\n%!" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling *)
@@ -232,8 +222,7 @@ let server_error conn ?cid msg =
     @ [ ("error", J.Str msg) ])
 
 let find_campaign t cid =
-  Mutex.protect t.lock (fun () ->
-      List.find_opt (fun c -> c.c_cid = cid) t.campaigns)
+  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.campaigns cid)
 
 let journal_exists t cid =
   match t.cfg.state_dir with
@@ -243,9 +232,7 @@ let journal_exists t cid =
 (* a fresh id: "c1", "c2", ... skipping anything alive in memory or on
    disk from a previous lifetime *)
 let generate_cid t =
-  let taken cid =
-    List.exists (fun c -> c.c_cid = cid) t.campaigns || journal_exists t cid
-  in
+  let taken cid = Hashtbl.mem t.campaigns cid || journal_exists t cid in
   let rec go () =
     let cid = Printf.sprintf "c%d" t.next_cid in
     t.next_cid <- t.next_cid + 1;
@@ -263,9 +250,7 @@ let handle_submit t conn ~cid ~spec =
     let verdict =
       Mutex.protect t.lock (fun () ->
           match cid with
-          | Some c
-            when List.exists (fun c' -> c'.c_cid = c) t.campaigns
-                 || journal_exists t c ->
+          | Some c when Hashtbl.mem t.campaigns c || journal_exists t c ->
             `Exists c
           | _ ->
             let in_use = t.pending_total + t.running_total in
@@ -328,7 +313,8 @@ let handle_submit t conn ~cid ~spec =
          precedes the first job record on the wire *)
       Mutex.protect c.c_elock (fun () ->
           Mutex.protect t.lock (fun () ->
-              t.campaigns <- t.campaigns @ [ c ];
+              Hashtbl.replace t.campaigns cid c;
+              Queue.push c t.ready;
               t.pending_total <- t.pending_total + n;
               Condition.broadcast t.work);
           emit_conn conn ~typ:"campaign.accepted"
@@ -541,14 +527,15 @@ let create cfg =
       lock = Mutex.create ();
       work = Condition.create ();
       idle = Condition.create ();
-      campaigns = [];
+      campaigns = Hashtbl.create 16;
+      ready = Queue.create ();
       conns = [];
-      rr = 0;
       pending_total = 0;
       running_total = 0;
       next_cid = 1;
       stopping = false;
       threads = [];
+      sched = None;
     }
   in
   (* resume: every journal becomes an in-memory campaign (attachable),
@@ -577,14 +564,14 @@ let create cfg =
               Journal.close_mark jn ~ok:c.c_ok ~failed:c.c_failed;
               Journal.close jn
             end;
-            t.campaigns <- t.campaigns @ [ c ];
+            Hashtbl.replace t.campaigns c.c_cid c;
+            if not (Queue.is_empty c.c_pending) then Queue.push c t.ready;
             t.pending_total <- t.pending_total + Queue.length c.c_pending)
         recovered)
     cfg.state_dir;
   (* register each thread before the next can add readers of its own,
      so [stop] never misses one *)
-  let sched = Thread.create (scheduler t) () in
-  Mutex.protect t.lock (fun () -> t.threads <- sched :: t.threads);
+  t.sched <- Some (Domain.spawn (scheduler t));
   let acc = Thread.create (accept_loop t) () in
   Mutex.protect t.lock (fun () ->
       t.threads <- acc :: t.threads;
@@ -620,17 +607,18 @@ let stop t =
       conns;
     let threads = Mutex.protect t.lock (fun () -> t.threads) in
     List.iter Thread.join threads;
+    Option.iter Domain.join t.sched;
     Campaign.Pool.shutdown t.pool;
     (* journals of unfinished campaigns stay open-ended on disk — that
        is the resume contract — but release the file handles *)
-    List.iter
-      (fun c -> Option.iter Journal.close c.c_journal)
-      (Mutex.protect t.lock (fun () -> t.campaigns))
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.iter (fun _ c -> Option.iter Journal.close c.c_journal) t.campaigns)
   end
 
 let join t =
   let threads = Mutex.protect t.lock (fun () -> t.threads) in
-  List.iter Thread.join threads
+  List.iter Thread.join threads;
+  Option.iter Domain.join t.sched
 
 let wait_idle t =
   Mutex.protect t.lock (fun () ->
@@ -640,6 +628,6 @@ let wait_idle t =
 
 let campaign_state t cid =
   Mutex.protect t.lock (fun () ->
-      List.find_opt (fun c -> c.c_cid = cid) t.campaigns
+      Hashtbl.find_opt t.campaigns cid
       |> Option.map (fun c ->
              (c.c_completed, Array.length c.c_specs, c.c_complete)))

@@ -7,9 +7,9 @@
     - {b streaming, not buffering}: per-job results leave as
       [xmt.events.v1] records the moment the job finishes — no
       whole-report materialization, whatever the campaign size;
-    - {b fair multiplexing}: a scheduler thread deals pool batches
-      round-robin across every campaign with queued jobs, one job per
-      campaign per sweep, so a small sweep is never starved behind a
+    - {b fair multiplexing}: every pool worker takes its next job from
+      a round-robin rotation of the campaigns with queued jobs, one job
+      per campaign per turn, so a small sweep is never starved behind a
       thousand-job submission that arrived first;
     - {b bounded admission}: a server-wide pending-job cap and a
       per-connection in-flight quota; a submission that would exceed
@@ -22,8 +22,9 @@
       last [(job, jseq)] the client acknowledges — each [(job, jseq)]
       is produced exactly once across the server's lifetimes.
 
-    Compute runs on pool domains; IO (accept loop, per-connection
-    readers, the scheduler) runs on threads.  All client-visible
+    Compute runs on pool domains, the scheduler domain being the pool's
+    first participant; IO (accept loop, per-connection readers) runs on
+    threads of the main domain, which no job holds up.  All client-visible
     job records come from {!Campaign.job_step}, the per-job step a
     direct {!Campaign.run} executes, so a served stream canonicalizes
     byte-identical to a direct run. *)
@@ -42,13 +43,13 @@ type t
 
 (** Bind and listen on [socket_path] (replacing a stale socket file),
     recover journaled campaigns from [state_dir] and re-queue their
-    unfinished jobs, and start the accept and scheduler threads.
-    Returns once the server is accepting connections. *)
+    unfinished jobs, and start the accept thread and the scheduler
+    domain.  Returns once the server is accepting connections. *)
 val create : config -> t
 
 (** Graceful shutdown: stop accepting, close client connections, let
-    the in-flight pool batch finish (its records are journaled), shut
-    the pool down.  Queued-but-undispatched jobs stay journaled for the
+    the jobs in flight finish (their records are journaled), shut the
+    pool down.  Queued-but-undispatched jobs stay journaled for the
     next lifetime.  Idempotent. *)
 val stop : t -> unit
 

@@ -190,7 +190,7 @@ let with_override (c : t) key value =
 (* ------------------------------------------------------------------ *)
 (* Validation: reject machines the simulator cannot build or that would
    crash mid-run (zero-sized topologies, zero-way caches, stopped
-   clocks).  Sweep generators go through {!make} / [with_*] /
+   clocks).  Sweep generators go through {!checked} or
    {!with_overrides}, so a bad point fails at construction, before any
    campaign job is spawned. *)
 
@@ -238,52 +238,6 @@ let validate c =
 
 let checked c =
   match validate c with Ok c -> c | Error msg -> raise (Bad_config msg)
-
-(** Validated smart constructor: every field defaults from [base]
-    (default {!fpga64}); the result is checked before it escapes. *)
-let make ?(base = fpga64) ?name ?num_clusters ?tcus_per_cluster
-    ?mdus_per_cluster ?fpus_per_cluster ?prefetch_buffer_size ?prefetch_policy
-    ?rocache_lines ?icn_latency ?icn_jitter ?num_cache_modules ?cache_lines
-    ?cache_assoc ?cache_line_words ?cache_hit_latency ?cache_ports
-    ?dram_latency ?dram_bandwidth ?master_cache_lines ?ps_latency
-    ?spawn_overhead ?join_overhead ?cluster_period ?icn_period ?cache_period
-    ?dram_period ?seed ?max_cycles () =
-  let v default = Option.value ~default in
-  checked
-    {
-      base with
-      name = v base.name name;
-      num_clusters = v base.num_clusters num_clusters;
-      tcus_per_cluster = v base.tcus_per_cluster tcus_per_cluster;
-      mdus_per_cluster = v base.mdus_per_cluster mdus_per_cluster;
-      fpus_per_cluster = v base.fpus_per_cluster fpus_per_cluster;
-      prefetch_buffer_size = v base.prefetch_buffer_size prefetch_buffer_size;
-      prefetch_policy = v base.prefetch_policy prefetch_policy;
-      rocache_lines = v base.rocache_lines rocache_lines;
-      icn_latency = v base.icn_latency icn_latency;
-      icn_jitter = v base.icn_jitter icn_jitter;
-      num_cache_modules = v base.num_cache_modules num_cache_modules;
-      cache_lines = v base.cache_lines cache_lines;
-      cache_assoc = v base.cache_assoc cache_assoc;
-      cache_line_words = v base.cache_line_words cache_line_words;
-      cache_hit_latency = v base.cache_hit_latency cache_hit_latency;
-      cache_ports = v base.cache_ports cache_ports;
-      dram_latency = v base.dram_latency dram_latency;
-      dram_bandwidth = v base.dram_bandwidth dram_bandwidth;
-      master_cache_lines = v base.master_cache_lines master_cache_lines;
-      ps_latency = v base.ps_latency ps_latency;
-      spawn_overhead = v base.spawn_overhead spawn_overhead;
-      join_overhead = v base.join_overhead join_overhead;
-      cluster_period = v base.cluster_period cluster_period;
-      icn_period = v base.icn_period icn_period;
-      cache_period = v base.cache_period cache_period;
-      dram_period = v base.dram_period dram_period;
-      seed = v base.seed seed;
-      max_cycles = v base.max_cycles max_cycles;
-    }
-
-let with_topology ?num_clusters ?tcus_per_cluster ?num_cache_modules c =
-  make ~base:c ?num_clusters ?tcus_per_cluster ?num_cache_modules ()
 
 (** Apply a list of "key=value" strings; the final configuration is
     validated, so a sweep generator cannot emit a crashing machine. *)

@@ -4,11 +4,11 @@
     frequencies").
 
     The record is transparent — every knob is a plain field — but the
-    construction surface is validated: {!make}, the [with_*] helpers and
-    {!with_overrides} all reject machines the simulator cannot build
-    (zero clusters/TCUs, zero-way caches, non-positive latencies or
-    clock periods), so sweep generators cannot emit a configuration that
-    crashes mid-campaign.
+    construction surface is validated: {!checked} (for a record built
+    as [{ base with ... }]) and {!with_overrides} both reject machines
+    the simulator cannot build (zero clusters/TCUs, zero-way caches,
+    non-positive latencies or clock periods), so sweep generators cannot
+    emit a configuration that crashes mid-campaign.
 
     All latencies are in cycles of the respective component's clock
     domain; all clock domains default to period 1 (same frequency). *)
@@ -88,45 +88,6 @@ val validate : t -> (t, string) result
 
 (** [validate], raising {!Bad_config} on inconsistency. *)
 val checked : t -> t
-
-(** Validated smart constructor: every omitted field defaults from
-    [base] (itself defaulting to {!fpga64}); raises {!Bad_config} when
-    the resulting machine is inconsistent. *)
-val make :
-  ?base:t ->
-  ?name:string ->
-  ?num_clusters:int ->
-  ?tcus_per_cluster:int ->
-  ?mdus_per_cluster:int ->
-  ?fpus_per_cluster:int ->
-  ?prefetch_buffer_size:int ->
-  ?prefetch_policy:prefetch_policy ->
-  ?rocache_lines:int ->
-  ?icn_latency:int ->
-  ?icn_jitter:int ->
-  ?num_cache_modules:int ->
-  ?cache_lines:int ->
-  ?cache_assoc:int ->
-  ?cache_line_words:int ->
-  ?cache_hit_latency:int ->
-  ?cache_ports:int ->
-  ?dram_latency:int ->
-  ?dram_bandwidth:int ->
-  ?master_cache_lines:int ->
-  ?ps_latency:int ->
-  ?spawn_overhead:int ->
-  ?join_overhead:int ->
-  ?cluster_period:int ->
-  ?icn_period:int ->
-  ?cache_period:int ->
-  ?dram_period:int ->
-  ?seed:int ->
-  ?max_cycles:int ->
-  unit ->
-  t
-
-val with_topology :
-  ?num_clusters:int -> ?tcus_per_cluster:int -> ?num_cache_modules:int -> t -> t
 
 (** Apply a list of "key=value" override strings (the CLI's [--set]);
     the final configuration is validated.  Raises {!Bad_config} on

@@ -92,37 +92,78 @@ let workers_clamped_to_jobs () =
 
 (* ---- the pool itself ---- *)
 
+(* a step over indices [0, n): each call claims the next one *)
+let cursor n f =
+  let next = Atomic.make 0 in
+  fun ~worker:_ ->
+    let i = Atomic.fetch_and_add next 1 in
+    i < n && (f i; true)
+
 let pool_runs_each_index_once () =
-  Campaign.Pool.with_pool ~workers:4 (fun pool ->
-      let hits = Array.make 500 0 in
-      (* each slot is written by exactly one worker *)
-      Campaign.Pool.run pool ~jobs:500 (fun ~worker:_ i ->
-          hits.(i) <- hits.(i) + 1);
-      Array.iteri
-        (fun i h -> if h <> 1 then Alcotest.failf "index %d ran %d times" i h)
-        hits)
+  List.iter
+    (fun workers ->
+      Campaign.Pool.with_pool ~workers (fun pool ->
+          let hits = Array.init 500 (fun _ -> Atomic.make 0) in
+          Campaign.Pool.run pool (cursor 500 (fun i -> Atomic.incr hits.(i)));
+          Array.iteri
+            (fun i h ->
+              let h = Atomic.get h in
+              if h <> 1 then Alcotest.failf "width %d: index %d ran %d times" workers i h)
+            hits))
+    [ 1; 2; 4 ]
 
 let pool_propagates_failure () =
-  Campaign.Pool.with_pool ~workers:2 (fun pool ->
-      match
-        Campaign.Pool.run pool ~jobs:10 (fun ~worker:_ i ->
-            if i = 7 then failwith "boom7")
-      with
-      | () -> Alcotest.fail "expected the worker failure to surface"
-      | exception Failure m -> Tu.check_string "failure text" "boom7" m);
+  List.iter
+    (fun workers ->
+      Campaign.Pool.with_pool ~workers (fun pool ->
+          match
+            Campaign.Pool.run pool (cursor 10 (fun i -> if i = 7 then failwith "boom7"))
+          with
+          | () -> Alcotest.failf "width %d: expected the worker failure to surface" workers
+          | exception Failure m -> Tu.check_string "failure text" "boom7" m))
+    [ 1; 2; 4 ];
   (* the campaign engine, by contrast, isolates job failures *)
   ()
 
+(* a raising step stops only its own participant: the other one pulls
+   every remaining index, and the failure still surfaces *)
+let pool_failure_spares_the_rest () =
+  Campaign.Pool.with_pool ~workers:2 (fun pool ->
+      let hits = Array.init 500 (fun _ -> Atomic.make 0) in
+      (match
+         Campaign.Pool.run pool
+           (cursor 500 (fun i ->
+                Atomic.incr hits.(i);
+                if i = 0 then failwith "boom0"))
+       with
+      | () -> Alcotest.fail "expected the worker failure to surface"
+      | exception Failure m -> Tu.check_string "failure text" "boom0" m);
+      Array.iteri
+        (fun i h ->
+          let h = Atomic.get h in
+          if h <> 1 then Alcotest.failf "index %d ran %d times" i h)
+        hits)
+
 let pool_shutdown_idempotent () =
   let pool = Campaign.Pool.create ~workers:3 () in
-  Campaign.Pool.run pool ~jobs:8 (fun ~worker:_ _ -> ());
+  Campaign.Pool.run pool (cursor 8 ignore);
   Campaign.Pool.shutdown pool;
   (* repeat calls are no-ops, not errors *)
   Campaign.Pool.shutdown pool;
   Campaign.Pool.shutdown pool;
-  match Campaign.Pool.run pool ~jobs:4 (fun ~worker:_ _ -> ()) with
-  | () -> Alcotest.fail "run on a shut-down pool must be rejected"
-  | exception Invalid_argument _ -> ()
+  (* whatever the work or participant count: one job, four, one
+     participant *)
+  List.iter
+    (fun (what, run) ->
+      let ran = ref false in
+      match run (fun _ -> ran := true) with
+      | () -> Alcotest.failf "%s: run on a shut-down pool must be rejected" what
+      | exception Invalid_argument _ -> Tu.check_bool (what ^ ": no step ran") false !ran)
+    [
+      ("4 jobs", fun f -> Campaign.Pool.run pool (cursor 4 f));
+      ("1 job", fun f -> Campaign.Pool.run pool (cursor 1 f));
+      ("1 participant", fun f -> Campaign.Pool.run pool ~participants:1 (cursor 4 f));
+    ]
 
 let pool_shutdown_concurrent () =
   (* several threads race shutdown; every call must return only after
@@ -139,7 +180,7 @@ let pool_shutdown_concurrent () =
   in
   List.iter Thread.join ts;
   Tu.check_int "no shutdown call raised" 0 (Atomic.get errors);
-  match Campaign.Pool.run pool ~jobs:2 (fun ~worker:_ _ -> ()) with
+  match Campaign.Pool.run pool (cursor 2 ignore) with
   | () -> Alcotest.fail "run on a shut-down pool must be rejected"
   | exception Invalid_argument _ -> ()
 
@@ -237,10 +278,12 @@ let bad_configs_are_rejected () =
   in
   rejects "override num_clusters=0" (fun () ->
       C.with_overrides C.tiny [ "num_clusters=0" ]);
-  rejects "make dram_latency=-1" (fun () -> C.make ~dram_latency:(-1) ());
-  rejects "make num_cache_modules=0" (fun () -> C.make ~num_cache_modules:0 ());
-  rejects "with_topology tcus=0" (fun () ->
-      C.with_topology C.tiny ~num_clusters:2 ~tcus_per_cluster:0)
+  rejects "checked dram_latency=-1" (fun () ->
+      C.checked { C.fpga64 with C.dram_latency = -1 });
+  rejects "checked num_cache_modules=0" (fun () ->
+      C.checked { C.fpga64 with C.num_cache_modules = 0 });
+  rejects "override tcus_per_cluster=0" (fun () ->
+      C.with_overrides C.tiny [ "num_clusters=2"; "tcus_per_cluster=0" ])
 
 let validate_lists_problems () =
   match C.validate { C.tiny with C.num_clusters = 0; C.dram_latency = -5 } with
@@ -255,7 +298,10 @@ let validate_lists_problems () =
     Tu.check_bool "mentions dram_latency" true (has "dram_latency")
 
 let make_builds_valid_machines () =
-  let c = C.make ~name:"custom" ~num_clusters:2 ~tcus_per_cluster:4 ~seed:9 () in
+  let c =
+    C.checked
+      { C.fpga64 with C.name = "custom"; num_clusters = 2; tcus_per_cluster = 4; seed = 9 }
+  in
   Tu.check_string "name" "custom" c.C.name;
   Tu.check_int "tcus" 8 (C.num_tcus c);
   Tu.check_int "seed" 9 c.C.seed;
@@ -357,7 +403,6 @@ let request_builders () =
     (r.Campaign.Request.jobs = None);
   let r = Campaign.Request.with_jobs r (Some 2) in
   let r = Campaign.Request.with_retries r 3 in
-  let r = Campaign.Request.with_progress_interval r 0.5 in
   Tu.check_bool "with_jobs" true (r.Campaign.Request.jobs = Some 2);
   Tu.check_int "with_retries" 3 r.Campaign.Request.retries;
   let rs = Campaign.run_request r in
@@ -375,8 +420,6 @@ let request_validation () =
   in
   rejects (fun () -> Campaign.Request.make ~jobs:0 specs);
   rejects (fun () -> Campaign.Request.make ~retries:(-1) specs);
-  rejects (fun () -> Campaign.Request.make ~progress_interval:(-1.0) specs);
-  rejects (fun () -> Campaign.Request.make ~progress_interval:Float.nan specs);
   rejects (fun () ->
       Campaign.Request.with_jobs (Campaign.Request.make specs) (Some (-4)));
   (match Campaign.Request.validate (Campaign.Request.make specs) with
@@ -398,7 +441,6 @@ let request_of_json_exec () =
             [
               ("jobs", Obs.Json.Int 2);
               ("retries", Obs.Json.Int 1);
-              ("progress_interval", Obs.Json.Float 0.25);
             ] );
         ("defaults", Obs.Json.Obj [ ("preset", Obs.Json.Str "tiny") ]);
         ( "jobs",
@@ -415,8 +457,6 @@ let request_of_json_exec () =
   let r = Campaign.Request.of_json json in
   Tu.check_bool "exec jobs" true (r.Campaign.Request.jobs = Some 2);
   Tu.check_int "exec retries" 1 r.Campaign.Request.retries;
-  Tu.check_bool "exec progress_interval" true
-    (r.Campaign.Request.progress_interval = 0.25);
   Tu.check_int "specs parsed" 1 (List.length r.Campaign.Request.specs);
   (* exec is optional; bad exec values are Spec_errors *)
   let no_exec =
@@ -474,6 +514,8 @@ let () =
           Tu.tc "workers clamped to job count" workers_clamped_to_jobs;
           Tu.tc "pool runs each index once" pool_runs_each_index_once;
           Tu.tc "pool propagates worker failure" pool_propagates_failure;
+          Tu.tc "pool failure spares the other participants"
+            pool_failure_spares_the_rest;
           Tu.tc "pool shutdown idempotent" pool_shutdown_idempotent;
           Tu.tc "pool shutdown concurrent-safe" pool_shutdown_concurrent;
         ] );
