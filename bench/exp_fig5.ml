@@ -23,12 +23,11 @@ let de_per_component n =
   let s = Desim.Scheduler.create () in
   let work = ref 0 in
   for _ = 1 to n do
-    let action a =
+    let rec action () =
       incr work;
-      if Desim.Scheduler.now s < sim_cycles then Desim.Actor.notify_in a ~delay:1
+      if Desim.Scheduler.now s < sim_cycles then Desim.Scheduler.schedule s ~delay:1 action
     in
-    let a = Desim.Actor.create s ~name:"c" action in
-    Desim.Actor.notify_in a ~delay:1
+    Desim.Scheduler.schedule s ~delay:1 action
   done;
   ignore (Desim.Scheduler.run s);
   !work

@@ -37,7 +37,7 @@ let run () =
     let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
     Obs.Stream.close stream;
     (try Sys.remove sink_path with Sys_error _ -> ());
-    (m, r, secs, Obs.Stream.emitted stream, Obs.Stream.dropped stream)
+    (m, r, secs, Obs.Stream.emitted stream)
   in
   (* a single ~25 ms measurement is dominated by scheduler/GC noise and
      the heap drifts monotonically across runs, so measure the variants
@@ -52,16 +52,16 @@ let run () =
   done;
   let ratios =
     Array.init reps (fun i ->
-        let _, _, p = plain.(i) and _, _, s, _, _ = streamed.(i) in
+        let _, _, p = plain.(i) and _, _, s, _ = streamed.(i) in
         if p > 0.0 then s /. p else 1.0)
   in
   Array.sort compare ratios;
   let ratio = ratios.(reps / 2) in
   let min_by f a = Array.fold_left (fun acc x -> min acc (f x)) infinity a in
   let secs_p = min_by (fun (_, _, s) -> s) plain in
-  let secs_s = min_by (fun (_, _, s, _, _) -> s) streamed in
+  let secs_s = min_by (fun (_, _, s, _) -> s) streamed in
   let mp, rp, _ = plain.(0) in
-  let ms, rs, _, records, dropped = streamed.(0) in
+  let ms, rs, _, records = streamed.(0) in
   let cycles_p = Xmtsim.Machine.cycles mp in
   let cycles_s = Xmtsim.Machine.cycles ms in
   let ev_p = Xmtsim.Machine.events_processed mp in
@@ -70,13 +70,12 @@ let run () =
   let stats_equal = Xmtsim.Machine.stats mp = Xmtsim.Machine.stats ms in
   Printf.printf "  plain:    %s cycles, %s events, %.2f s\n" (commas cycles_p)
     (commas ev_p) secs_p;
-  Printf.printf "  streamed: %s cycles, %s events, %.2f s (%d records, %d dropped)\n"
-    (commas cycles_s) (commas ev_s) secs_s records dropped;
+  Printf.printf "  streamed: %s cycles, %s events, %.2f s (%d records)\n"
+    (commas cycles_s) (commas ev_s) secs_s records;
   check (rp = rs) "streamed run output and halt state identical";
   check (cycles_p = cycles_s) "cycle counts are bit-identical (%s)" (commas cycles_p);
   check stats_equal "statistics are bit-identical";
   check (ev_p = ev_s) "host event counts are identical (the producer schedules nothing)";
-  check (dropped = 0) "no records dropped";
   check ~host:true (overhead_pct < 5.0) "host overhead %+.1f%% (target <5%%)" overhead_pct;
   check (ratio < 20.0) "streamed run takes under 20x the plain run (%.2fx)" ratio;
   pinned "streamed run" ~expect:1_896_579 cycles_s

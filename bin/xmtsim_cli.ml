@@ -178,12 +178,6 @@ let finish_campaign ~what ~jobs ~ok ~failed ?(host = "") ?(tail = "") () =
   Printf.eprintf "%s: %d jobs, %d ok, %d failed%s\n%s" what jobs ok failed host tail;
   exit (if failed > 0 then 1 else 0)
 
-let close_stream s =
-  let dropped = Obs.Stream.dropped s in
-  Obs.Stream.close s;
-  if dropped > 0 then
-    Printf.eprintf "xmtsim: stream: %d record(s) dropped (queue full)\n" dropped
-
 let run_campaign o file =
   (* the spec file carries the request (including an optional "exec"
      block with default jobs/retries); command-line flags override it *)
@@ -211,7 +205,7 @@ let run_campaign o file =
   let results =
     Campaign.run_request ~metrics:reg ?stream ~on_event:(Campaign.progress_printer ~total) req
   in
-  Option.iter close_stream stream;
+  Option.iter Obs.Stream.close stream;
   let report_path = Option.value ~default:"campaign.json" (export o "campaign") in
   J.write_path ~pretty:true report_path
     (Campaign.report_to_json ~workers:effective_workers results);
@@ -514,16 +508,11 @@ let run_single o mode =
             Obs.Metrics.set (Obs.Metrics.gauge reg "host.wall_seconds") host_secs;
             Obs.Metrics.inc ~by:r.T.events (Obs.Metrics.counter reg "host.events_processed");
             Obs.Metrics.set (Obs.Metrics.gauge reg "host.events_per_sec") events_per_sec;
-            (* live-stream accounting, so a dropped-records overflow is
-               visible in the exported stats and not only on stderr *)
             Option.iter
               (fun s ->
                 Obs.Metrics.inc ~by:(Obs.Stream.emitted s)
                   (Obs.Metrics.counter reg ~help:"telemetry records emitted"
-                     "host.stream.emitted");
-                Obs.Metrics.inc ~by:(Obs.Stream.dropped s)
-                  (Obs.Metrics.counter reg ~help:"telemetry records dropped (queue full)"
-                     "host.stream.dropped"))
+                     "host.stream.emitted"))
               stream;
             Obs.Metrics.set
               (Obs.Metrics.gauge reg "host.sim_cycles_per_sec")
@@ -597,7 +586,7 @@ let run_single o mode =
         Option.iter Xmtsim.Sampler.close_window ob.power;
         Option.iter (fun g -> Xmtsim.Sampler.close_window (Xmtsim.Governor.sampler g)) ob.gov)
       obs;
-    Option.iter close_stream stream;
+    Option.iter Obs.Stream.close stream;
     match obs with
     | None -> ()
     | Some ob -> (
@@ -760,9 +749,8 @@ let opts =
         fd:N for an inherited file descriptor).  Single runs emit run.start, periodic \
         sim.heartbeat records (see --heartbeat-cycles), window.close rollups and a run.done \
         summary (cycle-accurate mode only); --campaign, in-process or with --connect, streams \
-        job lifecycle and campaign.progress records instead.  The producer never blocks the \
-        simulator: on overflow records are dropped and counted (host.stream.dropped in \
-        --export stats).")
+        job lifecycle and campaign.progress records instead.  Each record is written when it \
+        is emitted, so a SINK that blocks holds up the run.")
   and+ heartbeat_cycles = Arg.(value & opt (some int) None & info [ "heartbeat-cycles" ] ~docv:"N"
       ~doc:"Cluster-clock grid cycles between sim.heartbeat records on --stream (default \
         10000); a heartbeat due while the cluster clock is gated comes on its next tick.")

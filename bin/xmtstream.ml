@@ -1,11 +1,12 @@
 (** xmtstream — validate and canonicalize xmt.events.v1 NDJSON streams.
 
     [xmtstream check FILE...] parses every line of every file and checks
-    the schema contract (a JSON object with "type", "seq" and "t");
-    exits 1 on the first violation.  [xmtstream canon IN [OUT]] reduces
-    a stream to its deterministic per-job core
-    ({!Obs.Stream.canonicalize}) so CI can [cmp] a serial and a parallel
-    campaign stream. *)
+    the schema contract (a JSON object with "type", "seq" and "t"), and
+    that a file holding one whole stream lost nothing
+    ({!Obs.Stream.check_whole}); exits 1 on the first violation.
+    [xmtstream canon IN [OUT]] reduces a stream to its deterministic
+    per-job core ({!Obs.Stream.canonicalize}) so CI can [cmp] a serial
+    and a parallel campaign stream. *)
 
 let read_file path =
   let ic = open_in path in
@@ -15,7 +16,8 @@ let usage () =
   prerr_endline
     "usage: xmtstream check FILE...\n\
     \       xmtstream canon IN [OUT]\n\
-     check: every NDJSON line parses and carries the xmt.events.v1 keys\n\
+     check: every NDJSON line parses and carries the xmt.events.v1 keys,\n\
+    \       and a whole stream (stream.open .. stream.close) lost nothing\n\
      canon: strip host-dependent fields, keep per-job records, sort \
      deterministically";
   exit 2
@@ -26,15 +28,24 @@ let check files =
   List.iter
     (fun path ->
       let lineno = ref 0 in
-      String.split_on_char '\n' (read_file path)
-      |> List.iter (fun line ->
-             incr lineno;
-             if String.trim line <> "" then
-               match Obs.Stream.validate_line line with
-               | Ok _ -> incr records
-               | Error msg ->
-                 Printf.eprintf "xmtstream: %s:%d: %s\n" path !lineno msg;
-                 exit 1))
+      let file =
+        String.split_on_char '\n' (read_file path)
+        |> List.filter_map (fun line ->
+               incr lineno;
+               if String.trim line = "" then None
+               else
+                 match Obs.Stream.validate_line line with
+                 | Ok j -> Some j
+                 | Error msg ->
+                   Printf.eprintf "xmtstream: %s:%d: %s\n" path !lineno msg;
+                   exit 1)
+      in
+      (match Obs.Stream.check_whole file with
+      | Ok () -> ()
+      | Error msg ->
+        Printf.eprintf "xmtstream: %s: %s\n" path msg;
+        exit 1);
+      records := !records + List.length file)
     files;
   Printf.printf "ok: %d record(s) across %d file(s)\n" !records
     (List.length files)

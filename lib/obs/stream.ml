@@ -44,42 +44,24 @@ let null_sink () = { write = ignore; close = ignore }
 
 type t = {
   sink : sink;
-  capacity : int;
-  queue : string Queue.t;
   lock : Mutex.t;
   epoch : float;  (* {!Clock.now} at create, for the default [t] *)
   mutable seq : int;
-  mutable emitted : int;
-  mutable dropped : int;
-  mutable paused : bool;
   mutable closed : bool;
 }
 
 let host_ms s = int_of_float (Clock.elapsed_since s.epoch *. 1e3)
 
-let drain_locked s =
-  if not s.paused then
-    while not (Queue.is_empty s.queue) do
-      s.sink.write (Queue.pop s.queue)
-    done
-
-(* Formats, enqueues (or drops) and opportunistically drains one record.
-   The sequence number is assigned before the capacity check, so a drop
-   leaves a visible gap in [seq]. *)
+(* Formats one record, assigns its sequence number and writes it to the
+   sink, all under the stream's lock; [seq] counts the records written. *)
 let emit_locked s ~typ ~t fields =
   if not s.closed then begin
-    let record =
-      Json.Obj
-        (("type", Json.Str typ) :: ("seq", Json.Int s.seq) :: ("t", Json.Int t)
-        :: fields)
-    in
-    s.seq <- s.seq + 1;
-    if Queue.length s.queue >= s.capacity then s.dropped <- s.dropped + 1
-    else begin
-      Queue.push (Json.to_string record) s.queue;
-      s.emitted <- s.emitted + 1
-    end;
-    drain_locked s
+    s.sink.write
+      (Json.to_string
+         (Json.Obj
+            (("type", Json.Str typ) :: ("seq", Json.Int s.seq) :: ("t", Json.Int t)
+            :: fields)));
+    s.seq <- s.seq + 1
   end
 
 let emit s ~typ ?t fields =
@@ -87,47 +69,17 @@ let emit s ~typ ?t fields =
       let t = match t with Some t -> t | None -> host_ms s in
       emit_locked s ~typ ~t fields)
 
-let create ?(capacity = 4096) sink =
-  if capacity <= 0 then invalid_arg "Stream.create: capacity must be positive";
-  let s =
-    {
-      sink;
-      capacity;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      epoch = Clock.now ();
-      seq = 0;
-      emitted = 0;
-      dropped = 0;
-      paused = false;
-      closed = false;
-    }
-  in
+let create sink =
+  let s = { sink; lock = Mutex.create (); epoch = Clock.now (); seq = 0; closed = false } in
   emit s ~typ:"stream.open" [ ("schema", Json.Str "xmt.events.v1") ];
   s
 
-let pause s = Mutex.protect s.lock (fun () -> s.paused <- true)
-
-let resume s =
-  Mutex.protect s.lock (fun () ->
-      s.paused <- false;
-      drain_locked s)
-
-let drain s = Mutex.protect s.lock (fun () -> drain_locked s)
-let emitted s = Mutex.protect s.lock (fun () -> s.emitted)
-let dropped s = Mutex.protect s.lock (fun () -> s.dropped)
-let pending s = Mutex.protect s.lock (fun () -> Queue.length s.queue)
+let emitted s = Mutex.protect s.lock (fun () -> s.seq)
 
 let close s =
   Mutex.protect s.lock (fun () ->
       if not s.closed then begin
-        s.paused <- false;
-        drain_locked s;
-        emit_locked s ~typ:"stream.close" ~t:(host_ms s)
-          [
-            ("emitted", Json.Int s.emitted);
-            ("dropped", Json.Int s.dropped);
-          ];
+        emit_locked s ~typ:"stream.close" ~t:(host_ms s) [ ("emitted", Json.Int s.seq) ];
         s.closed <- true;
         s.sink.close ()
       end)
@@ -246,14 +198,34 @@ let validate_line line =
   | j -> Result.map (fun () -> j) (validate j)
   | exception Json.Parse_error msg -> Error msg
 
+let check_whole records =
+  let str k j = match Json.member k j with Some (Json.Str v) -> Some v | _ -> None in
+  let int k j = Option.bind (Json.member k j) Json.to_int in
+  let rec dense i = function
+    | [] -> Ok ()
+    | j :: rest when int "seq" j = Some i -> dense (i + 1) rest
+    | _ -> Error (Printf.sprintf "seq is not dense: record %d should have seq %d" (i + 1) i)
+  in
+  match (records, List.rev records) with
+  | first :: _, last :: before
+    when str "type" first = Some "stream.open" && str "type" last = Some "stream.close" ->
+    Result.bind (dense 0 records) (fun () ->
+        match int "emitted" last with
+        | Some e when e = List.length before -> Ok ()
+        | Some e ->
+          Error
+            (Printf.sprintf "stream.close counts %d emitted record(s), %d precede it" e
+               (List.length before))
+        | None -> Error "stream.close is missing an integer \"emitted\"")
+  | _ -> Ok ()
+
 (* Keys that depend on the host (ordering, wall-clock, throughput): the
    canonical form strips them so serial and parallel runs of the same
    campaign agree byte-for-byte. *)
 let host_keys =
   [
     "seq"; "t"; "wall_seconds"; "elapsed_seconds"; "eta_seconds";
-    "jobs_per_sec"; "events_per_sec"; "running"; "workers"; "dropped";
-    "backtrace";
+    "jobs_per_sec"; "events_per_sec"; "running"; "workers"; "backtrace";
   ]
 
 let job_key j =

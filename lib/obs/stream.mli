@@ -1,5 +1,5 @@
-(** Live telemetry streaming: a push-based, bounded-queue event bus
-    emitting [xmt.events.v1] NDJSON records.
+(** Live telemetry streaming: a push-based event bus emitting
+    [xmt.events.v1] NDJSON records.
 
     All other observability in the toolchain is batch — a report
     materializes only after the run finishes.  A stream is the in-flight
@@ -12,17 +12,15 @@
     Contract:
 
     - every record is a JSON object carrying at least ["type"] (string),
-      ["seq"] (int, monotonic per stream) and ["t"] (number; simulated
+      ["seq"] (int, dense from 0 per stream) and ["t"] (number; simulated
       cycle for simulator events, host milliseconds since stream creation
       otherwise);
-    - the queue between producers and the sink is bounded: when it is
-      full (a paused or wedged consumer) new records are {e dropped and
-      counted}, never blocking the producer — the simulator's schedule
-      is sacred.  Dropped records still consume a sequence number, so
-      gaps in [seq] reveal loss;
+    - there is no queue: a record is in the sink when {!emit} returns,
+      and a sink that blocks holds up its producer (so a sink must not
+      wait on a consumer it does not trust);
     - the stream opens with a [stream.open] record (schema tag) and
-      {!close} appends a [stream.close] record with the final
-      emitted/dropped totals;
+      {!close} appends a [stream.close] record carrying the number of
+      records before it;
     - all operations are serialized on an internal mutex, so multiple
       producers (campaign worker domains) may share one stream. *)
 
@@ -43,38 +41,24 @@ val sink_of_path : string -> sink
     in-process consumers. *)
 val buffer_sink : Buffer.t -> sink
 
-(** Discard everything (still counts as delivered, not dropped). *)
+(** Discard everything; records still take a [seq] and count as
+    emitted. *)
 val null_sink : unit -> sink
 
-(** [create sink] opens a stream and emits the [stream.open] record.
-    [capacity] bounds the pending-record queue (default 4096). *)
-val create : ?capacity:int -> sink -> t
+(** [create sink] opens a stream and emits the [stream.open] record. *)
+val create : sink -> t
 
-(** [emit s ~typ fields] pushes one record.  [t] defaults to host
+(** [emit s ~typ fields] formats one record, gives it the next [seq] and
+    writes it to the sink before returning.  [t] defaults to host
     milliseconds since {!create}; simulator producers pass the simulated
     time instead.  [fields] must not include the reserved keys ["type"],
-    ["seq"], ["t"].  Never blocks: with the queue full the record is
-    dropped and counted. *)
+    ["seq"], ["t"]. *)
 val emit : t -> typ:string -> ?t:int -> (string * Json.t) list -> unit
 
-(** Stop forwarding to the sink; records accumulate in the bounded
-    queue (overflow drops).  Models a slow consumer — the campaign
-    engine's single consumer drains explicitly. *)
-val pause : t -> unit
+val emitted : t -> int  (** records written so far *)
 
-val resume : t -> unit
-
-(** Forward everything pending to the sink (no-op while paused). *)
-val drain : t -> unit
-
-val emitted : t -> int  (** records that reached the queue *)
-
-val dropped : t -> int  (** records lost to overflow *)
-
-val pending : t -> int  (** records queued but not yet written *)
-
-(** Emit the [stream.close] rollup record (emitted/dropped totals),
-    flush, and close the sink.  Idempotent; later {!emit}s are no-ops. *)
+(** Emit the [stream.close] rollup record (the [emitted] total), and
+    close the sink.  Idempotent; later {!emit}s are no-ops. *)
 val close : t -> unit
 
 (** {1 Windowed rollups}
@@ -105,6 +89,13 @@ val validate : Json.t -> (unit, string) result
 
 (** Parse and validate one NDJSON line. *)
 val validate_line : string -> (Json.t, string) result
+
+(** Check that one whole stream lost nothing.  When the first record
+    is [stream.open] and the last [stream.close], [seq] must run 0, 1,
+    2, ... and the close's ["emitted"] must equal the number of records
+    before it.  Any other list passes: a served client's file starts
+    mid-stream, and a cut-off file has no close to check against. *)
+val check_whole : Json.t list -> (unit, string) result
 
 (** A per-job record's [(job, jseq)] key — the position a served
     campaign's client acknowledges and resumes after; [None] unless both

@@ -81,6 +81,15 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Outbound records *)
 
+(* How long one send to a client may block.  A stream writes each
+   record when it is emitted, under the campaign's [c_elock]: a client
+   that stays connected but stops reading would otherwise hold that lock,
+   and with it every participant that takes the campaign's next job. *)
+let send_timeout_s = 3.0
+
+(* A failed or timed-out write ends the subscription and shuts the
+   socket down, so the client sees a lost connection (and can re-attach
+   after the last record it got); the campaign runs on, journaled. *)
 let socket_sink fd alive =
   let write line =
     if !alive then begin
@@ -90,7 +99,9 @@ let socket_sink fd alive =
         if off < n then
           match Unix.write fd buf off (n - off) with
           | w -> go (off + w)
-          | exception Unix.Unix_error (_, _, _) -> alive := false
+          | exception Unix.Unix_error (_, _, _) ->
+            alive := false;
+            (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       in
       go 0
     end
@@ -415,6 +426,7 @@ let reader t conn () =
   drop_conn t conn
 
 let handle_conn t fd =
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s;
   let alive = ref true in
   let stream = Obs.Stream.create (socket_sink fd alive) in
   let conn =

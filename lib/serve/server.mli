@@ -20,7 +20,11 @@
       restarts, re-queues exactly the unfinished jobs of every
       incomplete campaign, and [campaign.attach] re-streams from the
       last [(job, jseq)] the client acknowledges — each [(job, jseq)]
-      is produced exactly once across the server's lifetimes.
+      is produced exactly once across the server's lifetimes;
+    - {b no wedged clients}: records are written to a client when they
+      are emitted, and a send that blocks for a few seconds (a client
+      that stopped reading) ends that client's connection, so it cannot
+      hold up anyone else's campaign.
 
     Compute runs on pool domains, the scheduler domain being the pool's
     first participant; IO (accept loop, per-connection readers) runs on

@@ -21,6 +21,28 @@ let copy_regs ~src ~dst =
   Array.blit src.regs 0 dst.regs 0 32;
   Array.blit src.fregs 0 dst.fregs 0 32
 
+let join_map ~error img =
+  let fail fmt = Printf.ksprintf (fun s -> raise (error s)) fmt in
+  let join_of = Hashtbl.create 8 in
+  let open_spawn = ref None in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | I.Spawn _ -> (
+        match !open_spawn with
+        | Some _ -> fail "nested spawn in program text at %d" i
+        | None -> open_spawn := Some i)
+      | I.Join -> (
+        match !open_spawn with
+        | Some s ->
+          Hashtbl.replace join_of s i;
+          open_spawn := None
+        | None -> fail "join without spawn at %d" i)
+      | _ -> ())
+    img.Isa.Program.instrs;
+  (match !open_spawn with Some s -> fail "unmatched spawn at %d" s | None -> ());
+  join_of
+
 exception Runtime_error of { pc : int; msg : string }
 
 let err pc fmt = Printf.ksprintf (fun msg -> raise (Runtime_error { pc; msg })) fmt

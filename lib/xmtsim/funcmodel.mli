@@ -32,6 +32,11 @@ val make_ctx : unit -> ctx
     registers to TCUs at spawn (§IV-B). *)
 val copy_regs : src:ctx -> dst:ctx -> unit
 
+(** Each [spawn]'s index in the program text mapped to its [join]'s.
+    A nested, unmatched or unopened spawn block raises [error msg]: each
+    execution mode passes its own exception. *)
+val join_map : error:(string -> exn) -> Isa.Program.image -> (int, int) Hashtbl.t
+
 exception Runtime_error of { pc : int; msg : string }
 
 type issue =

@@ -26,27 +26,6 @@ type state = {
   rp : Reuseprofile.t option;  (** reuse-profile harvest (predict mode) *)
 }
 
-let compute_join_map img =
-  let join_of = Hashtbl.create 8 in
-  let open_spawn = ref None in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | I.Spawn _ -> (
-        match !open_spawn with
-        | Some _ -> fail "nested spawn at %d" i
-        | None -> open_spawn := Some i)
-      | I.Join -> (
-        match !open_spawn with
-        | Some s ->
-          Hashtbl.replace join_of s i;
-          open_spawn := None
-        | None -> fail "join without spawn at %d" i)
-      | _ -> ())
-    img.Isa.Program.instrs;
-  (match !open_spawn with Some s -> fail "unmatched spawn at %d" s | None -> ());
-  join_of
-
 let init ?profile img =
   let master = F.make_ctx () in
   master.F.pc <- img.Isa.Program.entry;
@@ -58,7 +37,7 @@ let init ?profile img =
     globals = Array.make Isa.Reg.num_globals 0;
     st_stats = Stats.create ();
     out = Buffer.create 256;
-    join_of = compute_join_map img;
+    join_of = F.join_map ~error:(fun s -> Exec_error s) img;
     master;
     executed = 0;
     st_halted = false;

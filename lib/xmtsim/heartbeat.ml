@@ -74,8 +74,7 @@ let attach ?(heartbeat_cycles = 10_000) m s =
         ("memwait_frac", memwait_frac);
       ]
   in
-  (* the per-run summary (and the stream's drop count, the final word on
-     the overflow policy), once, after the halting run *)
+  (* the per-run summary, once, after the halting run *)
   let finished = ref false in
   let run_done () =
     finished := true;
@@ -88,7 +87,6 @@ let attach ?(heartbeat_cycles = 10_000) m s =
         ("events", Obs.Json.Int (Machine.events_processed m));
         ("output_bytes", Obs.Json.Int (String.length (Machine.output m)));
         ("halted", Obs.Json.Bool true);
-        ("dropped", Obs.Json.Int (Obs.Stream.dropped s));
       ]
   in
   let live = ref true in

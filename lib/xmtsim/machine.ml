@@ -159,27 +159,6 @@ let hash_addr cfg addr =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.shift_right_logical z 3) mod cfg.Config.num_cache_modules
 
-let compute_join_map img =
-  let join_of = Hashtbl.create 8 in
-  let open_spawn = ref None in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | I.Spawn _ -> (
-        match !open_spawn with
-        | Some _ -> fail "nested spawn in program text at %d" i
-        | None -> open_spawn := Some i)
-      | I.Join -> (
-        match !open_spawn with
-        | Some s ->
-          Hashtbl.replace join_of s i;
-          open_spawn := None
-        | None -> fail "join without spawn at %d" i)
-      | _ -> ())
-    img.Isa.Program.instrs;
-  (match !open_spawn with Some s -> fail "unmatched spawn at %d" s | None -> ());
-  join_of
-
 let create ?(config = Config.fpga64) img =
   let cfg = config in
   let sched = Desim.Scheduler.create () in
@@ -268,7 +247,7 @@ let create ?(config = Config.fpga64) img =
     spawn_region = (-1, -1);
     done_count = 0;
     pending_total = 0;
-    join_of = compute_join_map img;
+    join_of = F.join_map ~error:(fun s -> Sim_error s) img;
     jitter;
     icn_next_free =
       Array.init cfg.Config.num_cache_modules (fun _ -> Array.make 2 0);
@@ -745,12 +724,9 @@ let tcu_tick t (cl : cluster) (u : tcu) =
     t.stats.Stats.tcu_pswait_cycles <- t.stats.Stats.tcu_pswait_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Ps
   | Tfence ->
+    (* [deliver_reply] ends the fence when the last store is acked *)
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fence;
-    if u.pending = 0 then begin
-      u.st <- Trun;
-      if t.probed then t.probe.Probe.release ~tcu:u.tid
-    end
+    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fence
 
 let cluster_tick t (cl : cluster) =
   if t.spawn_active || (not (Ring.is_empty cl.returns)) || not (Ring.is_empty cl.outbox)

@@ -117,18 +117,19 @@ let scheduler_nested_scheduling () =
 
 (* ------------------------------------------------------------------ *)
 
+(* a component is a closure that reschedules itself, as the machine's
+   are written *)
 let actor_notify () =
   let s = D.Scheduler.create () in
   let count = ref 0 in
-  let action a =
+  let rec action () =
     incr count;
-    if !count < 5 then D.Actor.notify_in a ~delay:2
+    if !count < 5 then D.Scheduler.schedule s ~delay:2 action
   in
-  let a = D.Actor.create s ~name:"counter" action in
-  D.Actor.notify_in a ~delay:2;
+  D.Scheduler.schedule s ~delay:2 action;
   ignore (D.Scheduler.run s);
   Tu.check_int "notified five times" 5 !count;
-  Tu.check_int "notifications counter" 5 (D.Actor.notifications a);
+  Tu.check_int "one event per notification" 5 (D.Scheduler.events_processed s);
   Tu.check_int "time" 10 (D.Scheduler.now s)
 
 (* ------------------------------------------------------------------ *)

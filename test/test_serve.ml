@@ -90,6 +90,26 @@ let collect_stream client cid =
   in
   (List.rev !records, summary)
 
+(* a client without Serve.Client, for what its API hides: malformed
+   frames, the order of records across campaigns, and not reading at all *)
+let raw_connect cfg =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX cfg.Serve.Server.socket_path);
+  fd
+
+let raw_submit fd ~cid spec =
+  let frame =
+    Bytes.of_string
+      (J.to_string
+         (J.Obj [ ("type", J.Str "campaign.submit"); ("cid", J.Str cid); ("spec", spec) ])
+      ^ "\n")
+  in
+  let rec send off =
+    if off < Bytes.length frame then
+      send (off + Unix.write fd frame off (Bytes.length frame - off))
+  in
+  send 0
+
 (* ---- protocol ---- *)
 
 let protocol_frames () =
@@ -185,8 +205,7 @@ let journal_corrupt_reported () =
 let oversized_frame_rejected () =
   with_server (fun cfg _srv ->
       let other = Serve.Client.connect cfg.Serve.Server.socket_path in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX cfg.Serve.Server.socket_path);
+      let fd = raw_connect cfg in
       let junk = Bytes.make (Serve.Protocol.max_frame_bytes + 1) 'x' in
       let rec send off =
         if off < Bytes.length junk then
@@ -249,30 +268,132 @@ let two_campaigns_one_connection () =
 (* ---- fairness ---- *)
 
 let small_campaign_not_starved () =
-  (* a big campaign is streaming; a small one submitted later must
-     finish while the big one is still in flight (round-robin batches),
-     not after it *)
+  (* a big campaign is queued; a small one submitted after it on the same
+     connection must finish while the big one is still in flight
+     (round-robin dispatch), not after it.  One connection carries both
+     streams in the order the server emits them, so the check reads only
+     what the server decided, not how fast a client read *)
   let big = spec_json (mixed_jobs 40) in
   let small = spec_json [ job_json ~name:"s0" 16; job_json ~name:"s1" 24 ] in
+  with_server ~workers:2 (fun cfg _srv ->
+      let fd = raw_connect cfg in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          raw_submit fd ~cid:"big" big;
+          raw_submit fd ~cid:"small" small;
+          let ic = Unix.in_channel_of_descr fd in
+          (* every record on the wire until both campaigns are done *)
+          let rec read acc finished =
+            if finished = 2 then List.rev acc
+            else
+              let r = J.of_string (input_line ic) in
+              (match J.member "type" r with
+              | Some (J.Str ("server.error" | "server.overload")) ->
+                Alcotest.failf "submit rejected: %s" (J.to_string r)
+              | _ -> ());
+              let finished =
+                finished + if J.member "type" r = Some (J.Str "campaign.done") then 1 else 0
+              in
+              read (r :: acc) finished
+          in
+          let wire = read [] 0 in
+          let dones =
+            List.filter_map
+              (fun r ->
+                if J.member "type" r = Some (J.Str "campaign.done") then J.member "cid" r
+                else None)
+              wire
+          in
+          Tu.check_bool "small campaign done before the big one" true
+            (dones = [ J.Str "small"; J.Str "big" ]);
+          let strip_cid = function
+            | J.Obj kvs -> J.Obj (List.filter (fun (k, _) -> k <> "cid") kvs)
+            | j -> j
+          in
+          let records_big =
+            List.map strip_cid (List.filter (fun r -> J.member "cid" r = Some (J.Str "big")) wire)
+          in
+          Tu.check_int "big done" 40
+            (List.length
+               (List.filter
+                  (fun r ->
+                    J.member "type" r = Some (J.Str "job.done")
+                    && J.member "status" r = Some (J.Str "ok"))
+                  records_big));
+          Tu.check_string "big matches direct despite interleaving" (direct_canonical big)
+            (canon_of_records records_big)))
+
+(* A client that submits a campaign and never reads fills its socket
+   buffer.  The server's sends to it must give up, not hold the
+   campaign's lock for good: another client's campaign still finishes
+   (checked with a bounded wait), the wedged campaign keeps running to
+   completion, and the wedged client sees its connection end. *)
+let wedged_client_stalls_no_one () =
+  let wedged =
+    spec_json (List.init 400 (fun i -> job_json ~name:(Printf.sprintf "w%d" i) 16))
+  in
+  let small = spec_json [ job_json ~name:"s0" 16; job_json ~name:"s1" 24 ] in
   with_server ~workers:2 (fun cfg srv ->
-      let ca = Serve.Client.connect cfg.Serve.Server.socket_path in
-      let cb = Serve.Client.connect cfg.Serve.Server.socket_path in
-      let cid_big = submit_ok ca big in
-      let cid_small = submit_ok cb small in
-      let _, s_small = collect_stream cb cid_small in
-      Tu.check_int "small done" 2 s_small.Serve.Client.s_ok;
-      (match Serve.Server.campaign_state srv cid_big with
-      | Some (_, _, complete) ->
-        Tu.check_bool "big campaign still running when small finished" false
-          complete
-      | None -> Alcotest.fail "big campaign unknown");
-      let records_big, s_big = collect_stream ca cid_big in
-      Tu.check_int "big done" 40 s_big.Serve.Client.s_ok;
-      Tu.check_string "big matches direct despite interleaving"
-        (direct_canonical big)
-        (canon_of_records records_big);
-      Serve.Client.close ca;
-      Serve.Client.close cb)
+      let fd = raw_connect cfg in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          raw_submit fd ~cid:"wedged" wedged;
+          (* wait until the wedged campaign stops advancing: its client's
+             buffer is full *)
+          let completed () =
+            match Serve.Server.campaign_state srv "wedged" with
+            | Some (c, _, _) -> c
+            | None -> 0
+          in
+          let rec stalled last =
+            Unix.sleepf 0.3;
+            let now = completed () in
+            if now = last then now else stalled now
+          in
+          let at_stall = stalled (-1) in
+          Tu.check_bool "the wedged client's buffer filled" true (at_stall < 400);
+          let result = ref None in
+          let reader =
+            Thread.create
+              (fun () ->
+                result :=
+                  Some
+                    (try
+                       let cb = Serve.Client.connect cfg.Serve.Server.socket_path in
+                       let cid = submit_ok cb small in
+                       let _, s = collect_stream cb cid in
+                       Serve.Client.close cb;
+                       Ok s.Serve.Client.s_ok
+                     with e -> Error (Printexc.to_string e)))
+              ()
+          in
+          let deadline = Obs.Clock.now () +. 30.0 in
+          while !result = None && Obs.Clock.now () < deadline do
+            Unix.sleepf 0.05
+          done;
+          (match !result with
+          | Some (Ok ok) -> Tu.check_int "other client's campaign finished" 2 ok
+          | Some (Error e) -> Alcotest.failf "other client: %s" e
+          | None ->
+            (* unwedge the server so the fixture can stop it *)
+            Unix.close fd;
+            Thread.join reader;
+            Alcotest.fail "other client's campaign stalled behind the wedged client");
+          Thread.join reader;
+          Serve.Server.wait_idle srv;
+          Tu.check_int "the wedged campaign ran to completion" 400 (completed ());
+          (* the server gave up on the wedged client: reading drains what
+             was sent, then ends before the campaign's last records *)
+          let got = In_channel.input_all (Unix.in_channel_of_descr fd) in
+          Tu.check_bool "the wedged client lost its connection" true
+            (List.for_all
+               (fun l ->
+                 match J.of_string l with
+                 | j -> J.member "type" j <> Some (J.Str "campaign.done")
+                 | exception J.Parse_error _ -> true)
+               (String.split_on_char '\n' got))))
 
 (* ---- quotas and admission ---- *)
 
@@ -509,7 +630,10 @@ let () =
           Tu.tc "two campaigns, one connection" two_campaigns_one_connection;
         ] );
       ( "multiplexing",
-        [ Tu.tc "small campaign not starved" small_campaign_not_starved ] );
+        [
+          Tu.tc "small campaign not starved" small_campaign_not_starved;
+          Tu.tc "a client that stops reading stalls no one" wedged_client_stalls_no_one;
+        ] );
       ( "admission",
         [
           Tu.tc "client and server quotas" quota_rejections;

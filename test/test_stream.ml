@@ -1,5 +1,5 @@
 (** Live telemetry streaming (Obs.Stream, xmt.events.v1): bus contract
-    (seq, required keys, overflow drops), rollup windows,
+    (seq, required keys, write-on-emit), rollup windows,
     canonicalization, the machine heartbeat producer's passivity and the
     campaign engine's serial-vs-parallel stream determinism. *)
 
@@ -48,40 +48,28 @@ let emit_and_seq () =
   (* close reports totals *)
   let close = List.nth rs 3 in
   Tu.check_bool "close totals" true
-    (Option.bind (J.member "emitted" close) J.to_int = Some 3
-    && Option.bind (J.member "dropped" close) J.to_int = Some 0);
+    (Option.bind (J.member "emitted" close) J.to_int = Some 3);
   (* emitting after close is a no-op *)
   S.emit s ~typ:"late" [];
   Tu.check_int "no late records" 4 (List.length (records buf))
 
-let overflow_drops () =
+(* there is no queue: each record is in the sink when [emit] returns *)
+let written_on_emit () =
   let buf = Buffer.create 256 in
-  let s = S.create ~capacity:2 (S.buffer_sink buf) in
-  S.drain s;
-  (* a paused consumer: the bounded queue fills, then drops *)
-  S.pause s;
+  let s = S.create (S.buffer_sink buf) in
+  Tu.check_int "open written by create" 1 (List.length (lines buf));
   for i = 1 to 5 do
-    S.emit s ~typ:"x" ~t:i []
+    S.emit s ~typ:"x" ~t:i [];
+    Tu.check_int "written by emit" (i + 1) (List.length (lines buf));
+    Tu.check_int "last record's seq" i (seq (List.nth (records buf) i))
   done;
-  Tu.check_int "queue capped" 2 (S.pending s);
-  Tu.check_int "drops counted" 3 (S.dropped s);
-  S.resume s;
-  S.close s;
-  let rs = records buf in
-  (* dropped records still consumed sequence numbers: the gap is visible *)
-  let seqs = List.map seq rs in
-  Tu.check_bool "seq has gaps" true
-    (List.length seqs < List.fold_left max 0 seqs + 1);
-  let close = List.nth rs (List.length rs - 1) in
-  Tu.check_bool "close counts drops" true
-    (Option.bind (J.member "dropped" close) J.to_int = Some 3)
+  S.close s
 
 let reserved_sinks () =
   (* null sink still counts emissions *)
   let s = S.create (S.null_sink ()) in
   S.emit s ~typ:"x" [];
   Tu.check_int "emitted" 2 (S.emitted s);
-  Tu.check_int "nothing dropped" 0 (S.dropped s);
   S.close s
 
 (* ---- rollups ---- *)
@@ -146,6 +134,32 @@ let validation_errors () =
     (not (bad {|{"type":"x","seq":0,"t":0}|}));
   Tu.check_bool "required keys" true (S.required_keys = [ "type"; "seq"; "t" ])
 
+(* a file holding one whole stream must be lossless: dense seq and a
+   close total that counts the records before it *)
+let whole_stream_lossless () =
+  let ok rs =
+    match S.check_whole (List.map J.of_string rs) with Ok () -> true | Error _ -> false
+  in
+  let opn = {|{"type":"stream.open","seq":0,"t":0,"schema":"xmt.events.v1"}|} in
+  let buf = Buffer.create 256 in
+  let s = S.create (S.buffer_sink buf) in
+  S.emit s ~typ:"x" [];
+  S.close s;
+  Tu.check_bool "a closed stream passes" true (ok (lines buf));
+  Tu.check_bool "complete" true
+    (ok [ opn; {|{"type":"x","seq":1,"t":0}|}; {|{"type":"stream.close","seq":2,"t":0,"emitted":2}|} ]);
+  Tu.check_bool "gap rejected" false
+    (ok [ opn; {|{"type":"x","seq":2,"t":0}|}; {|{"type":"stream.close","seq":3,"t":0,"emitted":2}|} ]);
+  Tu.check_bool "wrong total rejected" false
+    (ok [ opn; {|{"type":"x","seq":1,"t":0}|}; {|{"type":"stream.close","seq":2,"t":0,"emitted":3}|} ]);
+  Tu.check_bool "missing total rejected" false
+    (ok [ opn; {|{"type":"stream.close","seq":1,"t":0}|} ]);
+  (* a served client's file starts mid-stream; a cut-off one has no close *)
+  Tu.check_bool "mid-stream file unchecked" true
+    (ok [ {|{"type":"job.start","seq":7,"t":0,"job":0,"jseq":0}|} ]);
+  Tu.check_bool "unclosed file unchecked" true
+    (ok [ opn; {|{"type":"x","seq":5,"t":0}|} ])
+
 let canonicalize_reorders () =
   (* the same per-job records interleaved differently plus different
      host-dependent fields canonicalize to byte-identical text *)
@@ -158,7 +172,7 @@ let canonicalize_reorders () =
         {|{"type":"campaign.progress","seq":3,"t":9,"completed":1,"total":2,"running":0}|};
         {|{"type":"job.start","seq":4,"t":10,"job":1,"jseq":0,"name":"b"}|};
         {|{"type":"job.done","seq":5,"t":12,"job":1,"jseq":1,"name":"b","cycles":9,"wall_seconds":0.1}|};
-        {|{"type":"stream.close","seq":6,"t":12,"emitted":7,"dropped":0}|};
+        {|{"type":"stream.close","seq":6,"t":12,"emitted":7}|};
       ]
   in
   let parallel =
@@ -170,7 +184,7 @@ let canonicalize_reorders () =
         {|{"type":"job.done","seq":3,"t":4,"job":1,"jseq":1,"name":"b","cycles":9,"wall_seconds":0.9}|};
         {|{"type":"campaign.progress","seq":4,"t":4,"completed":1,"total":2,"running":1}|};
         {|{"type":"job.done","seq":5,"t":5,"job":0,"jseq":1,"name":"a","cycles":7,"wall_seconds":0.2}|};
-        {|{"type":"stream.close","seq":6,"t":5,"emitted":7,"dropped":0}|};
+        {|{"type":"stream.close","seq":6,"t":5,"emitted":7}|};
       ]
   in
   let cs = S.canonicalize_lines serial and cp = S.canonicalize_lines parallel in
@@ -239,8 +253,6 @@ let machine_stream_records () =
     = Some rp.Xmtsim.Machine.cycles);
   Tu.check_bool "run.done halted" true
     (J.member "halted" don = Some (J.Bool true));
-  Tu.check_bool "nothing dropped" true
-    (Option.bind (J.member "dropped" don) J.to_int = Some 0);
   (* heartbeat payload: grid cycle and the windowed gauges *)
   let hb = List.find (fun j -> typ j = "sim.heartbeat") rs in
   List.iter
@@ -370,7 +382,7 @@ let () =
       ( "bus",
         [
           Tu.tc "emit + seq + open/close" emit_and_seq;
-          Tu.tc "overflow drops, seq gaps" overflow_drops;
+          Tu.tc "record in the sink when emit returns" written_on_emit;
           Tu.tc "null sink" reserved_sinks;
         ] );
       ( "rollup",
@@ -381,6 +393,7 @@ let () =
       ( "schema",
         [
           Tu.tc "validation errors" validation_errors;
+          Tu.tc "whole stream lossless" whole_stream_lossless;
           Tu.tc "canonicalize reorders + strips" canonicalize_reorders;
         ] );
       ( "machine",
