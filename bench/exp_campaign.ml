@@ -5,9 +5,15 @@
     shared — so the two timings compare scheduling and simulation, not
     [Domain.spawn] or recompiles.
 
-    Three claims are checked, each fatal:
+    Then the same 18 points run in predict mode, serially and in
+    parallel, through a fresh artifact cache: one program, so one
+    reuse-profile harvest prices every point.
+
+    Four claims are checked, each fatal:
     - determinism: the host-independent campaign reports of the serial
-      and parallel runs are byte-identical;
+      and parallel runs are byte-identical, for the cycle and the
+      predict sweep;
+    - sharing: the 36 predict jobs run exactly one harvest;
     - the sweep's simulated cycles, summed over its jobs, equal the
       pinned figure;
     - throughput: parallel wall-clock beats serial (speedup > 1)
@@ -25,7 +31,7 @@ let run () =
     if !jobs > 1 then !jobs else min 4 (max 2 host_cores)
   in
   let pool = pool ~workers in
-  let campaign w =
+  let campaign ?(artifacts = artifacts) ?(specs = specs) w =
     let req = Campaign.Request.make ~jobs:w specs in
     let rs, secs =
       wall (fun () -> Campaign.run_request ~pool ~artifacts req)
@@ -57,6 +63,21 @@ let run () =
       0 rs
   in
   pinned (Printf.sprintf "sweep (%d jobs)" total) ~expect:161_973 total_cycles;
+  let cache = Core.Toolchain.Artifacts.create () in
+  let priced w =
+    let report, _, _ =
+      campaign ~artifacts:cache
+        ~specs:(List.map (fun (name, j) -> (name, { j with Core.Toolchain.mode = Predict })) specs)
+        w
+    in
+    report
+  in
+  let serial_priced = priced 1 in
+  let parallel_priced = priced workers in
+  let shared, harvested = Core.Toolchain.Artifacts.harvest_stats cache in
+  Printf.printf "  predict copy: %d harvest run, %d shared\n%!" harvested shared;
+  check (harvested = 1) "%d predict jobs ran %d harvest (want 1)" (2 * total) harvested;
+  check (String.equal serial_priced parallel_priced) "predict reports byte-identical";
   if host_cores >= 2 then
     check (speedup > 1.0) "%d workers beat serial on %d host cores (%.2fx > 1)"
       workers host_cores speedup

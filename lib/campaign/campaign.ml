@@ -4,9 +4,10 @@
     and reused across [run] calls, each participant pulling the next job
     index from one atomic cursor.  Every result lands in its submission
     slot — so ordering is deterministic whatever the completion order.
-    Compiles are deduplicated through a shared
-    {!Core.Toolchain.Artifacts} cache (a sweep compiles once and
-    simulates many configs against the same read-only program), and the
+    Compiles and predict harvests are deduplicated through a shared
+    {!Core.Toolchain.Artifacts} cache (a sweep compiles and harvests
+    once and simulates or prices many configs against the same
+    read-only program and profile), and the
     progress lock is off the hot path: without telemetry consumers the
     workers touch no shared state but their own result slots, and with
     a stream attached each completion emits one [campaign.progress]
@@ -152,8 +153,8 @@ let run_request ?pool ?artifacts ?on_event ?metrics ?stream (req : request) =
     max 1 (min requested (min cap (max 1 n)))
   in
   let artifacts =
-    (* dedup compiles within the campaign even when the caller keeps no
-       persistent cache *)
+    (* dedup compiles and harvests within the campaign even when the
+       caller keeps no persistent cache *)
     match artifacts with
     | Some a -> a
     | None -> Core.Toolchain.Artifacts.create ()

@@ -23,8 +23,10 @@
 
     Compiles are deduplicated: jobs sharing a (source, compiler-options,
     memmap) key compile once through a {!Core.Toolchain.Artifacts}
-    cache and simulate against the same read-only program — pass your
-    own cache to [run] to keep artifacts warm across campaigns. *)
+    cache and simulate against the same read-only program, and predict
+    jobs sharing that key and [max_instructions] share one reuse-profile
+    harvest — pass your own cache to [run] to keep artifacts warm across
+    campaigns. *)
 
 (** The persistent worker pool; create one and pass it to {!run} to
     amortize domain spawning across campaigns (benches, sweep drivers,
@@ -131,9 +133,9 @@ val run_request :
     width, or 1 without a pool); it is always clamped to the number of
     jobs, so [~jobs:8] with 2 jobs uses 2 workers — never 6 idle
     domains.  [retries] is the per-job retry budget on failure
-    (default 0).  [artifacts] is a shared compile cache
+    (default 0).  [artifacts] is a shared compile and harvest cache
     ({!Core.Toolchain.Artifacts}); without one a fresh cache still
-    deduplicates compiles within this campaign.  [on_event] is called
+    deduplicates compiles and harvests within this campaign.  [on_event] is called
     for every lifecycle event under the progress lock, so callbacks may
     print or mutate shared state without further synchronization.
     [metrics] receives [campaign.jobs.started] / [.finished] /

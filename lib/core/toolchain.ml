@@ -4,21 +4,47 @@ let compile ?options ?memmap src =
   let cc, image = Compiler.Driver.compile_to_image ?options ?memmap src in
   { cc; image }
 
+(* What a predict job takes from its functional pass: everything but
+   the model's price *)
+type harvest = {
+  h_output : string;
+  h_instructions : int;
+  h_stats : Xmtsim.Stats.t;
+  h_profile : Xmtsim.Reuseprofile.snapshot;
+}
+
+let harvest ?max_instructions image =
+  let rp = Xmtsim.Reuseprofile.create () in
+  let r = Xmtsim.Functional_mode.run ?max_instructions ~profile:rp image in
+  {
+    h_output = r.Xmtsim.Functional_mode.output;
+    h_instructions = r.Xmtsim.Functional_mode.instructions;
+    h_stats = r.Xmtsim.Functional_mode.stats;
+    h_profile = Xmtsim.Reuseprofile.snapshot rp;
+  }
+
 (* ------------------------------------------------------------------ *)
-(* Shared compiled artifacts.
+(* Shared compiled artifacts and their harvests.
 
    A design-space sweep simulates the same program under many machine
    configurations: the (source, compile-options, memmap) triple is
    identical across the sweep points, so compiling per job is pure
    waste — and in a parallel campaign it is the dominant per-job cost
    and the dominant source of cross-domain allocation (every compile
-   rebuilds the whole IR).  An [Artifacts.t] is a compile-once cache:
-   the first job with a given key compiles, concurrent jobs with the
-   same key block on the condition variable until the artifact is
-   ready, and everyone simulates against the same read-only [compiled]
-   value.  That is safe because nothing downstream mutates it:
-   [Xmtsim.Mem.load] copies [image.data_words] into a fresh store per
-   machine, and the race checker's static analysis only reads [cc]. *)
+   rebuilds the whole IR).  A predict job's functional pass is waste
+   the same way: it reads only the image and the instruction budget,
+   so every sweep point of one program harvests the same reuse
+   profile.
+
+   An [Artifacts.t] makes both once-per-key: the first job with a key
+   does the work, concurrent jobs with the same key block on the
+   condition variable until it is done, and everyone shares the same
+   read-only value.  A harvest lives in its artifact's entry, keyed by
+   the budget.  Sharing is safe because nothing downstream mutates
+   either: [Xmtsim.Mem.load] copies [image.data_words] into a fresh
+   store per machine, the race checker's static analysis only reads
+   [cc], [Predict.Model] only reads the snapshot, and each predict job
+   gets its own copy of the harvest's [Stats.t]. *)
 
 module Artifacts = struct
   type key = {
@@ -27,14 +53,19 @@ module Artifacts = struct
     k_memmap : Isa.Memmap.t;
   }
 
-  type slot = Building | Ready of compiled
+  type 'a slot = Building | Ready of 'a
+
+  (* A compiled artifact and the harvests of its image, by budget *)
+  type entry = { compiled : compiled; harvests : (int option, harvest slot) Hashtbl.t }
+
+  type counts = { mutable hits : int; mutable misses : int }
 
   type t = {
-    tbl : (key, slot) Hashtbl.t;
-    lock : Mutex.t;
+    tbl : (key, entry slot) Hashtbl.t;
+    lock : Mutex.t;  (** guards [tbl], every entry's [harvests] and the counts *)
     turned : Condition.t;  (** signaled whenever a slot changes state *)
-    mutable hits : int;
-    mutable misses : int;
+    compiles : counts;
+    harvested : counts;
   }
 
   let create () =
@@ -42,54 +73,65 @@ module Artifacts = struct
       tbl = Hashtbl.create 16;
       lock = Mutex.create ();
       turned = Condition.create ();
-      hits = 0;
-      misses = 0;
+      compiles = { hits = 0; misses = 0 };
+      harvested = { hits = 0; misses = 0 };
     }
 
-  (* Compile [src] or reuse a previous compile of the same key.  A
-     failing compile removes its Building slot and re-raises, so a
-     retry (or the next job with the key) compiles again — cached
+  (* The value of [k] in [tbl], made by [make] if no one has made it
+     yet.  A failing [make] removes its Building slot and re-raises, so
+     a retry (or the next job with the key) makes it again — cached
      failures would break the campaign engine's per-job retry
      semantics. *)
-  let get t ?(options = Compiler.Driver.default_options) ?(memmap = []) src =
-    let key = { k_source = src; k_options = options; k_memmap = memmap } in
+  let once t counts tbl k make =
     Mutex.lock t.lock;
     let rec await () =
-      match Hashtbl.find_opt t.tbl key with
-      | Some (Ready c) ->
-        t.hits <- t.hits + 1;
+      match Hashtbl.find_opt tbl k with
+      | Some (Ready v) ->
+        counts.hits <- counts.hits + 1;
         Mutex.unlock t.lock;
-        c
+        v
       | Some Building ->
         Condition.wait t.turned t.lock;
         await ()
       | None -> (
-        Hashtbl.replace t.tbl key Building;
-        t.misses <- t.misses + 1;
+        Hashtbl.replace tbl k Building;
+        counts.misses <- counts.misses + 1;
         Mutex.unlock t.lock;
-        match compile ~options ~memmap src with
-        | c ->
+        match make () with
+        | v ->
           Mutex.lock t.lock;
-          Hashtbl.replace t.tbl key (Ready c);
+          Hashtbl.replace tbl k (Ready v);
           Condition.broadcast t.turned;
           Mutex.unlock t.lock;
-          c
+          v
         | exception e ->
           let bt = Printexc.get_raw_backtrace () in
           Mutex.lock t.lock;
-          Hashtbl.remove t.tbl key;
+          Hashtbl.remove tbl k;
           Condition.broadcast t.turned;
           Mutex.unlock t.lock;
           Printexc.raise_with_backtrace e bt)
     in
     await ()
 
-  (** (cache hits, compiles actually performed) so far. *)
-  let stats t =
+  let entry t ?(options = Compiler.Driver.default_options) ?(memmap = []) src =
+    once t t.compiles t.tbl { k_source = src; k_options = options; k_memmap = memmap }
+      (fun () -> { compiled = compile ~options ~memmap src; harvests = Hashtbl.create 1 })
+
+  let get t ?options ?memmap src = (entry t ?options ?memmap src).compiled
+
+  let harvest t e ?max_instructions () =
+    once t t.harvested e.harvests max_instructions (fun () ->
+        harvest ?max_instructions e.compiled.image)
+
+  let read t counts =
     Mutex.lock t.lock;
-    let r = (t.hits, t.misses) in
+    let r = (counts.hits, counts.misses) in
     Mutex.unlock t.lock;
     r
+
+  let stats t = read t t.compiles
+  let harvest_stats t = read t t.harvested
 end
 
 type run = {
@@ -184,12 +226,47 @@ exception Budget_exhausted of run
 
 (* Static findings (none for an assembled image: no typed AST or IR to
    analyze) plus, for cycle runs, the dynamic detector's output,
-   assembled into one xmt.races.v1 report. *)
-let races_report ?dynamic cc =
-  Racecheck.report ?dynamic (match cc with Some cc -> Racecheck.analyze cc | None -> [])
+   assembled into one xmt.races.v1 report; [None] unless the job is
+   race-checked. *)
+let races ?dynamic j cc =
+  if j.racecheck then
+    Some (Racecheck.report ?dynamic (match cc with Some cc -> Racecheck.analyze cc | None -> []))
+  else None
+
+(* The predict arm: [harvest ()] makes or shares the functional pass
+   that harvests a reuse profile, the analytical model prices it; no
+   cycle machine, so [events] is 0.  The config is checked and the
+   calibration loaded first, so a bad sweep point fails without
+   harvesting. *)
+let predict ?on_reuse ?cc j harvest =
+  let config = job_config j in
+  let cal =
+    match j.calibration with
+    | None -> Predict.Calibrate.default
+    | Some file -> Predict.Calibrate.load_file file
+  in
+  let h = harvest () in
+  Option.iter (fun f -> f h.h_profile) on_reuse;
+  let pred =
+    Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
+      ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config h.h_profile
+  in
+  {
+    output = h.h_output;
+    cycles = pred.Predict.Model.predicted_cycles;
+    instructions = h.h_instructions;
+    events = 0;
+    stats = Xmtsim.Stats.copy h.h_stats;
+    races = races j cc;
+    profile = None;
+    predict =
+      Some
+        (Predict.Model.to_json
+           ~calibration:(Predict.Calibrate.summary_json cal)
+           ~config_name:config.Xmtsim.Config.name pred);
+  }
 
 let run_image ?stream ?heartbeat_cycles ?before_run ?on_reuse ?cc j image =
-  let races ?dynamic () = if j.racecheck then Some (races_report ?dynamic cc) else None in
   match j.mode with
   | Cycle ->
     let m = Xmtsim.Machine.create ~config:(job_config j) image in
@@ -208,7 +285,7 @@ let run_image ?stream ?heartbeat_cycles ?before_run ?on_reuse ?cc j image =
         instructions = Xmtsim.Stats.total_instrs stats;
         events = Xmtsim.Machine.events_processed m;
         stats;
-        races = races ?dynamic:(Option.map Xmtsim.Racedetect.to_json rd) ();
+        races = races ?dynamic:(Option.map Xmtsim.Racedetect.to_json rd) j cc;
         profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
         predict = None;
       }
@@ -223,43 +300,12 @@ let run_image ?stream ?heartbeat_cycles ?before_run ?on_reuse ?cc j image =
       instructions = r.Xmtsim.Functional_mode.instructions;
       events = 0;
       stats = r.Xmtsim.Functional_mode.stats;
-      races = races ();
+      races = races j cc;
       profile = None;
       predict = None;
     }
   | Predict ->
-    (* one functional pass harvests a reuse profile, the analytical
-       model prices it; no cycle machine, so [events] is 0 *)
-    let config = job_config j in
-    let cal =
-      match j.calibration with
-      | None -> Predict.Calibrate.default
-      | Some file -> Predict.Calibrate.load_file file
-    in
-    let rp = Xmtsim.Reuseprofile.create () in
-    let r =
-      Xmtsim.Functional_mode.run ?max_instructions:j.max_instructions ~profile:rp image
-    in
-    let snap = Xmtsim.Reuseprofile.snapshot rp in
-    Option.iter (fun f -> f snap) on_reuse;
-    let pred =
-      Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
-        ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config snap
-    in
-    {
-      output = r.Xmtsim.Functional_mode.output;
-      cycles = pred.Predict.Model.predicted_cycles;
-      instructions = r.Xmtsim.Functional_mode.instructions;
-      events = 0;
-      stats = r.Xmtsim.Functional_mode.stats;
-      races = races ();
-      profile = None;
-      predict =
-        Some
-          (Predict.Model.to_json
-             ~calibration:(Predict.Calibrate.summary_json cal)
-             ~config_name:config.Xmtsim.Config.name pred);
-    }
+    predict ?on_reuse ?cc j (fun () -> harvest ?max_instructions:j.max_instructions image)
 
 (* Library callers treat a cycle run stopped by its budget as failed *)
 let run_to_halt ?stream ?heartbeat_cycles j (c : compiled) =
@@ -268,10 +314,15 @@ let run_to_halt ?stream ?heartbeat_cycles j (c : compiled) =
     raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt")
 
 let run_job ?artifacts ?stream ?heartbeat_cycles j =
-  run_to_halt ?stream ?heartbeat_cycles j
-    (match artifacts with
-    | None -> compile ~options:j.options ~memmap:j.memmap j.source
-    | Some a -> Artifacts.get a ~options:j.options ~memmap:j.memmap j.source)
+  let options = j.options and memmap = j.memmap in
+  match (artifacts, j.mode) with
+  | None, _ -> run_to_halt ?stream ?heartbeat_cycles j (compile ~options ~memmap j.source)
+  | Some a, Predict ->
+    let e = Artifacts.entry a ~options ~memmap j.source in
+    predict ~cc:e.Artifacts.compiled.cc j
+      (Artifacts.harvest a e ?max_instructions:j.max_instructions)
+  | Some a, (Cycle | Functional) ->
+    run_to_halt ?stream ?heartbeat_cycles j (Artifacts.get a ~options ~memmap j.source)
 
 let run_cycle ?config ?racecheck ?profile ?stream ?heartbeat_cycles ?max_cycles c =
   run_to_halt ?stream ?heartbeat_cycles (job ?config ?racecheck ?profile ?max_cycles "") c

@@ -14,18 +14,32 @@ type compiled = {
 val compile :
   ?options:Compiler.Driver.options -> ?memmap:Isa.Memmap.t -> string -> compiled
 
-(** Shared compiled artifacts: a compile-once cache keyed on the
-    (source, compiler-options, memmap) triple.
+(** Shared compiled artifacts and their reuse-profile harvests.
 
     A design-space sweep simulates one program under many machine
-    configurations, so most jobs share their compile key; routing them
-    through one [Artifacts.t] compiles each key once and simulates every
-    config against the same read-only {!compiled} value (the simulator
-    copies the image's data words into a fresh store per machine, so
-    sharing is safe).  The cache is domain-safe: concurrent requests for
-    a key being compiled block until the artifact is ready, and a
-    failing compile leaves no cache entry — each retry compiles afresh,
-    preserving the campaign engine's per-job retry semantics. *)
+    configurations, so most jobs share their compile key, the
+    (source, compiler-options, memmap) triple.  Routing them through one
+    [Artifacts.t] compiles each key once and simulates every config
+    against the same read-only {!compiled} value (the simulator copies
+    the image's data words into a fresh store per machine, so sharing is
+    safe).
+
+    A predict job of such a key ({!run_job} [~artifacts]) shares one
+    more thing: its functional pass, which harvests the reuse profile
+    and reads nothing but the image and [max_instructions].  Each
+    artifact keeps its harvests by budget: output, instruction count,
+    {!Xmtsim.Stats.t} and the {!Xmtsim.Reuseprofile.snapshot}.  Config,
+    seed and calibration only reach the model, and a predict job's race
+    report is static-only, so none of them is in the key; after the
+    first job of a program, a predict job costs one model evaluation.
+    Each job gets its own copy of the shared [Stats.t]; the snapshot is
+    shared and read-only.
+
+    The cache is domain-safe: concurrent requests for a key being
+    compiled or harvested block until the value is ready, and a failing
+    compile or harvest (an exhausted instruction budget, say) leaves no
+    cache entry — each retry runs afresh, preserving the campaign
+    engine's per-job retry semantics. *)
 module Artifacts : sig
   type t
 
@@ -42,6 +56,10 @@ module Artifacts : sig
 
   (** [(hits, misses)]: reuses vs compiles actually performed. *)
   val stats : t -> int * int
+
+  (** [(hits, misses)]: reuses vs harvests actually run (each failed
+      harvest is a miss). *)
+  val harvest_stats : t -> int * int
 end
 
 type run = {
@@ -167,10 +185,13 @@ exception Budget_exhausted of run
       before it runs — the hook for more observers and checkpoint
       restores.  Raises {!Budget_exhausted} when the budget runs out.
     - [Functional]: the serializing mode; [cycles] and [events] are 0.
-    - [Predict]: one functional pass harvests a reuse profile (handed to
-      [on_reuse]) that {!Predict.Model} prices under the config, with
-      the [job.calibration] artifact or {!Predict.Calibrate.default};
-      [cycles] is the prediction, [run.predict] the report.
+    - [Predict]: the config is checked, then one functional pass
+      harvests a reuse profile (handed to [on_reuse]) that
+      {!Predict.Model} prices under the config, with the
+      [job.calibration] artifact or {!Predict.Calibrate.default};
+      [cycles] is the prediction, [run.predict] the report.  Here the
+      pass always runs; {!run_job} [~artifacts] shares it between the
+      jobs of one artifact and budget ({!Artifacts}).
 
     The serializing modes' race report is static-only. *)
 val run_image :
@@ -184,7 +205,8 @@ val run_image :
   run
 
 (** Compile the job (through the shared [artifacts] cache when given)
-    and {!run_image} it.  Raises {!Compiler.Driver.Compile_error},
+    and {!run_image} it; with [artifacts], a predict job also shares
+    its harvest.  Raises {!Compiler.Driver.Compile_error},
     {!Xmtsim.Config.Bad_config} or {!Xmtsim.Machine.Sim_error} (an
     exhausted cycle budget included) — the campaign engine captures
     these per job. *)

@@ -1,7 +1,8 @@
 (** The [xmtserved] campaign server.
 
     One process holds one warm {!Campaign.Pool} and one shared
-    {!Core.Toolchain.Artifacts} cache and serves [xmt.campaign.v1]
+    {!Core.Toolchain.Artifacts} cache (compiles and predict harvests,
+    kept for the daemon's lifetime) and serves [xmt.campaign.v1]
     requests over a Unix-domain socket ({!Protocol}).  Design points:
 
     - {b streaming, not buffering}: per-job results leave as

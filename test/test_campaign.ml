@@ -66,6 +66,75 @@ let poisoned_jobs_under_stealing () =
         Tu.check_bool "error captured" true (f.Campaign.f_exn <> ""))
     rs
 
+(* ---- shared predict harvests ---- *)
+
+let harvests a = snd (T.Artifacts.harvest_stats a)
+
+(* [n] predict jobs of [src], each on its own fpga64 point *)
+let predict_points ?max_instructions n src =
+  List.init n (fun i ->
+      let name = Printf.sprintf "p%02d" i in
+      let point = Printf.sprintf "dram_latency=%d" (20 + (10 * i)) in
+      let config = C.with_overrides C.fpga64 [ point ] in
+      (name, T.job ~name ~mode:T.Predict ?max_instructions ~config src))
+
+(* A width-4 pool prices one program at 12 points with one harvest; the
+   jobs that start while the first is still compiling or harvesting
+   wait on its Building slot and get what a job run alone gets.  A
+   round in which no job started before the first finished showed no
+   waiter, so it is run again (a handful of times at most). *)
+let one_harvest_per_program () =
+  let specs = predict_points 12 (Core.Kernels.vecadd ~n:4096) in
+  let want = Tu.alone specs in
+  Campaign.Pool.with_pool ~workers:4 (fun pool ->
+      let rec round k =
+        let a = T.Artifacts.create () in
+        let finished = ref false and early = ref 0 in
+        let on_event = function
+          | Campaign.Job_started _ -> if not !finished then incr early
+          | Campaign.Job_finished _ | Campaign.Job_failed _ -> finished := true
+        in
+        let rs = Campaign.run ~pool ~artifacts:a ~on_event specs in
+        Tu.check_int "all ok" 12 (Campaign.ok_count rs);
+        Tu.check_int "one harvest" 1 (harvests a);
+        Tu.check_int "eleven shared" 11 (fst (T.Artifacts.harvest_stats a));
+        Tu.check_string "report as with nothing shared" want (report rs);
+        if !early < 2 && k < 5 then round (k + 1) else !early
+      in
+      Tu.check_bool "a job waited on the first one's harvest" true (round 1 >= 2))
+
+(* A pass that runs out of budget fails its job on each attempt and is
+   not cached: the retry and an identical later job harvest again.  The
+   compile it rode on is cached as usual. *)
+let failed_harvest_not_cached () =
+  let a = T.Artifacts.create () in
+  let starved = predict_points ~max_instructions:20 1 (Core.Kernels.vecadd ~n:64) in
+  let rs = Campaign.run ~artifacts:a ~retries:1 starved in
+  Tu.check_int "failed" 1 (Campaign.failed_count rs);
+  Tu.check_int "two attempts" 2 rs.(0).Campaign.r_attempts;
+  Tu.check_int "two harvest misses" 2 (harvests a);
+  let rs = Campaign.run ~artifacts:a starved in
+  Tu.check_int "failed again" 1 (Campaign.failed_count rs);
+  Tu.check_int "missed again" 3 (harvests a);
+  Tu.check_int "no harvest shared" 0 (fst (T.Artifacts.harvest_stats a));
+  Tu.check_int "one compile" 1 (snd (T.Artifacts.stats a))
+
+(* The budget is in the harvest's key: the same source under a second
+   budget harvests again, under the same budget it shares. *)
+let budget_keys_the_harvest () =
+  let a = T.Artifacts.create () in
+  let src = Core.Kernels.vecadd ~n:64 in
+  let specs =
+    predict_points 2 src
+    @ predict_points ~max_instructions:1_000_000 2 src
+  in
+  let rs = Campaign.run ~artifacts:a specs in
+  Tu.check_int "all ok" 4 (Campaign.ok_count rs);
+  Tu.check_int "two harvests" 2 (harvests a);
+  Tu.check_int "two shared" 2 (fst (T.Artifacts.harvest_stats a));
+  Tu.check_int "one compile" 1 (snd (T.Artifacts.stats a));
+  Tu.check_string "report as with nothing shared" (Tu.alone specs) (report rs)
+
 let workers_clamped_to_jobs () =
   (* ~jobs:8 with 2 jobs must run on 2 workers; the campaign.start
      stream record reports the clamped width *)
@@ -518,6 +587,12 @@ let () =
             pool_failure_spares_the_rest;
           Tu.tc "pool shutdown idempotent" pool_shutdown_idempotent;
           Tu.tc "pool shutdown concurrent-safe" pool_shutdown_concurrent;
+        ] );
+      ( "shared harvests",
+        [
+          Tu.tc "one harvest per program on a wide pool" one_harvest_per_program;
+          Tu.tc "a failed harvest is not cached" failed_harvest_not_cached;
+          Tu.tc "the budget keys the harvest" budget_keys_the_harvest;
         ] );
       ( "fault isolation",
         [

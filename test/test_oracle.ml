@@ -177,11 +177,38 @@ let resume_equivalence () =
 
 let squares = "int A[32]; int main(void) { spawn(0, 31) { A[$] = $ * $; } return 0; }"
 
+let racy () = In_channel.with_open_text (Tu.example "racy_overlap.xmtc") In_channel.input_all
+
+(* Predict jobs share a harvest per program and budget: two programs
+   priced on three configs and once more with a seed, a race-checked
+   one, and one whose budget runs out beside its program's full-budget
+   jobs. *)
+let predict_specs () =
+  let job ?seed ?racecheck ?max_instructions name config src =
+    (name, T.job ~name ~mode:T.Predict ?seed ?racecheck ?max_instructions ~config src)
+  in
+  List.concat_map
+    (fun (p, src) ->
+      List.map
+        (fun (point, config) -> job (p ^ "/" ^ point) config src)
+        [
+          ("tiny", C.tiny);
+          ("fpga64", C.fpga64);
+          ("dram40", C.with_overrides C.tiny [ "dram_latency=40" ]);
+        ]
+      @ [ job ~seed:3 (p ^ "/seeded") C.fpga64 src ])
+    [ ("vecadd", Core.Kernels.vecadd ~n:24); ("squares", squares) ]
+  @ [
+      job ~racecheck:true "racy/predict" C.tiny (racy ());
+      job ~max_instructions:20 "vecadd/starved" C.tiny (Core.Kernels.vecadd ~n:24);
+    ]
+
 (* The stealing and failing-job campaigns are test_campaign's "warm
    pool" and test_stream's "campaign" cases. *)
 let campaigns () =
   [
-    ("sizes, seeds and modes", Tu.det_specs () @ [ Tu.vecadd_job ~mode:T.Predict 24 ]);
+    ( "sizes, seeds and modes",
+      Tu.det_specs () @ [ Tu.vecadd_job ~mode:T.Predict 24 ] @ predict_specs () );
     (* CI's campaign inputs: seeds, config overrides, functional mode,
        race-checked and profiled jobs *)
     ( "seed, set and mode",
@@ -197,9 +224,7 @@ let campaigns () =
         job ~set:[ "num_cache_modules=4" ] "c6";
         job ~racecheck:true "race";
         job ~profile:true "prof";
-        ( "racy",
-          T.job ~name:"racy" ~racecheck:true ~profile:true ~config:C.tiny
-            (In_channel.with_open_text (Tu.example "racy_overlap.xmtc") In_channel.input_all) );
+        ("racy", T.job ~name:"racy" ~racecheck:true ~profile:true ~config:C.tiny (racy ()));
       ] );
   ]
 

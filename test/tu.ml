@@ -473,11 +473,29 @@ let campaign ~jobs specs =
   ( Obs.Json.to_string (Campaign.report_to_json ~host:false rs),
     Obs.Stream.canonicalize_lines (Buffer.contents buf) )
 
-(** The campaign variant: [specs] on each of [workers] (by default 2, 4
-    and more workers than jobs) report and stream exactly what they do
-    on one. *)
+(** The [report_to_json ~host:false] bytes of [specs] run one by one
+    through {!Core.Toolchain.run_job} without an artifact cache, one
+    attempt each: every job compiles, and a predict job harvests, for
+    itself. *)
+let alone specs =
+  List.mapi
+    (fun r_index (r_name, job) ->
+      let r_outcome =
+        match Core.Toolchain.run_job job with
+        | run -> Ok run
+        | exception e -> Error { Campaign.f_exn = Printexc.to_string e; f_backtrace = "" }
+      in
+      { Campaign.r_index; r_name; r_job = job; r_attempts = 1; r_wall_seconds = 0.0; r_outcome })
+    specs
+  |> Array.of_list |> Campaign.report_to_json ~host:false |> Obs.Json.to_string
+
+(** The campaign variant: [specs] on one worker report what they do run
+    alone, with nothing shared; on each of [workers] (by default 2, 4
+    and more workers than jobs) they report and stream exactly what they
+    do on one. *)
 let agree_campaign ?workers what specs =
   let report, stream = campaign ~jobs:1 specs in
+  check_string (what ^ " report, nothing shared") (alone specs) report;
   check_bool (what ^ " stream non-empty") true (stream <> "");
   List.iter
     (fun jobs ->
