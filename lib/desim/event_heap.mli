@@ -1,10 +1,15 @@
-(** Binary min-heap of pending events, the "event list" of the DE scheduler
-    (paper Fig. 4).
+(** Pending events, the "event list" of the DE scheduler (paper Fig. 4).
 
     Events are ordered by [(time, priority, sequence number)].  The sequence
     number is assigned at insertion, making the processing order of
     simultaneous same-priority events deterministic (insertion order), which
-    in turn makes whole simulations reproducible. *)
+    in turn makes whole simulations reproducible.  [time] and [priority]
+    may be any [int].
+
+    The heap sifts ints only: its arrays hold each event's key and the
+    slot of its payload in a separate pool, where [add] writes the payload
+    once and [pop] reads it once.  A freed slot holds no payload, so it
+    keeps nothing alive. *)
 
 type 'a t
 

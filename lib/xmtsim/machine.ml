@@ -57,6 +57,8 @@ type tcu_state =
 type tcu = {
   tid : int;
   tcl : int;
+  tword : int;  (* this TCU's word and bit in its cluster's runnable set *)
+  tbit : int;
   ctx : F.ctx;
   mutable st : tcu_state;
   mutable wait : int;
@@ -76,6 +78,12 @@ type cluster = {
   returns : pkg Ring.t;
   rocache : Tags.t;
   mutable rr : int;
+  (* kept by [set_state]: the TCUs in [Trun] or [Tfuwait], a bit set of
+     [set_bits] per word; the count in [Tmemwait] or [Tfence]; the count
+     in [Tpswait] *)
+  runnable : int array;
+  mutable n_mem : int;
+  mutable n_ps : int;
 }
 
 (* Mstall: [master_wait] more cycles of post-issue latency *)
@@ -147,6 +155,34 @@ type t = {
 
 type result = { output : string; cycles : int; halted : bool }
 
+(* A runnable set holds [set_bits] TCUs per word, below the sign bit, so
+   a word's lowest set bit [b] is positive and [b mod 67] tells the 62
+   bits apart (2 has order 66 modulo 67): [bit_index] maps it back. *)
+let set_bits = 62
+
+let bit_index =
+  let a = Array.make 67 0 in
+  for k = 0 to set_bits - 1 do
+    a.((1 lsl k) mod 67) <- k
+  done;
+  a
+
+let runnable = function Trun | Tfuwait -> true | Tidle | Tmemwait | Tpswait | Tfence | Tdone -> false
+let mem_waits = function Tmemwait | Tfence -> 1 | Tidle | Trun | Tfuwait | Tpswait | Tdone -> 0
+let ps_waits = function Tpswait -> 1 | Tidle | Trun | Tfuwait | Tmemwait | Tfence | Tdone -> 0
+
+(* Every TCU state change goes through here, so each cluster's runnable
+   set and wait counts always match its TCUs' states.  The cluster tick
+   relies on it: without a probe listening to per-tick events it visits
+   only the runnable set and adds the wait counts in bulk (see
+   [cluster_tick]). *)
+let set_state t (u : tcu) st =
+  let cl = t.clusters.(u.tcl) in
+  if runnable u.st <> runnable st then cl.runnable.(u.tword) <- cl.runnable.(u.tword) lxor u.tbit;
+  cl.n_mem <- cl.n_mem + mem_waits st - mem_waits u.st;
+  cl.n_ps <- cl.n_ps + ps_waits st - ps_waits u.st;
+  u.st <- st
+
 (* ------------------------------------------------------------------ *)
 
 (* Hashing on the address avoids module hotspots (paper §II); a simple
@@ -179,6 +215,8 @@ let create ?(config = Config.fpga64) img =
                 {
                   tid = (cid * cfg.Config.tcus_per_cluster) + k;
                   tcl = cid;
+                  tword = k / set_bits;
+                  tbit = 1 lsl (k mod set_bits);
                   ctx = F.make_ctx ();
                   st = Tidle;
                   wait = 0;
@@ -196,6 +234,9 @@ let create ?(config = Config.fpga64) img =
             Tags.create ~lines:cfg.Config.rocache_lines ~assoc:2
               ~line_words:cfg.Config.cache_line_words;
           rr = 0;
+          runnable = Array.make ((cfg.Config.tcus_per_cluster + set_bits - 1) / set_bits) 0;
+          n_mem = 0;
+          n_ps = 0;
         })
   in
   let modules =
@@ -342,7 +383,7 @@ let total_tcus t = Array.length t.clusters * t.cfg.Config.tcus_per_cluster
 let maybe_join t =
   if t.spawn_active && t.done_count = total_tcus t && t.pending_total = 0 then begin
     t.spawn_active <- false;
-    Array.iter (fun cl -> Array.iter (fun u -> u.st <- Tidle) cl.ctcus) t.clusters;
+    Array.iter (fun cl -> Array.iter (fun u -> set_state t u Tidle) cl.ctcus) t.clusters;
     let _, join_idx = t.spawn_region in
     let delay = t.cfg.Config.join_overhead * Desim.Clock.period t.clk_cluster in
     Desim.Scheduler.schedule t.sched ~delay (fun () ->
@@ -519,7 +560,7 @@ let observe_lifecycle t (cl : cluster) (lc : Probe.lifecycle) =
 (* the reply ended [u]'s memory wait *)
 let wake t (u : tcu) r_lc ~pref =
   if t.probed then t.probe.Probe.woken ~tcu:u.tid ~pref r_lc;
-  u.st <- Trun
+  set_state t u Trun
 
 (* Deliver [pk]'s reply to its TCU, then return the package to the pool. *)
 let deliver_reply t (cl : cluster) pk =
@@ -552,7 +593,7 @@ let deliver_reply t (cl : cluster) pk =
       u.pending <- u.pending - 1;
       t.pending_total <- t.pending_total - 1;
       if u.st = Tfence && u.pending = 0 then begin
-        u.st <- Trun;
+        set_state t u Trun;
         (* fence completes: stores drained *)
         if t.probed then t.probe.Probe.release ~tcu:u.tid
       end;
@@ -570,7 +611,7 @@ let ps_done t (u : tcu) =
   t.globals.(u.ps_g) <- old + u.ps_inc;
   if t.probed then t.probe.Probe.sync ~tcu:u.tid;
   if u.ps_dst <> 0 then u.ctx.F.regs.(u.ps_dst) <- old;
-  if u.st = Tpswait then u.st <- Trun
+  if u.st = Tpswait then set_state t u Trun
 
 (* Claim the first unit of [pool] free at [now] until [busy_until]. *)
 let rec claim pool i ~now ~busy_until =
@@ -632,7 +673,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
     match res with
     | F.Done ->
       if fu_lat > 1 then begin
-        u.st <- Tfuwait;
+        set_state t u Tfuwait;
         u.wait <- fu_lat - 1
       end
     | F.Load ->
@@ -642,7 +683,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
         if t.probed then t.probe.Probe.read ~tcu:u.tid ~pc ~addr;
         F.complete_load u.ctx u.ctx.F.dst (Mem.read t.memory addr);
         if t.cfg.Config.rocache_hit_latency > 1 then begin
-          u.st <- Tfuwait;
+          set_state t u Tfuwait;
           u.wait <- t.cfg.Config.rocache_hit_latency - 1
         end
       end
@@ -655,11 +696,11 @@ let tcu_issue t (cl : cluster) (u : tcu) =
         | Prefetch_buffer.In_flight ->
           t.stats.Stats.prefetch_late <- t.stats.Stats.prefetch_late + 1;
           Prefetch_buffer.wait_on u.pbuf addr u.ctx.F.dst;
-          u.st <- Tmemwait
+          set_state t u Tmemwait
         | Prefetch_buffer.Miss ->
           t.stats.Stats.prefetch_misses <- t.stats.Stats.prefetch_misses + 1;
           request t cl u Kload ~pc;
-          u.st <- Tmemwait
+          set_state t u Tmemwait
       end
     | F.Store ->
       (* rule 1 (same source, same destination order): the TCU's own store
@@ -671,10 +712,10 @@ let tcu_issue t (cl : cluster) (u : tcu) =
         u.pending <- u.pending + 1;
         t.pending_total <- t.pending_total + 1
       end
-      else u.st <- Tmemwait
+      else set_state t u Tmemwait
     | F.Psm ->
       request t cl u Kpsm ~pc;
-      u.st <- Tmemwait
+      set_state t u Tmemwait
     | F.Prefetch ->
       t.stats.Stats.prefetch_issued <- t.stats.Stats.prefetch_issued + 1;
       if Prefetch_buffer.start u.pbuf addr then request t cl u Kpref ~pc
@@ -682,7 +723,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
       if inc <> 0 && inc <> 1 then
         fail "TCU %d: ps increment must be 0 or 1 (got %d)" u.tid inc;
       t.stats.Stats.ps_ops <- t.stats.Stats.ps_ops + 1;
-      u.st <- Tpswait;
+      set_state t u Tpswait;
       u.ps_dst <- dst;
       u.ps_g <- g;
       u.ps_inc <- inc;
@@ -693,14 +734,14 @@ let tcu_issue t (cl : cluster) (u : tcu) =
         t.stats.Stats.virtual_threads <- t.stats.Stats.virtual_threads + 1
       end
       else begin
-        u.st <- Tdone;
+        set_state t u Tdone;
         t.done_count <- t.done_count + 1;
         if t.probed then t.probe.Probe.tcu_done ~tcu:u.tid;
         maybe_join t
       end
     | F.Fence ->
       t.stats.Stats.fences <- t.stats.Stats.fences + 1;
-      if u.pending > 0 then u.st <- Tfence
+      if u.pending > 0 then set_state t u Tfence
       else if t.probed then t.probe.Probe.release ~tcu:u.tid (* completes at once *)
     | F.Output s -> Buffer.add_string t.out_buf s
     | F.Spawn _ -> fail "TCU %d executed spawn (nested spawns are serialized)" u.tid
@@ -716,7 +757,7 @@ let tcu_tick t (cl : cluster) (u : tcu) =
   | Tfuwait ->
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fu;
-    if u.wait <= 1 then u.st <- Trun else u.wait <- u.wait - 1
+    if u.wait <= 1 then set_state t u Trun else u.wait <- u.wait - 1
   | Tmemwait ->
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Mem
@@ -727,6 +768,28 @@ let tcu_tick t (cl : cluster) (u : tcu) =
     (* [deliver_reply] ends the fence when the last store is acked *)
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
     if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fence
+
+(* Tick the TCUs whose bits are set in [w], the runnable-set word whose
+   bit 0 is TCU [base], lowest first. *)
+let rec tick_word t (cl : cluster) base w =
+  if w <> 0 then begin
+    let b = w land -w in
+    tcu_tick t cl cl.ctcus.(base + bit_index.(b mod 67));
+    tick_word t cl base (w lxor b)
+  end
+
+(* Tick the runnable TCUs with index in [lo, hi), in index order.  A
+   word is read when its turn comes: by then only TCUs already ticked
+   have left the set, and those bits are masked off. *)
+let tick_runnable t (cl : cluster) lo hi =
+  if lo < hi then
+    for i = lo / set_bits to (hi - 1) / set_bits do
+      let base = i * set_bits in
+      let w = cl.runnable.(i) in
+      let w = if lo > base then w land (-1 lsl (lo - base)) else w in
+      let w = if hi - base < set_bits then w land ((1 lsl (hi - base)) - 1) else w in
+      tick_word t cl base w
+    done
 
 let cluster_tick t (cl : cluster) =
   if t.spawn_active || (not (Ring.is_empty cl.returns)) || not (Ring.is_empty cl.outbox)
@@ -741,9 +804,26 @@ let cluster_tick t (cl : cluster) =
     (* phase 2: step TCUs, rotating priority *)
     if t.spawn_active then begin
       let n = Array.length cl.ctcus in
-      for k = cl.rr to cl.rr + n - 1 do
-        tcu_tick t cl cl.ctcus.(if k < n then k else k - n)
-      done;
+      if t.ticked then
+        (* a probe hears every TCU's tick, waiting ones included *)
+        for k = cl.rr to cl.rr + n - 1 do
+          tcu_tick t cl cl.ctcus.(if k < n then k else k - n)
+        done
+      else begin
+        (* Only runnable TCUs have work; the waiting ones are counted in
+           bulk.  This is the full sweep above, exactly: no TCU leaves a
+           wait state during phase 2 (replies arrive in phase 1, [ps_done]
+           is an event of its own, and at a join nobody waits), so the
+           counts taken now are the waits the sweep would count, and the
+           runnable TCUs issue in the same rotated order, claiming FUs
+           and filling the outbox as they would.  The counters are exact
+           at every tick boundary, where hooks and plug-ins read them. *)
+        let s = t.stats in
+        s.Stats.tcu_memwait_cycles <- s.Stats.tcu_memwait_cycles + cl.n_mem;
+        s.Stats.tcu_pswait_cycles <- s.Stats.tcu_pswait_cycles + cl.n_ps;
+        tick_runnable t cl cl.rr n;
+        tick_runnable t cl 0 cl.rr
+      end;
       cl.rr <- (if cl.rr + 1 < n then cl.rr + 1 else 0)
     end;
     (* phase 3: inject into the ICN *)
@@ -849,7 +929,7 @@ let master_tick t =
                 (fun u ->
                   F.copy_regs ~src:t.master ~dst:u.ctx;
                   u.ctx.F.pc <- spawn_idx + 1;
-                  u.st <- Trun;
+                  set_state t u Trun;
                   Prefetch_buffer.clear u.pbuf)
                 cl.ctcus)
             t.clusters;

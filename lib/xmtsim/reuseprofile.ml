@@ -288,17 +288,17 @@ let create ?(granularities = default_granularities) ?(depth = default_depth)
         stream_names;
   }
 
-let on_instr t ~master ins =
-  t.instructions <- t.instructions + 1;
-  if master then t.master_instructions <- t.master_instructions + 1;
+let on_instrs t ~master ins n =
+  t.instructions <- t.instructions + n;
+  if master then t.master_instructions <- t.master_instructions + n;
   let b = t.current in
-  b.b_instructions <- b.b_instructions + 1;
+  b.b_instructions <- b.b_instructions + n;
   let i = class_index (I.fu_class_of ins) in
-  b.b_mix.(i) <- b.b_mix.(i) + 1;
+  b.b_mix.(i) <- b.b_mix.(i) + n;
   match ins with
-  | I.Mdu (I.Mul, _, _, _) -> b.b_muls <- b.b_muls + 1
+  | I.Mdu (I.Mul, _, _, _) -> b.b_muls <- b.b_muls + n
   | I.Fpu (I.Fdiv, _, _, _) | I.Fpu1 (I.Fsqrt, _, _) ->
-    b.b_fpu_divs <- b.b_fpu_divs + 1
+    b.b_fpu_divs <- b.b_fpu_divs + n
   | _ -> ()
 
 let s_rw = 0

@@ -59,7 +59,7 @@ val create :
 
 (** {2 Collector hooks} (called by {!Functional_mode}) *)
 
-val on_instr : t -> master:bool -> Isa.Instr.t -> unit
+val on_instrs : t -> master:bool -> Isa.Instr.t -> int -> unit
 
 val on_access :
   t ->

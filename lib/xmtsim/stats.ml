@@ -219,11 +219,14 @@ let blit ~src ~dst =
   dst.fences <- src.fences;
   dst.req_lat <- Option.map copy_req_latency src.req_lat
 
-let count_instr t ~master ins =
+(* [n] executions of [ins] *)
+let count_instrs t ~master ins n =
   let i = fu_index (Isa.Instr.fu_class_of ins) in
-  t.instr_by_class.(i) <- t.instr_by_class.(i) + 1;
-  if master then t.master_instrs <- t.master_instrs + 1
-  else t.tcu_instrs <- t.tcu_instrs + 1
+  t.instr_by_class.(i) <- t.instr_by_class.(i) + n;
+  if master then t.master_instrs <- t.master_instrs + n
+  else t.tcu_instrs <- t.tcu_instrs + n
+
+let count_instr t ~master ins = count_instrs t ~master ins 1
 
 let total_instrs t = t.master_instrs + t.tcu_instrs
 

@@ -415,6 +415,74 @@ let qcheck_heap_remove =
       drain (min_int, min_int) []
       = Some (List.filter (fun i -> i mod 3 <> 1) (List.init (List.length entries) Fun.id)))
 
+(* qcheck: random interleavings of add, pop and remove agree with a list
+   kept sorted by (time, prio, insertion): every popped payload, the top
+   key and [min_time].  Times reach 2^40 and prios span the whole int
+   range, with small values drawn often so equal keys are common. *)
+type heap_op = Hadd of int * int | Hpop | Hremove of int
+
+let qcheck_heap_model =
+  let gen =
+    QCheck.Gen.(
+      let time = oneof [ int_bound 4; int_bound (1 lsl 40) ] in
+      let prio = oneof [ int_range (-3) 3; int; oneofl [ min_int; max_int ] ] in
+      list_size (int_bound 300)
+        (frequency
+           [ (4, map2 (fun t p -> Hadd (t, p)) time prio); (2, return Hpop);
+             (1, map (fun k -> Hremove k) nat) ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Hadd (t, p) -> Printf.sprintf "add %d %d" t p
+      | Hpop -> "pop"
+      | Hremove k -> Printf.sprintf "remove %d" k)
+  in
+  QCheck.Test.make ~count:300 ~name:"event heap matches a sorted-list model"
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let h = D.Event_heap.create () in
+      (* (time, prio, insertion, payload), sorted; payloads are distinct refs *)
+      let model = ref [] and n = ref 0 in
+      let key (t, p, i, _) = (t, p, i) in
+      let agree () =
+        match !model with
+        | [] ->
+          D.Event_heap.is_empty h
+          && D.Event_heap.min_time h = None
+          && (match D.Event_heap.top_time h with _ -> false | exception Not_found -> true)
+          && (match D.Event_heap.top_prio h with _ -> false | exception Not_found -> true)
+        | (t, p, _, _) :: _ ->
+          (not (D.Event_heap.is_empty h))
+          && D.Event_heap.top_time h = t
+          && D.Event_heap.top_prio h = p
+          && D.Event_heap.min_time h = Some t
+      in
+      let step = function
+        | Hadd (t, p) ->
+          let x = ref !n in
+          D.Event_heap.add h ~time:t ~prio:p x;
+          model := List.merge (fun a b -> compare (key a) (key b)) [ (t, p, !n, x) ] !model;
+          incr n;
+          true
+        | Hpop -> (
+          match !model with
+          | [] -> ( match D.Event_heap.pop h with _ -> false | exception Not_found -> true)
+          | (_, _, _, x) :: rest ->
+            model := rest;
+            D.Event_heap.pop h == x)
+        | Hremove k -> (
+          match !model with
+          | [] ->
+            D.Event_heap.remove h (ref (-1));
+            true
+          | l ->
+            let (_, _, _, x) = List.nth l (k mod List.length l) in
+            D.Event_heap.remove h x;
+            model := List.filter (fun (_, _, _, y) -> y != x) l;
+            true)
+      in
+      List.for_all (fun op -> step op && agree ()) ops)
+
 let () =
   Alcotest.run "desim"
     [
@@ -427,6 +495,7 @@ let () =
           Tu.tc "min time" heap_min_time;
           QCheck_alcotest.to_alcotest qcheck_heap_sorted;
           QCheck_alcotest.to_alcotest qcheck_heap_remove;
+          QCheck_alcotest.to_alcotest qcheck_heap_model;
         ] );
       ( "scheduler",
         [

@@ -1,6 +1,7 @@
 (** Every "this changes nothing" property through the oracle in {!Tu}:
     each variant runs the input table below two ways and {!Tu.agree}s on
-    what the runs show, on the tiny, fpga64 and chip1024 presets. *)
+    what the runs show, on the tiny, fpga64 and chip1024 presets and a
+    tiny machine with wide clusters. *)
 
 module C = Xmtsim.Config
 module T = Core.Toolchain
@@ -57,7 +58,9 @@ let inputs =
          ("prefetch-after-join.s", assemble Tu.prefetch_after_join_asm);
        ])
 
-let configs = [ C.tiny; C.fpga64; C.chip1024 ]
+(* "wide" puts 70 TCUs in a cluster, more than one word of a cluster's
+   runnable set holds, so every variant also crosses a word boundary *)
+let configs = [ C.tiny; C.fpga64; C.chip1024; { C.tiny with name = "wide"; tcus_per_cluster = 70 } ]
 
 (* One (input, config) pair.  Its plain runs, gated and ungated, are
    every variant's reference, run once. *)

@@ -1238,6 +1238,67 @@ let serial_skip_exact () =
       Tu.check_int (what ^ " host events") events (M.events_processed m))
     expected
 
+(* Without a probe listening to per-tick events, the cluster tick visits
+   only runnable TCUs and counts the memory and ps waits in bulk; with
+   one, it visits every TCU.  The TCU counters must agree at every
+   cluster tick, where hooks and plug-ins read them mid-run, on kernels
+   whose TCUs wait on memory, fences and prefix-sums. *)
+let wait_counters_every_tick () =
+  let compile ?(arrays = []) src =
+    (Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src).Core.Toolchain.image
+  in
+  let a = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:999 in
+  let sparse = Core.Workloads.sparse_array ~seed:8 ~n:256 ~density:50 in
+  let kernels =
+    [
+      ("par_mem", compile ~arrays:[ ("A", a) ] (Core.Kernels.par_mem ~threads:128 ~iters:4 ~n:2048));
+      ("publication", compile (Core.Kernels.publication ~n:64));
+      ("compaction", compile ~arrays:[ ("A", sparse) ] (Core.Kernels.compaction ~n:256));
+    ]
+  in
+  (* the counters at every cluster tick, and the waits a probe heard *)
+  let counters ~swept config image =
+    let m = M.create ~config image in
+    let heard = Hashtbl.create 4 in
+    if swept then
+      ignore
+        (M.attach m
+           { Xmtsim.Probe.nop with
+             wait = (fun ~tcu:_ w -> Hashtbl.replace heard w (1 + Option.value ~default:0 (Hashtbl.find_opt heard w))) }
+          : unit -> unit);
+    let log = ref [] in
+    M.add_passive_hook m ~interval:1 (fun g ->
+        let s = M.stats m in
+        log :=
+          Xmtsim.Stats.(g, s.tcu_busy_cycles, s.tcu_memwait_cycles, s.tcu_fuwait_cycles, s.tcu_pswait_cycles)
+          :: !log);
+    ignore (M.run m);
+    (List.rev !log, fun w -> Option.value ~default:0 (Hashtbl.find_opt heard w))
+  in
+  let reached = Hashtbl.create 4 in
+  List.iter
+    (fun (kname, image) ->
+      List.iter
+        (fun config ->
+          let what = kname ^ "/" ^ config.C.name in
+          let bulk, _ = counters ~swept:false config image
+          and swept, heard = counters ~swept:true config image in
+          Tu.check_bool (what ^ " ticks recorded") true (List.length bulk > 100);
+          Tu.check_int (what ^ " ticks") (List.length swept) (List.length bulk);
+          List.iter2
+            (fun ((g, _, _, _, _) as b) s ->
+              if b <> s then Alcotest.failf "%s: counters differ at cluster tick %d" what g)
+            bulk swept;
+          List.iter
+            (fun w -> if heard w > 0 then Hashtbl.replace reached (kname, w) ())
+            Xmtsim.Probe.[ Mem; Fence; Ps ])
+        [ C.fpga64; C.chip1024 ])
+    kernels;
+  List.iter
+    (fun (kname, w, wname) ->
+      Tu.check_bool (kname ^ " waits on " ^ wname) true (Hashtbl.mem reached (kname, w)))
+    Xmtsim.Probe.[ ("par_mem", Mem, "memory"); ("publication", Fence, "a fence"); ("compaction", Ps, "a prefix-sum") ]
+
 (* Activity plug-ins keep clock gating on a long serial memory kernel
    and a spawn/psm/serial mix, where every config's governor throttles. *)
 let plugins_keep_gating () =
@@ -1393,6 +1454,7 @@ let () =
           Tu.tc "halt/restore/rerun not truncated" halt_restore_rerun;
           Tu.tc "set_gating after start rejected" gating_rejects_late_toggle;
           Tu.tc "serial cluster-sweep skip is exact" serial_skip_exact;
+          Tu.tc "wait counters are exact at every tick" wait_counters_every_tick;
           Tu.tc "governed run matches the ungated-plug-in figures" governed_run_pinned;
           Tu.tc "activity plug-ins keep clock gating" plugins_keep_gating;
         ] );
