@@ -236,6 +236,63 @@ let interval_view_consistent () =
          && s.Xmtsim.Plugin.ps_memwait >= 0)
        samples)
 
+(* A run cut off inside a spawn, while TCUs wait on memory, fences and
+   prefix-sums, reports those open waits: the report and the interval
+   samples are pinned by MD5 digest, recorded when every waiting tick
+   was counted as it passed.  A second report adds nothing. *)
+let cut_off_mid_wait () =
+  let compile ?(arrays = []) src =
+    (Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src).Core.Toolchain.image
+  in
+  let sparse = Core.Workloads.sparse_array ~seed:8 ~n:256 ~density:50 in
+  List.iter
+    (fun (name, image, cut, waits, report_md5, samples_md5) ->
+      let m = Xmtsim.Machine.create ~config:Xmtsim.Config.fpga64 image in
+      (* each TCU's open wait, from the waits heard and the events that end them *)
+      let cfg = Xmtsim.Machine.config m in
+      let open_wait = Array.make Xmtsim.Config.(cfg.num_clusters * cfg.tcus_per_cluster) None in
+      let ends w ~tcu = if open_wait.(tcu) = Some w then open_wait.(tcu) <- None in
+      ignore
+        (Xmtsim.Machine.attach m
+           { Xmtsim.Probe.nop with
+             wait = (fun ~tcu w -> if w <> Xmtsim.Probe.Fu then open_wait.(tcu) <- Some w);
+             woken = (fun ~tcu ~pref:_ _ -> ends Xmtsim.Probe.Mem ~tcu);
+             release = ends Xmtsim.Probe.Fence;
+             sync = (fun ~tcu -> if tcu >= 0 then ends Xmtsim.Probe.Ps ~tcu) }
+          : unit -> unit);
+      let p = P.attach m in
+      let pl = Xmtsim.Plugin.attach_profiler ~profile:p ~interval:25 m in
+      let r = Xmtsim.Machine.run ~max_cycles:cut m in
+      Tu.check_bool (name ^ " cut off") false r.Xmtsim.Machine.halted;
+      List.iter
+        (fun w ->
+          Tu.check_bool
+            (Printf.sprintf "%s TCUs wait on %s at the cut" name
+               (match w with Xmtsim.Probe.Mem -> "memory" | Ps -> "a prefix-sum" | _ -> "a fence"))
+            true
+            (Array.mem (Some w) open_wait))
+        waits;
+      let md5 j = Digest.to_hex (Digest.string (Obs.Json.to_string j)) in
+      let report = md5 (P.to_json (P.report p)) in
+      Tu.check_string (name ^ " report") report_md5 report;
+      Tu.check_string (name ^ " samples") samples_md5 (md5 (Xmtsim.Plugin.profile_to_json pl));
+      Tu.check_string (name ^ " second report") report (md5 (P.to_json (P.report p))))
+    Xmtsim.Probe.
+      [
+        ( "publication",
+          compile (Core.Kernels.publication ~n:64),
+          124,
+          [ Mem; Fence ],
+          "cf994ffb16c1f6a78092bcf8c3703e10",
+          "c9a5b6563a2f2556e30e5db26f04de07" );
+        ( "compaction",
+          compile ~arrays:[ ("A", sparse) ] (Core.Kernels.compaction ~n:256),
+          133,
+          [ Mem; Ps; Fence ],
+          "1eef65205fb4c4b5b2b7c148afed19cb",
+          "aa72e6501c86da0ef038fd8f154c278f" );
+      ]
+
 let () =
   Alcotest.run "profile"
     [
@@ -243,6 +300,7 @@ let () =
         [
           Tu.tc "per-TCU sums exact" stacks_sum_exactly;
           Tu.tc "ps serialization counted" ps_serialization_counted;
+          Tu.tc "run cut off mid-wait" cut_off_mid_wait;
         ] );
       ( "attribution",
         [

@@ -446,14 +446,17 @@ let agree ~fields ~events what a b =
     {!sampling}, {!governor} and {!retuning} attached, gated equals
     ungated in every field, and the idle cluster clock still sleeps
     if [sleeps].  Where gating [diverges] (a known fault), only the
-    readings may differ, and must.  Returns whether a governor
-    throttled. *)
-let plugins_keep_gating ?(diverges = false) ~sleeps what config image ~plain =
-  agree ~fields:Run ~events:Plus_samples (what ^ " sampled vs plain")
-    (observe ~observers:[ sampling ] config image)
-    plain;
+    readings may differ, and must.  [pin name report] sees the gated
+    reports of {!sampling} alone and of all three.  Returns whether a
+    governor throttled. *)
+let plugins_keep_gating ?(diverges = false) ?(pin = fun _ _ -> ()) ~sleeps what config image
+    ~plain =
+  let sampled = observe ~observers:[ sampling ] config image in
+  agree ~fields:Run ~events:Plus_samples (what ^ " sampled vs plain") sampled plain;
+  pin sampling.name sampled.report;
   let run gated = observe ~gated ~observers:[ sampling; governor; retuning ] config image in
   let g = run true and u = run false in
+  pin retuning.name g.report;
   let what = what ^ " plug-ins" in
   if diverges then begin
     agree ~fields:Sim ~events:Fewer what g u;
