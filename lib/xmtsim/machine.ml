@@ -80,10 +80,12 @@ type cluster = {
   mutable rr : int;
   (* kept by [set_state]: the TCUs in [Trun] or [Tfuwait], a bit set of
      [set_bits] per word; the count in [Tmemwait] or [Tfence]; the count
-     in [Tpswait] *)
+     in [Tpswait]; while a probe hears waits, the TCUs that entered one
+     of those waits since their last tick, in the same layout *)
   runnable : int array;
   mutable n_mem : int;
   mutable n_ps : int;
+  entered : int array;
 }
 
 (* Mstall: [master_wait] more cycles of post-issue latency *)
@@ -141,10 +143,11 @@ type t = {
          keep their order (memory-model rule 1). *)
   mutable probes : Probe.t list;  (* attached, oldest first *)
   mutable probe : Probe.t;  (* their combined fan-out *)
-  (* hook-site guards: some probe is attached / listens to the per-tick
-     events (issue, stall, wait) / listens to package stations *)
+  (* hook-site guards: some probe is attached / listens to issues and
+     stalls / to waits / to package stations *)
   mutable probed : bool;
-  mutable ticked : bool;
+  mutable hears_issue : bool;
+  mutable hears_wait : bool;
   mutable packaged : bool;
   mutable started : bool;
   (* clock gating *)
@@ -168,19 +171,25 @@ let bit_index =
   a
 
 let runnable = function Trun | Tfuwait -> true | Tidle | Tmemwait | Tpswait | Tfence | Tdone -> false
+let waiting = function Tmemwait | Tpswait | Tfence -> true | Tidle | Trun | Tfuwait | Tdone -> false
 let mem_waits = function Tmemwait | Tfence -> 1 | Tidle | Trun | Tfuwait | Tpswait | Tdone -> 0
 let ps_waits = function Tpswait -> 1 | Tidle | Trun | Tfuwait | Tmemwait | Tfence | Tdone -> 0
 
 (* Every TCU state change goes through here, so each cluster's runnable
-   set and wait counts always match its TCUs' states.  The cluster tick
-   relies on it: without a probe listening to per-tick events it visits
-   only the runnable set and adds the wait counts in bulk (see
-   [cluster_tick]). *)
+   set, wait counts and entered set always match its TCUs' states.  The
+   cluster tick relies on it: it visits only the runnable and entered
+   sets and adds the wait counts in bulk (see [cluster_tick]).  A TCU
+   leaves the entered set at its first waiting tick or when its wait
+   ends, whichever comes first. *)
 let set_state t (u : tcu) st =
   let cl = t.clusters.(u.tcl) in
   if runnable u.st <> runnable st then cl.runnable.(u.tword) <- cl.runnable.(u.tword) lxor u.tbit;
   cl.n_mem <- cl.n_mem + mem_waits st - mem_waits u.st;
   cl.n_ps <- cl.n_ps + ps_waits st - ps_waits u.st;
+  if waiting st then begin
+    if t.hears_wait then cl.entered.(u.tword) <- cl.entered.(u.tword) lor u.tbit
+  end
+  else if waiting u.st then cl.entered.(u.tword) <- cl.entered.(u.tword) land lnot u.tbit;
   u.st <- st
 
 (* ------------------------------------------------------------------ *)
@@ -237,6 +246,7 @@ let create ?(config = Config.fpga64) img =
           runnable = Array.make ((cfg.Config.tcus_per_cluster + set_bits - 1) / set_bits) 0;
           n_mem = 0;
           n_ps = 0;
+          entered = Array.make ((cfg.Config.tcus_per_cluster + set_bits - 1) / set_bits) 0;
         })
   in
   let modules =
@@ -296,7 +306,8 @@ let create ?(config = Config.fpga64) img =
     probes = [];
     probe = Probe.nop;
     probed = false;
-    ticked = false;
+    hears_issue = false;
+    hears_wait = false;
     packaged = false;
     started = false;
     gating = true;
@@ -659,7 +670,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
   if fu_lat < 0 then begin
     (* shared unit busy: stall, retry next cycle *)
     t.stats.Stats.tcu_fuwait_cycles <- t.stats.Stats.tcu_fuwait_cycles + 1;
-    if t.ticked then t.probe.Probe.stall ~tcu:u.tid ~pc
+    if t.hears_issue then t.probe.Probe.stall ~tcu:u.tid ~pc
   end
   else begin
     let res = F.issue t.img u.ctx ~read_str:t.read_str in
@@ -667,7 +678,7 @@ let tcu_issue t (cl : cluster) (u : tcu) =
     t.cluster_instrs.(cl.cid) <- t.cluster_instrs.(cl.cid) + 1;
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
     let addr = u.ctx.F.addr in
-    if t.ticked then
+    if t.hears_issue then
       t.probe.Probe.issue ~tcu:u.tid ~pc ins
         ~addr:(match res with F.Load | F.Store | F.Psm | F.Prefetch -> addr | _ -> -1);
     match res with
@@ -750,45 +761,46 @@ let tcu_issue t (cl : cluster) (u : tcu) =
     | F.Mfg _ | F.Mtg _ -> fail "TCU %d executed serial-only mfg/mtg" u.tid
   end
 
+(* A runnable TCU's tick: issue, or one more cycle of FU latency. *)
 let tcu_tick t (cl : cluster) (u : tcu) =
   match u.st with
-  | Tidle | Tdone -> ()
   | Trun -> tcu_issue t cl u
   | Tfuwait ->
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fu;
+    if t.hears_wait then t.probe.Probe.wait ~tcu:u.tid Probe.Fu;
     if u.wait <= 1 then set_state t u Trun else u.wait <- u.wait - 1
-  | Tmemwait ->
-    t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Mem
-  | Tpswait ->
-    t.stats.Stats.tcu_pswait_cycles <- t.stats.Stats.tcu_pswait_cycles + 1;
-    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Ps
-  | Tfence ->
-    (* [deliver_reply] ends the fence when the last store is acked *)
-    t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    if t.ticked then t.probe.Probe.wait ~tcu:u.tid Probe.Fence
+  | Tidle | Tmemwait | Tpswait | Tfence | Tdone -> () (* not in the runnable set *)
 
-(* Tick the TCUs whose bits are set in [w], the runnable-set word whose
-   bit 0 is TCU [base], lowest first. *)
-let rec tick_word t (cl : cluster) base w =
+(* [u]'s first waiting tick: the probes hear its wait begin. *)
+let wait_begins t (cl : cluster) (u : tcu) =
+  cl.entered.(u.tword) <- cl.entered.(u.tword) lxor u.tbit;
+  if t.hears_wait then
+    t.probe.Probe.wait ~tcu:u.tid
+      (match u.st with Tmemwait -> Probe.Mem | Tpswait -> Probe.Ps | _ -> Probe.Fence)
+
+(* Step the TCUs whose bits are set in [w], a word of the runnable and
+   entered sets whose bit 0 is TCU [base], lowest first; [ent] is the
+   entered set's word. *)
+let rec step_word t (cl : cluster) base w ent =
   if w <> 0 then begin
     let b = w land -w in
-    tcu_tick t cl cl.ctcus.(base + bit_index.(b mod 67));
-    tick_word t cl base (w lxor b)
+    let u = cl.ctcus.(base + bit_index.(b mod 67)) in
+    if ent land b = 0 then tcu_tick t cl u else wait_begins t cl u;
+    step_word t cl base (w lxor b) ent
   end
 
-(* Tick the runnable TCUs with index in [lo, hi), in index order.  A
-   word is read when its turn comes: by then only TCUs already ticked
-   have left the set, and those bits are masked off. *)
-let tick_runnable t (cl : cluster) lo hi =
+(* Step the runnable and entered TCUs with index in [lo, hi), in index
+   order.  A word is read when its turn comes: by then only TCUs already
+   stepped have joined or left the sets, and those bits are masked off. *)
+let step_tcus t (cl : cluster) lo hi =
   if lo < hi then
     for i = lo / set_bits to (hi - 1) / set_bits do
       let base = i * set_bits in
-      let w = cl.runnable.(i) in
+      let ent = cl.entered.(i) in
+      let w = cl.runnable.(i) lor ent in
       let w = if lo > base then w land (-1 lsl (lo - base)) else w in
       let w = if hi - base < set_bits then w land ((1 lsl (hi - base)) - 1) else w in
-      tick_word t cl base w
+      step_word t cl base w ent
     done
 
 let cluster_tick t (cl : cluster) =
@@ -801,29 +813,22 @@ let cluster_tick t (cl : cluster) =
         deliver_reply t cl (Ring.pop cl.returns)
       end
     done;
-    (* phase 2: step TCUs, rotating priority *)
+    (* phase 2: step TCUs, rotating priority.  Only runnable TCUs have
+       work; the waiting ones are counted in bulk, and a probe hears each
+       wait once, at the TCU's turn in its first waiting tick.  No TCU
+       leaves a wait state during phase 2 (replies arrive in phase 1,
+       [ps_done] is an event of its own, and at a join nobody waits), so
+       the counts taken now are this tick's waits, and the runnable TCUs
+       issue in rotated order, claiming FUs and filling the outbox.  The
+       counters are exact at every tick boundary, where hooks and
+       plug-ins read them. *)
     if t.spawn_active then begin
       let n = Array.length cl.ctcus in
-      if t.ticked then
-        (* a probe hears every TCU's tick, waiting ones included *)
-        for k = cl.rr to cl.rr + n - 1 do
-          tcu_tick t cl cl.ctcus.(if k < n then k else k - n)
-        done
-      else begin
-        (* Only runnable TCUs have work; the waiting ones are counted in
-           bulk.  This is the full sweep above, exactly: no TCU leaves a
-           wait state during phase 2 (replies arrive in phase 1, [ps_done]
-           is an event of its own, and at a join nobody waits), so the
-           counts taken now are the waits the sweep would count, and the
-           runnable TCUs issue in the same rotated order, claiming FUs
-           and filling the outbox as they would.  The counters are exact
-           at every tick boundary, where hooks and plug-ins read them. *)
-        let s = t.stats in
-        s.Stats.tcu_memwait_cycles <- s.Stats.tcu_memwait_cycles + cl.n_mem;
-        s.Stats.tcu_pswait_cycles <- s.Stats.tcu_pswait_cycles + cl.n_ps;
-        tick_runnable t cl cl.rr n;
-        tick_runnable t cl 0 cl.rr
-      end;
+      let s = t.stats in
+      s.Stats.tcu_memwait_cycles <- s.Stats.tcu_memwait_cycles + cl.n_mem;
+      s.Stats.tcu_pswait_cycles <- s.Stats.tcu_pswait_cycles + cl.n_ps;
+      step_tcus t cl cl.rr n;
+      step_tcus t cl 0 cl.rr;
       cl.rr <- (if cl.rr + 1 < n then cl.rr + 1 else 0)
     end;
     (* phase 3: inject into the ICN *)
@@ -848,7 +853,7 @@ let master_tick t =
   match t.master_st with
   | Mhalted | Mmemwait | Mspawnwait -> ()
   | Mstall ->
-    if t.ticked then t.probe.Probe.wait ~tcu:(-1) Probe.Fu;
+    if t.hears_wait then t.probe.Probe.wait ~tcu:(-1) Probe.Fu;
     if t.master_wait <= 1 then t.master_st <- Mrun
     else t.master_wait <- t.master_wait - 1
   | Mrun -> (
@@ -858,7 +863,7 @@ let master_tick t =
     let res = F.issue t.img t.master ~read_str:t.read_str in
     Stats.count_instr t.stats ~master:true ins;
     let addr = t.master.F.addr in
-    if t.ticked then
+    if t.hears_issue then
       t.probe.Probe.issue ~tcu:(-1) ~pc ins
         ~addr:(match res with F.Load | F.Store -> addr | _ -> -1);
     match res with
@@ -1040,7 +1045,8 @@ let refresh_probes t =
   t.probe <- Probe.combine t.probes;
   t.probed <- t.probes <> [];
   let n = Probe.nop and p = t.probe in
-  t.ticked <- p.issue != n.issue || p.stall != n.stall || p.wait != n.wait;
+  t.hears_issue <- p.issue != n.issue || p.stall != n.stall;
+  t.hears_wait <- p.wait != n.wait;
   t.packaged <- p.package != n.package
 
 let attach t p =

@@ -7,7 +7,10 @@
     attached is bit-identical to a plain run — output, cycles, the full
     {!Stats.t} and even the host event count (checked for every shipped
     probe by the equivalence oracle in [test/test_oracle.ml]).  Probes see
-    events, not time: code that runs every N cycles is a periodic hook
+    events, not time: a TCU's wait on memory, a fence or a prefix-sum is
+    heard once as it begins and once as it ends, not at every waiting
+    tick, so attaching a probe never changes which TCUs the machine
+    steps.  Code that runs every N cycles is a periodic hook
     ({!Machine.add_passive_hook}, or {!Machine.add_activity_plugin} for
     the active kind).
 
@@ -31,12 +34,12 @@ type lifecycle = {
   mutable l_hit : bool;
 }
 
-(** Why a TCU spent a tick without issuing. *)
+(** Why a TCU spends ticks without issuing. *)
 type wait =
   | Fu  (** multi-cycle FU latency; for the master, any post-issue stall *)
-  | Mem  (** blocked on a memory reply *)
-  | Ps  (** prefix-sum in flight *)
-  | Fence  (** draining non-blocking stores *)
+  | Mem  (** blocked on a memory reply; ends at [woken] *)
+  | Ps  (** prefix-sum in flight; ends at [sync] *)
+  | Fence  (** draining non-blocking stores; ends at [release] *)
 
 type t = {
   name : string;
@@ -44,7 +47,11 @@ type t = {
       (** an instruction issued; [addr] is the memory address it
           touches, or -1 *)
   stall : tcu:int -> pc:int -> unit;  (** shared FU busy: retry next tick *)
-  wait : tcu:int -> wait -> unit;  (** one tick spent in a wait state *)
+  wait : tcu:int -> wait -> unit;
+      (** [Fu]: one tick spent in FU latency.  [Mem], [Ps], [Fence]: a
+          wait begins, heard once, in the TCU's turn of its first waiting
+          tick; a wait that ends before that tick is not heard, and a
+          probe attached mid-spawn may miss the waits already entered *)
   read : tcu:int -> pc:int -> addr:int -> unit;
       (** shared-memory read performed (service time) *)
   write : tcu:int -> pc:int -> addr:int -> unit;

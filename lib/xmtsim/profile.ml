@@ -15,6 +15,8 @@
     cycles, stats or traces (checked by the equivalence oracle's probe
     variant, [test/test_oracle.ml]).
 
+    Wait episodes are counted from {!Machine.cluster_ticks} stamps taken
+    when the probe hears the wait begin and end, not tick by tick.
     Memory-wait episodes are accounted when the reply arrives: the ticks
     a TCU spent in [Tmemwait] are split across the ICN / cache-hit / DRAM
     buckets proportionally to the request's lifecycle stamps, using
@@ -55,7 +57,8 @@ type t = {
   master : int array;  (** master TCU bucket cycle counts *)
   pc_cycles : int array;  (** attributed cycles per program counter *)
   last_pc : int array;  (** per TCU: pc of the last issued instruction *)
-  mw_ticks : int array;  (** per TCU: ticks of the open memwait episode *)
+  mw_since : int array;  (** per TCU: first tick of the open memory wait, or -1 *)
+  fp_since : int array;  (** per TCU: first tick of the open fence or ps wait, or -1 *)
   mutable master_last_pc : int;
   mutable master_stall : bucket;  (** why the master entered Mstall *)
   mutable mem_ops : int;  (** memory instructions issued (both TCU kinds) *)
@@ -73,7 +76,8 @@ let create m =
     master = Array.make n_buckets 0;
     pc_cycles = Array.make (max 1 (Array.length (Machine.image m).Isa.Program.instrs)) 0;
     last_pc = Array.make (max 1 n_tcus) (-1);
-    mw_ticks = Array.make (max 1 n_tcus) 0;
+    mw_since = Array.make (max 1 n_tcus) (-1);
+    fp_since = Array.make (max 1 n_tcus) (-1);
     master_last_pc = -1;
     master_stall = Compute;
     mem_ops = 0;
@@ -97,52 +101,59 @@ let count p ~tcu ~pc b n =
 
 (* ---- TCU-side events ---- *)
 
-(* per-cycle hooks are hand-flattened (no [count] call) to keep the
-   profiled hot path one call deep *)
+(* one compute cycle charged to [pc]: an issue, a shared-FU stall (the
+   instruction retries next cycle) or a cycle of FU latency; hand-
+   flattened (no [count] call) to keep the profiled hot path one call
+   deep *)
+let[@inline] compute p ~tcu ~pc =
+  let row = p.per_tcu.(tcu) in
+  Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
+  attribute p ~pc 1
 
 let[@inline] tcu_issue p ~tcu ~pc ~mem =
   p.last_pc.(tcu) <- pc;
   if mem then p.mem_ops <- p.mem_ops + 1;
-  let row = p.per_tcu.(tcu) in
-  Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
-  attribute p ~pc 1
+  compute p ~tcu ~pc
 
-(* shared FU busy: the instruction at [pc] retries next cycle *)
-let[@inline] tcu_stall p ~tcu ~pc =
-  let row = p.per_tcu.(tcu) in
-  Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
-  attribute p ~pc 1
+(* Ticks waited by the episode begun at tick [since] (-1: none heard).
+   An end heard in phase 1 of the current tick (a reply, a fence
+   release) waited up to the tick before; an episode still open after a
+   tick, or ended between ticks (a prefix-sum), waited [through] it. *)
+let waited p since ~through =
+  if since < 0 then 0 else Machine.cluster_ticks p.m - since + if through then 1 else 0
 
-(* one stall cycle in a directly-classifiable state (FU latency, fence,
-   ps wait), charged to the instruction that caused it *)
-let[@inline] tcu_wait p ~tcu b =
-  let row = p.per_tcu.(tcu) in
-  let i = bucket_index b in
-  Array.unsafe_set row i (Array.unsafe_get row i + 1);
-  attribute p ~pc:p.last_pc.(tcu) 1
+(* A fence or ps wait ends: charge it to the instruction that caused it. *)
+let end_fence_ps p ~tcu ~through =
+  let ticks = waited p p.fp_since.(tcu) ~through in
+  p.fp_since.(tcu) <- -1;
+  if ticks > 0 then count p ~tcu ~pc:p.last_pc.(tcu) Fence_ps ticks
 
-(* Close a memory-wait episode.  [icn]/[cache_hit]/[dram] are the
-   lifecycle components of the request in simulated time; the episode's
-   tick count is split across them with cumulative integer floors, so
-   the assigned integers sum exactly to the ticks waited. *)
-let flush_memwait p ~tcu ~icn ~cache_hit ~dram ~pref =
-  let ticks = p.mw_ticks.(tcu) in
-  if ticks > 0 then begin
-    p.mw_ticks.(tcu) <- 0;
-    let pc = p.last_pc.(tcu) in
-    if pref then count p ~tcu ~pc Prefetch_covered ticks
+(* A memory wait ends at the reply that woke the TCU.  A wait an
+   in-flight prefetch completed is prefetch-covered; any other is split
+   across the request's ICN / cache-hit / DRAM lifecycle components in
+   simulated time, with cumulative integer floors, so the assigned
+   integers sum exactly to the ticks waited. *)
+let woken p ~tcu ~pref (lc : Probe.lifecycle) =
+  let ticks = waited p p.mw_since.(tcu) ~through:false and pc = p.last_pc.(tcu) in
+  p.mw_since.(tcu) <- -1;
+  if ticks > 0 && pref then count p ~tcu ~pc Prefetch_covered ticks
+  else if ticks > 0 then begin
+    let hit_lat =
+      (Machine.config p.m).Config.cache_hit_latency * Machine.period p.m Machine.Caches
+    in
+    let svc = lc.l_svc - lc.l_arrive in
+    let hit = if lc.l_hit then svc else min hit_lat svc in
+    let w_icn = max 0 (lc.l_arrive - lc.l_born + (Machine.cycles p.m - lc.l_svc))
+    and w_hit = max 0 hit
+    and w_dram = max 0 (svc - hit) in
+    let total = w_icn + w_hit + w_dram in
+    if total <= 0 then count p ~tcu ~pc Icn ticks
     else begin
-      let w_icn = max 0 icn and w_hit = max 0 cache_hit and w_dram = max 0 dram in
-      let total = w_icn + w_hit + w_dram in
-      if total <= 0 then count p ~tcu ~pc Icn ticks
-      else begin
-        (* cumulative floors, straight-lined (no per-reply allocation) *)
-        let upto_icn = ticks * w_icn / total in
-        let upto_hit = ticks * (w_icn + w_hit) / total in
-        if upto_icn > 0 then count p ~tcu ~pc Icn upto_icn;
-        if upto_hit > upto_icn then count p ~tcu ~pc Cache_hit (upto_hit - upto_icn);
-        if ticks > upto_hit then count p ~tcu ~pc Dram (ticks - upto_hit)
-      end
+      (* cumulative floors, straight-lined (no per-reply allocation) *)
+      let upto_icn = ticks * w_icn / total and upto_hit = ticks * (w_icn + w_hit) / total in
+      if upto_icn > 0 then count p ~tcu ~pc Icn upto_icn;
+      if upto_hit > upto_icn then count p ~tcu ~pc Cache_hit (upto_hit - upto_icn);
+      if ticks > upto_hit then count p ~tcu ~pc Dram (ticks - upto_hit)
     end
   end
 
@@ -164,23 +175,6 @@ let master_mem p ~ticks =
 
 let master_spawn_join p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
 
-(* A memory-wait episode ends at the reply that woke the TCU: split the
-   request's lifecycle into its ICN / cache-hit / DRAM components (or
-   charge the whole wait as prefetch-covered when an in-flight prefetch
-   completed it). *)
-let woken p ~tcu ~pref (lc : Probe.lifecycle) =
-  if pref then flush_memwait p ~tcu ~icn:0 ~cache_hit:0 ~dram:0 ~pref:true
-  else begin
-    let now = Machine.cycles p.m in
-    let hit_lat =
-      (Machine.config p.m).Config.cache_hit_latency * Machine.period p.m Machine.Caches
-    in
-    let icn = lc.l_arrive - lc.l_born + (now - lc.l_svc) in
-    let svc = lc.l_svc - lc.l_arrive in
-    let cache_hit = if lc.l_hit then svc else min hit_lat svc in
-    flush_memwait p ~tcu ~icn ~cache_hit ~dram:(svc - cache_hit) ~pref:false
-  end
-
 let probe p =
   let cfg = Machine.config p.m in
   {
@@ -198,15 +192,18 @@ let probe p =
           | Isa.Instr.Spawn _ -> master_spawn_join p ~pc ~ticks:cfg.Config.spawn_overhead
           | _ -> ()
         end);
-    stall = (fun ~tcu ~pc -> tcu_stall p ~tcu ~pc);
+    stall = (fun ~tcu ~pc -> compute p ~tcu ~pc);
     wait =
       (fun ~tcu w ->
         match w with
-        | Probe.Mem -> (* open-episode tick: the hottest event *)
-          p.mw_ticks.(tcu) <- p.mw_ticks.(tcu) + 1
-        | Probe.Fu -> if tcu < 0 then master_wait p else tcu_wait p ~tcu Compute
-        | Probe.Ps | Probe.Fence -> tcu_wait p ~tcu Fence_ps);
+        | Probe.Fu -> if tcu < 0 then master_wait p else compute p ~tcu ~pc:p.last_pc.(tcu)
+        | Probe.Mem -> p.mw_since.(tcu) <- Machine.cluster_ticks p.m
+        | Probe.Ps | Probe.Fence -> p.fp_since.(tcu) <- Machine.cluster_ticks p.m);
     woken = woken p;
+    (* a ps completes between ticks; a psm, heard at its module, ends no
+       fence or ps wait *)
+    sync = (fun ~tcu -> end_fence_ps p ~tcu ~through:true);
+    release = (fun ~tcu -> end_fence_ps p ~tcu ~through:false);
     join = (fun ~pc -> master_spawn_join p ~pc ~ticks:cfg.Config.join_overhead);
     (* the master was parked the whole window: DRAM wait, in grid ticks *)
     master_mem =
@@ -222,19 +219,16 @@ let compute_cycles p =
   Array.iter (fun row -> c := !c + row.(bucket_index Compute)) p.per_tcu;
   !c
 
+(* a bucket row's memory-wait cycles *)
+let memory row =
+  row.(bucket_index Icn) + row.(bucket_index Cache_hit) + row.(bucket_index Dram)
+  + row.(bucket_index Prefetch_covered)
+
 let memwait_cycles p =
   let c = ref 0 in
-  Array.iter
-    (fun row ->
-      c :=
-        !c
-        + row.(bucket_index Icn)
-        + row.(bucket_index Cache_hit)
-        + row.(bucket_index Dram)
-        + row.(bucket_index Prefetch_covered))
-    p.per_tcu;
+  Array.iter (fun row -> c := !c + memory row) p.per_tcu;
   (* open episodes count as wait already accrued *)
-  Array.iter (fun w -> c := !c + w) p.mw_ticks;
+  Array.iter (fun since -> c := !c + waited p since ~through:true) p.mw_since;
   !c
 
 let mem_ops p = p.mem_ops
@@ -279,16 +273,19 @@ let attach m =
 let report p =
   let total_ticks = Machine.cluster_ticks p.m - p.base_ticks in
   let locs = (Machine.image p.m).Isa.Program.locs in
-  (* a run cut off mid-wait leaves open episodes; close them into the ICN
-     bucket (the request is somewhere in transit) so non-idle cycles
-     never silently vanish *)
-  Array.iteri
-    (fun tcu w ->
-      if w > 0 then begin
-        p.mw_ticks.(tcu) <- 0;
-        count p ~tcu ~pc:p.last_pc.(tcu) Icn w
-      end)
-    p.mw_ticks;
+  (* a run cut off mid-wait leaves open episodes; count them through the
+     last tick, memory waits into the ICN bucket (the request is
+     somewhere in transit), so non-idle cycles never silently vanish, and
+     go on from the next tick *)
+  let close since b =
+    Array.iteri
+      (fun tcu s ->
+        count p ~tcu ~pc:p.last_pc.(tcu) b (waited p s ~through:true);
+        if s >= 0 then since.(tcu) <- Machine.cluster_ticks p.m + 1)
+      since
+  in
+  close p.mw_since Icn;
+  close p.fp_since Fence_ps;
   let total = max 0 total_ticks in
   let tcus = Array.map (fun b -> sum_row (Array.copy b) total) p.per_tcu in
   let n_clusters =
@@ -392,14 +389,6 @@ let to_json rp =
               | j -> j)
             arr))
   in
-  let take n l =
-    let rec go n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: go (n - 1) rest
-    in
-    go n l
-  in
   J.Obj
     [
       ("schema", J.Str "xmt.profile.v1");
@@ -438,7 +427,7 @@ let to_json rp =
                 (List.map
                    (fun (pc, c) ->
                      J.Obj [ ("pc", J.Int pc); ("cycles", J.Int c) ])
-                   (take 50 rp.rp_attr.a_by_pc)) );
+                   (List.filteri (fun i _ -> i < 50) rp.rp_attr.a_by_pc)) );
           ] );
     ]
 
@@ -470,12 +459,7 @@ let render rp =
     "compute" "memory" "other" "idle";
   Array.iteri
     (fun i r ->
-      let mem =
-        r.r_buckets.(bucket_index Icn)
-        + r.r_buckets.(bucket_index Cache_hit)
-        + r.r_buckets.(bucket_index Dram)
-        + r.r_buckets.(bucket_index Prefetch_covered)
-      in
+      let mem = memory r.r_buckets in
       let compute = r.r_buckets.(bucket_index Compute) in
       let other = Array.fold_left ( + ) 0 r.r_buckets - mem - compute in
       Printf.ksprintf (Buffer.add_string b) "  %-8d %12d %12d %12d %12d\n" i

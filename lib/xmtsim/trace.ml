@@ -105,17 +105,15 @@ let spans_probe sp =
   {
     Probe.nop with
     name = "spans";
-    (* a memwait span opens on the first waiting tick and closes on the
-       first tick in any other state *)
+    (* a memwait span opens on a memory or fence wait's first waiting
+       tick and closes at the TCU's next issue or stall *)
     issue = (fun ~tcu ~pc:_ _ ~addr:_ -> if tcu >= 0 then close_memwait sp ~tcu);
     stall = (fun ~tcu ~pc:_ -> close_memwait sp ~tcu);
     wait =
       (fun ~tcu w ->
-        if tcu >= 0 then
-          match w with
-          | Probe.Mem | Probe.Fence ->
-            if sp.mw_since.(tcu) < 0 then sp.mw_since.(tcu) <- Machine.cycles sp.m
-          | Probe.Fu | Probe.Ps -> close_memwait sp ~tcu);
+        match w with
+        | Probe.Mem | Probe.Fence -> sp.mw_since.(tcu) <- Machine.cycles sp.m
+        | Probe.Fu | Probe.Ps -> ());
     (* package hops as instant events on the originating TCU's track *)
     package =
       (fun ~stage ~kind ~addr ~tcu ~pc:_ ~module_ ->

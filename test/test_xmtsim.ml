@@ -1238,11 +1238,14 @@ let serial_skip_exact () =
       Tu.check_int (what ^ " host events") events (M.events_processed m))
     expected
 
-(* Without a probe listening to per-tick events, the cluster tick visits
-   only runnable TCUs and counts the memory and ps waits in bulk; with
-   one, it visits every TCU.  The TCU counters must agree at every
-   cluster tick, where hooks and plug-ins read them mid-run, on kernels
-   whose TCUs wait on memory, fences and prefix-sums. *)
+(* The cluster tick steps only runnable TCUs and counts the memory and ps
+   waits in bulk; a probe hears each of those waits once, as it begins,
+   and then the event that ends it (woken, release, sync).  The TCUs a
+   probe rebuilds in each wait from those events, with the issues,
+   stalls and FU-latency ticks it hears, must account for the TCU
+   counters' growth at every cluster tick, where hooks and plug-ins read
+   them mid-run, on kernels whose TCUs wait on memory, fences and
+   prefix-sums; and the counters must be a plain run's. *)
 let wait_counters_every_tick () =
   let compile ?(arrays = []) src =
     (Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src).Core.Toolchain.image
@@ -1256,24 +1259,55 @@ let wait_counters_every_tick () =
       ("compaction", compile ~arrays:[ ("A", sparse) ] (Core.Kernels.compaction ~n:256));
     ]
   in
-  (* the counters at every cluster tick, and the waits a probe heard *)
-  let counters ~swept config image =
+  let module P = Xmtsim.Probe in
+  (* per cluster tick: the growth of the busy, memory-wait, FU-wait and
+     ps-wait counters, and what the probe (if [probed]) accounts for *)
+  let counters ~probed config image =
     let m = M.create ~config image in
-    let heard = Hashtbl.create 4 in
-    if swept then
+    let n = config.C.num_clusters * config.C.tcus_per_cluster in
+    let in_wait = Array.make n None and waiting = Hashtbl.create 4 and heard = Hashtbl.create 4 in
+    let in_kind w = Option.value ~default:0 (Hashtbl.find_opt waiting w) in
+    let tally w d = Hashtbl.replace waiting w (in_kind w + d) in
+    let ends w ~tcu =
+      if in_wait.(tcu) = Some w then begin
+        in_wait.(tcu) <- None;
+        tally w (-1)
+      end
+    in
+    let busy = ref 0 and stalls = ref 0 in
+    if probed then
       ignore
         (M.attach m
-           { Xmtsim.Probe.nop with
-             wait = (fun ~tcu:_ w -> Hashtbl.replace heard w (1 + Option.value ~default:0 (Hashtbl.find_opt heard w))) }
+           { P.nop with
+             issue = (fun ~tcu ~pc:_ _ ~addr:_ -> if tcu >= 0 then incr busy);
+             stall = (fun ~tcu:_ ~pc:_ -> incr stalls);
+             wait =
+               (fun ~tcu w ->
+                 if w = P.Fu then (if tcu >= 0 then incr busy)
+                 else begin
+                   if in_wait.(tcu) <> None then Alcotest.failf "TCU %d: a wait began twice" tcu;
+                   in_wait.(tcu) <- Some w;
+                   tally w 1;
+                   Hashtbl.replace heard w ()
+                 end);
+             woken = (fun ~tcu ~pref:_ _ -> ends P.Mem ~tcu);
+             release = ends P.Fence;
+             sync = ends P.Ps }
           : unit -> unit);
-    let log = ref [] in
+    let last = ref (0, 0, 0, 0) and log = ref [] and rebuilt = ref [] in
     M.add_passive_hook m ~interval:1 (fun g ->
         let s = M.stats m in
-        log :=
-          Xmtsim.Stats.(g, s.tcu_busy_cycles, s.tcu_memwait_cycles, s.tcu_fuwait_cycles, s.tcu_pswait_cycles)
-          :: !log);
+        let now =
+          Xmtsim.Stats.(s.tcu_busy_cycles, s.tcu_memwait_cycles, s.tcu_fuwait_cycles, s.tcu_pswait_cycles)
+        in
+        let b0, m0, f0, p0 = !last and b1, m1, f1, p1 = now in
+        log := (g, b1 - b0, m1 - m0, f1 - f0, p1 - p0) :: !log;
+        rebuilt := (g, !busy, in_kind P.Mem + in_kind P.Fence, !stalls, in_kind P.Ps) :: !rebuilt;
+        last := now;
+        busy := 0;
+        stalls := 0);
     ignore (M.run m);
-    (List.rev !log, fun w -> Option.value ~default:0 (Hashtbl.find_opt heard w))
+    (List.rev !log, List.rev !rebuilt, Hashtbl.mem heard)
   in
   let reached = Hashtbl.create 4 in
   List.iter
@@ -1281,23 +1315,25 @@ let wait_counters_every_tick () =
       List.iter
         (fun config ->
           let what = kname ^ "/" ^ config.C.name in
-          let bulk, _ = counters ~swept:false config image
-          and swept, heard = counters ~swept:true config image in
-          Tu.check_bool (what ^ " ticks recorded") true (List.length bulk > 100);
-          Tu.check_int (what ^ " ticks") (List.length swept) (List.length bulk);
-          List.iter2
-            (fun ((g, _, _, _, _) as b) s ->
-              if b <> s then Alcotest.failf "%s: counters differ at cluster tick %d" what g)
-            bulk swept;
-          List.iter
-            (fun w -> if heard w > 0 then Hashtbl.replace reached (kname, w) ())
-            Xmtsim.Probe.[ Mem; Fence; Ps ])
+          let plain, _, _ = counters ~probed:false config image
+          and grown, rebuilt, heard = counters ~probed:true config image in
+          Tu.check_bool (what ^ " ticks recorded") true (List.length plain > 100);
+          Tu.check_int (what ^ " ticks") (List.length plain) (List.length grown);
+          let matches against whose =
+            List.iter2
+              (fun ((g, _, _, _, _) as c) o ->
+                if c <> o then Alcotest.failf "%s: counters differ from %s at cluster tick %d" what whose g)
+              grown against
+          in
+          matches plain "a plain run's";
+          matches rebuilt "the probe's account";
+          List.iter (fun w -> if heard w then Hashtbl.replace reached (kname, w) ()) P.[ Mem; Fence; Ps ])
         [ C.fpga64; C.chip1024 ])
     kernels;
   List.iter
     (fun (kname, w, wname) ->
       Tu.check_bool (kname ^ " waits on " ^ wname) true (Hashtbl.mem reached (kname, w)))
-    Xmtsim.Probe.[ ("par_mem", Mem, "memory"); ("publication", Fence, "a fence"); ("compaction", Ps, "a prefix-sum") ]
+    P.[ ("par_mem", Mem, "memory"); ("publication", Fence, "a fence"); ("compaction", Ps, "a prefix-sum") ]
 
 (* Activity plug-ins keep clock gating on a long serial memory kernel
    and a spawn/psm/serial mix, where every config's governor throttles. *)
