@@ -323,6 +323,9 @@ let run_single o mode =
   List.iter
     (fun (flag, v) -> if v < 0 then fail "%s must not be negative, got %d" flag v)
     [ ("--profile-interval", o.profile_interval); ("--power-interval", o.power_interval) ];
+  (match o.max_cycles with
+  | Some v when v < 1 -> fail "--max-cycles must be >= 1, got %d" v
+  | _ -> ());
   if o.floorplan && o.power_interval = 0 then fail "--floorplan needs --power-interval";
   if o.checkpoint_at <> None && o.checkpoint_out = None then
     fail "--checkpoint-at needs --checkpoint-out";
@@ -676,7 +679,10 @@ let opts =
         (default: the built-in fit).")
   and+ memmap = Arg.(value & opt (some file) None & info [ "memmap" ] ~docv:"FILE"
       ~doc:"Memory-map file with initial values of globals.")
-  and+ max_cycles = Arg.(value & opt (some int) None & info [ "max-cycles" ] ~docv:"N")
+  and+ max_cycles = Arg.(value & opt (some int) None & info [ "max-cycles" ] ~docv:"N"
+      ~doc:"Stop the cycle-accurate run after N cycles if the program has not halted \
+        (default: the configuration's max_cycles, 10^9); the partial run is reported \
+        with a warning on stderr.")
   and+ stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print simulation statistics.")
   and+ trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print an execution trace.")
   and+ trace_packages = Arg.(value & flag & info [ "trace-packages" ]

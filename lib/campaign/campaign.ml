@@ -583,10 +583,14 @@ let job_of_json ~defaults ~index j =
   let options =
     options_of_json (J.member "options" defaults) (Option.value ~default:(J.Obj []) (J.member "options" j))
   in
+  let max_cycles = inherited (opt_int "max_cycles") j defaults in
+  (match max_cycles with
+  | Some m when m < 1 -> fail "job %S: \"max_cycles\" must be >= 1, got %d" name m
+  | _ -> ());
   let job =
     Core.Toolchain.job ~name ~options ~memmap ~config ~mode
       ?seed:(inherited (opt_int "seed") j defaults)
-      ?max_cycles:(inherited (opt_int "max_cycles") j defaults)
+      ?max_cycles
       ?max_instructions:(inherited (opt_int "max_instructions") j defaults)
       ?racecheck:(inherited (opt_bool "racecheck") j defaults)
       ?profile:(inherited (opt_bool "profile") j defaults)

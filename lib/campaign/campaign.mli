@@ -226,7 +226,7 @@ val progress_printer : total:int -> event -> unit
     [{...}]}] where each job object takes ["name"], ["source"] (path) or
     ["inline"] (XMTC text), ["preset"], ["set"] (override strings),
     ["mode"] ("cycle"/"functional"), ["memmap"] (path), ["seed"],
-    ["max_cycles"], ["max_instructions"], ["racecheck"] (bool: attach
+    ["max_cycles"] (at least 1), ["max_instructions"], ["racecheck"] (bool: attach
     the race checker; the job's result gains a ["races"] member with the
     [xmt.races.v1] report) and ["options"] (object with [opt_level],
     [cluster], [prefetch], [nbstore], [fences], [outline] booleans/ints).

@@ -68,7 +68,21 @@ let lat_stage_hists rl = function
   | Lreply -> rl.rl_reply
   | Ltotal -> rl.rl_total
 
-let rec bucket v i = if i < Array.length lat_bounds && v > lat_bounds.(i) then bucket v (i + 1) else i
+(* bit lengths of 0 .. 31 *)
+let small_bits =
+  let rec len x = if x = 0 then 0 else 1 + len (x lsr 1) in
+  Array.init 32 len
+
+(** The histogram bucket of [v]: the first {!lat_bounds} entry [>= v], or
+    the overflow bucket.  The bounds are [2^0 .. 2^10], so that is the bit
+    length of [v - 1] for [1 < v <= 1024]. *)
+let bucket v =
+  if v <= 1 then 0
+  else if v > 1024 then nbuckets - 1
+  else
+    let x = v - 1 in
+    let hi = x lsr 5 in
+    if hi > 0 then 5 + small_bits.(hi) else small_bits.(x)
 
 let observe_req rl stage ~cluster ~module_ v =
   if cluster >= 0 && cluster < rl.rl_clusters && module_ >= 0
@@ -76,7 +90,7 @@ let observe_req rl stage ~cluster ~module_ v =
   then begin
     let h = lat_stage_hists rl stage and base = ((cluster * rl.rl_modules) + module_) * hist_words in
     let v = max 0 v in
-    let i = base + bucket v 0 in
+    let i = base + bucket v in
     h.(i) <- h.(i) + 1;
     h.(base + o_sum) <- h.(base + o_sum) + v;
     let n = h.(base + o_count) in

@@ -427,7 +427,31 @@ let spec_errors () =
        [
          ("schema", Obs.Json.Str "xmt.campaign.v1");
          ("jobs", Obs.Json.List [ Obs.Json.Obj [ ("name", Obs.Json.Str "x") ] ]);
-       ])
+       ]);
+  (* a cycle budget below 1 is rejected before any run, naming the job,
+     whether the job or the defaults give it *)
+  List.iter
+    (fun (defaults, job, prefix) ->
+      let json =
+        Obs.Json.Obj
+          [
+            ("schema", Obs.Json.Str "xmt.campaign.v1");
+            ("defaults", Obs.Json.Obj defaults);
+            ( "jobs",
+              Obs.Json.List
+                [ Obs.Json.Obj (("inline", Obs.Json.Str (Core.Kernels.vecadd ~n:16)) :: job) ] );
+          ]
+      in
+      match Campaign.jobs_of_json json with
+      | exception Campaign.Spec_error msg ->
+        Tu.check_bool ("names the job: " ^ msg) true (String.starts_with ~prefix msg)
+      | _ -> Alcotest.fail "max_cycles < 1: Spec_error expected")
+    [
+      ( [],
+        [ ("name", Obs.Json.Str "capped"); ("max_cycles", Obs.Json.Int (-5)) ],
+        "job \"capped\": \"max_cycles\" must be >= 1, got -5" );
+      ([ ("max_cycles", Obs.Json.Int 0) ], [], "job \"job0\": \"max_cycles\" must be >= 1");
+    ]
 
 (* A memmap that is missing or malformed is a spec error naming the job,
    like every other bad spec field, not an exception from the parser. *)

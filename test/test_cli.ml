@@ -520,6 +520,9 @@ let input_errors_exit_1 () =
       (* runtime errors: a division by zero, a join with no spawn *)
       write_text div0 "li $t1, 7\nli $t2, 0\ndiv $t0, $t1, $t2\nhalt\n";
       write_text join "join\nhalt\n";
+      let _, _, err = run_cmd [ xmtsim; src; "--max-cycles=-5" ] in
+      Tu.check_bool "a bad --max-cycles is named" true
+        (contains "--max-cycles must be >= 1, got -5" err);
       List.iter
         (fun args ->
           let code, _, err = run_cmd (xmtsim :: args) in
@@ -535,6 +538,8 @@ let input_errors_exit_1 () =
           [ src; "--governor"; "--governor-interval"; "0" ];
           [ src; "--power-interval=-5" ];
           [ src; "--profile-interval=-5" ];
+          [ src; "--max-cycles=-5" ];
+          [ src; "--max-cycles"; "0" ];
         ]
         @ List.concat_map
             (fun input ->

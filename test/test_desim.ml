@@ -381,7 +381,7 @@ let rng_bounds () =
 
 (* qcheck: the heap always pops in nondecreasing key order *)
 let qcheck_heap_sorted =
-  QCheck.Test.make ~count:200 ~name:"event heap pops sorted"
+  QCheck.Test.make ~count:200 ~long_factor:20 ~name:"event heap pops sorted"
     QCheck.(list (pair small_nat small_nat))
     (fun entries ->
       let h = D.Event_heap.create () in
@@ -397,7 +397,8 @@ let qcheck_heap_sorted =
       drain (min_int, min_int) true)
 
 let qcheck_heap_remove =
-  QCheck.Test.make ~count:200 ~name:"event heap remove keeps the rest sorted"
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"event heap remove keeps the rest sorted"
     QCheck.(list (pair small_nat small_nat))
     (fun entries ->
       let h = D.Event_heap.create () in
@@ -437,7 +438,7 @@ let qcheck_heap_model =
       | Hpop -> "pop"
       | Hremove k -> Printf.sprintf "remove %d" k)
   in
-  QCheck.Test.make ~count:300 ~name:"event heap matches a sorted-list model"
+  QCheck.Test.make ~count:300 ~long_factor:20 ~name:"event heap matches a sorted-list model"
     (QCheck.make ~print gen)
     (fun ops ->
       let h = D.Event_heap.create () in
@@ -483,6 +484,81 @@ let qcheck_heap_model =
       in
       List.for_all (fun op -> step op && agree ()) ops)
 
+(* qcheck: the event list used the way the scheduler uses it.  Every add
+   lands at the last popped time plus a delay: a few cycles, just inside,
+   at and just past the wheel's horizon, two revolutions, 400 cycles or a
+   jump far beyond (an overflow event), with the scheduler's prios and
+   arbitrary ones.  Pops and removes of near and far events interleave,
+   so the wheel turns many times and its events sort against the
+   overflow's.  The model is the same sorted list as above. *)
+type sched_op = Sadd of int * int | Spop | Sremove of bool * int
+
+let qcheck_heap_scheduler =
+  let w = D.Event_heap.slots in
+  let gen =
+    QCheck.Gen.(
+      let delay =
+        frequency
+          [ (8, int_bound 3); (3, int_range (w - 1) (w + 1)); (1, return (2 * w));
+            (3, return 400); (1, return (1 lsl 40)) ]
+      in
+      let prio = frequency [ (6, oneofl [ 0; 10; 20 ]); (1, return 1000); (2, int) ] in
+      list_size (int_range 1 500)
+        (frequency
+           [ (5, map2 (fun d p -> Sadd (d, p)) delay prio); (4, return Spop);
+             (1, map2 (fun near k -> Sremove (near, k)) bool nat) ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Sadd (d, p) -> Printf.sprintf "add +%d %d" d p
+      | Spop -> "pop"
+      | Sremove (near, k) -> Printf.sprintf "remove %s %d" (if near then "near" else "far") k)
+  in
+  QCheck.Test.make ~count:300 ~long_factor:20 ~name:"event heap matches the model on scheduler-shaped use"
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let h = D.Event_heap.create () in
+      let model = ref [] and n = ref 0 and now = ref 0 in
+      let key (t, p, i, _) = (t, p, i) in
+      let agree () =
+        match !model with
+        | [] -> D.Event_heap.is_empty h && D.Event_heap.min_time h = None
+        | (t, p, _, _) :: _ ->
+          (not (D.Event_heap.is_empty h))
+          && D.Event_heap.top_time h = t
+          && D.Event_heap.top_prio h = p
+          && D.Event_heap.min_time h = Some t
+      in
+      let pop () =
+        match !model with
+        | [] -> ( match D.Event_heap.pop h with _ -> false | exception Not_found -> true)
+        | (t, _, _, x) :: rest ->
+          model := rest;
+          now := t;
+          D.Event_heap.pop h == x
+      in
+      let step = function
+        | Sadd (d, p) ->
+          let t = !now + d and x = ref !n in
+          D.Event_heap.add h ~time:t ~prio:p x;
+          model := List.merge (fun a b -> compare (key a) (key b)) [ (t, p, !n, x) ] !model;
+          incr n;
+          true
+        | Spop -> pop ()
+        | Sremove (near, k) ->
+          (match !model with
+          | [] -> D.Event_heap.remove h (ref (-1))
+          | l ->
+            let len = List.length l in
+            let i = if near then k mod len else len - 1 - (k mod len) in
+            let (_, _, _, x) = List.nth l i in
+            D.Event_heap.remove h x;
+            model := List.filter (fun (_, _, _, y) -> y != x) l);
+          true
+      in
+      let rec drain () = !model = [] || (pop () && agree () && drain ()) in
+      List.for_all (fun op -> step op && agree ()) ops && drain () && D.Event_heap.is_empty h)
+
 let () =
   Alcotest.run "desim"
     [
@@ -496,6 +572,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_heap_sorted;
           QCheck_alcotest.to_alcotest qcheck_heap_remove;
           QCheck_alcotest.to_alcotest qcheck_heap_model;
+          QCheck_alcotest.to_alcotest qcheck_heap_scheduler;
         ] );
       ( "scheduler",
         [

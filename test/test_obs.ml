@@ -321,6 +321,15 @@ let stats_export_e2e () =
   Tu.check_bool "icn packets counted" true
     (Option.get (value_of "sim.icn.packets") > 0)
 
+(* The request-latency bucket, computed from a bit length, is the first
+   bound >= v (the overflow past the last), as walking the bounds finds it. *)
+let latency_bucket_matches_bounds () =
+  let bounds = Xmtsim.Stats.lat_bounds in
+  let rec walk v i = if i < Array.length bounds && v > bounds.(i) then walk v (i + 1) else i in
+  for v = -2 to 5000 do
+    Tu.check_int (Printf.sprintf "bucket of %d" v) (walk v 0) (Xmtsim.Stats.bucket v)
+  done
+
 let latency_histograms_e2e () =
   (* the memory-request lifecycle shows up as per-(cluster, module)
      latency histograms with percentile estimates in the v2 export *)
@@ -505,6 +514,7 @@ let () =
         [
           Tu.tc "stats export e2e" stats_export_e2e;
           Tu.tc "latency histograms e2e" latency_histograms_e2e;
+          Tu.tc "latency bucket matches the bounds" latency_bucket_matches_bounds;
           Tu.tc "machine trace e2e" machine_trace_e2e;
           Tu.tc "profiler order + json" profiler_order_and_json;
           Tu.tc "trace limit detaches" trace_limit_detaches;
