@@ -55,9 +55,9 @@ let run () =
     /. float_of_int full.Core.Toolchain.cycles
   in
   Printf.printf
-    "\nintervals %d, phases %d, cycle-simulated intervals %d\n\
+    "\nintervals %d, phases %d (one interval of each cycle-simulated)\n\
      instructions cycle-simulated: %s of %s (%.1f%%)\n"
-    est.intervals est.phases est.samples_taken
+    est.intervals est.phases
     (commas est.sampled_instructions)
     (commas est.total_instructions)
     (100.0 *. float_of_int est.sampled_instructions

@@ -215,29 +215,28 @@ let run () =
   Printf.printf
     "sweep total: cycle %.2f s, predict %.3f s -> %.0fx amortized\n%!"
     sweep_cyc sweep_pred speedup;
-  (* checkpoint-sampled mode on the serial-heavy workload: windows land
-     between serialized instructions, so measured spans match requests *)
+  (* checkpoint-sampled simulation on the serial-heavy workload: the
+     phase-sampling estimator cycle-simulates one interval per phase *)
   let ser = compile (Core.Kernels.ser_mem ~iters:4000 ~n:4096) in
   let ser_actual = cycles_of ~config ser in
   let sp =
-    Predict.Sampled.estimate ~config ~interval:20_000 ~num_windows:4
+    Xmtsim.Phase_sampling.estimate ~config ~interval:20_000
       ser.Core.Toolchain.image
   in
   let sampled_err =
     abs_float
-      (float_of_int (sp.Predict.Sampled.sp_cycles - ser_actual)
+      (float_of_int (sp.Xmtsim.Phase_sampling.estimated_cycles - ser_actual)
       /. float_of_int ser_actual)
     *. 100.0
   in
   Printf.printf
-    "sampled (ser_mem): actual %s, blended %s (%.2f%% err; %d/%d windows, \
-     %s of %s instructions measured)\n%!"
+    "sampled (ser_mem): actual %s, estimated %s (%.2f%% err; phases %d, %s \
+     of %s instructions cycle-simulated)\n%!"
     (commas ser_actual)
-    (commas sp.Predict.Sampled.sp_cycles)
-    sampled_err sp.Predict.Sampled.sp_windows_landed
-    sp.Predict.Sampled.sp_windows_requested
-    (commas sp.Predict.Sampled.sp_measured_instructions)
-    (commas sp.Predict.Sampled.sp_total_instructions);
+    (commas sp.Xmtsim.Phase_sampling.estimated_cycles)
+    sampled_err sp.Xmtsim.Phase_sampling.phases
+    (commas sp.Xmtsim.Phase_sampling.sampled_instructions)
+    (commas sp.Xmtsim.Phase_sampling.total_instructions);
   let total_cycles =
     List.fold_left (fun a (_, _, c, _, _, _) -> a + c.Core.Toolchain.cycles) 0 rows
   in

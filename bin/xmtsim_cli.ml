@@ -326,6 +326,9 @@ let run_single o mode =
   (match o.max_cycles with
   | Some v when v < 1 -> fail "--max-cycles must be >= 1, got %d" v
   | _ -> ());
+  (match o.checkpoint_at with
+  | Some v when v < 0 -> fail "--checkpoint-at must be >= 0, got %d" v
+  | _ -> ());
   if o.floorplan && o.power_interval = 0 then fail "--floorplan needs --power-interval";
   if o.checkpoint_at <> None && o.checkpoint_out = None then
     fail "--checkpoint-at needs --checkpoint-out";

@@ -207,9 +207,9 @@ let snapshot t =
     ~globals:(Array.copy t.globals)
     ~output:(Buffer.contents t.out)
 
-let run ?(max_instructions = 2_000_000_000) ?on_instr ?profile img =
+let run ?(max_instructions = 2_000_000_000) ?profile img =
   let t = init ?profile img in
-  (match advance ?on_instr t ~budget:max_instructions with
+  (match advance t ~budget:max_instructions with
   | `Halted -> ()
   | `Paused -> fail "instruction budget exhausted");
   {

@@ -7,12 +7,16 @@
     concurrency bugs, because the serialized execution is only one of the
     legal interleavings.
 
-    Besides the one-shot {!run}, an incremental interface supports the
-    phase-sampling workflow of §III-F ({!Phase_sampling}): {!advance}
-    executes a bounded number of instructions, pausing only at {e serial
-    boundaries} (a spawn executes atomically), and {!snapshot} exports the
-    architectural state so a cycle-accurate {!Machine} can take over from
-    that exact point. *)
+    Besides the one-shot {!run}, an incremental interface serves the
+    phase sampling of §III-F ({!Phase_sampling}): {!advance} executes a
+    bounded number of instructions, pausing only at {e serial boundaries}
+    (a spawn executes atomically), and hands every executed pc to the
+    interval's fingerprint; {!snapshot} exports the architectural state so
+    a cycle-accurate {!Machine} can take over from that exact point.
+
+    The master's instruction count ([Stats.master_instrs]) includes each
+    spawn but not its join, which the serialized spawn never executes;
+    the cycle-accurate master counts both. *)
 
 type result = {
   output : string;
@@ -30,7 +34,6 @@ exception Exec_error of string
     mode.  Without it the hooks cost one [None] match per event. *)
 val run :
   ?max_instructions:int ->
-  ?on_instr:(pc:int -> unit) ->
   ?profile:Reuseprofile.t ->
   Isa.Program.image ->
   result

@@ -1096,7 +1096,7 @@ let start t =
   end
 
 (* [until]: stop early at the first instant boundary where it holds *)
-let run_until ?max_cycles ?until t =
+let run ?max_cycles ?until t =
   start t;
   let budget =
     match max_cycles with Some m -> m | None -> t.cfg.Config.max_cycles
@@ -1107,8 +1107,6 @@ let run_until ?max_cycles ?until t =
   if t.probed then t.probe.Probe.run_end ~halted:t.halted;
   { output = Buffer.contents t.out_buf; cycles = Desim.Scheduler.now t.sched;
     halted = t.halted }
-
-let run ?max_cycles t = run_until ?max_cycles t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
@@ -1159,7 +1157,7 @@ let run_to_quiescent t =
   let settled () = is_quiescent t || t.halted in
   if not (settled ()) then begin
     ignore (run ~max_cycles:1 t);
-    if not (settled ()) then ignore (run_until ~max_cycles:(10_000_000 - 1) ~until:settled t)
+    if not (settled ()) then ignore (run ~max_cycles:(10_000_000 - 1) ~until:settled t)
   end;
   if not (is_quiescent t) then fail "machine did not reach a quiescent point"
 

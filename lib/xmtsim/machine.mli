@@ -24,8 +24,9 @@ type result = {
 
 val create : ?config:Config.t -> Isa.Program.image -> t
 
-(** Run to completion (halt) or until [max_cycles]. *)
-val run : ?max_cycles:int -> t -> result
+(** Run to completion (halt), for at most [max_cycles] more cycles, or
+    to the first instant boundary at which [until] holds. *)
+val run : ?max_cycles:int -> ?until:(unit -> bool) -> t -> result
 
 val config : t -> Config.t
 val stats : t -> Stats.t
@@ -150,9 +151,9 @@ val make_snapshot :
 val checkpoint : t -> snapshot
 
 (** Restore into a machine created from the same image, in any config:
-    a snapshot is architectural state only, so phase sampling and
-    {!Predict.Sampled} move it between configs.  Raises {!Bad_snapshot}
-    when the snapshot belongs to another image. *)
+    a snapshot is architectural state only, so phase sampling moves it
+    between configs.  Raises {!Bad_snapshot} when the snapshot belongs to
+    another image. *)
 val restore : t -> snapshot -> unit
 
 (** Snapshot files carry a magic string, a format version and the image

@@ -3,7 +3,6 @@ type result = {
   total_instructions : int;
   intervals : int;
   phases : int;
-  samples_taken : int;
   sampled_instructions : int;
   sampled_cycles : int;
 }
@@ -11,6 +10,9 @@ type result = {
 exception Error of string
 
 let buckets = 64
+
+(* the fingerprint distance below which two intervals share a phase *)
+let similarity = 0.5
 
 (* L1 distance between normalized pc histograms; ranges over [0, 2]. *)
 let distance a b =
@@ -30,200 +32,78 @@ let distance a b =
 
 type phase = {
   fingerprint : int array;  (* the leader interval's histogram *)
-  mutable samples : int;
-  mutable cycles : int;
-  mutable instrs : int;
+  cpi : float;  (* its measured cycles per functional instruction *)
 }
 
-(* Cycle-simulate from [snap] until ~[instr_budget] instructions execute;
-   returns (cycles, instructions). *)
-let cycle_sample ~config ~image ~snap ~instr_budget =
+(* The master instructions the cycle machine issues for what the
+   functional mode has run so far: it also issues each spawn's join. *)
+let master_instrs st =
+  let s = Functional_mode.stats st in
+  s.Stats.master_instrs + s.Stats.spawns
+
+(* Cycle-simulate from [snap] until the master has issued [master]
+   more instructions, or halts; returns the cycles. *)
+let cycle_sample ~config ~image ~snap ~master =
   let m = Machine.create ~config image in
   Machine.restore m snap;
-  let start_instrs = Stats.total_instrs (Machine.stats m) in
-  let executed () = Stats.total_instrs (Machine.stats m) - start_instrs in
-  let rec go () =
-    let r = Machine.run ~max_cycles:2048 m in
-    if r.Machine.halted || executed () >= instr_budget then ()
-    else if Machine.cycles m > 100 * instr_budget then
-      raise (Error "cycle sample made no progress")
-    else go ()
-  in
-  go ();
-  (Machine.cycles m, max 1 (executed ()))
+  let target = (Machine.stats m).Stats.master_instrs + master in
+  let reached () = (Machine.stats m).Stats.master_instrs >= target in
+  let r = Machine.run ~until:reached m in
+  if not (r.Machine.halted || reached ()) then
+    raise
+      (Error
+         (Printf.sprintf "cycle sample stopped after %d cycles, short of its end"
+            r.Machine.cycles));
+  r.Machine.cycles
 
-let estimate ?(config = Config.fpga64) ?(interval = 20_000)
-    ?(samples_per_phase = 1) ?(similarity = 0.5) image =
+let estimate ?(config = Config.fpga64) ?(interval = 20_000) image =
+  if interval < 1 then
+    invalid_arg
+      (Printf.sprintf "Phase_sampling.estimate: interval must be >= 1, got %d"
+         interval);
   let st = Functional_mode.init image in
-  let phases : phase list ref = ref [] in
-  let estimated = ref 0.0 in
+  let pcs = max 1 (Array.length image.Isa.Program.instrs) in
+  let phases = ref [] in
   let intervals = ref 0 in
-  let samples_taken = ref 0 in
   let sampled_instructions = ref 0 in
   let sampled_cycles = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
+  let unmeasured = ref 0.0 in
+  let rec go () =
     let hist = Array.make buckets 0 in
     let snap = Functional_mode.snapshot st in
     let before = Functional_mode.instructions st in
+    let master_before = master_instrs st in
     let status =
       Functional_mode.advance st ~budget:interval ~on_instr:(fun ~pc ->
-          let b = pc * buckets / max 1 (Array.length image.Isa.Program.instrs) in
-          let b = min (buckets - 1) (max 0 b) in
+          let b = min (buckets - 1) (max 0 (pc * buckets / pcs)) in
           hist.(b) <- hist.(b) + 1)
     in
     let ran = Functional_mode.instructions st - before in
     if ran > 0 then begin
       incr intervals;
-      (* find or create this interval's phase *)
-      let phase =
-        match
-          List.find_opt (fun p -> distance p.fingerprint hist < similarity) !phases
-        with
-        | Some p -> p
-        | None ->
-          let p = { fingerprint = hist; samples = 0; cycles = 0; instrs = 0 } in
-          phases := p :: !phases;
-          p
-      in
-      if phase.samples < samples_per_phase then begin
-        let cycles, instrs = cycle_sample ~config ~image ~snap ~instr_budget:ran in
-        phase.samples <- phase.samples + 1;
-        phase.cycles <- phase.cycles + cycles;
-        phase.instrs <- phase.instrs + instrs;
-        incr samples_taken;
-        sampled_instructions := !sampled_instructions + instrs;
-        sampled_cycles := !sampled_cycles + cycles;
-        estimated :=
-          !estimated
-          +. (float_of_int ran *. float_of_int cycles /. float_of_int instrs)
-      end
-      else begin
-        let cpi = float_of_int phase.cycles /. float_of_int phase.instrs in
-        estimated := !estimated +. (float_of_int ran *. cpi)
-      end
+      match
+        List.find_opt (fun p -> distance p.fingerprint hist < similarity) !phases
+      with
+      | Some p -> unmeasured := !unmeasured +. (float_of_int ran *. p.cpi)
+      | None ->
+        let cycles =
+          cycle_sample ~config ~image ~snap
+            ~master:(master_instrs st - master_before)
+        in
+        phases :=
+          { fingerprint = hist; cpi = float_of_int cycles /. float_of_int ran }
+          :: !phases;
+        sampled_instructions := !sampled_instructions + ran;
+        sampled_cycles := !sampled_cycles + cycles
     end;
-    if status = `Halted then continue_ := false
-  done;
+    if status = `Paused then go ()
+  in
+  go ();
   {
-    estimated_cycles = int_of_float !estimated;
+    estimated_cycles = !sampled_cycles + int_of_float (Float.round !unmeasured);
     total_instructions = Functional_mode.instructions st;
     intervals = !intervals;
     phases = List.length !phases;
-    samples_taken = !samples_taken;
     sampled_instructions = !sampled_instructions;
     sampled_cycles = !sampled_cycles;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Programmatic window selection *)
-
-type window = { w_start : int; w_instructions : int }
-type measured = { m_start : int; m_instructions : int; m_cycles : int }
-type gap = { g_start : int; g_instructions : int }
-
-type sampled = {
-  s_total_instructions : int;
-  s_measured : measured list;
-  s_gaps : gap list;
-  s_windows_requested : int;
-  s_windows_landed : int;
-  s_halted : bool;
-}
-
-let sample ?(config = Config.fpga64) ?(max_instructions = 2_000_000_000)
-    ~windows image =
-  List.iter
-    (fun w ->
-      if w.w_start < 0 then raise (Error "window start must be >= 0");
-      if w.w_instructions <= 0 then
-        raise (Error "window length must be > 0 instructions"))
-    windows;
-  let ws =
-    List.sort (fun a b -> compare (a.w_start, a.w_instructions)
-                            (b.w_start, b.w_instructions)) windows
-  in
-  (let rec overlap = function
-     | a :: (b :: _ as rest) ->
-       if a.w_start + a.w_instructions > b.w_start then
-         raise
-           (Error
-              (Printf.sprintf "windows overlap: [%d,+%d) and [%d,+%d)"
-                 a.w_start a.w_instructions b.w_start b.w_instructions));
-       overlap rest
-     | _ -> ()
-   in
-   overlap ws);
-  let st = Functional_mode.init image in
-  let measured = ref [] in
-  let gaps = ref [] in
-  let landed = ref 0 in
-  (* fast-forward to [target] (a serial boundary may overshoot); the
-     skipped span, if any, is recorded as a gap *)
-  let forward target =
-    let before = Functional_mode.instructions st in
-    if target > before && not (Functional_mode.halted st) then
-      ignore (Functional_mode.advance st ~budget:(target - before));
-    let ran = Functional_mode.instructions st - before in
-    if ran > 0 then gaps := { g_start = before; g_instructions = ran } :: !gaps
-  in
-  List.iter
-    (fun w ->
-      if not (Functional_mode.halted st) then begin
-        forward w.w_start;
-        if not (Functional_mode.halted st) then begin
-          let snap = Functional_mode.snapshot st in
-          let before = Functional_mode.instructions st in
-          ignore (Functional_mode.advance st ~budget:w.w_instructions);
-          let ran = Functional_mode.instructions st - before in
-          if ran > 0 then begin
-            (* the cycle machine takes over from the snapshot and runs
-               the same instruction span *)
-            let cycles, instrs =
-              cycle_sample ~config ~image ~snap ~instr_budget:ran
-            in
-            (* charge the window's functional span at the measured CPI:
-               the cycle sample may pause at a slightly different
-               boundary than the functional replay *)
-            let cyc =
-              int_of_float
-                (float_of_int ran *. float_of_int cycles /. float_of_int instrs)
-            in
-            incr landed;
-            measured :=
-              { m_start = before; m_instructions = ran; m_cycles = cyc }
-              :: !measured
-          end
-        end
-      end)
-    ws;
-  (* run out the tail *)
-  forward max_instructions;
-  {
-    s_total_instructions = Functional_mode.instructions st;
-    s_measured = List.rev !measured;
-    s_gaps = List.rev !gaps;
-    s_windows_requested = List.length ws;
-    s_windows_landed = !landed;
-    s_halted = Functional_mode.halted st;
-  }
-
-let blend ?gap_cpi s =
-  let m_instr =
-    List.fold_left (fun a m -> a + m.m_instructions) 0 s.s_measured
-  in
-  let m_cycles = List.fold_left (fun a m -> a + m.m_cycles) 0 s.s_measured in
-  let default_cpi =
-    if m_instr > 0 then float_of_int m_cycles /. float_of_int m_instr
-    else
-      match gap_cpi with
-      | Some _ -> 0.0 (* unused: the caller prices every gap *)
-      | None -> raise (Error "blend: no measured windows and no gap_cpi")
-  in
-  let price = match gap_cpi with Some f -> f | None -> fun _ -> default_cpi in
-  let gap_cycles =
-    List.fold_left
-      (fun a g -> a +. (float_of_int g.g_instructions *. price g))
-      0.0 s.s_gaps
-  in
-  m_cycles + int_of_float gap_cycles

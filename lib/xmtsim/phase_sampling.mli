@@ -11,91 +11,32 @@
       executed pcs;
     + clusters interval fingerprints into phases (greedy leader
       clustering, the lightweight stand-in for SimPoint's k-means);
-    + cycle-simulates only the first [samples_per_phase] intervals of each
-      phase — the cycle machine takes over from the functional state via
-      {!Machine.make_snapshot} — and charges the remaining intervals at
-      their phase's measured CPI.
+    + cycle-simulates the first interval of each phase — the cycle machine
+      takes over from the functional state via {!Machine.make_snapshot}
+      and runs until its master has issued the interval's master
+      instructions — charges it the cycles measured, and charges every
+      other interval at its phase's cycles per functional instruction.
 
     The result is an estimated total cycle count at a fraction of the
-    cycle-accurate simulation work. *)
+    cycle-accurate simulation work.  An interval longer than the program
+    is the whole run, measured: the estimate is the cycle-accurate count.
+    Each measured interval starts with cold caches. *)
 
 type result = {
   estimated_cycles : int;
-  total_instructions : int;
+  total_instructions : int;  (** functional-mode instructions *)
   intervals : int;
-  phases : int;
-  samples_taken : int;
-  sampled_instructions : int;  (** instructions actually cycle-simulated *)
+  phases : int;  (** one interval of each is cycle-simulated *)
+  sampled_instructions : int;
+      (** functional-mode instructions in the cycle-simulated intervals *)
   sampled_cycles : int;
 }
 
+(** A cycle-simulated interval stopped neither halted nor at its end
+    (the configuration's cycle budget ran out). *)
 exception Error of string
 
-(** [estimate ?config ?interval ?samples_per_phase ?similarity image].
-    [interval] is the fast-forward quantum in instructions (default
-    20_000); [samples_per_phase] how many intervals of each phase to
-    cycle-simulate (default 1); [similarity] the fingerprint-distance
-    threshold in [0,2] below which two intervals share a phase (default
-    0.5; smaller = more phases). *)
-val estimate :
-  ?config:Config.t ->
-  ?interval:int ->
-  ?samples_per_phase:int ->
-  ?similarity:float ->
-  Isa.Program.image ->
-  result
-
-(** {1 Programmatic window selection}
-
-    {!estimate} decides which intervals to cycle-simulate on its own
-    (phase clustering).  The API below hands that decision to the
-    caller: name the instruction windows to measure, get back the
-    measured windows and the unmeasured gaps, and price the gaps
-    however you like ({!blend}) — the checkpoint-sampled prediction
-    mode ([Predict.Sampled]) prices them with the analytical model. *)
-
-(** A detailed-simulation window: [w_instructions] instructions
-    starting at instruction index [w_start] (0 = before the first
-    instruction).  Windows are positions in the {e functional}
-    (serialized) instruction stream; since the functional mode pauses
-    only at serial boundaries, a window's realized span may overshoot
-    its nominal bounds, and a window that starts at or beyond the
-    program's end simply does not land. *)
-type window = { w_start : int; w_instructions : int }
-
-(** A window that landed: the realized instruction span and the cycles
-    the cycle-accurate machine measured over it (normalized to the
-    span when the machine pauses at a different boundary). *)
-type measured = { m_start : int; m_instructions : int; m_cycles : int }
-
-(** A fast-forwarded span no window covered. *)
-type gap = { g_start : int; g_instructions : int }
-
-type sampled = {
-  s_total_instructions : int;
-  s_measured : measured list;  (** in execution order *)
-  s_gaps : gap list;  (** in execution order *)
-  s_windows_requested : int;
-  s_windows_landed : int;  (** windows that covered >= 1 instruction *)
-  s_halted : bool;
-}
-
-(** [sample ~windows image] fast-forwards functionally, snapshots at
-    each window start ({!Functional_mode.snapshot}), lets a
-    cycle-accurate {!Machine} ({!Machine.restore}) measure the window,
-    and resumes fast-forwarding after it.  Windows may start at
-    instruction 0 (the snapshot is the freshly loaded state) and may
-    extend past the end of the run (the realized span is clamped at
-    halt).  Raises {!Error} if windows overlap or are malformed. *)
-val sample :
-  ?config:Config.t ->
-  ?max_instructions:int ->
-  windows:window list ->
-  Isa.Program.image ->
-  sampled
-
-(** [blend s] = measured cycles + every gap priced at [gap_cpi] (cycles
-    per instruction; default: the mean measured CPI over the landed
-    windows).  Raises {!Error} when no window landed and no [gap_cpi]
-    is given. *)
-val blend : ?gap_cpi:(gap -> float) -> sampled -> int
+(** [estimate ?config ?interval image].  [interval] is the fast-forward
+    quantum in instructions (default 20_000); raises [Invalid_argument]
+    when it is below 1. *)
+val estimate : ?config:Config.t -> ?interval:int -> Isa.Program.image -> result

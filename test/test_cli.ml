@@ -523,6 +523,10 @@ let input_errors_exit_1 () =
       let _, _, err = run_cmd [ xmtsim; src; "--max-cycles=-5" ] in
       Tu.check_bool "a bad --max-cycles is named" true
         (contains "--max-cycles must be >= 1, got -5" err);
+      let ckpt_at = [ src; "--checkpoint-at=-5"; "--checkpoint-out"; ckpt ^ ".out" ] in
+      let _, _, err = run_cmd (xmtsim :: ckpt_at) in
+      Tu.check_bool "a bad --checkpoint-at is named" true
+        (contains "--checkpoint-at must be >= 0, got -5" err);
       List.iter
         (fun args ->
           let code, _, err = run_cmd (xmtsim :: args) in
@@ -540,6 +544,7 @@ let input_errors_exit_1 () =
           [ src; "--profile-interval=-5" ];
           [ src; "--max-cycles=-5" ];
           [ src; "--max-cycles"; "0" ];
+          ckpt_at;
         ]
         @ List.concat_map
             (fun input ->

@@ -1,12 +1,11 @@
 (** Prediction mode: the reuse-profile harvest (stack distances,
     co-miss detection, per-block mixes), the analytical model's sanity
-    envelope, the calibration artifact round trip, the programmatic
-    phase-sampling windows and the campaign/schema integration. *)
+    envelope, the calibration artifact round trip and the
+    campaign/schema integration. *)
 
 module R = Xmtsim.Reuseprofile
 module M = Predict.Model
 module Cal = Predict.Calibrate
-module P = Xmtsim.Phase_sampling
 module C = Xmtsim.Config
 module T = Core.Toolchain
 module J = Obs.Json
@@ -192,57 +191,6 @@ let calibration_errors () =
     | exception Cal.Calib_error _ -> true
     | _ -> false)
 
-(* ---- programmatic phase-sampling windows ---- *)
-
-let window_boundaries () =
-  let compiled = T.compile (Core.Kernels.ser_comp ~iters:200) in
-  let total =
-    (Xmtsim.Functional_mode.run compiled.T.image)
-      .Xmtsim.Functional_mode.instructions
-  in
-  (* a window at instruction 0: the snapshot is the freshly loaded
-     state, and the window must land *)
-  let s =
-    P.sample ~config:C.fpga64
-      ~windows:[ { P.w_start = 0; w_instructions = 100 } ]
-      compiled.T.image
-  in
-  Tu.check_int "window at 0 lands" 1 s.P.s_windows_landed;
-  (match s.P.s_measured with
-  | [ m ] ->
-    Tu.check_int "starts at 0" 0 m.P.m_start;
-    Tu.check_bool "measured a span" true (m.P.m_instructions > 0);
-    Tu.check_bool "measured cycles" true (m.P.m_cycles > 0)
-  | _ -> Alcotest.fail "expected exactly one measured window");
-  Tu.check_int "accounts every instruction" total
-    (List.fold_left (fun a m -> a + m.P.m_instructions) 0 s.P.s_measured
-    + List.fold_left (fun a g -> a + g.P.g_instructions) 0 s.P.s_gaps);
-  (* a window past the end of the run does not land; with nothing
-     measured and no gap CPI, blending has no price for the gaps *)
-  let beyond =
-    P.sample ~config:C.fpga64
-      ~windows:[ { P.w_start = total + 1000; w_instructions = 100 } ]
-      compiled.T.image
-  in
-  Tu.check_int "window past the end" 0 beyond.P.s_windows_landed;
-  Tu.check_bool "unmeasured run is all gap" true (beyond.P.s_gaps <> []);
-  Tu.check_bool "blend without CPI rejected" true
-    (match P.blend beyond with exception P.Error _ -> true | _ -> false);
-  Tu.check_bool "blend with explicit CPI works" true
-    (P.blend ~gap_cpi:(fun _ -> 1.0) beyond > 0);
-  Tu.check_bool "overlapping windows rejected" true
-    (match
-       P.sample
-         ~windows:
-           [
-             { P.w_start = 0; w_instructions = 100 };
-             { P.w_start = 50; w_instructions = 100 };
-           ]
-         compiled.T.image
-     with
-    | exception P.Error _ -> true
-    | _ -> false)
-
 (* ---- campaigns mixing predict and cycle jobs ---- *)
 
 let mixed_specs () =
@@ -343,8 +291,6 @@ let () =
           Tu.tc "artifact round trip" calibration_roundtrip;
           Tu.tc "errors" calibration_errors;
         ] );
-      ( "phase windows",
-        [ Tu.tc "boundaries" window_boundaries ] );
       ( "campaign",
         [
           Tu.tc "mixed modes deterministic" mixed_campaign_deterministic;

@@ -515,8 +515,7 @@ let package_trace_stations () =
 
 (* A snapshot is architectural state only: one taken mid-run on tiny,
    at a quiescent point, resumes on fpga64 to the output of an
-   uninterrupted fpga64 run (phase sampling and Predict.Sampled restore
-   this way). *)
+   uninterrupted fpga64 run (phase sampling restores this way). *)
 let checkpoint_across_configs () =
   let src = Core.Kernels.compaction ~n:32 in
   let a = Core.Workloads.sparse_array ~seed:8 ~n:32 ~density:50 in
@@ -1013,6 +1012,74 @@ int main(void) {
   Tu.check_bool "found repeated phases" true
     (est.Xmtsim.Phase_sampling.phases < est.Xmtsim.Phase_sampling.intervals)
 
+(* An interval longer than the program is the whole run: its snapshot is
+   the freshly loaded state at instruction 0, the cycle machine runs it
+   to the halt, and the estimate is the cycle-accurate count. *)
+let phase_sampling_one_interval () =
+  let a = Core.Workloads.random_array ~seed:3 ~n:64 ~bound:50 in
+  let sparse = Core.Workloads.sparse_array ~seed:8 ~n:64 ~density:50 in
+  let programs =
+    [
+      ("ser_comp 200", Core.Kernels.ser_comp ~iters:200, []);
+      ("reduce_tree 64", Core.Kernels.reduce_tree ~n:64, [ ("A", a) ]);
+      ("compaction 64", Core.Kernels.compaction ~n:64, [ ("A", sparse) ]);
+    ]
+  in
+  List.iter
+    (fun (name, src, arrays) ->
+      let compiled =
+        Core.Toolchain.compile ~memmap:(Isa.Memmap.of_ints arrays) src
+      in
+      let img = compiled.Core.Toolchain.image in
+      let total =
+        (Xmtsim.Functional_mode.run img).Xmtsim.Functional_mode.instructions
+      in
+      List.iter
+        (fun (cname, config) ->
+          let what = Printf.sprintf "%s on %s: " name cname in
+          let full = Core.Toolchain.run_cycle ~config compiled in
+          let est =
+            Xmtsim.Phase_sampling.estimate ~config ~interval:(total + 1) img
+          in
+          let open Xmtsim.Phase_sampling in
+          Tu.check_int (what ^ "estimate") full.Core.Toolchain.cycles
+            est.estimated_cycles;
+          Tu.check_int (what ^ "intervals") 1 est.intervals;
+          Tu.check_int (what ^ "samples") 1 est.phases;
+          Tu.check_int (what ^ "instructions") total est.total_instructions;
+          Tu.check_int (what ^ "sampled instructions") total
+            est.sampled_instructions;
+          Tu.check_int (what ^ "sampled cycles") full.Core.Toolchain.cycles
+            est.sampled_cycles)
+        [ ("tiny", C.tiny); ("fpga64", C.fpga64); ("chip1024", C.chip1024) ])
+    programs
+
+(* [advance ~budget:0] makes no progress: an interval below 1 would
+   never end the run.  A sample cut off by the cycle budget has no
+   cycle count for its interval. *)
+let phase_sampling_rejects () =
+  let img =
+    (Core.Toolchain.compile (Core.Kernels.ser_comp ~iters:200))
+      .Core.Toolchain.image
+  in
+  List.iter
+    (fun interval ->
+      Tu.check_bool
+        (Printf.sprintf "interval %d rejected" interval)
+        true
+        (match Xmtsim.Phase_sampling.estimate ~interval img with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0; -5 ];
+  Tu.check_bool "a sample cut off by max_cycles raises Error" true
+    (match
+       Xmtsim.Phase_sampling.estimate
+         ~config:(C.with_overrides C.fpga64 [ "max_cycles=10" ])
+         img
+     with
+    | exception Xmtsim.Phase_sampling.Error _ -> true
+    | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Analytic timing verification: the stand-in for the paper's validation
    against the 64-TCU FPGA prototype (§III).  Every latency parameter must
@@ -1507,6 +1574,8 @@ let () =
           Tu.tc "advance pauses at boundaries" functional_advance_pauses_at_boundaries;
           Tu.tc "functional->cycle handoff" functional_snapshot_handoff;
           Tu.tc "estimate accuracy" phase_sampling_accuracy;
+          Tu.tc "one interval is the whole run" phase_sampling_one_interval;
+          Tu.tc "bad interval and cut-off sample rejected" phase_sampling_rejects;
         ] );
       ( "power/thermal",
         [
