@@ -161,17 +161,17 @@ let timings_to_string timings =
   pf "%-10s %7.2fms\n" "total" !total;
   Buffer.contents b
 
-(* Place the heap pointer after all data and resolve. *)
+(* __heap_ptr starts at the first byte after the data segment: one more
+   segment, applied last *)
+let place_heap_ptr (image : Isa.Program.image) =
+  match Hashtbl.find_opt image.data_addr "__heap_ptr" with
+  | Some addr ->
+    let heap_start = image.data_base + (4 * image.data_size) in
+    { image with
+      data_init =
+        image.data_init @ [ ((addr - image.data_base) / 4, [| Isa.Value.int heap_start |]) ] }
+  | None -> image
+
 let compile_to_image ?options ?(memmap = []) src =
   let out = compile ?options src in
-  let image = Isa.Program.resolve ~extra_data:memmap out.program in
-  (* initialize __heap_ptr to the first byte after the data segment *)
-  (match Hashtbl.find_opt image.Isa.Program.data_addr "__heap_ptr" with
-  | Some addr ->
-    let word = (addr - image.Isa.Program.data_base) / 4 in
-    let heap_start =
-      image.Isa.Program.data_base + (4 * Array.length image.Isa.Program.data_words)
-    in
-    image.Isa.Program.data_words.(word) <- Isa.Value.int heap_start
-  | None -> ());
-  (out, image)
+  (out, place_heap_ptr (Isa.Program.resolve ~extra_data:memmap out.program))

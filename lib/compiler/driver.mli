@@ -58,6 +58,11 @@ exception Compile_error of string
 (** Compile XMTC source text. *)
 val compile : ?options:options -> string -> output
 
+(** The image with its [__heap_ptr] word, if it has one, initialized to
+    the first byte after the data segment (a segment appended to
+    [data_init]). *)
+val place_heap_ptr : Isa.Program.image -> Isa.Program.image
+
 (** Compile and resolve with memory-map inputs; also places the heap
     pointer.  The resulting image is ready for simulation. *)
 val compile_to_image :

@@ -41,10 +41,11 @@ let harvest ?max_instructions image =
    condition variable until it is done, and everyone shares the same
    read-only value.  A harvest lives in its artifact's entry, keyed by
    the budget.  Sharing is safe because nothing downstream mutates
-   either: [Xmtsim.Mem.load] copies [image.data_words] into a fresh
-   store per machine, the race checker's static analysis only reads
-   [cc], [Predict.Model] only reads the snapshot, and each predict job
-   gets its own copy of the harvest's [Stats.t]. *)
+   either: [Xmtsim.Mem.load] blits [image.data_init]'s segments (the
+   memory map's own arrays among them) into a fresh store per machine,
+   the race checker's static analysis only reads [cc], [Predict.Model]
+   only reads the snapshot, and each predict job gets its own copy of
+   the harvest's [Stats.t]. *)
 
 module Artifacts = struct
   type key = {

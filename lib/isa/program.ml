@@ -34,7 +34,8 @@ type image = {
   targets : int array;
   code_labels : (string, int) Hashtbl.t;
   data_addr : (string, int) Hashtbl.t;
-  data_words : Value.t array;
+  data_size : int;
+  data_init : (int * Value.t array) list;
   data_base : int;
   entry : int;
   locs : (int * string) option array;
@@ -46,14 +47,17 @@ exception Resolve_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Resolve_error s)) fmt
 
+(* The initializer of a payload, or [None] for [.space]: its words are
+   the zeros [Mem.load] starts from. *)
 let payload_values = function
-  | Words ws -> List.map Value.int ws
-  | Floats fs -> List.map Value.flt fs
-  | Space n -> List.init n (fun _ -> Value.zero)
+  | Words ws -> Some (Array.of_list (List.map Value.int ws))
+  | Floats fs -> Some (Array.of_list (List.map Value.flt fs))
+  | Space _ -> None
   | Asciiz s ->
-    List.init
-      (String.length s + 1)
-      (fun i -> if i < String.length s then Value.int (Char.code s.[i]) else Value.zero)
+    Some
+      (Array.init
+         (String.length s + 1)
+         (fun i -> if i < String.length s then Value.int (Char.code s.[i]) else Value.zero))
 
 let resolve ?(extra_data = []) t =
   (* Pass 1: code label addresses. *)
@@ -90,24 +94,26 @@ let resolve ?(extra_data = []) t =
         off + payload_words d.payload)
       0 all_data
   in
-  let data_words = Array.make (max total_words 1) Value.zero in
-  List.iter
-    (fun d ->
-      let addr = Hashtbl.find data_addr d.dlabel in
-      let word0 = (addr - data_base_addr) / 4 in
-      List.iteri (fun i v -> data_words.(word0 + i) <- v) (payload_values d.payload))
-    all_data;
-  (* Linked memory-map inputs overwrite their placement. *)
-  List.iter
-    (fun (name, vals) ->
-      match Hashtbl.find_opt data_addr name with
-      | None -> err "memory map names unknown label %s" name
-      | Some addr ->
-        let word0 = (addr - data_base_addr) / 4 in
-        if word0 + Array.length vals > Array.length data_words then
+  let data_size = max total_words 1 in
+  let word_of name = (Hashtbl.find data_addr name - data_base_addr) / 4 in
+  let declared =
+    List.filter_map
+      (fun d -> Option.map (fun vals -> (word_of d.dlabel, vals)) (payload_values d.payload))
+      t.data
+  in
+  (* Linked memory-map inputs overwrite their placement: their segments
+     come after the declared ones, and share the caller's arrays. *)
+  let linked =
+    List.map
+      (fun (name, vals) ->
+        if not (Hashtbl.mem data_addr name) then
+          err "memory map names unknown label %s" name;
+        let word0 = word_of name in
+        if word0 + Array.length vals > data_size then
           err "memory map values for %s overflow its space" name;
-        Array.iteri (fun i v -> data_words.(word0 + i) <- v) vals)
-    extra_data;
+        (word0, vals))
+      extra_data
+  in
   (* Pass 2: flatten instructions, resolve targets. *)
   let instrs = Array.make (max n_instrs 1) Instr.Halt in
   let targets = Array.make (max n_instrs 1) (-1) in
@@ -148,8 +154,15 @@ let resolve ?(extra_data = []) t =
     | None -> (
       match Hashtbl.find_opt code_labels "main" with Some i -> i | None -> 0)
   in
-  { instrs; targets; code_labels; data_addr; data_words;
+  { instrs; targets; code_labels; data_addr; data_size; data_init = declared @ linked;
     data_base = data_base_addr; entry; locs }
+
+let initial_word img i =
+  if i < 0 || i >= img.data_size then invalid_arg "Program.initial_word";
+  List.fold_left
+    (fun v (word0, vals) ->
+      if i >= word0 && i < word0 + Array.length vals then vals.(i - word0) else v)
+    Value.zero img.data_init
 
 let address_of img name =
   match Hashtbl.find_opt img.data_addr name with

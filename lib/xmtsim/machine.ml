@@ -1098,11 +1098,16 @@ let start t =
 (* [until]: stop early at the first instant boundary where it holds *)
 let run ?max_cycles ?until t =
   start t;
-  let budget =
-    match max_cycles with Some m -> m | None -> t.cfg.Config.max_cycles
-  in
-  Desim.Scheduler.stop t.sched ~time:(Desim.Scheduler.now t.sched + budget) ();
-  let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run ?until t.sched in
+  (* a halted machine, run again or restored from a checkpoint taken
+     after the halt, has nothing left to do: no cycle passes *)
+  if not t.halted then begin
+    let budget =
+      match max_cycles with Some m -> m | None -> t.cfg.Config.max_cycles
+    in
+    Desim.Scheduler.stop t.sched ~time:(Desim.Scheduler.now t.sched + budget) ();
+    let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run ?until t.sched in
+    ()
+  end;
   t.stats.Stats.cycles <- Desim.Scheduler.now t.sched;
   if t.probed then t.probe.Probe.run_end ~halted:t.halted;
   { output = Buffer.contents t.out_buf; cycles = Desim.Scheduler.now t.sched;
@@ -1128,6 +1133,7 @@ type snapshot = {
       (** icn_next_free relative to the checkpoint time (>= 0): residual
           merge contention survives the save/restore boundary *)
   s_cluster_instrs : int array;
+  s_halted : bool;  (** taken after the master halted *)
 }
 
 (* The program a snapshot belongs to: its code and data layout. *)
@@ -1139,7 +1145,7 @@ let image_digest (img : Isa.Program.image) =
 let make_snapshot ~image ~mem ~regs ~fregs ~pc ~globals ~output =
   { s_image = image_digest image; s_mem = mem; s_regs = regs; s_fregs = fregs;
     s_pc = pc; s_globals = globals; s_output = output; s_stats = Stats.create ();
-    s_icn_backlog = [||]; s_cluster_instrs = [||] }
+    s_icn_backlog = [||]; s_cluster_instrs = [||]; s_halted = false }
 
 let is_quiescent t =
   (not t.spawn_active)
@@ -1175,6 +1181,7 @@ let checkpoint t =
     s_stats = Stats.copy t.stats;
     s_icn_backlog = icn_backlog t;
     s_cluster_instrs = Array.copy t.cluster_instrs;
+    s_halted = t.halted;
   }
 
 let restore t s =
@@ -1191,12 +1198,19 @@ let restore t s =
   Array.blit s.s_globals 0 t.globals 0 (Array.length t.globals);
   Buffer.clear t.out_buf;
   Buffer.add_string t.out_buf s.s_output;
-  t.master_st <- Mrun;
-  t.halted <- false;
-  (* a gated machine may have parked the cluster clock (e.g. after the
-     halt that preceded this restore); Mrun needs it ticking again.  The
-     wake is grid-aligned, so the resume time matches an ungated run. *)
-  Desim.Clock.wake ~tick_at_now:true t.clk_cluster;
+  if s.s_halted then begin
+    (* the saved run is over: {!run} executes nothing *)
+    t.master_st <- Mhalted;
+    t.halted <- true
+  end
+  else begin
+    t.master_st <- Mrun;
+    t.halted <- false;
+    (* a gated machine may have parked the cluster clock (e.g. after the
+       halt that preceded this restore); Mrun needs it ticking again.  The
+       wake is grid-aligned, so the resume time matches an ungated run. *)
+    Desim.Clock.wake ~tick_at_now:true t.clk_cluster
+  end;
   Tags.invalidate_all t.master_cache;
   (* telemetry state: counters/histograms continue from the checkpoint;
      residual ICN merge contention is re-anchored at the current time.
@@ -1226,9 +1240,10 @@ let restore t s =
 (* File layout: magic, format version (int32), image digest, payload
    digest, then the marshaled snapshot.  The payload is unmarshaled only
    once its digest checks out, since Marshal itself is not type-safe.
-   Version 3: the memory holds only the data and stack words in use. *)
+   Version 3: the memory holds only the data and stack words in use.
+   Version 4: a snapshot records whether the master had halted. *)
 let snapshot_magic = "XMT-SNAP"
-let snapshot_version = 3
+let snapshot_version = 4
 let header_len = String.length snapshot_magic + 4 + 16 + 16
 
 let snapshot_to_file s path =

@@ -25,7 +25,9 @@ type result = {
 val create : ?config:Config.t -> Isa.Program.image -> t
 
 (** Run to completion (halt), for at most [max_cycles] more cycles, or
-    to the first instant boundary at which [until] holds. *)
+    to the first instant boundary at which [until] holds.  A machine
+    that has halted (or was restored from a snapshot taken after the
+    halt) runs no cycle. *)
 val run : ?max_cycles:int -> ?until:(unit -> bool) -> t -> result
 
 val config : t -> Config.t
@@ -152,8 +154,9 @@ val checkpoint : t -> snapshot
 
 (** Restore into a machine created from the same image, in any config:
     a snapshot is architectural state only, so phase sampling moves it
-    between configs.  Raises {!Bad_snapshot} when the snapshot belongs to
-    another image. *)
+    between configs.  A snapshot taken after the halt restores a halted
+    machine.  Raises {!Bad_snapshot} when the snapshot belongs to another
+    image. *)
 val restore : t -> snapshot -> unit
 
 (** Snapshot files carry a magic string, a format version and the image

@@ -16,12 +16,13 @@ type t = {
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
 let load (img : Isa.Program.image) =
-  {
-    data_base = img.Isa.Program.data_base;
-    data = Array.copy img.Isa.Program.data_words;
-    data_len = Array.length img.Isa.Program.data_words;
-    stack = Array.make 64 Isa.Value.zero;
-  }
+  let size = img.Isa.Program.data_size in
+  let data = Array.make size Isa.Value.zero in
+  List.iter
+    (fun (word0, vals) -> Array.blit vals 0 data word0 (Array.length vals))
+    img.Isa.Program.data_init;
+  { data_base = img.Isa.Program.data_base; data; data_len = size;
+    stack = Array.make 64 Isa.Value.zero }
 
 (* [arr]'s first [used] cells in a fresh array of at least [want] cells:
    twice as long, but at most [limit] *)

@@ -15,7 +15,8 @@ exception Fault of string
 val stack_top : int
 val stack_bytes : int
 
-(** Create from a resolved image (loads the initial data segment). *)
+(** Create from a resolved image: the data region is [data_size] zeros
+    with the image's [data_init] segments blitted in, in order. *)
 val load : Isa.Program.image -> t
 
 val read : t -> int -> Isa.Value.t

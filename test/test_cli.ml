@@ -492,6 +492,39 @@ let assembly_round_trip () =
           Tu.check_string (mode ^ " stdout identical") (run src) (run asm))
         [ "cycle"; "functional"; "predict" ])
 
+(* A checkpoint written after the program halted, at its end or at a
+   --checkpoint-at past it, resumes as halted: the resumed run prints the
+   saved output once and runs nothing, gated or not.  A --checkpoint-at
+   past the halt leaves the run's own report as a plain run's. *)
+let checkpoint_after_halt_round_trip () =
+  let src = Tu.example "clean_compaction.xmtc" in
+  with_temp ".ckpt" (fun ckpt ->
+      let _, plain, _ = run_cmd [ xmtsim; src; "--stats" ] in
+      let resumes_halted how =
+        List.iter
+          (fun gating ->
+            let code, out, err =
+              run_cmd ([ xmtsim; src; "--checkpoint-in"; ckpt; "--stats" ] @ gating)
+            in
+            let what = String.concat " " (how :: "--checkpoint-in" :: gating) in
+            Tu.check_int (what ^ " exits 0") 0 code;
+            Tu.check_string (what ^ ": nothing on stderr") "" err;
+            Tu.check_bool (what ^ " prints the saved output once") true
+              (String.starts_with ~prefix:"0\n---- fpga64 ----\ncycles:            0\n" out))
+          [ []; [ "--no-clock-gating" ] ]
+      in
+      let code, out, _ = run_cmd [ xmtsim; src; "--checkpoint-out"; ckpt ] in
+      Tu.check_int "checkpointing run exits 0" 0 code;
+      Tu.check_string "checkpointing run" ("0\ncheckpoint written to " ^ ckpt ^ "\n") out;
+      resumes_halted "--checkpoint-out";
+      let code, out, _ =
+        run_cmd [ xmtsim; src; "--stats"; "--checkpoint-at"; "100000"; "--checkpoint-out"; ckpt ]
+      in
+      Tu.check_int "--checkpoint-at past the halt exits 0" 0 code;
+      Tu.check_bool "--checkpoint-at past the halt reports the plain run" true
+        (String.ends_with ~suffix:(" written to " ^ ckpt ^ "\n" ^ plain) out);
+      resumes_halted "--checkpoint-at")
+
 (* A single run that exhausts --max-cycles still reports what it ran;
    only campaign jobs count it as a failure. *)
 let exhausted_budget_still_reports () =
@@ -684,6 +717,7 @@ let () =
           Tu.tc "single run equals a one-job campaign" single_run_equals_campaign;
           Tu.tc "xmtcc .s simulates like its source" assembly_round_trip;
           Tu.tc "exhausted budget still reports" exhausted_budget_still_reports;
+          Tu.tc "checkpoint after the halt resumes halted" checkpoint_after_halt_round_trip;
           Tu.tc "input errors exit 1" input_errors_exit_1;
           Tu.tc "cycle-only flags need the cycle mode" cycle_only_flags_rejected;
         ] );

@@ -415,6 +415,26 @@ let illegal_dataflow_without_outlining () =
   Tu.check_string "without outlining: illegal dataflow" "0"
     wrong.Core.Toolchain.output
 
+(* ------------------------------------------------------------------ *)
+(* Cold compiles *)
+
+(* A cold compile costs in proportion to the program, not its data: a
+   2 MiB [.space] array is laid out, never materialized (materialized,
+   it alone is 2M words). *)
+let cold_compile_allocation () =
+  let src = "int A[524288]; int main(void) { A[3] = 7; print_int(A[3]); return 0; }" in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let compiled = Core.Toolchain.compile src in
+  let words = allocated () -. before in
+  Tu.check_bool (Printf.sprintf "%.0f words allocated, under 65536" words) true
+    (words < 65536.0);
+  Tu.check_string "still runs" "7"
+    (Xmtsim.Functional_mode.run compiled.Core.Toolchain.image).Xmtsim.Functional_mode.output
+
 let () =
   Alcotest.run "compiler"
     [
@@ -458,4 +478,5 @@ let () =
           Tu.tc "rejects unbalanced spawn" postpass_rejects_unbalanced_spawn;
           Tu.tc "relocation matches Fig 9b" postpass_relocation_matches_fig9;
         ] );
+      ("cold compile", [ Tu.tc "allocation independent of .space" cold_compile_allocation ]);
     ]

@@ -163,13 +163,13 @@ b:      .word 3
     (Isa.Program.address_of img "b");
   Tu.check_int "entry prefers main" 0 img.Isa.Program.entry;
   Tu.check_int "initial data" 3
-    (Isa.Value.to_int img.Isa.Program.data_words.(2))
+    (Isa.Value.to_int (Isa.Program.initial_word img 2))
 
 let resolve_memmap_link () =
   let src = "main: halt\n.data\nA: .space 16" in
   let extra = Isa.Memmap.of_ints [ ("A", [| 9; 8; 7; 6 |]) ] in
   let img = Isa.Program.resolve ~extra_data:extra (Isa.Asm.parse src) in
-  Tu.check_int "linked value" 8 (Isa.Value.to_int img.Isa.Program.data_words.(1))
+  Tu.check_int "linked value" 8 (Isa.Value.to_int (Isa.Program.initial_word img 1))
 
 let resolve_memmap_overflow () =
   let src = "main: halt\n.data\nA: .space 8" in
@@ -185,7 +185,142 @@ let resolve_memmap_fresh_label () =
   let img = Isa.Program.resolve ~extra_data:extra (Isa.Asm.parse src) in
   let a = Isa.Program.address_of img "input" in
   let w = (a - Isa.Program.data_base_addr) / 4 in
-  Tu.check_int "value" 6 (Isa.Value.to_int img.Isa.Program.data_words.(w + 1))
+  Tu.check_int "value" 6 (Isa.Value.to_int (Isa.Program.initial_word img (w + 1)))
+
+(* ---- resolve + Mem.load against a dense reference image ---- *)
+
+module P = Isa.Program
+
+(* A random data section (labels d0, d1, ...; __heap_ptr last when
+   present) and memory map: entries fully or partly covering a [.space],
+   overriding a [.word] item, or naming a fresh label. *)
+let data_case_gen =
+  let open QCheck.Gen in
+  let value = oneof [ map Isa.Value.int (int_range (-99) 99);
+                      map (fun i -> Isa.Value.flt (float_of_int i /. 4.0)) (int_range (-40) 40) ] in
+  let payload =
+    frequency
+      [ (3, map (fun l -> P.Words l) (list_size (int_range 1 4) (int_range (-9) 9)));
+        (2, map (fun l -> P.Floats (List.map (fun i -> float_of_int i /. 2.0) l))
+              (list_size (int_range 1 3) (int_range (-9) 9)));
+        (3, map (fun n -> P.Space n) (int_range 1 24));
+        (1, map (fun s -> P.Asciiz s) (string_size ~gen:(char_range 'a' 'z') (int_range 0 5))) ]
+  in
+  let* payloads = list_size (int_range 0 6) payload in
+  let* heap = bool in
+  let data =
+    List.mapi (fun i p -> { P.dlabel = Printf.sprintf "d%d" i; payload = p }) payloads
+    @ (if heap then [ { P.dlabel = "__heap_ptr"; payload = P.Words [ 0 ] } ] else [])
+  in
+  let entry i =
+    let targets =
+      List.filter (fun d -> match d.P.payload with P.Space _ | P.Words _ -> true | _ -> false) data
+    in
+    let fresh = map (fun n -> (Printf.sprintf "m%d" i, n)) (int_range 1 5) in
+    let* name, n =
+      if targets = [] then fresh
+      else
+        frequency
+          [ (3, let* d = oneofl targets in
+                let size = P.payload_words d.P.payload in
+                let* n = oneof [ return size; int_range 1 size ] in
+                return (d.P.dlabel, n));
+            (1, fresh) ]
+    in
+    map (fun vals -> (name, Array.of_list vals)) (list_repeat n value)
+  in
+  let* k = int_range 0 4 in
+  let* memmap = flatten_l (List.init k entry) in
+  return ({ P.text = [ P.Label "main"; P.Ins Isa.Instr.Halt ]; data }, memmap)
+
+let print_data_case (prog, memmap) =
+  Isa.Asm.print prog ^ "--- memmap\n" ^ Isa.Memmap.print memmap
+
+(* The reference: a dense image with every word materialized, the
+   payloads, then the memory map, then the heap pointer written over it
+   in place. *)
+let dense_image (prog : P.t) memmap =
+  let fresh =
+    List.filter_map
+      (fun (name, vals) ->
+        if List.exists (fun d -> d.P.dlabel = name) prog.P.data then None
+        else Some { P.dlabel = name; payload = P.Space (Array.length vals) })
+      memmap
+  in
+  let items = prog.P.data @ fresh in
+  let offset name =
+    let rec go off = function
+      | [] -> raise Not_found
+      | d :: rest -> if d.P.dlabel = name then off else go (off + P.payload_words d.P.payload) rest
+    in
+    go 0 items
+  in
+  let total = List.fold_left (fun n d -> n + P.payload_words d.P.payload) 0 items in
+  let dense = Array.make (max total 1) Isa.Value.zero in
+  List.iter
+    (fun d ->
+      let w0 = offset d.P.dlabel in
+      let vals =
+        match d.P.payload with
+        | P.Words ws -> List.map Isa.Value.int ws
+        | P.Floats fs -> List.map Isa.Value.flt fs
+        | P.Space n -> List.init n (fun _ -> Isa.Value.zero)
+        | P.Asciiz s ->
+          List.init (String.length s + 1) (fun i ->
+              if i < String.length s then Isa.Value.int (Char.code s.[i]) else Isa.Value.zero)
+      in
+      List.iteri (fun i v -> dense.(w0 + i) <- v) vals)
+    items;
+  List.iter
+    (fun (name, vals) -> Array.iteri (fun i v -> dense.(offset name + i) <- v) vals)
+    memmap;
+  if List.exists (fun d -> d.P.dlabel = "__heap_ptr") items then
+    dense.(offset "__heap_ptr") <-
+      Isa.Value.int (P.data_base_addr + (4 * Array.length dense));
+  dense
+
+let prop_load_matches_dense =
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"Mem.load of a resolved image equals the dense image"
+    (QCheck.make ~print:print_data_case data_case_gen)
+    (fun (prog, memmap) ->
+      let img = Compiler.Driver.place_heap_ptr (P.resolve ~extra_data:memmap prog) in
+      let dense = dense_image prog memmap in
+      let mem = Xmtsim.Mem.load img in
+      img.P.data_size = Array.length dense
+      && Xmtsim.Mem.data_words mem = Array.length dense
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i v ->
+                Isa.Value.equal v (Xmtsim.Mem.read mem (P.data_base_addr + (4 * i)))
+                && Isa.Value.equal v (P.initial_word img i))
+              dense))
+
+(* Each malformed map fails with the message resolve has always given. *)
+let prop_malformed_map_messages =
+  QCheck.Test.make ~count:200 ~long_factor:20 ~name:"malformed memory maps keep their messages"
+    (QCheck.make ~print:print_data_case data_case_gen)
+    (fun (prog, memmap) ->
+      let dense = dense_image prog memmap in
+      let raises msg extra =
+        match P.resolve ~extra_data:extra prog with
+        | exception P.Resolve_error m -> m = msg || QCheck.Test.fail_reportf "got %S, want %S" m msg
+        | _ -> QCheck.Test.fail_reportf "accepted; want %S" msg
+      in
+      let overflow =
+        match prog.P.data with
+        | [] -> true
+        | d :: _ ->
+          (* d0 sits at word 0: one value past the whole data segment *)
+          raises
+            (Printf.sprintf "memory map values for %s overflow its space" d.P.dlabel)
+            (memmap @ [ (d.P.dlabel, Array.make (Array.length dense + 1) Isa.Value.zero) ])
+      in
+      overflow
+      && raises "label main defined in both text and data"
+           (memmap @ [ ("main", [| Isa.Value.zero |]) ])
+      && raises "duplicate data label fresh"
+           (memmap @ [ ("fresh", [| Isa.Value.zero |]); ("fresh", [| Isa.Value.zero |]) ]))
 
 let memmap_roundtrip () =
   let mm =
@@ -235,7 +370,9 @@ let () =
           Tu.tc "memmap link" resolve_memmap_link;
           Tu.tc "memmap overflow" resolve_memmap_overflow;
           Tu.tc "memmap fresh label" resolve_memmap_fresh_label;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_load_matches_dense; prop_malformed_map_messages ] );
       ( "memmap",
         [
           Tu.tc "roundtrip" memmap_roundtrip;

@@ -639,6 +639,34 @@ let checkpoint_file_roundtrip () =
   M.restore m2 snap2;
   Tu.check_string "ran from file snapshot" "9" (M.run m2).M.output
 
+(* A checkpoint taken after the halt restores a halted machine, in
+   either gating mode: the resumed run executes nothing and reports the
+   saved output and telemetry. *)
+let checkpoint_after_halt () =
+  let compiled = Core.Toolchain.compile "int main() { print_int(9); return 0; }" in
+  let m = Core.Toolchain.machine ~config:C.tiny compiled in
+  let r = M.run m in
+  Tu.check_bool "halted" true r.M.halted;
+  let path = Filename.temp_file "xmtsnap" ".bin" in
+  M.snapshot_to_file (M.checkpoint m) path;
+  let snap = M.snapshot_of_file path in
+  Sys.remove path;
+  List.iter
+    (fun gating ->
+      let m2 = Core.Toolchain.machine ~config:C.tiny compiled in
+      M.set_gating m2 gating;
+      M.restore m2 snap;
+      let what = if gating then "gated" else "ungated" in
+      let r2 = M.run m2 in
+      Tu.check_bool (what ^ ": restored halted") true r2.M.halted;
+      Tu.check_string (what ^ ": saved output, once") "9" r2.M.output;
+      Tu.check_int (what ^ ": no cycle run") 0 r2.M.cycles;
+      Tu.check_int (what ^ ": no event run") 0 (M.events_processed m2);
+      Tu.check_string (what ^ ": saved telemetry")
+        (stats_json (M.stats m))
+        (stats_json { (M.stats m2) with Xmtsim.Stats.cycles = (M.stats m).Xmtsim.Stats.cycles }))
+    [ true; false ]
+
 (* A checkpoint taken while a recursive serial function is deep in the
    master stack survives the file round trip: the restored run unwinds
    the saved frames to the straight run's output. *)
@@ -683,12 +711,12 @@ let checkpoint_file_checked () =
   rejected "wrong-magic" ("NOT-SNAP" ^ String.sub whole 8 (String.length whole - 8));
   (* a file of another format version names both versions *)
   let old = Bytes.of_string whole in
-  Bytes.set_int32_be old 8 2l;
+  Bytes.set_int32_be old 8 3l;
   Out_channel.with_open_bin path (fun oc -> output_bytes oc old);
   (match M.snapshot_of_file path with
   | exception M.Bad_snapshot msg ->
-    Tu.check_string "names both versions" (path ^ ": snapshot format version 2, expected 3") msg
-  | _ -> Alcotest.fail "version-2 snapshot accepted");
+    Tu.check_string "names both versions" (path ^ ": snapshot format version 3, expected 4") msg
+  | _ -> Alcotest.fail "version-3 snapshot accepted");
   Out_channel.with_open_bin path (fun oc -> output_string oc whole);
   let snap = M.snapshot_of_file path in
   Sys.remove path;
@@ -1541,6 +1569,7 @@ let () =
           Tu.tc "file roundtrip" checkpoint_file_roundtrip;
           Tu.tc "file checked on load" checkpoint_file_checked;
           Tu.tc "deep stack file roundtrip" checkpoint_deep_stack;
+          Tu.tc "taken after the halt restores halted" checkpoint_after_halt;
           Tu.tc "mid-run save/resume" checkpoint_mid_run;
           Tu.tc "telemetry survives restore" checkpoint_preserves_telemetry;
           Tu.tc "quiescence in one run" checkpoint_quiescence_one_run;
