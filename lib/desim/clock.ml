@@ -3,6 +3,7 @@ type handler = int -> unit
 type t = {
   name : string;
   sched : Scheduler.t;
+  prio : int; (* both tick events' priority: prio_tick + rank *)
   mutable period : int;
   mutable cycles : int;
   mutable handlers : (int * handler) list; (* (phase, handler), sorted *)
@@ -19,11 +20,14 @@ type t = {
   mutable bfire : unit -> unit; (* the bound's event, built at start *)
 }
 
-let create sched ~name ~period =
+let create ?(rank = 0) sched ~name ~period =
   if period <= 0 then invalid_arg "Clock.create: period must be positive";
+  if rank < 0 || Scheduler.prio_tick + rank >= Scheduler.prio_negotiate then
+    invalid_arg "Clock.create: rank must be >= 0 and tick below prio_negotiate";
   {
     name;
     sched;
+    prio = Scheduler.prio_tick + rank;
     period;
     cycles = 0;
     handlers = [];
@@ -67,7 +71,7 @@ let rec run_handlers c = function
 let schedule_tick t ~at_least =
   if (not t.tick_pending) && t.enabled && not t.sleeping then begin
     t.tick_pending <- true;
-    Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time:at_least t.fire
+    Scheduler.schedule_at t.sched ~prio:t.prio ~time:at_least t.fire
   end
 
 let fire t () =
@@ -101,14 +105,14 @@ let cancel_bound t =
   end;
   t.bound <- -1
 
-(* Scheduled as the clock goes to sleep, the tick at grid index [u] sorts
-   among same-instant events like an ungated tick scheduled one period
-   earlier. *)
+(* Scheduled as the clock goes to sleep, at the clock's own priority, the
+   tick at grid index [u] sorts among other clocks' same-instant ticks as
+   an ungated tick would. *)
 let arm t u =
   cancel_bound t;
   t.bound <- u;
   t.bound_at <- max (Scheduler.now t.sched) (t.anchor + ((u - last_index t) * t.period));
-  Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time:t.bound_at t.bfire
+  Scheduler.schedule_at t.sched ~prio:t.prio ~time:t.bound_at t.bfire
 
 let set_period t p =
   if p <= 0 then invalid_arg "Clock.set_period: period must be positive";
@@ -161,7 +165,7 @@ let sleep ?until t =
   | Some u when t.started -> arm t u
   | _ -> if t.bound >= 0 then cancel_bound t
 
-let wake ?tick_at_now t =
+let wake t =
   if t.sleeping then begin
     t.sleeping <- false;
     if t.started then begin
@@ -173,16 +177,9 @@ let wake ?tick_at_now t =
       let delta = now - t.anchor in
       let k = max 1 ((delta + t.period - 1) / t.period) in
       let cand = t.anchor + (k * t.period) in
-      let tick_at_now =
-        match tick_at_now with
-        | Some b -> b
-        | None ->
-          (* The ungated tick at this exact instant fires at [prio_tick];
-             if the currently-executing event pops after that priority,
-             that tick is already lost for this instant. *)
-          Scheduler.current_prio t.sched <= Scheduler.prio_tick
-      in
-      let next = if cand = now && not tick_at_now then cand + t.period else cand in
+      (* a waker popped after our priority: this instant's tick is past *)
+      let late = cand = now && Scheduler.current_prio t.sched > t.prio in
+      let next = if late then cand + t.period else cand in
       accrue t ~next;
       (* a bound event at [next] sorts as the ungated tick would: keep it *)
       if t.bound >= 0 then

@@ -24,7 +24,12 @@ type t
     (number of ticks elapsed, counting gated-off ticks never happens). *)
 type handler = int -> unit
 
-val create : Scheduler.t -> name:string -> period:int -> t
+(** Ticks pop at priority [Scheduler.prio_tick + rank] (default rank 0):
+    same-instant ticks run in rank order whatever the gating history, and
+    tie with events of equal priority in insertion order.  Raises
+    [Invalid_argument] on a non-positive [period] or a [rank] below 0 or
+    reaching [Scheduler.prio_negotiate]. *)
+val create : ?rank:int -> Scheduler.t -> name:string -> period:int -> t
 val name : t -> string
 val period : t -> int
 
@@ -72,16 +77,10 @@ val sleep : ?until:int -> t -> unit
 
 (** Resume ticking on the period grid anchored at the last fired tick
     (the smallest grid point at least one period after it and >= now).
-
-    When the wake lands {e exactly} on a grid point, whether that tick
-    still fires depends on whether the equivalent ungated tick would have
-    popped before the currently-executing event.  By default this is
-    derived from {!Scheduler.current_prio}: a waker running after
-    [prio_tick] (e.g. a package transfer) means the instant's tick is
-    already lost and the clock resumes one period later.  Pass
-    [~tick_at_now] explicitly when the caller knows better — e.g. a tick
-    handler of another clock waking this one must compare how the two
-    clocks' tick events would have been ordered in an ungated run. *)
-val wake : ?tick_at_now:bool -> t -> unit
+    A wake that lands exactly on a grid point ticks there, unless the
+    waker popped at a priority above the clock's
+    ({!Scheduler.current_prio}): an ungated run's tick at this instant
+    came before the waker then, so the clock resumes one period later. *)
+val wake : t -> unit
 
 val sleeping : t -> bool

@@ -11,8 +11,9 @@ type t
 
 (** Standard event priorities.  A clock cycle is split into two phases
     (paper §III-C): components first {e negotiate} transfers, then packages
-    are {e moved}.  [prio_tick] fires before either so clocked state machines
-    observe a consistent pre-phase state. *)
+    are {e moved}.  Clock ticks fire before either, at [prio_tick + rank]
+    ({!Clock.create}), so clocked state machines observe a consistent
+    pre-phase state. *)
 val prio_tick : int
 
 val prio_negotiate : int
@@ -25,9 +26,10 @@ val create : unit -> t
 val now : t -> int
 
 (** Priority of the event currently (or most recently) being executed.
-    {!Clock.wake} uses this to decide whether the virtual tick at the
-    current instant would already have popped in an ungated run
-    (same-time events pop in ascending priority order). *)
+    {!Clock.wake} compares it with the woken clock's tick priority to
+    decide whether that tick at the current instant would already have
+    popped in an ungated run (same-time events pop in ascending priority
+    order). *)
 val current_prio : t -> int
 
 (** [schedule t ~delay ~prio f] schedules action [f] at [now t + delay].

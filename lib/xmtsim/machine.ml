@@ -207,7 +207,7 @@ let hash_addr cfg addr =
 let create ?(config = Config.fpga64) img =
   let cfg = config in
   let sched = Desim.Scheduler.create () in
-  let clk name period = Desim.Clock.create sched ~name ~period in
+  let clk name period rank = Desim.Clock.create sched ~rank ~name ~period in
   let rng = Desim.Rng.create ~seed:cfg.Config.seed in
   let jitter =
     Array.init cfg.Config.num_clusters (fun _ ->
@@ -272,10 +272,11 @@ let create ?(config = Config.fpga64) img =
     cfg;
     img;
     sched;
-    clk_cluster = clk "clusters" cfg.Config.cluster_period;
-    clk_icn = clk "icn" cfg.Config.icn_period;
-    clk_cache = clk "caches" cfg.Config.cache_period;
-    clk_dram = clk "dram" cfg.Config.dram_period;
+    (* one tick order at every instant: clusters, icn, caches, dram *)
+    clk_cluster = clk "clusters" cfg.Config.cluster_period 0;
+    clk_icn = clk "icn" cfg.Config.icn_period 1;
+    clk_cache = clk "caches" cfg.Config.cache_period 2;
+    clk_dram = clk "dram" cfg.Config.dram_period 3;
     memory;
     read_str = Mem.read_string memory;
     globals = Array.make Isa.Reg.num_globals 0;
@@ -475,15 +476,7 @@ let module_tick t (m : cache_module) =
           pk.next <- no_pkg;
           Hashtbl.add m.mshr line pk;
           Ring.push t.dram_q pk;
-          (* Called from a cache tick (prio_tick), so Clock.wake's default
-             tie-break cannot tell whether the ungated DRAM tick at this
-             instant already popped.  Same-time tick events pop in
-             insertion order: the slower clock inserted its event earlier;
-             equal periods preserve start order (cache before dram), so
-             the DRAM tick pops after us and still sees the package. *)
           Desim.Clock.wake t.clk_dram
-            ~tick_at_now:
-              (Desim.Clock.period t.clk_dram <= Desim.Clock.period t.clk_cache)
       end
     end
   done
@@ -1209,7 +1202,7 @@ let restore t s =
     (* a gated machine may have parked the cluster clock (e.g. after the
        halt that preceded this restore); Mrun needs it ticking again.  The
        wake is grid-aligned, so the resume time matches an ungated run. *)
-    Desim.Clock.wake ~tick_at_now:true t.clk_cluster
+    Desim.Clock.wake t.clk_cluster
   end;
   Tags.invalidate_all t.master_cache;
   (* telemetry state: counters/histograms continue from the checkpoint;

@@ -342,6 +342,55 @@ let clock_set_period_moves_bound () =
   Alcotest.check ticks "ticks" [ (0, 0); (2, 1); (4, 2); (16, 6) ] got;
   Tu.check_int "skipped exact" 3 (D.Clock.skipped_ticks c)
 
+(* Two domains: [a] (rank 0, period 2) hands [b] (rank 1, period 3) one
+   unit of work at each tick on a multiple of 6, the instants they share,
+   and wakes it; gated, [b] sleeps whenever it has none.  Returns the
+   (time, rank) of every tick that did work, in the order they ran. *)
+let ranked_domains ~gated =
+  let s = D.Scheduler.create () in
+  let a = D.Clock.create s ~name:"a" ~period:2 in
+  let b = D.Clock.create ~rank:1 s ~name:"b" ~period:3 in
+  let log = ref [] and work = ref 0 in
+  D.Clock.on_tick a (fun _ ->
+      let now = D.Scheduler.now s in
+      log := (now, 0) :: !log;
+      if now mod 6 = 0 then begin
+        incr work;
+        D.Clock.wake b
+      end);
+  D.Clock.on_tick b (fun _ ->
+      if !work > 0 then begin
+        decr work;
+        log := (D.Scheduler.now s, 1) :: !log
+      end;
+      if gated && !work = 0 then D.Clock.sleep b);
+  D.Clock.start a;
+  D.Clock.start b;
+  D.Scheduler.stop s ~time:30 ();
+  ignore (D.Scheduler.run s);
+  List.rev !log
+
+let clock_rank_order () =
+  (* ungated, [b]'s tick at 6 was scheduled at 3 and [a]'s at 4: by
+     insertion order [b] would tick first and find no work until 9 *)
+  let ungated = ranked_domains ~gated:false in
+  Alcotest.check ticks "rank 0 first at every shared instant" (List.sort compare ungated) ungated;
+  Alcotest.check ticks "work done at the instant it is handed over"
+    [ (0, 1); (6, 1); (12, 1); (18, 1); (24, 1); (30, 1) ]
+    (List.filter (fun (_, r) -> r = 1) ungated);
+  Alcotest.check ticks "gated equals ungated" ungated (ranked_domains ~gated:true)
+
+let clock_rank_bounds () =
+  let s = D.Scheduler.create () in
+  let top = D.Scheduler.prio_negotiate - D.Scheduler.prio_tick - 1 in
+  ignore (D.Clock.create ~rank:top s ~name:"top" ~period:1);
+  List.iter
+    (fun rank ->
+      match D.Clock.create ~rank s ~name:"bad" ~period:1 with
+      | _ -> Alcotest.failf "rank %d accepted" rank
+      | exception Invalid_argument _ -> ())
+    [ -1; top + 1 ]
+
 let clock_macro_actor_grouping () =
   (* one clock event drives many components per cycle (§III-D): event
      count is per-cycle, not per-component *)
@@ -600,6 +649,8 @@ let () =
           Tu.tc "bounded sleep ticks at its grid point" clock_bounded_sleep;
           Tu.tc "earlier wake supersedes the bound" clock_wake_supersedes_bound;
           Tu.tc "set_period moves the bound" clock_set_period_moves_bound;
+          Tu.tc "same-instant ticks in rank order" clock_rank_order;
+          Tu.tc "rank stays below prio_negotiate" clock_rank_bounds;
           Tu.tc "macro-actor grouping" clock_macro_actor_grouping;
         ] );
       ( "rng",

@@ -1265,7 +1265,8 @@ int main(void) {
   let r2 = M.run ~max_cycles:(c1 * 3) m in
   Tu.check_bool "restored rerun halts" true r2.M.halted;
   Tu.check_string "restored rerun output" straight.Core.Toolchain.output
-    r2.M.output
+    r2.M.output;
+  Tu.check_int "restored rerun cycles" 1115 r2.M.cycles
 
 let gating_rejects_late_toggle () =
   let compiled =

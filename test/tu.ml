@@ -445,12 +445,10 @@ let agree ~fields ~events what a b =
     plain one, plus a host event per sample point at most; with
     {!sampling}, {!governor} and {!retuning} attached, gated equals
     ungated in every field, and the idle cluster clock still sleeps
-    if [sleeps].  Where gating [diverges] (a known fault), only the
-    readings may differ, and must.  [pin name report] sees the gated
-    reports of {!sampling} alone and of all three.  Returns whether a
-    governor throttled. *)
-let plugins_keep_gating ?(diverges = false) ?(pin = fun _ _ -> ()) ~sleeps what config image
-    ~plain =
+    if [sleeps].  [pin name report] sees the gated reports of
+    {!sampling} alone and of all three.  Returns whether a governor
+    throttled. *)
+let plugins_keep_gating ?(pin = fun _ _ -> ()) ~sleeps what config image ~plain =
   let sampled = observe ~observers:[ sampling ] config image in
   agree ~fields:Run ~events:Plus_samples (what ^ " sampled vs plain") sampled plain;
   pin sampling.name sampled.report;
@@ -458,11 +456,7 @@ let plugins_keep_gating ?(diverges = false) ?(pin = fun _ _ -> ()) ~sleeps what 
   let g = run true and u = run false in
   pin retuning.name g.report;
   let what = what ^ " plug-ins" in
-  if diverges then begin
-    agree ~fields:Sim ~events:Fewer what g u;
-    check_bool (what ^ " readings differ (known)") true (g.report <> u.report)
-  end
-  else agree ~fields:All ~events:Fewer what g u;
+  agree ~fields:All ~events:Fewer what g u;
   if sleeps then check_bool (what ^ " cluster ticks skipped") true (g.skipped > 0);
   List.mem "thermal-high" (String.split_on_char ' ' g.report)
 
